@@ -4,14 +4,15 @@ GO ?= go
 # full traces.
 BENCH_SCALE ?= 0.25
 
-.PHONY: ci fmt vet lint lint-baseline build test race bench trace-smoke chaos chaos-demo loadtest loadtest-smoke wire-smoke soak-smoke soak prefetch-smoke
+.PHONY: ci fmt vet lint lint-baseline build test race bench bench-smoke trace-smoke chaos chaos-demo loadtest loadtest-smoke wire-smoke soak-smoke soak prefetch-smoke
 
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
 # over every package, the trace-export smoke, the bounded scale-out load
 # smoke, the batched-wire concurrency smoke, the bounded crash-soak smoke,
-# the learned-prefetcher smoke, and the benchmark snapshot.
-ci: fmt vet lint build test race trace-smoke loadtest-smoke wire-smoke soak-smoke prefetch-smoke bench
+# the learned-prefetcher smoke, the gate benchmark's build-and-run smoke, and
+# the benchmark snapshot.
+ci: fmt vet lint build test race trace-smoke loadtest-smoke wire-smoke soak-smoke prefetch-smoke bench-smoke bench
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -151,3 +152,14 @@ prefetch-smoke:
 	echo "prefetch-smoke: experiment deterministic across reruns" && \
 	$(GO) test -race -run 'TestClientPrefetchLearnsStride|TestPolicyWireRoundTrip|TestServerWantBeyondPlanIsHonored' \
 		-count=1 ./internal/remote/
+
+# bench-smoke keeps the gate's benchmark (BENCHMARK.json, bench/) compiling
+# and running. bench/ is a module of its own, so nothing above builds it: a
+# signature change in internal/proto or internal/remote would otherwise
+# surface only when the pipeline's benchmark fails to build. One second of
+# the fault path traced and one of the hit path; either exits non-zero on a
+# wrong byte or a failed op.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+	bash bench/run.sh --workload fault-churn --seed 1 --seconds 1 --trace 1 > /dev/null
+	bash bench/run.sh --workload hit-resident --seed 1 --seconds 1 --trace 1 > /dev/null

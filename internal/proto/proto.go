@@ -475,24 +475,54 @@ func (w *Writer) SendError(text string) error {
 	return w.send(TError, []byte(text))
 }
 
-// A Reader decodes frames from a stream. Not safe for concurrent use.
+// A Reader decodes frames from a stream. Not safe for concurrent use. It
+// reads ahead — one Read takes in as many frames as the stream has ready —
+// so a stream must only ever be read through one Reader: a second Reader,
+// or a raw Read, would miss the bytes the first already buffered.
 type Reader struct {
-	r   io.Reader
-	buf []byte
+	r      io.Reader
+	buf    []byte
+	rd, wr int // buf[rd:wr] is read ahead; the frame being decoded starts at rd
 }
 
-// NewReader returns a Reader on r.
+// NewReader returns a Reader on r. The buffer holds two maximal frames, so
+// a frame that starts anywhere in the first half fits without moving.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r, buf: make([]byte, headerSize+MaxPayload)}
+	return &Reader{r: r, buf: make([]byte, 2*(headerSize+MaxPayload))}
 }
 
-// Next reads one frame. The returned payload is only valid until the next
-// call.
+// fill reads until n bytes of the current frame are buffered, with
+// io.ReadFull's error rule: a read error is dropped once the bytes it came
+// with complete the request (a persistent one surfaces on the next read).
+func (r *Reader) fill(n int) error {
+	if r.rd == r.wr {
+		r.rd, r.wr = 0, 0
+	} else if r.rd+n > len(r.buf) {
+		// The frame would run off the end: move what is buffered to the front.
+		r.wr = copy(r.buf, r.buf[r.rd:r.wr])
+		r.rd = 0
+	}
+	for r.wr-r.rd < n {
+		m, err := r.r.Read(r.buf[r.wr:])
+		r.wr += m
+		if err != nil && r.wr-r.rd < n {
+			return err
+		}
+	}
+	return nil
+}
+
+// Next returns the next frame, reading from the stream only if it is not
+// buffered already. The returned payload is only valid until the next call.
+// Only a stream that ends on a frame boundary yields a bare io.EOF.
 func (r *Reader) Next() (Frame, error) {
-	head := r.buf[:headerSize]
-	if _, err := io.ReadFull(r.r, head); err != nil {
+	if err := r.fill(headerSize); err != nil {
+		if err == io.EOF && r.wr > r.rd {
+			err = io.ErrUnexpectedEOF
+		}
 		return Frame{}, err
 	}
+	head := r.buf[r.rd : r.rd+headerSize]
 	t := Type(head[0])
 	if t < TGetPage || t > TDrainReply {
 		// Reject unknown tag bytes at the framing layer: every Frame
@@ -507,10 +537,15 @@ func (r *Reader) Next() (Frame, error) {
 	if n > MaxPayload {
 		return Frame{}, fmt.Errorf("proto: oversized payload %d for %v", n, t)
 	}
-	payload := r.buf[headerSize : headerSize+int(n)]
-	if _, err := io.ReadFull(r.r, payload); err != nil {
+	size := headerSize + int(n)
+	if err := r.fill(size); err != nil {
+		if err == io.EOF && r.wr-r.rd > headerSize {
+			err = io.ErrUnexpectedEOF
+		}
 		return Frame{}, fmt.Errorf("proto: truncated %v frame: %w", t, err)
 	}
+	payload := r.buf[r.rd+headerSize : r.rd+size]
+	r.rd += size
 	return Frame{Type: t, Payload: payload}, nil
 }
 

@@ -128,6 +128,7 @@ type Stats struct {
 	Prefetches int64
 	Evictions  int64
 	PutPages   int64
+	PutDrops   int64 // dirty evictions that found no replica to write back to: the page is lost
 	BytesIn    int64
 	Retries    int64         // fault or lookup attempts beyond the first
 	Failovers  int64         // retries redirected to a different replica
@@ -153,8 +154,18 @@ type Stats struct {
 	OpenBreakers  int   // servers currently shunned (open or half-open)
 }
 
+// source is one server streaming a page's current attempt, with its v2
+// request ID (0 on the v1 wire). A withdrawn source is also the TCancel
+// owed to that server, sent once c.mu is released (sending under the lock
+// would hold every accessor behind one peer's socket).
+type source struct {
+	addr string
+	id   uint64
+}
+
 // cpage is one locally cached page.
 type cpage struct {
+	id       uint64 // global page number, the cache key
 	data     []byte
 	valid    memmodel.Bitmap
 	touched  memmodel.Bitmap // blocks some access has covered (prefetch history feed)
@@ -163,48 +174,102 @@ type cpage struct {
 	inflight bool // a GetPage reply is streaming in
 	firstOK  bool // the faulted subpage of the current attempt arrived
 	waiters  int  // accessors parked in ensureValid on this page
-	// sources maps the servers currently streaming this page (two when a
-	// hedge is in flight) to their v2 request IDs (0 on the v1 wire); the
-	// attempt fails only when all of them do.
-	sources map[string]uint64
+	// sources[:nsrc] are the servers currently streaming this page: the
+	// primary, and a second when a hedge is in flight. The attempt fails
+	// only when all of them do.
+	sources [2]source
+	nsrc    int
 	// waitCh signals the owning faultLoop: nil on stream completion, an
 	// error when every source failed. Buffered; sent under c.mu and
 	// cleared in the same critical section, so exactly one signal per
 	// attempt is ever delivered.
-	waitCh  chan error
+	waitCh chan error
+	// timeout bounds each attempt; the faultLoop owning the page leaves it
+	// stopped and drained in between. It is recycled with the entry.
+	timeout *time.Timer
+	// prev and next thread the page onto the client's LRU list (prev is
+	// toward the most recently used end). lastUse is the tick of the last
+	// touch; ticks are unique, so list order is lastUse order.
+	prev    *cpage
+	next    *cpage
 	lastUse int64
 	start   time.Time // when the current fault attempt was issued
 	err     error
 }
 
-// cpageDataPool recycles page buffers between evicted and newly cached
-// pages: a client churning through a working set larger than its cache
-// allocates page storage once per cache slot, not once per fault. Only
-// evictIfFull returns buffers here, and only for victims with no waiters,
-// no in-flight stream and no cache entry — at that point nothing can
-// reach the old bytes.
-var cpageDataPool = sync.Pool{
-	New: func() any { b := make([]byte, units.PageSize); return &b },
+// dropSource forgets addr as a source of p, reporting the request ID it
+// held and whether it was a source at all.
+func (p *cpage) dropSource(addr string) (id uint64, ok bool) {
+	for i, src := range p.sources[:p.nsrc] {
+		if src.addr == addr {
+			p.nsrc--
+			p.sources[i] = p.sources[p.nsrc]
+			return src.id, true
+		}
+	}
+	return 0, false
 }
 
-// newCpage builds a cache entry around a pooled (and cleared) buffer.
-func newCpage() *cpage {
-	data := *cpageDataPool.Get().(*[]byte)
-	clear(data)
-	return &cpage{data: data}
+// cpagePool recycles cache entries, page buffer included, between evicted
+// and newly cached pages: a client churning through a working set larger
+// than its cache allocates page storage once per cache slot, not once per
+// fault. Only evictIfFull returns entries here, and only victims with no
+// waiters, no fault owner, no in-flight stream (so no live request ID) and
+// no cache or list linkage — nothing can reach the entry or its bytes.
+var cpagePool = sync.Pool{
+	New: func() any { return &cpage{data: make([]byte, units.PageSize)} },
+}
+
+// install caches a fresh, zeroed entry for page as the most recently used.
+// Called with c.mu held.
+func (c *Client) install(page uint64) *cpage {
+	p := cpagePool.Get().(*cpage)
+	clear(p.data)
+	*p = cpage{id: page, data: p.data, timeout: p.timeout}
+	c.cache[page] = p
+	c.touch(p)
+	return p
+}
+
+// touch stamps p as the most recently used page and moves (or, for a fresh
+// entry, adds) it to the head of the LRU list. Called with c.mu held.
+func (c *Client) touch(p *cpage) {
+	c.tick++
+	p.lastUse = c.tick
+	if c.lruHead == p {
+		return
+	}
+	if p.prev != nil { // on the list: only the head has no prev
+		c.unlink(p)
+	}
+	p.next = c.lruHead
+	if c.lruHead != nil {
+		c.lruHead.prev = p
+	} else {
+		c.lruTail = p
+	}
+	c.lruHead = p
+}
+
+// unlink takes p off the LRU list. Called with c.mu held.
+func (c *Client) unlink(p *cpage) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		c.lruHead = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		c.lruTail = p.prev
+	}
+	p.prev, p.next = nil, nil
 }
 
 // reqEntry ties a live v2 request ID to the page attempt it serves.
 type reqEntry struct {
 	p    *cpage
 	addr string
-}
-
-// pendingCancel is a TCancel to send once c.mu is released (sending under
-// the lock would hold every accessor behind one peer's socket).
-type pendingCancel struct {
-	addr string
-	id   uint64
 }
 
 // regRequest mints and registers a request ID for an attempt on p served
@@ -251,24 +316,24 @@ func (c *Client) wantFor(p *cpage, page uint64, off, n int) uint32 {
 // deregSources retires every source of p's current attempt, returning the
 // cancel frames to send for streams that may still be live server-side.
 // Called with c.mu held; send the cancels after unlocking.
-func (c *Client) deregSources(p *cpage, cancels []pendingCancel) []pendingCancel {
-	for a, id := range p.sources {
-		if id == 0 {
+func (c *Client) deregSources(p *cpage, cancels []source) []source {
+	for _, src := range p.sources[:p.nsrc] {
+		if src.id == 0 {
 			continue // v1: no way to withdraw, the stream drains as it always did
 		}
-		delete(c.reqs, id)
-		cancels = append(cancels, pendingCancel{addr: a, id: id})
+		delete(c.reqs, src.id)
+		cancels = append(cancels, src)
 		c.stats.Cancels++
 		c.met.cancels.Inc()
 	}
-	p.sources = nil
+	p.nsrc = 0
 	return cancels
 }
 
 // sendCancels writes the queued TCancel frames. A server we no longer
 // hold a connection to needs no cancel — its stream died with the
 // connection.
-func (c *Client) sendCancels(cancels []pendingCancel) {
+func (c *Client) sendCancels(cancels []source) {
 	for _, pc := range cancels {
 		c.srvMu.Lock()
 		sc := c.servers[pc.addr]
@@ -299,9 +364,13 @@ type srvConn struct {
 type Client struct {
 	cfg ClientConfig
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	cache   map[uint64]*cpage
+	mu    sync.Mutex
+	cond  *sync.Cond
+	cache map[uint64]*cpage
+	// lruHead and lruTail thread every cached page in lastUse order, most
+	// recent at the head, so eviction never scans the cache.
+	lruHead *cpage
+	lruTail *cpage
 	located map[uint64][]string // directory answers: replica lists, primary first
 	tick    int64
 	stats   Stats
@@ -480,18 +549,18 @@ func (c *Client) access(buf []byte, addr uint64, store bool) error {
 
 func (c *Client) accessPage(buf []byte, page uint64, off int, store bool) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	p, err := c.ensureValid(page, off, len(buf))
-	if err != nil {
-		return err
+	if err == nil {
+		// Still the critical section ensureValid validated p in.
+		if store {
+			copy(p.data[off:], buf)
+			p.dirty = true
+		} else {
+			copy(buf, p.data[off:off+len(buf)])
+		}
 	}
-	if store {
-		copy(p.data[off:], buf)
-		p.dirty = true
-	} else {
-		copy(buf, p.data[off:off+len(buf)])
-	}
-	return nil
+	c.mu.Unlock()
+	return err
 }
 
 // neededMask returns the valid bits covering [off, off+n).
@@ -514,13 +583,13 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 		// evictIfFull may drop the lock for write-back; another
 		// goroutine can install the page meanwhile.
 		c.evictIfFull()
-		if p = c.cache[page]; p == nil {
-			p = newCpage()
-			c.cache[page] = p
-		}
+		p = c.cache[page]
 	}
-	c.tick++
-	p.lastUse = c.tick
+	if p == nil {
+		p = c.install(page)
+	} else {
+		c.touch(p)
+	}
 	need := neededMask(off, n)
 	if c.pf != nil {
 		// Feed the detector the access stream, not the fault stream: a
@@ -533,12 +602,6 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 			c.pf.Record(page, off)
 		}
 	}
-	// Park as a waiter: evictIfFull never recycles a page an accessor
-	// still holds, so the buffer returned here cannot be repurposed
-	// between the wait loop and the caller's copy (which runs under the
-	// same critical section).
-	p.waiters++
-	defer func() { p.waiters-- }()
 	for {
 		if c.netErr != nil {
 			return nil, c.netErr
@@ -549,8 +612,13 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 			return nil, err
 		}
 		if p.valid.HasAll(need) {
+			// A hit pins nothing: c.mu stays held from the lookup (or the
+			// wait's return) through the caller's copy, so nothing evicts.
 			return p, nil
 		}
+		// About to let go of c.mu (in cond.Wait, or in the read-ahead's
+		// eviction window): park as a waiter, which evictIfFull never evicts.
+		p.waiters++
 		if !p.inflight && !p.faulting {
 			p.faulting = true
 			c.stats.Faults++
@@ -562,6 +630,7 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 			}
 		}
 		c.cond.Wait()
+		p.waiters--
 	}
 }
 
@@ -579,10 +648,7 @@ func (c *Client) maybePrefetch(page uint64) {
 	if c.cache[next] != nil {
 		return
 	}
-	p := newCpage()
-	c.cache[next] = p
-	c.tick++
-	p.lastUse = c.tick
+	p := c.install(next)
 	p.faulting = true
 	c.stats.Prefetches++
 	c.met.prefetches.Inc()
@@ -601,7 +667,7 @@ func (c *Client) faultLoop(p *cpage, page uint64, off, n int, prefetch bool) {
 	c.mu.Lock()
 	p.faulting = false
 	p.inflight = false
-	p.sources = nil
+	p.nsrc = 0
 	p.waitCh = nil
 	if err != nil && !c.closed {
 		p.err = err
@@ -609,6 +675,7 @@ func (c *Client) faultLoop(p *cpage, page uint64, off, n int, prefetch bool) {
 			// Best effort: forget the untouched placeholder so a later
 			// demand access retries cleanly.
 			delete(c.cache, page)
+			c.unlink(p)
 		}
 	}
 	c.cond.Broadcast()
@@ -620,7 +687,7 @@ func (c *Client) faultLoop(p *cpage, page uint64, off, n int, prefetch bool) {
 func (c *Client) fetchPage(p *cpage, page uint64, off, n int) error {
 	var lastErr error
 	var firstAddr string
-	tried := make(map[string]bool)
+	var tried map[string]bool // servers an attempt failed on; allocated by the first failure
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			if !c.sleep(c.backoffDelay(attempt)) {
@@ -641,7 +708,6 @@ func (c *Client) fetchPage(p *cpage, page uint64, off, n int) error {
 			continue
 		}
 		addr := c.pickAddr(addrs, tried, attempt)
-		tried[addr] = true
 		if firstAddr == "" {
 			firstAddr = addr
 		} else if addr != firstAddr {
@@ -651,6 +717,10 @@ func (c *Client) fetchPage(p *cpage, page uint64, off, n int) error {
 			c.met.failovers.Inc()
 		}
 		if err := c.attempt(p, page, off, n, addr, c.hedgeAddr(addrs, addr)); err != nil {
+			if tried == nil {
+				tried = make(map[string]bool)
+			}
+			tried[addr] = true
 			if c.br.failure(addr, time.Now()) {
 				c.mu.Lock()
 				c.stats.BreakerOpens++
@@ -682,15 +752,19 @@ func (c *Client) fetchPage(p *cpage, page uint64, off, n int) error {
 // candidate is denied the preferred one is force-picked anyway: the
 // breaker sheds load but never strands a fault.
 func (c *Client) pickAddr(addrs []string, tried map[string]bool, attempt int) string {
-	candidates := make([]string, 0, len(addrs)+1)
-	for _, a := range addrs {
-		if !tried[a] {
-			candidates = append(candidates, a)
-		}
-	}
-	candidates = append(candidates, addrs[attempt%len(addrs)])
 	now := time.Now()
-	for _, a := range candidates {
+	preferred := ""
+	// Candidates: each untried address, then the round-robin one, tried or not.
+	for i := 0; i <= len(addrs); i++ {
+		a := addrs[attempt%len(addrs)]
+		if i < len(addrs) {
+			if a = addrs[i]; tried[a] {
+				continue
+			}
+		}
+		if preferred == "" {
+			preferred = a
+		}
 		ok, probe := c.br.allow(a, now)
 		if !ok {
 			continue
@@ -703,7 +777,7 @@ func (c *Client) pickAddr(addrs []string, tried map[string]bool, attempt int) st
 		}
 		return a
 	}
-	return candidates[0]
+	return preferred
 }
 
 // hedgeAddr returns a replica distinct from the primary pick whose breaker
@@ -734,7 +808,7 @@ func (c *Client) attempt(p *cpage, page uint64, off, n int, addr, hedge string) 
 	p.firstOK = false
 	id := c.regRequest(p, addr)
 	want := c.wantFor(p, page, off, n)
-	p.sources = map[string]uint64{addr: id}
+	p.sources[0], p.nsrc = source{addr, id}, 1
 	p.start = time.Now()
 	c.mu.Unlock()
 
@@ -743,8 +817,12 @@ func (c *Client) attempt(p *cpage, page uint64, off, n int, addr, hedge string) 
 		return err
 	}
 
-	timeout := time.NewTimer(c.cfg.RequestTimeout)
-	defer timeout.Stop()
+	if p.timeout == nil {
+		p.timeout = time.NewTimer(c.cfg.RequestTimeout)
+	} else {
+		p.timeout.Reset(c.cfg.RequestTimeout)
+	}
+	defer stopTimer(p.timeout)
 	var hedgeC <-chan time.Time
 	if c.cfg.Hedge > 0 && hedge != "" {
 		ht := time.NewTimer(c.cfg.Hedge)
@@ -764,7 +842,8 @@ func (c *Client) attempt(p *cpage, page uint64, off, n int, addr, hedge string) 
 			if fire {
 				hid = c.regRequest(p, hedge)
 				hwant = c.wantFor(p, page, off, n)
-				p.sources[hedge] = hid
+				p.sources[p.nsrc] = source{hedge, hid}
+				p.nsrc++
 				c.stats.Hedges++
 				c.met.hedges.Inc()
 			}
@@ -776,7 +855,7 @@ func (c *Client) attempt(p *cpage, page uint64, off, n int, addr, hedge string) 
 					// attempt.
 					c.mu.Lock()
 					if p.waitCh == ch {
-						delete(p.sources, hedge)
+						p.dropSource(hedge)
 					}
 					if hid != 0 {
 						delete(c.reqs, hid)
@@ -784,7 +863,7 @@ func (c *Client) attempt(p *cpage, page uint64, off, n int, addr, hedge string) 
 					c.mu.Unlock()
 				}
 			}
-		case <-timeout.C:
+		case <-p.timeout.C:
 			if !c.cancelAttempt(p, ch) {
 				// The stream completed in the same instant: take its
 				// verdict, which is already buffered.
@@ -800,6 +879,16 @@ func (c *Client) attempt(p *cpage, page uint64, off, n int, addr, hedge string) 
 		case <-c.closeCh:
 			c.cancelAttempt(p, ch)
 			return errClientClosed
+		}
+	}
+}
+
+// stopTimer stops t and drains its channel, leaving it ready for Reset.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
 	}
 }
@@ -886,45 +975,51 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// evictIfFull makes room for one more page. Called with c.mu held.
+// victim returns the least recently used page that nothing pins — no
+// stream, no fault owner, no parked accessor — or nil when every page is
+// pinned. Called with c.mu held.
+func (c *Client) victim() *cpage {
+	p := c.lruTail
+	for p != nil && (p.inflight || p.faulting || p.waiters > 0) {
+		p = p.prev
+	}
+	return p
+}
+
+// evictIfFull makes room for one more page. Called with c.mu held; drops
+// and retakes it around a dirty victim's write-back.
 func (c *Client) evictIfFull() {
 	for len(c.cache) >= c.cfg.CachePages {
-		var victimID uint64
-		var victim *cpage
-		for id, p := range c.cache {
-			if p.inflight || p.faulting || p.waiters > 0 {
-				continue
-			}
-			if victim == nil || p.lastUse < victim.lastUse {
-				victim, victimID = p, id
-			}
-		}
+		victim := c.victim()
 		if victim == nil {
 			return // everything is in flight; allow a brief overcommit
 		}
-		delete(c.cache, victimID)
+		delete(c.cache, victim.id)
+		c.unlink(victim)
 		c.stats.Evictions++
 		c.met.evictions.Inc()
 		if victim.dirty && victim.valid.Full() {
-			c.stats.PutPages++
-			c.met.putPages.Inc()
-			data := victim.data
-			addrs := c.located[victimID]
 			c.mu.Unlock()
-			c.putPage(addrs, victimID, data)
+			// The cached placement, or a fresh one if a failed attempt forgot it.
+			addrs, _ := c.locate(victim.id, false)
+			sent := c.putPage(addrs, victim.id, victim.data)
 			c.mu.Lock()
+			if sent {
+				c.stats.PutPages++
+				c.met.putPages.Inc()
+			} else {
+				c.stats.PutDrops++
+				c.met.putDrops.Inc()
+			}
 		}
-		// The victim is out of the cache, has no stream, no fault owner
-		// and no waiters: nothing can reach its buffer again. Recycle it.
-		data := victim.data
-		victim.data = nil
-		cpageDataPool.Put(&data)
+		// Out of the cache, off the list, unpinned: nothing can reach it again.
+		cpagePool.Put(victim)
 	}
 }
 
 // putPage writes a dirty page back (fire and forget), trying each replica
-// until one send succeeds.
-func (c *Client) putPage(addrs []string, page uint64, data []byte) {
+// until one send succeeds; it reports false when none did.
+func (c *Client) putPage(addrs []string, page uint64, data []byte) bool {
 	for _, addr := range addrs {
 		sc, err := c.server(addr)
 		if err != nil {
@@ -936,9 +1031,10 @@ func (c *Client) putPage(addrs []string, page uint64, data []byte) {
 		_ = sc.conn.SetWriteDeadline(time.Time{})
 		sc.wmu.Unlock()
 		if err == nil {
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // forget drops the cached directory answer for page.
@@ -1348,27 +1444,23 @@ func (c *Client) dropServer(addr string, cause error) {
 // faultLoop decides whether to retry, fail over or give up. An attempt
 // with a live hedge outstanding keeps going untouched.
 func (c *Client) failPending(addr string, cause error) {
-	var cancels []pendingCancel
+	var cancels []source
 	c.mu.Lock()
 	for _, p := range c.cache {
-		if p.sources == nil {
-			continue
-		}
-		id, ok := p.sources[addr]
+		id, ok := p.dropSource(addr)
 		if !ok {
 			continue
 		}
-		delete(p.sources, addr)
 		if id != 0 {
 			delete(c.reqs, id)
 			// Withdraw the stream if the connection survives (an
 			// application-level TError): the server may still be
 			// streaming requests this failure did not concern.
-			cancels = append(cancels, pendingCancel{addr: addr, id: id})
+			cancels = append(cancels, source{addr, id})
 			c.stats.Cancels++
 			c.met.cancels.Inc()
 		}
-		if len(p.sources) == 0 && p.waitCh != nil {
+		if p.nsrc == 0 && p.waitCh != nil {
 			ch := p.waitCh
 			p.waitCh = nil
 			p.inflight = false
@@ -1411,7 +1503,7 @@ func (c *Client) applyFragment(addr string, pd proto.PageData) {
 		ch := p.waitCh
 		p.waitCh = nil
 		p.inflight = false
-		p.sources = nil
+		p.nsrc = 0
 		if !p.start.IsZero() {
 			lat := float64(time.Since(p.start).Microseconds())
 			c.stats.FullLat.Add(lat)
@@ -1431,7 +1523,7 @@ func (c *Client) applyFragment(addr string, pd proto.PageData) {
 // touch signaling, which is what keeps a lost hedge from skewing
 // SubpageLat or completing a newer attempt (the lost-hedge bugfix).
 func (c *Client) applyBatch(addr string, b proto.SubpageBatch) {
-	var cancels []pendingCancel
+	var cancels []source
 	c.mu.Lock()
 	ent, live := c.reqs[b.ReqID]
 	p := c.cache[b.Page]
@@ -1469,7 +1561,7 @@ func (c *Client) applyBatch(addr string, b proto.SubpageBatch) {
 			// This stream won; deregister it and eagerly cancel every
 			// other source (the losing half of a hedge) instead of
 			// letting it stream a page we already have.
-			delete(p.sources, addr)
+			p.dropSource(addr)
 			delete(c.reqs, b.ReqID)
 			cancels = c.deregSources(p, cancels)
 			if !p.start.IsZero() {

@@ -13,7 +13,7 @@ import (
 
 // testCluster stands up a directory and one server holding npages pages
 // whose contents are a per-page byte pattern.
-func testCluster(t *testing.T, npages int) (*Directory, *Server) {
+func testCluster(t testing.TB, npages int) (*Directory, *Server) {
 	t.Helper()
 	dir, err := ListenDirectory("127.0.0.1:0")
 	if err != nil {
@@ -42,14 +42,17 @@ func pagePattern(page uint64) []byte {
 	return data
 }
 
-func testClient(t *testing.T, dir *Directory, cfg ClientConfig) *Client {
+func testClient(t testing.TB, dir *Directory, cfg ClientConfig) *Client {
 	t.Helper()
 	cfg.Directory = dir.Addr()
 	c, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
+	t.Cleanup(func() {
+		checkLRU(t, c) // every client test ends with the cache's list intact
+		c.Close()
+	})
 	return c
 }
 

@@ -486,10 +486,11 @@ type connState struct {
 
 	// Writer-goroutine scratch, reused across batches so the steady-state
 	// reply path allocates nothing per request.
-	hdr  []byte
-	bufs net.Buffers
-	runs []proto.SubpageRun
-	brs  []byteRun
+	hdr   []byte
+	bufs  net.Buffers
+	wbufs net.Buffers // the copy of bufs WriteTo consumes (a local would escape)
+	runs  []proto.SubpageRun
+	brs   []byteRun
 }
 
 // begin records a v2 request as live (called by the reader on enqueue).
@@ -650,10 +651,27 @@ func (s *Server) writeLoop(st *connState) {
 	}
 }
 
+// wirePolicies resolves each wire policy byte once instead of per request;
+// the wire policies are stateless values, safe to share. A byte that does
+// not resolve stays nil, and policyFor reports why.
+var wirePolicies = func() (t [256]core.Policy) {
+	for b := range t {
+		name, err := proto.PolicyName(uint8(b))
+		if err != nil {
+			break // the wire bytes are dense: the first unassigned one ends them
+		}
+		t[b], _ = core.ByName(name)
+	}
+	return t
+}()
+
 // policyFor maps a wire policy byte to a transfer plan policy through the
 // protocol's shared name mapping, so the server and the public DialClient
 // can never drift on which policies the wire carries.
 func policyFor(b uint8) (core.Policy, error) {
+	if pol := wirePolicies[b]; pol != nil {
+		return pol, nil
+	}
 	name, err := proto.PolicyName(b)
 	if err != nil {
 		return nil, err
@@ -858,8 +876,8 @@ func (s *Server) writeBatch(st *connState, reqID, page uint64, flags uint8, cove
 		st.bufs = append(st.bufs, r.Data)
 	}
 	s.wireDelay(slp, bytes)
-	bufs := st.bufs // WriteTo consumes its receiver; keep st.bufs's backing array
-	if _, err := bufs.WriteTo(st.conn); err != nil {
+	st.wbufs = st.bufs // WriteTo consumes its receiver; keep st.bufs's backing array
+	if _, err := st.wbufs.WriteTo(st.conn); err != nil {
 		return err
 	}
 	met.bytesOut.Add(int64(bytes))
