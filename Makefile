@@ -4,7 +4,7 @@ GO ?= go
 # full traces.
 BENCH_SCALE ?= 0.25
 
-.PHONY: ci fmt vet lint lint-baseline build test race bench bench-smoke trace-smoke chaos chaos-demo loadtest loadtest-smoke wire-smoke soak-smoke soak prefetch-smoke
+.PHONY: ci fmt vet lint lint-baseline build test race bench bench-smoke profile-fault trace-smoke chaos chaos-demo loadtest loadtest-smoke wire-smoke soak-smoke soak prefetch-smoke
 
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
@@ -163,3 +163,15 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	bash bench/run.sh --workload fault-churn --seed 1 --seconds 1 --trace 1 > /dev/null
 	bash bench/run.sh --workload hit-resident --seed 1 --seconds 1 --trace 1 > /dev/null
+
+# profile-fault profiles the fault path: BenchmarkFaultLoopback (the gate's
+# fault-churn workload, in-package: faults/op, read+write syscalls/fault and
+# writes/fault from the kernel's own count, allocations) under the CPU
+# profiler, then the profile's top entries. Binary and profile go to
+# PROFILE_DIR, outside the tree's tracked files.
+PROFILE_DIR ?= .bench_build/profile
+profile-fault:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench FaultLoopback -benchtime 400000x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/fault.prof -o $(PROFILE_DIR)/remote.test ./internal/remote/
+	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/fault.prof

@@ -131,13 +131,15 @@ func (p Pipelined) Plan(subpageSize, faultOff int) []PlannedMessage {
 	n := units.SubpagesPerPage(subpageSize)
 	idx := memmodel.SubpageIndex(subpageSize, faultOff)
 	first := memmodel.MaskFor(subpageSize, idx)
-	msgs := []PlannedMessage{{Bytes: subpageSize, Deliver: true, Covers: first}}
-	covered := first
-
 	neighbors := p.Neighbors
 	if neighbors <= 0 {
 		neighbors = 1
 	}
+	// The faulted subpage, at most two pipelined messages per neighbour
+	// distance, and the remainder: sized once, so planning allocates once.
+	msgs := make([]PlannedMessage, 1, 2*neighbors+2)
+	msgs[0] = PlannedMessage{Bytes: subpageSize, Deliver: true, Covers: first}
+	covered := first
 	span := 1
 	if p.DoubleFollowOn {
 		span = 2
@@ -218,7 +220,8 @@ func (WideFault) Plan(subpageSize, faultOff int) []PlannedMessage {
 		first |= memmodel.MaskFor(subpageSize, nb)
 		bytes += subpageSize
 	}
-	msgs := []PlannedMessage{{Bytes: bytes, Deliver: true, Covers: first}}
+	msgs := make([]PlannedMessage, 1, 2)
+	msgs[0] = PlannedMessage{Bytes: bytes, Deliver: true, Covers: first}
 	if rest := memmodel.FullBitmap &^ first; rest != 0 {
 		msgs = append(msgs, PlannedMessage{
 			Bytes:   rest.Count() * units.MinSubpage,

@@ -261,3 +261,21 @@ func TestPlanInvariantsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A plan is one slice, sized before it is filled: planning allocates once
+// per fault whatever the policy, the subpage size or where in the page the
+// fault lies — the live server plans every get, the simulator every fault.
+func TestPlanAllocatesOnce(t *testing.T) {
+	for _, p := range allPolicies {
+		if _, stateful := p.(*Prefetcher); stateful {
+			continue // its plans depend on the faults before them
+		}
+		for _, sub := range testSubpageSizes {
+			for _, off := range []int{0, sub - 1, units.PageSize / 2, units.PageSize - 1} {
+				if n := testing.AllocsPerRun(50, func() { _ = p.Plan(sub, off) }); n != 1 {
+					t.Fatalf("%s.Plan(%d, %d) allocates %v times, want 1", p.Name(), sub, off, n)
+				}
+			}
+		}
+	}
+}

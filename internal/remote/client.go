@@ -163,37 +163,54 @@ type source struct {
 	id   uint64
 }
 
-// cpage is one locally cached page.
+// cpage is one locally cached page. An entry belongs to the client that
+// made it for good: the client's free list recycles it, never another
+// client, so its timers' callbacks always find it under the lock they take.
 type cpage struct {
 	id       uint64 // global page number, the cache key
 	data     []byte
 	valid    memmodel.Bitmap
 	touched  memmodel.Bitmap // blocks some access has covered (prefetch history feed)
 	dirty    bool
-	faulting bool // a faultLoop goroutine owns fetching this page
-	inflight bool // a GetPage reply is streaming in
+	faulting bool // a fault owns fetching this page, from its first attempt to success or typed failure
+	inflight bool // an attempt's GetPage reply is streaming in
 	firstOK  bool // the faulted subpage of the current attempt arrived
+	prefetch bool // the fault is a read-ahead, not an accessor's
 	waiters  int  // accessors parked in ensureValid on this page
 	// sources[:nsrc] are the servers currently streaming this page: the
 	// primary, and a second when a hedge is in flight. The attempt fails
 	// only when all of them do.
 	sources [2]source
 	nsrc    int
-	// waitCh signals the owning faultLoop: nil on stream completion, an
-	// error when every source failed. Buffered; sent under c.mu and
-	// cleared in the same critical section, so exactly one signal per
-	// attempt is ever delivered.
-	waitCh chan error
-	// timeout bounds each attempt; the faultLoop owning the page leaves it
-	// stopped and drained in between. It is recycled with the entry.
+
+	// The fault in progress (DESIGN.md §7): the range that faulted, attempts
+	// failed so far, the servers they failed on (allocated by the first
+	// failure) and the first server tried.
+	off, n    int
+	attempt   int
+	tried     map[string]bool
+	firstAddr string
+	// The attempt in flight: when it was registered, its primary, the
+	// replica a late faulted subpage is hedged to ("" for none, or once
+	// hedged), and its generation — a count of attempts ever registered on
+	// this entry, by which a sender back from dropping c.mu knows its own.
+	start   time.Time
+	addr    string
+	hedgeTo string
+	gen     uint64
+	// timeout and hedge run their callbacks on goroutines of their own, so
+	// a Stop can lose to a fire under way; a callback acts only if the
+	// attempt it finds in flight has itself run that long. Made on first
+	// use, recycled with the entry.
 	timeout *time.Timer
+	hedge   *time.Timer
 	// prev and next thread the page onto the client's LRU list (prev is
-	// toward the most recently used end). lastUse is the tick of the last
-	// touch; ticks are unique, so list order is lastUse order.
+	// toward the most recently used end); next also threads the free list.
+	// lastUse is the tick of the last touch; ticks are unique, so list
+	// order is lastUse order.
 	prev    *cpage
 	next    *cpage
 	lastUse int64
-	start   time.Time // when the current fault attempt was issued
 	err     error
 }
 
@@ -210,22 +227,19 @@ func (p *cpage) dropSource(addr string) (id uint64, ok bool) {
 	return 0, false
 }
 
-// cpagePool recycles cache entries, page buffer included, between evicted
-// and newly cached pages: a client churning through a working set larger
-// than its cache allocates page storage once per cache slot, not once per
-// fault. Only evictIfFull returns entries here, and only victims with no
-// waiters, no fault owner, no in-flight stream (so no live request ID) and
-// no cache or list linkage — nothing can reach the entry or its bytes.
-var cpagePool = sync.Pool{
-	New: func() any { return &cpage{data: make([]byte, units.PageSize)} },
-}
-
-// install caches a fresh, zeroed entry for page as the most recently used.
-// Called with c.mu held.
+// install caches a fresh, zeroed entry for page as the most recently used,
+// recycling an evicted one when there is one: a client churning through a
+// working set larger than its cache allocates page storage and timers once
+// per cache slot, not per fault. Called with c.mu held.
 func (c *Client) install(page uint64) *cpage {
-	p := cpagePool.Get().(*cpage)
-	clear(p.data)
-	*p = cpage{id: page, data: p.data, timeout: p.timeout}
+	p := c.free
+	if p == nil {
+		p = &cpage{data: make([]byte, units.PageSize)}
+	} else {
+		c.free = p.next
+		clear(p.data)
+	}
+	*p = cpage{id: page, data: p.data, timeout: p.timeout, hedge: p.hedge, gen: p.gen}
 	c.cache[page] = p
 	c.touch(p)
 	return p
@@ -285,17 +299,18 @@ func (c *Client) regRequest(p *cpage, addr string) uint64 {
 	return id
 }
 
-// wantFor computes the v2 want bitmap for a fault attempt on [off, off+n).
+// wantFor computes the v2 want bitmap for an attempt of p's fault.
 // Full-coverage policies ask for everything still missing. Lazy asks only
 // for the accessed range — the want bitmap is now a request the server
 // honors beyond its plan, so over-asking would silently turn lazy into
 // eager. With the learned prefetcher on, the predicted stride window rides
 // alongside the accessed range. Called with c.mu held.
-func (c *Client) wantFor(p *cpage, page uint64, off, n int) uint32 {
+func (c *Client) wantFor(p *cpage) uint32 {
+	off, n := p.off, p.n
 	miss := ^p.valid
 	if c.pf != nil {
 		want := neededMask(off, n)
-		if m, ok := c.pf.Predict(page, c.cfg.SubpageSize, off); ok {
+		if m, ok := c.pf.Predict(p.id, c.cfg.SubpageSize, off); ok {
 			want |= m
 			c.stats.Predicted++
 		}
@@ -311,23 +326,6 @@ func (c *Client) wantFor(p *cpage, page uint64, off, n int) uint32 {
 		return uint32(memmodel.BlockMask(off))
 	}
 	return uint32(miss)
-}
-
-// deregSources retires every source of p's current attempt, returning the
-// cancel frames to send for streams that may still be live server-side.
-// Called with c.mu held; send the cancels after unlocking.
-func (c *Client) deregSources(p *cpage, cancels []source) []source {
-	for _, src := range p.sources[:p.nsrc] {
-		if src.id == 0 {
-			continue // v1: no way to withdraw, the stream drains as it always did
-		}
-		delete(c.reqs, src.id)
-		cancels = append(cancels, src)
-		c.stats.Cancels++
-		c.met.cancels.Inc()
-	}
-	p.nsrc = 0
-	return cancels
 }
 
 // sendCancels writes the queued TCancel frames. A server we no longer
@@ -371,6 +369,7 @@ type Client struct {
 	// recent at the head, so eviction never scans the cache.
 	lruHead *cpage
 	lruTail *cpage
+	free    *cpage              // evicted entries awaiting reuse, threaded through next
 	located map[uint64][]string // directory answers: replica lists, primary first
 	tick    int64
 	stats   Stats
@@ -489,6 +488,14 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.netErr = errClientClosed
 	close(c.closeCh)
+	// Attempts in flight have nobody parked on them to unwind: settle them
+	// here, so no timer is left to fire into a closed client. (No cancels
+	// go out: the connections close below.)
+	for _, p := range c.cache {
+		if p.inflight {
+			c.stopAttempt(p)
+		}
+	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
@@ -616,26 +623,32 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 			// wait's return) through the caller's copy, so nothing evicts.
 			return p, nil
 		}
-		// About to let go of c.mu (in cond.Wait, or in the read-ahead's
-		// eviction window): park as a waiter, which evictIfFull never evicts.
+		// About to let go of c.mu (in cond.Wait, around the send, or in the
+		// read-ahead's eviction window): park as a waiter, which evictIfFull
+		// never evicts.
 		p.waiters++
 		if !p.inflight && !p.faulting {
-			p.faulting = true
+			// This accessor takes the fault and sends its first attempt
+			// itself. The lock is dropped around the send, so the reply can
+			// land — and broadcast — before it is retaken: go round and
+			// look at the page again, never straight into Wait.
 			c.stats.Faults++
 			c.met.faults.Inc()
-			c.wg.Add(1)
-			go c.faultLoop(p, page, off, n, false)
+			c.beginFault(p, off, n, false)
+			c.runAttempt(p)
 			if c.cfg.Readahead {
 				c.maybePrefetch(page)
 			}
+		} else {
+			c.cond.Wait()
 		}
-		c.cond.Wait()
 		p.waiters--
 	}
 }
 
 // maybePrefetch issues a read-ahead fault for page+1 when the fault on
-// page continued a forward run. Called with c.mu held.
+// page continued a forward run. The read-ahead's attempt is sent from a
+// goroutine of its own, off the accessor's path. Called with c.mu held.
 func (c *Client) maybePrefetch(page uint64) {
 	if _, ok := c.cache[page-1]; !ok {
 		return
@@ -645,105 +658,277 @@ func (c *Client) maybePrefetch(page uint64) {
 		return
 	}
 	c.evictIfFull()
-	if c.cache[next] != nil {
-		return
+	if c.cache[next] != nil || c.closed {
+		return // both can change while evictIfFull (or the demand send before it) has c.mu dropped
 	}
 	p := c.install(next)
-	p.faulting = true
 	c.stats.Prefetches++
 	c.met.prefetches.Inc()
+	c.beginFault(p, 0, units.PageSize, true)
 	c.wg.Add(1)
-	go c.faultLoop(p, next, 0, units.PageSize, true)
+	go func() {
+		defer c.wg.Done()
+		c.mu.Lock()
+		c.runAttempt(p)
+		c.mu.Unlock()
+	}()
 }
 
-// faultLoop owns one page's fetch from first attempt to success or typed
-// failure: it is the only goroutine that retries, fails over and hedges
-// for the page, while any number of accessors wait on the condition
-// variable for valid bits.
-func (c *Client) faultLoop(p *cpage, page uint64, off, n int, prefetch bool) {
-	defer c.wg.Done()
-	err := c.fetchPage(p, page, off, n)
+// The fault engine (DESIGN.md §7). A fault is a run of attempts on one page,
+// and nothing is parked on it. Whoever takes the fault — the accessor, or a
+// goroutine for a read-ahead — sends the first attempt itself (runAttempt);
+// an attempt ends as an event: the reply's last batch, the loss of its last
+// source, its deadline. Success ends the fault on the spot; failure hands it
+// to a goroutine that lives for the bookkeeping, the backoff and the next
+// send (retry). Accessors only ever wait on the condition variable.
 
-	c.mu.Lock()
+// beginFault makes p the subject of a new fault on [off, off+n). Called
+// with c.mu held, on a page with no fault in progress.
+func (c *Client) beginFault(p *cpage, off, n int, prefetch bool) {
+	p.faulting, p.prefetch = true, prefetch
+	p.off, p.n = off, n
+	p.attempt, p.tried, p.firstAddr = 0, nil, ""
+}
+
+// endFault is the fault's epilogue: p is released, a failure is left for
+// the next accessor to collect, and everyone parked on the page looks
+// again. Called with c.mu held.
+func (c *Client) endFault(p *cpage, err error) {
 	p.faulting = false
-	p.inflight = false
-	p.nsrc = 0
-	p.waitCh = nil
 	if err != nil && !c.closed {
 		p.err = err
-		if prefetch && c.cache[page] == p && p.valid == 0 && !p.dirty {
+		if p.prefetch && c.cache[p.id] == p && p.valid == 0 && !p.dirty {
 			// Best effort: forget the untouched placeholder so a later
 			// demand access retries cleanly.
-			delete(c.cache, page)
+			delete(c.cache, p.id)
 			c.unlink(p)
 		}
 	}
 	c.cond.Broadcast()
+}
+
+// runAttempt sends the current attempt of p's fault: locate (the cached
+// answer at first, a fresh one after a failure), pick a replica, register
+// the request, send it, arm the deadline and the hedge. Called with c.mu
+// held and returns with it held, but drops it around the directory, the
+// breaker and the socket: by the time it returns, the attempt — or the whole
+// fault — may be over.
+func (c *Client) runAttempt(p *cpage) {
+	attempt, tried := p.attempt, p.tried
+	addrs := c.located[p.id] // retry forgot it after a failure
+	c.mu.Unlock()
+	var err error
+	if addrs == nil {
+		addrs, err = c.locate(p.id, true)
+	}
+	var addr, hedgeTo string
+	if err == nil {
+		addr = c.pickAddr(addrs, tried, attempt)
+		if c.cfg.Hedge > 0 {
+			hedgeTo = c.hedgeAddr(addrs, addr)
+		}
+	}
+	c.mu.Lock()
+	if err == nil && c.closed {
+		err = errClientClosed
+	}
+	if err != nil {
+		var pe *PageError
+		if errors.As(err, &pe) || errors.Is(err, errClientClosed) {
+			c.endFault(p, err) // authoritative miss or shutdown: retrying cannot help
+		} else {
+			c.attemptFailed(p, "", err)
+		}
+		return
+	}
+	if p.firstAddr == "" {
+		p.firstAddr = addr
+	} else if addr != p.firstAddr {
+		c.stats.Failovers++
+		c.met.failovers.Inc()
+	}
+	p.inflight, p.firstOK = true, false
+	p.addr, p.hedgeTo = addr, hedgeTo
+	p.gen++
+	gen := p.gen
+	id := c.regRequest(p, addr)
+	want := c.wantFor(p)
+	p.sources[0], p.nsrc = source{addr, id}, 1
+	p.start = time.Now()
+	page, off := p.id, p.off
+	c.mu.Unlock()
+
+	err = c.sendGet(addr, page, off, id, want)
+
+	c.mu.Lock()
+	if !p.inflight || p.gen != gen {
+		return // the reply, or the connection's loss, beat the send's return
+	}
+	if err != nil {
+		c.attemptFailed(p, addr, err)
+		return
+	}
+	if p.timeout == nil {
+		p.timeout = time.AfterFunc(c.cfg.RequestTimeout, func() { c.attemptTimedOut(p) })
+	} else {
+		p.timeout.Reset(c.cfg.RequestTimeout)
+	}
+	if hedgeTo == "" || p.firstOK {
+		return
+	}
+	if p.hedge == nil {
+		p.hedge = time.AfterFunc(c.cfg.Hedge, func() { c.hedgeDue(p) })
+	} else {
+		p.hedge.Reset(c.cfg.Hedge)
+	}
+}
+
+// stopAttempt settles the attempt in flight on p: its timers are stopped
+// and every source still registered is retired, returning the cancel
+// frames to send (after unlocking) for streams that may still be live
+// server-side. Called with c.mu held.
+func (c *Client) stopAttempt(p *cpage) (cancels []source) {
+	p.inflight = false
+	if p.timeout != nil {
+		p.timeout.Stop()
+	}
+	if p.hedge != nil {
+		p.hedge.Stop()
+	}
+	for _, src := range p.sources[:p.nsrc] {
+		if src.id == 0 {
+			continue // v1: no way to withdraw, the stream drains as it always did
+		}
+		delete(c.reqs, src.id)
+		cancels = append(cancels, src)
+		c.stats.Cancels++
+		c.met.cancels.Inc()
+	}
+	p.nsrc = 0
+	return cancels
+}
+
+// attemptFailed ends the attempt in flight on p, if any (addr is its
+// primary; "" means the directory, not a server, failed it), and hands the
+// fault to a goroutine for the retry. Called with c.mu held.
+func (c *Client) attemptFailed(p *cpage, addr string, cause error) {
+	cancels := c.stopAttempt(p)
+	if c.closed {
+		c.endFault(p, errClientClosed)
+		return
+	}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		c.sendCancels(cancels)
+		c.retry(p, addr, cause)
+	}()
+}
+
+// retry owns p's fault from one attempt's failure to the next one's send:
+// it books the failure against the server and the breaker, gives up with a
+// typed error once the budget is spent, and otherwise backs off and sends
+// again — without waiting for that attempt, whose end is an event too.
+func (c *Client) retry(p *cpage, addr string, cause error) {
+	opened := addr != "" && c.br.failure(addr, time.Now())
+	c.mu.Lock()
+	if addr != "" {
+		if p.tried == nil {
+			p.tried = make(map[string]bool)
+		}
+		p.tried[addr] = true
+		delete(c.located, p.id) // the failure may mean the cached placement is stale
+	}
+	if opened {
+		c.stats.BreakerOpens++
+		c.stats.OpenBreakers++
+		c.met.breakerOpens.Inc()
+		c.met.openBreakers.Add(1)
+	}
+	p.attempt++
+	attempt := p.attempt
+	if attempt > c.cfg.MaxRetries {
+		c.endFault(p, &PageError{Page: p.id, Attempts: attempt, Err: cause})
+		c.mu.Unlock()
+		return
+	}
+	c.mu.Unlock()
+	slept := c.sleep(c.backoffDelay(attempt))
+	c.mu.Lock()
+	if !slept {
+		c.endFault(p, errClientClosed)
+	} else {
+		c.stats.Retries++
+		c.met.retries.Inc()
+		c.runAttempt(p)
+	}
 	c.mu.Unlock()
 }
 
-// fetchPage is the retry engine: locate, attempt, back off, fail over to
-// the next replica, until the transfer completes or the budget is spent.
-func (c *Client) fetchPage(p *cpage, page uint64, off, n int) error {
-	var lastErr error
-	var firstAddr string
-	var tried map[string]bool // servers an attempt failed on; allocated by the first failure
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			if !c.sleep(c.backoffDelay(attempt)) {
-				return errClientClosed
-			}
-			c.mu.Lock()
-			c.stats.Retries++
-			c.mu.Unlock()
-			c.met.retries.Inc()
-		}
-		addrs, err := c.locate(page, attempt > 0)
-		if err != nil {
-			var pe *PageError
-			if errors.As(err, &pe) || errors.Is(err, errClientClosed) {
-				return err // authoritative miss or shutdown: retrying cannot help
-			}
-			lastErr = err
-			continue
-		}
-		addr := c.pickAddr(addrs, tried, attempt)
-		if firstAddr == "" {
-			firstAddr = addr
-		} else if addr != firstAddr {
-			c.mu.Lock()
-			c.stats.Failovers++
-			c.mu.Unlock()
-			c.met.failovers.Inc()
-		}
-		if err := c.attempt(p, page, off, n, addr, c.hedgeAddr(addrs, addr)); err != nil {
-			if tried == nil {
-				tried = make(map[string]bool)
-			}
-			tried[addr] = true
-			if c.br.failure(addr, time.Now()) {
-				c.mu.Lock()
-				c.stats.BreakerOpens++
-				c.stats.OpenBreakers++
-				c.mu.Unlock()
-				c.met.breakerOpens.Inc()
-				c.met.openBreakers.Add(1)
-			}
-			lastErr = err
-			// Force a fresh directory answer next time round: the
-			// failure may mean our cached placement is stale.
-			c.forget(page)
-			continue
-		}
-		if c.br.success(addr) {
-			c.mu.Lock()
-			c.stats.OpenBreakers--
-			c.mu.Unlock()
-			c.met.openBreakers.Add(-1)
-		}
-		return nil
+// attemptTimedOut is the deadline timer's callback, on the timer's own
+// goroutine. The server accepted the request but never finished the stream:
+// its connection is suspect (stalled or wedged), so drop it and let the
+// retry redial or fail over.
+func (c *Client) attemptTimedOut(p *cpage) {
+	c.mu.Lock()
+	if c.closed || !p.inflight || time.Since(p.start) < c.cfg.RequestTimeout {
+		c.mu.Unlock()
+		return // a fire its Stop lost to: that attempt is over, and the one in flight (if any) is younger
 	}
-	return &PageError{Page: page, Attempts: c.cfg.MaxRetries + 1, Err: lastErr}
+	addr := p.addr
+	cause := fmt.Errorf("remote: GetPage %d from %s timed out after %v",
+		p.id, addr, c.cfg.RequestTimeout)
+	cancels := c.stopAttempt(p)
+	c.wg.Add(1)
+	c.mu.Unlock()
+	defer c.wg.Done()
+	c.sendCancels(cancels)
+	c.dropServer(addr, cause)
+	c.retry(p, addr, cause)
+}
+
+// hedgeDue is the hedge timer's callback: the faulted subpage is late, so
+// a duplicate request goes to the replica picked with the primary. The
+// attempt succeeds when either stream completes.
+func (c *Client) hedgeDue(p *cpage) {
+	c.mu.Lock()
+	if c.closed || !p.inflight || p.firstOK || p.hedgeTo == "" || time.Since(p.start) < c.cfg.Hedge {
+		c.mu.Unlock()
+		return
+	}
+	gen, hedge := p.gen, p.hedgeTo
+	p.hedgeTo = ""
+	id := c.regRequest(p, hedge)
+	want := c.wantFor(p)
+	p.sources[p.nsrc] = source{hedge, id}
+	p.nsrc++
+	c.stats.Hedges++
+	c.met.hedges.Inc()
+	page, off := p.id, p.off
+	c.wg.Add(1)
+	c.mu.Unlock()
+	defer c.wg.Done()
+	if err := c.sendGet(hedge, page, off, id, want); err != nil {
+		// The hedge could not even be sent; the primary stream (or the
+		// timeout) still decides the attempt.
+		c.mu.Lock()
+		if p.inflight && p.gen == gen {
+			p.dropSource(hedge)
+		}
+		delete(c.reqs, id)
+		c.mu.Unlock()
+	}
+}
+
+// breakerSuccess books a completed attempt on addr with the breaker, after
+// c.mu is released (c.br is never touched under it).
+func (c *Client) breakerSuccess(addr string) {
+	if c.br.success(addr) {
+		c.mu.Lock()
+		c.stats.OpenBreakers--
+		c.mu.Unlock()
+		c.met.openBreakers.Add(-1)
+	}
 }
 
 // pickAddr chooses the next replica to try: the first address not yet
@@ -790,125 +975,6 @@ func (c *Client) hedgeAddr(addrs []string, primary string) string {
 		}
 	}
 	return ""
-}
-
-// attempt issues one GetPage to addr and waits for the stream to complete,
-// fail, or time out. If hedging is enabled and the faulted subpage is late,
-// a duplicate request goes to hedge; the attempt succeeds when either
-// stream completes.
-func (c *Client) attempt(p *cpage, page uint64, off, n int, addr, hedge string) error {
-	ch := make(chan error, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return errClientClosed
-	}
-	p.waitCh = ch
-	p.inflight = true
-	p.firstOK = false
-	id := c.regRequest(p, addr)
-	want := c.wantFor(p, page, off, n)
-	p.sources[0], p.nsrc = source{addr, id}, 1
-	p.start = time.Now()
-	c.mu.Unlock()
-
-	if err := c.sendGet(addr, page, off, id, want); err != nil {
-		c.cancelAttempt(p, ch)
-		return err
-	}
-
-	if p.timeout == nil {
-		p.timeout = time.NewTimer(c.cfg.RequestTimeout)
-	} else {
-		p.timeout.Reset(c.cfg.RequestTimeout)
-	}
-	defer stopTimer(p.timeout)
-	var hedgeC <-chan time.Time
-	if c.cfg.Hedge > 0 && hedge != "" {
-		ht := time.NewTimer(c.cfg.Hedge)
-		defer ht.Stop()
-		hedgeC = ht.C
-	}
-	for {
-		select {
-		case err := <-ch:
-			return err
-		case <-hedgeC:
-			hedgeC = nil
-			c.mu.Lock()
-			fire := p.waitCh == ch && !p.firstOK
-			var hid uint64
-			var hwant uint32
-			if fire {
-				hid = c.regRequest(p, hedge)
-				hwant = c.wantFor(p, page, off, n)
-				p.sources[p.nsrc] = source{hedge, hid}
-				p.nsrc++
-				c.stats.Hedges++
-				c.met.hedges.Inc()
-			}
-			c.mu.Unlock()
-			if fire {
-				if err := c.sendGet(hedge, page, off, hid, hwant); err != nil {
-					// The hedge could not even be sent; the primary
-					// stream (or the timeout) still decides the
-					// attempt.
-					c.mu.Lock()
-					if p.waitCh == ch {
-						p.dropSource(hedge)
-					}
-					if hid != 0 {
-						delete(c.reqs, hid)
-					}
-					c.mu.Unlock()
-				}
-			}
-		case <-p.timeout.C:
-			if !c.cancelAttempt(p, ch) {
-				// The stream completed in the same instant: take its
-				// verdict, which is already buffered.
-				return <-ch
-			}
-			// The server accepted the request but never finished the
-			// stream: its connection is suspect (stalled or wedged),
-			// so drop it and let the retry redial or fail over.
-			cause := fmt.Errorf("remote: GetPage %d from %s timed out after %v",
-				page, addr, c.cfg.RequestTimeout)
-			c.dropServer(addr, cause)
-			return cause
-		case <-c.closeCh:
-			c.cancelAttempt(p, ch)
-			return errClientClosed
-		}
-	}
-}
-
-// stopTimer stops t and drains its channel, leaving it ready for Reset.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// cancelAttempt withdraws an in-flight attempt if its signal has not fired
-// yet; it reports false when the attempt already completed (the verdict is
-// buffered in ch). Live v2 streams are canceled on the wire so the server
-// stops sending at the next batch boundary.
-func (c *Client) cancelAttempt(p *cpage, ch chan error) bool {
-	c.mu.Lock()
-	if p.waitCh != ch {
-		c.mu.Unlock()
-		return false
-	}
-	p.waitCh = nil
-	p.inflight = false
-	cancels := c.deregSources(p, nil)
-	c.mu.Unlock()
-	c.sendCancels(cancels)
-	return true
 }
 
 // sendGet writes one page request to addr under a write deadline, so a
@@ -1012,8 +1078,9 @@ func (c *Client) evictIfFull() {
 				c.met.putDrops.Inc()
 			}
 		}
-		// Out of the cache, off the list, unpinned: nothing can reach it again.
-		cpagePool.Put(victim)
+		// Out of the cache, off the list, unpinned: nothing reaches it again
+		// but a timer fire that lost to its Stop, which finds no attempt.
+		victim.next, c.free = c.free, victim
 	}
 }
 
@@ -1035,13 +1102,6 @@ func (c *Client) putPage(addrs []string, page uint64, data []byte) bool {
 		}
 	}
 	return false
-}
-
-// forget drops the cached directory answer for page.
-func (c *Client) forget(page uint64) {
-	c.mu.Lock()
-	delete(c.located, page)
-	c.mu.Unlock()
 }
 
 // locate resolves the replica list for page via the directory, with a
@@ -1440,9 +1500,9 @@ func (c *Client) dropServer(addr string, cause error) {
 }
 
 // failPending removes addr as a source for every in-flight attempt. An
-// attempt whose last source just vanished is signaled with cause; its
-// faultLoop decides whether to retry, fail over or give up. An attempt
-// with a live hedge outstanding keeps going untouched.
+// attempt whose last source just vanished fails with cause, and its fault
+// goes on to retry, fail over or give up. An attempt with a live hedge
+// outstanding keeps going untouched.
 func (c *Client) failPending(addr string, cause error) {
 	var cancels []source
 	c.mu.Lock()
@@ -1460,11 +1520,8 @@ func (c *Client) failPending(addr string, cause error) {
 			c.stats.Cancels++
 			c.met.cancels.Inc()
 		}
-		if p.nsrc == 0 && p.waitCh != nil {
-			ch := p.waitCh
-			p.waitCh = nil
-			p.inflight = false
-			ch <- cause //lint:allow lockio waitCh has capacity 1 and is nilled in this critical section, so the send never blocks
+		if p.nsrc == 0 && p.inflight {
+			c.attemptFailed(p, p.addr, cause)
 		}
 	}
 	c.cond.Broadcast()
@@ -1472,47 +1529,66 @@ func (c *Client) failPending(addr string, cause error) {
 	c.sendCancels(cancels)
 }
 
-// applyFragment copies one arriving fragment into the cache and signals
-// completion to the owning faultLoop on the stream terminator. Fragments
+// applyFragment copies one arriving fragment into the cache and, on the
+// stream terminator, ends the attempt — and with it the fault. Fragments
 // from a superseded attempt (timed out, hedged twin finishing second)
 // still carry correct bytes, so their data is applied rather than wasted.
 func (c *Client) applyFragment(addr string, pd proto.PageData) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	p := c.cache[pd.Page]
 	if p == nil {
+		c.mu.Unlock()
 		return // page was evicted mid-transfer; drop the data
 	}
 	if len(pd.Data) > 0 {
 		off := int(pd.Offset)
 		if off+len(pd.Data) > units.PageSize {
+			c.mu.Unlock()
 			return
 		}
 		copy(p.data[off:], pd.Data)
 		p.valid = p.valid.Set(neededMask(off, len(pd.Data)))
 		c.stats.BytesIn += int64(len(pd.Data))
 		c.met.bytesIn.Add(int64(len(pd.Data)))
-		if pd.Flags&proto.FlagFirst != 0 && !p.firstOK && !p.start.IsZero() {
-			p.firstOK = true
-			lat := float64(time.Since(p.start).Microseconds())
-			c.stats.SubpageLat.Add(lat)
-			c.met.subpageLat.Observe(lat)
+		if pd.Flags&proto.FlagFirst != 0 {
+			c.firstArrived(p)
 		}
 	}
-	if pd.Flags&proto.FlagLast != 0 && p.waitCh != nil {
-		ch := p.waitCh
-		p.waitCh = nil
-		p.inflight = false
-		p.nsrc = 0
-		if !p.start.IsZero() {
-			lat := float64(time.Since(p.start).Microseconds())
-			c.stats.FullLat.Add(lat)
-			c.met.fullLat.Observe(lat)
-			p.start = time.Time{}
-		}
-		ch <- nil //lint:allow lockio waitCh has capacity 1 and is nilled in this critical section, so the send never blocks
+	done := ""
+	if pd.Flags&proto.FlagLast != 0 && p.inflight {
+		c.attemptDone(p) // no cancels: the v1 wire has no way to withdraw a stream
+		done = p.addr
 	}
 	c.cond.Broadcast()
+	c.mu.Unlock()
+	if done != "" {
+		c.breakerSuccess(done)
+	}
+}
+
+// firstArrived notes the faulted subpage of the attempt in flight, once.
+// Called with c.mu held.
+func (c *Client) firstArrived(p *cpage) {
+	if p.firstOK || !p.inflight {
+		return
+	}
+	p.firstOK = true
+	lat := float64(time.Since(p.start).Microseconds())
+	c.stats.SubpageLat.Add(lat)
+	c.met.subpageLat.Observe(lat)
+}
+
+// attemptDone ends the attempt in flight on p, and its fault, in success:
+// every other source (the losing half of a hedge) is withdrawn eagerly
+// instead of streaming a page we already have. Called with c.mu held; after
+// unlocking, send the cancels and book the success with the breaker.
+func (c *Client) attemptDone(p *cpage) []source {
+	cancels := c.stopAttempt(p)
+	lat := float64(time.Since(p.start).Microseconds())
+	c.stats.FullLat.Add(lat)
+	c.met.fullLat.Observe(lat)
+	c.endFault(p, nil)
+	return cancels
 }
 
 // applyBatch is the v2 interrupt handler: one frame, many subpage runs.
@@ -1547,33 +1623,22 @@ func (c *Client) applyBatch(addr string, b proto.SubpageBatch) {
 		c.stats.BytesIn += int64(len(data))
 		c.met.bytesIn.Add(int64(len(data)))
 	}
-	if live && p.waitCh != nil {
-		if b.Flags&proto.FlagFirst != 0 && !p.firstOK && !p.start.IsZero() {
-			p.firstOK = true
-			lat := float64(time.Since(p.start).Microseconds())
-			c.stats.SubpageLat.Add(lat)
-			c.met.subpageLat.Observe(lat)
+	done := ""
+	if live && p.inflight {
+		if b.Flags&proto.FlagFirst != 0 {
+			c.firstArrived(p)
 		}
 		if b.Flags&proto.FlagLast != 0 {
-			ch := p.waitCh
-			p.waitCh = nil
-			p.inflight = false
-			// This stream won; deregister it and eagerly cancel every
-			// other source (the losing half of a hedge) instead of
-			// letting it stream a page we already have.
+			// This stream won: deregister it; attemptDone cancels the rest.
 			p.dropSource(addr)
 			delete(c.reqs, b.ReqID)
-			cancels = c.deregSources(p, cancels)
-			if !p.start.IsZero() {
-				lat := float64(time.Since(p.start).Microseconds())
-				c.stats.FullLat.Add(lat)
-				c.met.fullLat.Observe(lat)
-				p.start = time.Time{}
-			}
-			ch <- nil //lint:allow lockio waitCh has capacity 1 and is nilled in this critical section, so the send never blocks
+			cancels, done = c.attemptDone(p), p.addr
 		}
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.sendCancels(cancels)
+	if done != "" {
+		c.breakerSuccess(done)
+	}
 }

@@ -287,7 +287,7 @@ func TestEvictionMatchesScanOracle(t *testing.T) {
 					p.faulting, mp.faulting = false, false
 					p.waiters, mp.waiters = 0, 0
 				case k < 82:
-					// faultLoop forgetting a failed read-ahead's placeholder.
+					// endFault forgetting a failed read-ahead's placeholder.
 					op = "placeholder delete"
 					if p.valid == 0 && !p.dirty {
 						delete(c.cache, id)
@@ -377,7 +377,9 @@ func TestDirtyEvictionAfterForgottenPlacement(t *testing.T) {
 		defer c.mu.Unlock()
 		return !c.cache[5].faulting
 	}, "page 5's fault to settle, so that it is evictable")
-	c.forget(5) // what fetchPage does after any failed attempt on the page
+	c.mu.Lock()
+	delete(c.located, 5) // what retry does after any failed attempt on the page
+	c.mu.Unlock()
 	var b [8]byte
 	for p := 0; p < 4; p++ {
 		if err := c.Read(b[:], uint64(p)*units.PageSize); err != nil {

@@ -484,13 +484,16 @@ type connState struct {
 	live     map[uint64]bool
 	canceled map[uint64]bool
 
-	// Writer-goroutine scratch, reused across batches so the steady-state
-	// reply path allocates nothing per request.
-	hdr   []byte
-	bufs  net.Buffers
-	wbufs net.Buffers // the copy of bufs WriteTo consumes (a local would escape)
-	runs  []proto.SubpageRun
-	brs   []byteRun
+	// Writer-goroutine scratch, reused across replies so the steady-state
+	// reply path allocates nothing per request. hdr and bufs hold the frames
+	// queued since the last flush (pending counts their data bytes).
+	batches []memmodel.Bitmap
+	hdr     []byte
+	bufs    net.Buffers
+	wbufs   net.Buffers // the copy of bufs WriteTo consumes (a local would escape)
+	pending int
+	runs    []proto.SubpageRun
+	brs     []byteRun
 }
 
 // begin records a v2 request as live (called by the reader on enqueue).
@@ -755,17 +758,20 @@ func (s *Server) metrics() serverMetrics {
 }
 
 // sendPageV2 streams one page as TSubpageBatch frames: the plan message
-// covering the fault goes first (FlagFirst), the remainder follows in as
-// few batches as the frame size allows, and the final batch carries
-// FlagLast. The want bitmap trims the plan to the blocks the client still
-// misses (the faulted block is always sent). Between batches the request's
-// cancel flag is polled, so a withdrawn hedge stops mid-page instead of
-// burning the rest of its bandwidth.
+// covering the fault goes first (FlagFirst), the remainder follows, and the
+// final batch carries FlagLast. The want bitmap trims the plan to the blocks
+// the client still misses (the faulted block is always sent).
 //
-// Batch boundaries follow the transfer plan whenever wire emulation is on,
-// preserving the per-message serialization delays the paper's model
-// measures; on a raw loopback the remainder coalesces into maximal frames,
-// which is the batching win itself.
+// What paces the wire decides the batches and the writes. On a raw loopback
+// nothing does: the faulted message and one maximal batch for the remainder
+// (a full page minus one subpage fits a single frame) leave in one vectored
+// write — the faulted subpage still first in the byte stream, so a real link
+// delivers it first, at one syscall per reply. With wire emulation on, every
+// plan message is its own batch, delayed by its serialization time and
+// written on its own, which keeps the arrival timing the transfer plans
+// model. The request's cancel flag is polled before each batch after the
+// first is appended, so a withdrawn hedge stops mid-page instead of burning
+// the rest of its bandwidth.
 func (s *Server) sendPageV2(st *connState, w *proto.Writer, req proto.GetPageV2, slp *sleeper) error {
 	pb, pol, sub, off, errMsg := s.openGet(req.Page, req.Policy, req.SubpageSize, req.FaultOff)
 	if errMsg != "" {
@@ -780,84 +786,68 @@ func (s *Server) sendPageV2(st *connState, w *proto.Writer, req proto.GetPageV2,
 	}
 	want |= 1 << (off / units.MinSubpage) // the faulted block is never optional
 
-	plan := pol.Plan(sub, off)
-	emulate := atomic.LoadInt64(&s.wireNsPerByte) > 0
-	canceled := func() bool {
-		if !st.isCanceled(req.ReqID) {
-			return false
-		}
-		s.mu.Lock()
-		s.Cancels++
-		s.mu.Unlock()
-		return true
-	}
-
 	// The want bitmap is a request, not a filter: blocks the client asks for
 	// beyond the plan's coverage (prefetch predictions on a lazy fault) are
-	// still owed. The plan shapes timing and batching; want decides content.
-	first := plan[0].Covers & want
-	rest := want &^ first
-
-	if !emulate {
-		// Fast path: the faulted message, then one maximal batch for the
-		// remainder (a full page minus one subpage fits a single frame).
-		flags := uint8(proto.FlagFirst)
-		if rest == 0 {
-			flags |= proto.FlagLast
+	// still owed. The plan shapes timing and batching; want decides content,
+	// and whatever no plan message covers rides the last batch.
+	plan := pol.Plan(sub, off)
+	paced := atomic.LoadInt64(&s.wireNsPerByte) > 0
+	st.batches = st.batches[:0]
+	if !paced {
+		first := plan[0].Covers & want
+		st.batches = append(st.batches, first)
+		if rest := want &^ first; rest != 0 {
+			st.batches = append(st.batches, rest)
 		}
-		if err := s.writeBatch(st, req.ReqID, req.Page, flags, first, pb.data, met, slp); err != nil {
-			return err
+	} else {
+		sent := memmodel.Bitmap(0)
+		for i, msg := range plan {
+			covers := msg.Covers & want &^ sent
+			if i == len(plan)-1 {
+				covers = want &^ sent // sent even when empty: it carries FlagLast
+			} else if covers == 0 {
+				continue
+			}
+			st.batches = append(st.batches, covers)
+			sent |= covers
 		}
-		if rest == 0 || canceled() {
-			return nil
-		}
-		return s.writeBatch(st, req.ReqID, req.Page, proto.FlagLast, rest, pb.data, met, slp)
 	}
 
-	// Emulated wire: one batch per plan message, each delayed by its
-	// serialization time, so v2 keeps the arrival timing the transfer
-	// plans model — only the framing overhead changes. Requested blocks no
-	// plan message covers ride the final batch: they arrive last, after
-	// everything the policy deliberately scheduled.
-	planned := memmodel.Bitmap(0)
-	for _, msg := range plan {
-		planned |= msg.Covers
-	}
-	extra := want &^ planned
-	sent := memmodel.Bitmap(0)
-	for i, msg := range plan {
-		covers := msg.Covers & want &^ sent
-		last := i == len(plan)-1
-		if last {
-			covers |= extra
-		}
-		if covers == 0 && !last {
-			continue
-		}
-		if i > 0 && canceled() {
-			return nil
+	for i, covers := range st.batches {
+		if i > 0 && st.isCanceled(req.ReqID) {
+			s.mu.Lock()
+			s.Cancels++
+			s.mu.Unlock()
+			break
 		}
 		flags := uint8(0)
 		if i == 0 {
 			flags |= proto.FlagFirst
 		}
-		if last {
+		if i == len(st.batches)-1 {
 			flags |= proto.FlagLast
 		}
-		if err := s.writeBatch(st, req.ReqID, req.Page, flags, covers, pb.data, met, slp); err != nil {
+		bytes, err := st.appendBatch(req.ReqID, req.Page, flags, covers, pb.data)
+		if err != nil {
 			return err
 		}
-		sent |= covers
+		if paced {
+			s.wireDelay(slp, bytes)
+			if err := st.flush(met); err != nil {
+				return err
+			}
+		}
 	}
-	return nil
+	return st.flush(met)
 }
 
-// writeBatch emits one TSubpageBatch covering the given valid bits: the
-// frame header and run table build into the connection's reused scratch
-// buffer, and the page data rides as scatter-gather ranges straight out
-// of the (refcount-pinned) page buffer — no per-batch copies, no
+// appendBatch queues one TSubpageBatch covering the given valid bits behind
+// whatever the connection's write vector already holds, returning its data
+// bytes: the frame header and run table build into the connection's reused
+// scratch buffer, and the page data rides as scatter-gather ranges straight
+// out of the (refcount-pinned) page buffer — no per-batch copies, no
 // per-batch allocations.
-func (s *Server) writeBatch(st *connState, reqID, page uint64, flags uint8, covers memmodel.Bitmap, data []byte, met serverMetrics, slp *sleeper) error {
+func (st *connState) appendBatch(reqID, page uint64, flags uint8, covers memmodel.Bitmap, data []byte) (int, error) {
 	st.runs = st.runs[:0]
 	st.brs = appendBitmapRuns(st.brs[:0], covers)
 	bytes := 0
@@ -865,23 +855,35 @@ func (s *Server) writeBatch(st *connState, reqID, page uint64, flags uint8, cove
 		st.runs = append(st.runs, proto.SubpageRun{Off: uint32(run.start), Data: data[run.start:run.end]})
 		bytes += run.end - run.start
 	}
-	hdr, err := proto.AppendSubpageBatchFrame(st.hdr[:0], reqID, page, flags, st.runs)
+	at := len(st.hdr)
+	hdr, err := proto.AppendSubpageBatchFrame(st.hdr, reqID, page, flags, st.runs)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	// A header that outgrew the scratch buffer moved to a new array; the
+	// frames queued before it keep the old one, which stays intact.
 	st.hdr = hdr
-	st.bufs = st.bufs[:0]
-	st.bufs = append(st.bufs, hdr)
+	st.bufs = append(st.bufs, hdr[at:])
 	for _, r := range st.runs {
 		st.bufs = append(st.bufs, r.Data)
 	}
-	s.wireDelay(slp, bytes)
-	st.wbufs = st.bufs // WriteTo consumes its receiver; keep st.bufs's backing array
-	if _, err := st.wbufs.WriteTo(st.conn); err != nil {
-		return err
+	st.pending += bytes
+	return bytes, nil
+}
+
+// flush hands every queued frame to the connection in one vectored write;
+// with nothing queued it does nothing.
+func (st *connState) flush(met serverMetrics) error {
+	if len(st.bufs) == 0 {
+		return nil
 	}
-	met.bytesOut.Add(int64(bytes))
-	return nil
+	st.wbufs = st.bufs // WriteTo consumes its receiver; keep st.bufs's backing array
+	_, err := st.wbufs.WriteTo(st.conn)
+	if err == nil {
+		met.bytesOut.Add(int64(st.pending))
+	}
+	st.hdr, st.bufs, st.pending = st.hdr[:0], st.bufs[:0], 0
+	return err
 }
 
 // byteRun is a contiguous valid range within a page.
