@@ -56,12 +56,19 @@ race:
 # bench runs the Go microbenchmarks and regenerates BENCH_experiments.json,
 # the per-experiment wall-clock snapshot that seeds the repo's perf
 # trajectory (see EXPERIMENTS.md). Override the scale or width with e.g.
-# `make bench BENCH_SCALE=1.0 BENCH_J=8`.
+# `make bench BENCH_SCALE=1.0 BENCH_J=8`. The snapshot run renders every
+# paper table anyway, so at the committed artifact's scale its stdout is the
+# byte-identity gate: it must equal experiments_quarter.txt.
 BENCH_J ?= 0
 bench:
 	$(GO) test -bench . -benchtime 200x -run xxx -timeout 30m ./...
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
 	$(GO) run ./cmd/subpagesim -run all -scale $(BENCH_SCALE) -j $(BENCH_J) \
-		-benchout BENCH_experiments.json > /dev/null
+		-benchout BENCH_experiments.json > "$$tmp" && \
+	if [ "$(BENCH_SCALE)" = "0.25" ]; then \
+		cmp "$$tmp" experiments_quarter.txt && \
+		echo "bench: -run all output byte-identical to experiments_quarter.txt"; \
+	fi
 	$(GO) run ./cmd/gmsload -wire -shards 1 -clients 16 -requests 100 \
 		-pages 256 -policy pipelined -subpage 256 -cache 8 -dirservice 500us \
 		-benchout BENCH_experiments.json > /dev/null
@@ -166,12 +173,15 @@ bench-smoke:
 
 # profile-fault profiles the fault path: BenchmarkFaultLoopback (the gate's
 # fault-churn workload, in-package: faults/op, read+write syscalls/fault and
-# writes/fault from the kernel's own count, allocations) under the CPU
-# profiler, then the profile's top entries. Binary and profile go to
-# PROFILE_DIR, outside the tree's tracked files.
+# writes/fault from the kernel's own count, allocations, p50, p99.9 and the
+# share of time in ops over 1 ms) under the CPU profiler, then the profile's
+# top entries. Before it, unprofiled, the floor it is read against:
+# BenchmarkRawFaultLoopback, the same exchanges from two bare proto clients.
+# Binary and profile go to PROFILE_DIR, outside the tree's tracked files.
 PROFILE_DIR ?= .bench_build/profile
 profile-fault:
 	@mkdir -p $(PROFILE_DIR)
-	$(GO) test -run xxx -bench FaultLoopback -benchtime 400000x -benchmem \
+	$(GO) test -run xxx -bench '^BenchmarkRawFaultLoopback$$' -benchtime 400000x -benchmem ./internal/remote/
+	$(GO) test -run xxx -bench '^BenchmarkFaultLoopback$$' -benchtime 400000x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/fault.prof -o $(PROFILE_DIR)/remote.test ./internal/remote/
 	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/fault.prof

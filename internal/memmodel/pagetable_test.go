@@ -164,3 +164,27 @@ func TestCapacityPanics(t *testing.T) {
 	}()
 	NewPageTable(0)
 }
+
+var sinkFrame *Frame
+
+// BenchmarkPageTableLookup times the two kinds of resident lookup the
+// simulator's reference loop makes: Hit repeats the page just touched (the
+// last-frame compare), Change moves to another resident page (map lookup
+// and LRU promotion) — what a page run costs once however long it is.
+func BenchmarkPageTableLookup(b *testing.B) {
+	const capacity = 1024
+	pt := NewPageTable(capacity)
+	for p := 0; p < capacity; p++ {
+		pt.Insert(PageID(p), FullBitmap)
+	}
+	b.Run("Hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkFrame = pt.Lookup(7)
+		}
+	})
+	b.Run("Change", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkFrame = pt.Lookup(PageID((i * 2654435761) & (capacity - 1)))
+		}
+	})
+}

@@ -3,10 +3,13 @@ package remote
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"os"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/gms-sim/gmsubpage/internal/proto"
 	"github.com/gms-sim/gmsubpage/internal/rng"
@@ -38,15 +41,16 @@ func ioSyscalls() (reads, writes int64, ok bool) {
 	return reads, writes, okr && okw
 }
 
-// BenchmarkFaultLoopback is the gate benchmark's fault-churn workload in
-// this package, for profiling the fault path: two clients against two
-// servers over loopback TCP, 4096 pages through 512-page caches, 64-byte
-// reads at random. syscalls/fault counts every read and write system call
-// of the whole exchange, client and server (four is one per hop).
-//
-//	make profile-fault
-func BenchmarkFaultLoopback(b *testing.B) {
-	const pages, cache, clients = 4096, 512, 2
+// Shape of the gate benchmark's fault-churn workload.
+const (
+	churnPages   = 4096
+	churnCache   = 512
+	churnClients = 2
+)
+
+// churnCluster starts fault-churn's cluster: a directory and two servers
+// holding churnPages pages striped p%2.
+func churnCluster(b *testing.B) (*Directory, [2]*Server) {
 	dir, err := ListenDirectory("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -61,7 +65,7 @@ func BenchmarkFaultLoopback(b *testing.B) {
 		srv := srvs[i]
 		b.Cleanup(func() { srv.Close() })
 	}
-	for p := 0; p < pages; p++ {
+	for p := 0; p < churnPages; p++ {
 		srvs[p%len(srvs)].Store(uint64(p), page)
 	}
 	for _, srv := range srvs {
@@ -69,30 +73,77 @@ func BenchmarkFaultLoopback(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var cs [clients]*Client
-	for i := range cs {
-		cs[i] = testClient(b, dir, ClientConfig{Policy: proto.PolicyPipelined, SubpageSize: 1024, CachePages: cache})
-	}
-	// run spreads n reads over the clients, one goroutine each.
-	run := func(n int, seed uint64) {
-		var wg sync.WaitGroup
-		for i, c := range cs {
-			wg.Add(1)
-			go func(c *Client, r *rng.Rand, n int) {
-				defer wg.Done()
-				var buf [64]byte
-				for ; n > 0; n-- {
-					addr := uint64(r.Intn(pages))*units.PageSize + uint64(r.Intn(units.PageSize-len(buf)+1))
-					if err := c.Read(buf[:], addr); err != nil {
-						b.Error(err)
-						return
-					}
+	return dir, srvs
+}
+
+// churn runs n 64-byte reads at random addresses, spread over one goroutine
+// per reader, timing each. It returns every op's duration, by reader.
+func churn(b *testing.B, readers []func(buf []byte, addr uint64) error, n int, seed uint64) [][]time.Duration {
+	lats := make([][]time.Duration, len(readers))
+	var wg sync.WaitGroup
+	for i, read := range readers {
+		n := (n + i) / len(readers)
+		lats[i] = make([]time.Duration, 0, n)
+		wg.Add(1)
+		go func(i int, read func([]byte, uint64) error, r *rng.Rand) {
+			defer wg.Done()
+			var buf [64]byte
+			for ; n > 0; n-- {
+				addr := uint64(r.Intn(churnPages))*units.PageSize + uint64(r.Intn(units.PageSize-len(buf)+1))
+				t0 := time.Now()
+				if err := read(buf[:], addr); err != nil {
+					b.Error(err)
+					return
 				}
-			}(c, rng.New(seed+uint64(i)), (n+i)/clients)
-		}
-		wg.Wait()
+				lats[i] = append(lats[i], time.Since(t0))
+			}
+		}(i, read, rng.New(seed+uint64(i)))
 	}
-	run(4*pages, 1) // every cache slot, connection and placement warm
+	wg.Wait()
+	return lats
+}
+
+// reportTail reports the ops' median and 99.9th percentile, and the share of
+// the readers' time that went to ops of over a millisecond: the multi-ms
+// tail is a handful of ops that weigh on ops/s and not on the median.
+func reportTail(b *testing.B, byReader [][]time.Duration) {
+	var lats []time.Duration
+	for _, l := range byReader {
+		lats = append(lats, l...)
+	}
+	if len(lats) == 0 {
+		return
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	var total, slow time.Duration
+	for _, d := range lats {
+		total += d
+		if d > time.Millisecond {
+			slow += d
+		}
+	}
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	b.ReportMetric(us(lats[len(lats)/2]), "p50-µs")
+	b.ReportMetric(us(lats[len(lats)*999/1000]), "p99.9-µs")
+	b.ReportMetric(100*float64(slow)/float64(total), "over1ms-%")
+}
+
+// BenchmarkFaultLoopback is the gate benchmark's fault-churn workload in
+// this package, for profiling the fault path: two clients against two
+// servers over loopback TCP, 4096 pages through 512-page caches, 64-byte
+// reads at random. syscalls/fault counts every read and write system call
+// of the whole exchange, client and server (four is one per hop).
+//
+//	make profile-fault
+func BenchmarkFaultLoopback(b *testing.B) {
+	dir, _ := churnCluster(b)
+	var cs [churnClients]*Client
+	var readers []func([]byte, uint64) error
+	for i := range cs {
+		cs[i] = testClient(b, dir, ClientConfig{Policy: proto.PolicyPipelined, SubpageSize: 1024, CachePages: churnCache})
+		readers = append(readers, cs[i].Read)
+	}
+	churn(b, readers, 4*churnPages, 1) // every cache slot, connection and placement warm
 	faults := func() (n int64) {
 		for _, c := range cs {
 			n += c.Stats().Faults
@@ -103,7 +154,7 @@ func BenchmarkFaultLoopback(b *testing.B) {
 	r0, w0, counted := ioSyscalls()
 	b.ReportAllocs()
 	b.ResetTimer()
-	run(b.N, 7919)
+	lats := churn(b, readers, b.N, 7919)
 	b.StopTimer()
 	r1, w1, _ := ioSyscalls()
 	if f := float64(faults() - f0); f > 0 {
@@ -113,6 +164,74 @@ func BenchmarkFaultLoopback(b *testing.B) {
 			b.ReportMetric(float64(w1-w0)/f, "writes/fault")
 		}
 	}
+	reportTail(b, lats)
+}
+
+// rawGetter is the least a fault can cost against the real servers: one
+// connection per server, one synchronous GetPageV2 exchange per op, every
+// frame check of the protocol kept, and no cache, directory, retry, hedge
+// or second goroutine.
+type rawGetter struct {
+	w    [2]*proto.Writer
+	r    [2]*proto.Reader
+	next uint64
+}
+
+func (g *rawGetter) get(_ []byte, addr uint64) error {
+	page := addr / units.PageSize
+	g.next++
+	err := g.w[page%2].SendGetPageV2(proto.GetPageV2{ReqID: g.next, Page: page,
+		FaultOff: uint32(addr % units.PageSize), SubpageSize: 1024, Policy: proto.PolicyPipelined})
+	if err != nil {
+		return err
+	}
+	for {
+		f, err := g.r[page%2].Next()
+		if err != nil {
+			return err
+		}
+		if f.Type != proto.TSubpageBatch {
+			return fmt.Errorf("server answered %v", f.Type)
+		}
+		batch, err := proto.DecodeSubpageBatch(f.Payload)
+		if err != nil {
+			return err
+		}
+		if batch.ReqID != g.next || batch.Page != page {
+			return fmt.Errorf("reply for request %d page %d, want %d page %d", batch.ReqID, batch.Page, g.next, page)
+		}
+		if batch.Flags&proto.FlagLast != 0 {
+			return nil
+		}
+	}
+}
+
+// BenchmarkRawFaultLoopback is the floor BenchmarkFaultLoopback is read
+// against: the same cluster and address stream with rawGetters in place of
+// Clients (so every op is a fault, where a Client's cache absorbs one in
+// eight). What the Client costs over it is client library; the rest is the
+// servers and the kernel.
+func BenchmarkRawFaultLoopback(b *testing.B) {
+	_, srvs := churnCluster(b)
+	var readers []func([]byte, uint64) error
+	for i := 0; i < churnClients; i++ {
+		g := &rawGetter{}
+		for j, srv := range srvs {
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { conn.Close() })
+			g.w[j], g.r[j] = proto.NewWriter(conn), proto.NewReader(conn)
+		}
+		readers = append(readers, g.get)
+	}
+	churn(b, readers, 4*churnPages, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	lats := churn(b, readers, b.N, 7919)
+	b.StopTimer()
+	reportTail(b, lats)
 }
 
 // BenchmarkClientEvict times one miss's cache work — evict the LRU page,

@@ -376,10 +376,22 @@ func toPageIDs(pages []uint64) []memmodel.PageID {
 	return ids
 }
 
+// runReader is a reader that knows where its stream changes page: trace's
+// memoized app streams. NextRun returns what is left of the current maximal
+// run of references to one page, packed (trace.Unpack), empty at end of
+// trace.
+type runReader interface {
+	NextRun() []uint32
+}
+
 // run is the main reference loop.
 func (r *runner) run() {
-	buf := make([]trace.Ref, 8192)
 	rd := r.cfg.newReader()
+	if rr, ok := rd.(runReader); ok {
+		r.replayRuns(rr)
+		return
+	}
+	buf := make([]trace.Ref, 8192)
 	for {
 		n := rd.Read(buf)
 		if n == 0 {
@@ -389,6 +401,32 @@ func (r *runner) run() {
 			r.step(buf[i])
 		}
 	}
+}
+
+// replayRuns is the reference loop over a stream with a page-run index. It
+// steps a run's references until one leaves the page complete, then charges
+// the rest of the run at once: step would take its fast path on each of them
+// — same page, so the page table answers from its last frame and the LRU
+// order stands — and that path only counts the reference's execution event.
+// A TLB model looks at every address, so with one on nothing is skipped.
+func (r *runner) replayRuns(rd runReader) {
+	for refs := rd.NextRun(); len(refs) > 0; refs = rd.NextRun() {
+		for i, v := range refs {
+			if f := r.step(trace.Unpack(v)); complete(f) && r.tlb == nil {
+				rest := len(refs) - i - 1
+				r.now += units.Ticks(rest)
+				r.res.Events += int64(rest)
+				break
+			}
+		}
+	}
+}
+
+// complete reports whether references to the frame's page take step's fast
+// path: nothing in flight, every block valid and no speculative mark left to
+// consume (TrackPrefetch runs and stateful policies only).
+func complete(f *memmodel.Frame) bool {
+	return f.Xfer == nil && f.Valid == memmodel.FullBitmap && f.Prefetched == 0
 }
 
 // finishRun closes open transfers and assembles the result.
@@ -410,8 +448,8 @@ func (r *runner) finishRun() {
 	}
 }
 
-// step processes one reference.
-func (r *runner) step(ref trace.Ref) {
+// step processes one reference and returns the frame it touched.
+func (r *runner) step(ref trace.Ref) *memmodel.Frame {
 	r.now++ // this reference's execution event
 	r.res.Events++
 
@@ -430,9 +468,9 @@ func (r *runner) step(ref trace.Ref) {
 	}
 
 	// Fast path: complete page. Pages with unconsumed speculative marks
-	// (TrackPrefetch runs only) stay on the slow path so usage is counted.
-	if f.Xfer == nil && f.Valid == memmodel.FullBitmap && f.Prefetched == 0 {
-		return
+	// stay on the slow path so usage is counted.
+	if complete(f) {
+		return f
 	}
 
 	// Figure 7: first access to a different subpage after the fault.
@@ -498,6 +536,7 @@ func (r *runner) step(ref trace.Ref) {
 		r.now += d
 		r.res.PALTicks += d
 	}
+	return f
 }
 
 // apply folds a transfer's arrived messages into the frame, marking the

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
+	"github.com/gms-sim/gmsubpage/internal/rng"
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
@@ -44,8 +46,12 @@ func TestCachedReaderMatchesGenerator(t *testing.T) {
 	if !sameRefs(want, got) {
 		t.Fatalf("cached stream differs from generated stream (%d vs %d refs)", len(got), len(want))
 	}
-	if u := CacheUsage(); u.Entries != 1 || u.Bytes != app.TotalRefs()*8 {
-		t.Fatalf("cache usage = %+v, want 1 entry of %d bytes", u, app.TotalRefs()*8)
+	// Charged is what is retained: 4 bytes per reference and per run.
+	e := cacheFor(app)
+	if retained := 4 * int64(cap(e.packed)+cap(e.runs)); retained < app.TotalRefs()*4 {
+		t.Fatalf("entry retains %d bytes for %d references", retained, app.TotalRefs())
+	} else if u := CacheUsage(); u.Entries != 1 || u.Bytes != retained {
+		t.Fatalf("cache usage = %+v, want 1 entry of %d bytes", u, retained)
 	}
 	// A second reader replays the same shared copy from the start.
 	again := drain(t, app.NewReader())
@@ -74,7 +80,7 @@ func TestCacheBudgetZeroDisables(t *testing.T) {
 func TestCacheAdmissionBounded(t *testing.T) {
 	resetCache()
 	small := Gdb(0.3)
-	prev := SetCacheBudget(small.TotalRefs() * 8)
+	prev := SetCacheBudget(small.TotalRefs() * 5)
 	defer func() { SetCacheBudget(prev); resetCache() }()
 	if _, ok := small.NewReader().(*packedReader); !ok {
 		t.Fatal("small app should be admitted")
@@ -149,4 +155,139 @@ func TestCacheConcurrentReaders(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
+}
+
+// fixed is a Pattern that replays a slice.
+type fixed struct {
+	refs []Ref
+	pos  int
+}
+
+func (f *fixed) Next(*rng.Rand) Ref {
+	f.pos++
+	return f.refs[f.pos-1]
+}
+
+func fixedApp(refs []Ref) *App {
+	return NewApp("fixed", 1, 1, func() []Phase {
+		return []Phase{{Name: "fixed", Refs: int64(len(refs)), Pattern: &fixed{refs: refs}}}
+	})
+}
+
+// streamFromBytes decodes a fuzz input into references, three bytes each:
+// a page move (most stay on the page, some step, a few jump — to the top of
+// the packable range, or with wide set beyond it), an offset and a store
+// flag.
+func streamFromBytes(data []byte, wide bool) []Ref {
+	var refs []Ref
+	page := uint64(0)
+	for ; len(data) >= 3; data = data[3:] {
+		switch m := data[0]; {
+		case m < 160:
+		case m < 224:
+			page += uint64(m) % 3
+		case m < 250:
+			page = uint64(m) * 37 % 64
+		case m < 254 || !wide:
+			page = packedPages - 1
+		default:
+			page = packedPages
+		}
+		refs = append(refs, Ref{Addr: page*units.PageSize + uint64(data[1])*32 + uint64(data[2]>>3), Store: data[2]&1 != 0})
+	}
+	return refs
+}
+
+// FuzzRunIndex: over any stream, the page runs concatenate to exactly the
+// Read stream, every run is one page, neighbouring runs are on different
+// pages, and a reader that mixes Read and NextRun stays consistent — a run
+// cut short by a Read still ends where the page changes. A stream with an
+// address that does not pack is not memoized and still replays exactly.
+func FuzzRunIndex(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 160, 0, 1, 0, 9, 9, 200, 5, 5, 251, 255, 255, 0, 0, 0}, []byte{0, 3, 0, 9}, false)
+	f.Add([]byte{0, 1, 2, 255, 3, 4, 0, 0, 0}, []byte{1}, true)
+	f.Add([]byte{}, []byte{}, false)
+	f.Fuzz(func(t *testing.T, data, ops []byte, wide bool) {
+		resetCache()
+		defer resetCache()
+		want := streamFromBytes(data, wide)
+		packs := len(want) > 0
+		for _, r := range want {
+			packs = packs && r.Addr <= maxPackedAddr
+		}
+		app := fixedApp(want)
+		rd, memoized := app.NewReader().(*packedReader)
+		if memoized != packs {
+			t.Fatalf("memoized = %v, want %v", memoized, packs)
+		}
+		if !memoized {
+			if u := CacheUsage(); u.Entries != 0 || u.Bytes != 0 {
+				t.Fatalf("unpackable stream still charged: %+v", u)
+			}
+			if got := drain(t, app.NewReader()); !sameRefs(got, want) {
+				t.Fatal("fallback stream differs")
+			}
+			return
+		}
+		pageOf := func(r Ref) uint64 { return r.Addr / units.PageSize }
+		var got []Ref
+		// take appends a run to got, checking it is on one page.
+		take := func(run []uint32) {
+			for _, v := range run {
+				if pageOf(Unpack(v)) != pageOf(Unpack(run[0])) {
+					t.Fatalf("run at %d spans pages", len(got))
+				}
+				got = append(got, Unpack(v))
+			}
+		}
+
+		// Runs alone.
+		for run := rd.NextRun(); len(run) > 0; run = rd.NextRun() {
+			if len(got) > 0 && pageOf(got[len(got)-1]) == pageOf(Unpack(run[0])) {
+				t.Fatalf("run at %d continues the previous run's page", len(got))
+			}
+			take(run)
+		}
+		if !sameRefs(got, want) {
+			t.Fatalf("runs concatenate to %d refs, stream has %d", len(got), len(want))
+		}
+		if len(rd.NextRun()) != 0 || rd.Read(make([]Ref, 1)) != 0 {
+			t.Fatal("reader not at end after its last run")
+		}
+
+		// Read and NextRun mixed, as ops dictates.
+		rd = app.NewReader().(*packedReader)
+		got = got[:0]
+		buf := make([]Ref, 16)
+		for i := 0; len(got) < len(want); i++ {
+			op := byte(0)
+			if len(ops) > 0 {
+				op = ops[i%len(ops)]
+			}
+			if op%2 == 1 {
+				n := rd.Read(buf[:1+int(op/2)%len(buf)])
+				if n == 0 {
+					t.Fatalf("Read returned 0 at %d of %d", len(got), len(want))
+				}
+				got = append(got, buf[:n]...)
+				continue
+			}
+			run := rd.NextRun()
+			if len(run) == 0 {
+				t.Fatalf("NextRun empty at %d of %d", len(got), len(want))
+			}
+			take(run)
+			if n := len(got); n < len(want) && pageOf(want[n]) == pageOf(want[n-1]) {
+				t.Fatalf("mixed: run stopped at %d before the page changed", n)
+			}
+		}
+		if !sameRefs(got, want) {
+			t.Fatal("mixed Read/NextRun stream differs")
+		}
+
+		// The footprint comes from the same index.
+		if fp, scan := TouchedPages(app), scanTouched(&SliceReader{Refs: want}); !reflect.DeepEqual(fp, scan) {
+			t.Fatalf("footprint from runs %v, from a scan %v", fp, scan)
+		}
+	})
 }

@@ -84,11 +84,8 @@ func (a *App) Phases() []Phase { return a.newPhases() }
 // reader replays the shared memoized copy; otherwise it regenerates from
 // the phase generators. Both paths produce the identical stream.
 func (a *App) NewReader() Reader {
-	if e := cacheFor(a); e.admitted {
-		e.refsOnce.Do(func() { e.synthesize(a) })
-		if e.packed != nil {
-			return &packedReader{refs: e.packed}
-		}
+	if e := cacheFor(a); e.memoized(a) {
+		return &packedReader{refs: e.packed, runs: e.runs}
 	}
 	return a.generatorReader()
 }
