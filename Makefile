@@ -4,15 +4,15 @@ GO ?= go
 # full traces.
 BENCH_SCALE ?= 0.25
 
-.PHONY: ci fmt vet lint lint-baseline build test race bench bench-smoke profile-fault trace-smoke chaos chaos-demo loadtest loadtest-smoke wire-smoke soak-smoke soak prefetch-smoke
+.PHONY: ci fmt vet lint lint-baseline build test race bench bench-smoke profile-fault trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
 
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
-# over every package, the trace-export smoke, the bounded scale-out load
-# smoke, the batched-wire concurrency smoke, the bounded crash-soak smoke,
-# the learned-prefetcher smoke, the gate benchmark's build-and-run smoke, and
-# the benchmark snapshot.
-ci: fmt vet lint build test race trace-smoke loadtest-smoke wire-smoke soak-smoke prefetch-smoke bench-smoke bench
+# over every package (the batched-wire concurrency smoke and the hedge-loser
+# cancel among its tests), the trace-export smoke, the bounded scale-out load
+# smoke, the bounded crash-soak smoke, the learned-prefetcher smoke, the gate
+# benchmark's build-and-run smoke, and the benchmark snapshot.
+ci: fmt vet lint build test race trace-smoke loadtest-smoke soak-smoke prefetch-smoke bench-smoke bench
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -69,9 +69,6 @@ bench:
 		cmp "$$tmp" experiments_quarter.txt && \
 		echo "bench: -run all output byte-identical to experiments_quarter.txt"; \
 	fi
-	$(GO) run ./cmd/gmsload -wire -shards 1 -clients 16 -requests 100 \
-		-pages 256 -policy pipelined -subpage 256 -cache 8 -dirservice 500us \
-		-benchout BENCH_experiments.json > /dev/null
 	$(GO) run ./cmd/gmsload -dirlog -dirlogn 1000,10000,50000 \
 		-benchout BENCH_experiments.json > /dev/null
 
@@ -108,13 +105,6 @@ loadtest:
 loadtest-smoke:
 	$(GO) run ./cmd/gmsload -shards 1,4 -minx 2 -j 8 -duration 250ms \
 		-clients 8 -requests 20 -dirservice 500us -warmup -cache 8
-
-# wire-smoke is the bounded batched-wire smoke: v2 and v1-pinned clients
-# hammer the same replicated servers concurrently — hedges, cancels and
-# pool churn included — under the race detector.
-wire-smoke:
-	$(GO) test -race -run 'TestBatchedWireSmoke|TestHedgeLoserCanceledEagerly' \
-		-count=1 ./internal/remote/
 
 # chaos runs the kill/restart self-heal soak: the control-plane recovery
 # scenario (lease expiry, epoch-fenced re-registration, breaker probe) on a
@@ -157,7 +147,7 @@ prefetch-smoke:
 	test -s "$$tmp/a.txt" && cmp -s "$$tmp/a.txt" "$$tmp/b.txt" && \
 	grep -q 'strided' "$$tmp/a.txt" && \
 	echo "prefetch-smoke: experiment deterministic across reruns" && \
-	$(GO) test -race -run 'TestClientPrefetchLearnsStride|TestPolicyWireRoundTrip|TestServerWantBeyondPlanIsHonored' \
+	$(GO) test -race -run 'TestClientPrefetchLearnsStride|TestPolicyWireRoundTrip|TestDialRejectsUnknownPolicy|TestServerWantBeyondPlanIsHonored' \
 		-count=1 ./internal/remote/
 
 # bench-smoke keeps the gate's benchmark (BENCHMARK.json, bench/) compiling

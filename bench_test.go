@@ -123,7 +123,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // loopback TCP: one 1K-subpage eager fault per operation (§3.1's headline
 // measurement; the paper's AN2 prototype took 0.52 ms).
 func BenchmarkPrototypeFault(b *testing.B) {
-	dir, err := gmsubpage.StartDirectory("127.0.0.1:0")
+	dir, err := gmsubpage.StartDirectory("127.0.0.1:0", gmsubpage.DirectoryOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func BenchmarkPrototypeFault(b *testing.B) {
 // BenchmarkPrototypeFullPageFault is the full-page baseline for
 // BenchmarkPrototypeFault (the paper's 1.48 ms on AN2).
 func BenchmarkPrototypeFullPageFault(b *testing.B) {
-	dir, err := gmsubpage.StartDirectory("127.0.0.1:0")
+	dir, err := gmsubpage.StartDirectory("127.0.0.1:0", gmsubpage.DirectoryOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

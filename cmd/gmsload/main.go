@@ -8,7 +8,6 @@
 //	gmsload
 //	gmsload -shards 1,4 -clients 32 -requests 100 -duration 2s
 //	gmsload -shards 1,4 -minx 3 -out experiments_loadtest.txt -benchout BENCH_experiments.json
-//	gmsload -wire -clients 16 -policy pipelined -subpage 256 -cache 8
 //
 // -benchout merges the run into BENCH_experiments.json under the
 // "loadtest" key, preserving whatever else the file holds (subpagesim
@@ -16,9 +15,7 @@
 // arm's lookup throughput is at least N times the first arm's — the CI
 // scaling gate. -warmup walks each client's fault sequence once before
 // the clock starts, so the fault phase measures the wire rather than the
-// emulated lookup service. -wire replaces the shard arms with a protocol
-// comparison: the same warmed fault phase pinned to the v1 wire and on
-// batched v2, merged under the "protowire" key.
+// emulated lookup service.
 //
 // Two durability modes ride the same harness:
 //
@@ -46,9 +43,9 @@ import (
 	"strings"
 	"time"
 
+	"github.com/gms-sim/gmsubpage/internal/core"
 	"github.com/gms-sim/gmsubpage/internal/dirlog"
 	"github.com/gms-sim/gmsubpage/internal/load"
-	"github.com/gms-sim/gmsubpage/internal/proto"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -57,7 +54,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // name the offending flags deterministically.
 var allFlags = []string{"shards", "j", "duration", "clients", "requests",
 	"servers", "pages", "subpage", "policy", "cache", "rps", "dirservice",
-	"warmup", "wire", "dirlog", "dirlogn", "soak", "crashes", "crashevery",
+	"warmup", "dirlog", "dirlogn", "soak", "crashes", "crashevery",
 	"fsync", "seed", "minx", "benchout", "out", "json"}
 
 func run(argv []string, stdout, stderr io.Writer) int {
@@ -77,7 +74,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		rps        = fs.Float64("rps", 0, "open-loop total fault rate; 0 = closed loop")
 		dirservice = fs.Duration("dirservice", 200*time.Microsecond, "emulated per-lookup shard service time; 0 = off")
 		warmup     = fs.Bool("warmup", false, "walk each client's fault sequence unmeasured first, so the measured phase times the wire, not lookups")
-		wireMode   = fs.Bool("wire", false, "compare the v1 and batched v2 wire on one cluster (fault phase only); -benchout writes the \"protowire\" section")
 		dirlogMode = fs.Bool("dirlog", false, "benchmark journal recovery and snapshot compaction; -benchout writes the \"dirlog\" section")
 		dirlogN    = fs.String("dirlogn", "1000,10000,50000", "comma-separated journal lengths for -dirlog")
 		soakMode   = fs.Bool("soak", false, "run the kill-anything crash soak against a durable directory; -benchout writes the \"soak\" section")
@@ -101,20 +97,16 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		_, _ = fmt.Fprintln(stderr, "gmsload:", err)
 		return 2
 	}
-	if err := conflictErr(set, arms, *minX, *rps, *wireMode, *dirlogMode, *soakMode); err != nil {
+	if err := conflictErr(set, arms, *minX, *rps, *dirlogMode, *soakMode); err != nil {
 		_, _ = fmt.Fprintln(stderr, "gmsload:", err)
 		return 2
 	}
 	// "prefetch" is not a wire policy: the learned prefetcher rides the
-	// v2 want bitmap over the lazy wire policy, selected client-side.
+	// want bitmap over the lazy wire policy, selected client-side.
 	var polByte uint8
 	prefetch := *policy == "prefetch"
-	if prefetch && *wireMode {
-		_, _ = fmt.Fprintln(stderr, "gmsload: -policy prefetch needs the v2 want bitmap; the -wire comparison's v1 arm cannot carry it")
-		return 2
-	}
 	if !prefetch {
-		if polByte, err = proto.PolicyByte(*policy); err != nil {
+		if polByte, err = core.WireByte(*policy); err != nil {
 			_, _ = fmt.Fprintln(stderr, "gmsload:", err)
 			return 2
 		}
@@ -185,44 +177,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		return emit(&ssnap, ssnap.table(), "soak", *asJSON, *out, *benchOut, stdout, fail)
 	}
-	if *wireMode {
-		_, _ = fmt.Fprintln(stderr, "gmsload: running wire comparison (v1 then v2)...")
-		wr, err := load.RunWire(load.Config{
-			Shards:      arms[0],
-			Servers:     *servers,
-			Pages:       *pages,
-			Clients:     *clients,
-			Requests:    *requests,
-			RPS:         *rps,
-			SubpageSize: *subpage,
-			Policy:      polByte,
-			Prefetch:    prefetch,
-			CachePages:  *cache,
-			DirService:  *dirservice,
-			Seed:        *seed,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		wsnap := wireSnapshot{
-			Schema:       "gmsubpage-protowire/v1",
-			GOMAXPROCS:   runtime.GOMAXPROCS(0),
-			Clients:      *clients,
-			Requests:     *requests,
-			Servers:      *servers,
-			Pages:        *pages,
-			Subpage:      *subpage,
-			Policy:       *policy,
-			Cache:        *cache,
-			RPS:          *rps,
-			DirServiceUs: float64(dirservice.Nanoseconds()) / 1e3,
-			Seed:         *seed,
-			V1:           wr.V1,
-			V2:           wr.V2,
-			SpeedupX:     round2(wr.SpeedupX),
-		}
-		return emit(&wsnap, wsnap.table(), "protowire", *asJSON, *out, *benchOut, stdout, fail)
-	}
 	snap := loadSnapshot{
 		Schema:       "gmsubpage-loadtest/v1",
 		Workers:      *workers,
@@ -281,7 +235,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 }
 
 // emit writes one snapshot everywhere it's wanted: the table or JSON on
-// stdout, the table to -out, the section to -benchout. All four modes
+// stdout, the table to -out, the section to -benchout. All three modes
 // funnel through here so artifacts stay shaped the same way.
 func emit(snap any, table, key string, asJSON bool, out, benchOut string, stdout io.Writer, fail func(error) int) int {
 	if asJSON {
@@ -334,15 +288,9 @@ func parseShards(s string) ([]int, error) {
 
 // conflictErr rejects flag combinations the run would otherwise silently
 // misinterpret, following the subpagesim convention (exit 2).
-func conflictErr(set map[string]bool, arms []int, minX, rps float64, wire, dirlogM, soakM bool) error {
-	modes := 0
-	for _, m := range []bool{wire, dirlogM, soakM} {
-		if m {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return fmt.Errorf("-wire, -dirlog, and -soak are distinct modes; pick one")
+func conflictErr(set map[string]bool, arms []int, minX, rps float64, dirlogM, soakM bool) error {
+	if dirlogM && soakM {
+		return fmt.Errorf("-dirlog and -soak are distinct modes; pick one")
 	}
 	if dirlogM {
 		if f := firstSet(set, "shards", "j", "duration", "clients", "requests",
@@ -360,17 +308,6 @@ func conflictErr(set map[string]bool, arms []int, minX, rps float64, wire, dirlo
 		}
 	} else if f := firstSet(set, "crashes", "crashevery", "fsync"); f != "" {
 		return fmt.Errorf("-%s shapes the crash soak; pass -soak too", f)
-	}
-	if wire {
-		if set["minx"] {
-			return fmt.Errorf("-minx gates the shard-scaling arms, which -wire skips")
-		}
-		if set["shards"] && len(arms) > 1 {
-			return fmt.Errorf("-wire compares protocols on one cluster; -shards names %d arms", len(arms))
-		}
-		if set["j"] || set["duration"] {
-			return fmt.Errorf("-j and -duration shape the lookup storm, which -wire skips")
-		}
 	}
 	if set["minx"] {
 		if minX <= 0 {
@@ -438,46 +375,6 @@ func (s *loadSnapshot) table() string {
 		fmt.Fprintf(&b, "\nlookup scaling: %.2fx (%d shards vs %d)\n",
 			s.ScalingX, s.Arms[len(s.Arms)-1].Shards, s.Arms[0].Shards)
 	}
-	return b.String()
-}
-
-// wireSnapshot is the "protowire" section merged into
-// BENCH_experiments.json: the same warmed fault phase over the v1 wire
-// and the batched v2 wire, plus the throughput ratio.
-type wireSnapshot struct {
-	Schema       string      `json:"schema"`
-	GOMAXPROCS   int         `json:"gomaxprocs"`
-	Clients      int         `json:"clients"`
-	Requests     int         `json:"requests"`
-	Servers      int         `json:"servers"`
-	Pages        int         `json:"pages"`
-	Subpage      int         `json:"subpage"`
-	Policy       string      `json:"policy"`
-	Cache        int         `json:"cache"`
-	RPS          float64     `json:"rps"`
-	DirServiceUs float64     `json:"dirservice_us"`
-	Seed         uint64      `json:"seed"`
-	V1           load.Result `json:"v1"`
-	V2           load.Result `json:"v2"`
-	SpeedupX     float64     `json:"speedup_x"`
-}
-
-// table renders the wire comparison.
-func (s *wireSnapshot) table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "gmsload -wire: %d clients x %d faults, policy %s, subpage %dB, cache %d pages, warm control plane\n\n",
-		s.Clients, s.Requests, s.Policy, s.Subpage, s.Cache)
-	fmt.Fprintf(&b, "%4s  %9s  %8s  %8s  %9s  %8s  %8s\n",
-		"wire", "faults/s", "p50(µs)", "p99(µs)", "p999(µs)", "max(µs)", "MiB in")
-	for _, row := range []struct {
-		name string
-		r    load.Result
-	}{{"v1", s.V1}, {"v2", s.V2}} {
-		fmt.Fprintf(&b, "%4s  %9.0f  %8.0f  %8.0f  %9.0f  %8.0f  %8.1f\n",
-			row.name, row.r.FaultRate, row.r.P50Us, row.r.P99Us, row.r.P999Us,
-			row.r.MaxUs, float64(row.r.BytesIn)/(1<<20))
-	}
-	fmt.Fprintf(&b, "\nv2 speedup: %.2fx\n", s.SpeedupX)
 	return b.String()
 }
 

@@ -21,6 +21,7 @@ func TestConflictsExit2(t *testing.T) {
 		{"-rps", "-5"},
 		{"-policy", "warp"},
 		{"-nosuchflag"},
+		{"-wire"}, // the retired v1-vs-v2 comparison mode: now an unknown flag
 	}
 	for _, argv := range cases {
 		var stdout, stderr bytes.Buffer
@@ -107,73 +108,12 @@ func TestOutWritesArtifact(t *testing.T) {
 	}
 }
 
-// TestWireModeConflicts pins the -wire flag surface: storm flags and the
-// scaling gate are rejected, as is a multi-arm shard list.
-func TestWireModeConflicts(t *testing.T) {
-	cases := [][]string{
-		{"-wire", "-minx", "2", "-shards", "1,4"},
-		{"-wire", "-shards", "1,4"},
-		{"-wire", "-j", "4"},
-		{"-wire", "-duration", "1s"},
-	}
-	for _, argv := range cases {
-		var stdout, stderr bytes.Buffer
-		if code := run(argv, &stdout, &stderr); code != 2 {
-			t.Errorf("run(%v) = %d, want 2 (stderr: %s)", argv, code, stderr.String())
-		}
-	}
-}
-
-// TestWireModeMerge runs a tiny v1-vs-v2 comparison with -json and
-// -benchout, checking the snapshot shape and that the protowire section
-// lands next to existing keys.
-func TestWireModeMerge(t *testing.T) {
-	bench := filepath.Join(t.TempDir(), "BENCH_experiments.json")
-	if err := os.WriteFile(bench, []byte(`{"loadtest":{"schema":"gmsubpage-loadtest/v1"}}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	argv := []string{"-wire", "-json", "-benchout", bench, "-clients", "2",
-		"-requests", "5", "-pages", "32", "-servers", "1", "-cache", "4", "-dirservice", "0"}
-	if code := run(argv, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	var snap wireSnapshot
-	if err := json.Unmarshal(stdout.Bytes(), &snap); err != nil {
-		t.Fatalf("stdout is not the snapshot JSON: %v\n%s", err, stdout.String())
-	}
-	if snap.Schema != "gmsubpage-protowire/v1" {
-		t.Fatalf("schema = %q", snap.Schema)
-	}
-	if snap.V1.Faults != 2*5 || snap.V2.Faults != 2*5 {
-		t.Fatalf("faults v1=%d v2=%d, want 10/10", snap.V1.Faults, snap.V2.Faults)
-	}
-	if snap.SpeedupX <= 0 {
-		t.Fatalf("speedup = %v, want positive", snap.SpeedupX)
-	}
-	raw, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var top map[string]any
-	if err := json.Unmarshal(raw, &top); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := top["protowire"]; !ok {
-		t.Fatalf("merge did not add protowire: %v", top)
-	}
-	if _, ok := top["loadtest"]; !ok {
-		t.Fatalf("merge clobbered loadtest: %v", top)
-	}
-}
-
 // TestDurabilityModeConflicts pins the -dirlog and -soak flag surfaces:
 // the modes are mutually exclusive, load-shaping flags are rejected, and
 // the mode-specific knobs demand their mode.
 func TestDurabilityModeConflicts(t *testing.T) {
 	cases := [][]string{
 		{"-dirlog", "-soak"},
-		{"-dirlog", "-wire"},
 		{"-dirlog", "-clients", "2"},
 		{"-dirlog", "-minx", "2", "-shards", "1,4"},
 		{"-dirlog", "-crashes", "3"},

@@ -143,7 +143,7 @@ func runDir(args []string) {
 	opts := durabilityFlags(fs)
 	debug := fs.String("debug", "", "serve /metrics, /healthz and pprof on this address (empty = off)")
 	_ = fs.Parse(args)
-	d, err := gmsubpage.StartDirectoryWith(*addr, opts(*ttl))
+	d, err := gmsubpage.StartDirectory(*addr, opts(*ttl))
 	if err != nil {
 		fatal(err)
 	}
@@ -194,7 +194,7 @@ func runDirShard(args []string) {
 	if len(addrs) == 0 {
 		fatal(fmt.Errorf("dirshard: -shards must list every shard address"))
 	}
-	d, err := gmsubpage.StartDirectoryShardWith(*addr, addrs, *self, *version, opts(*ttl))
+	d, err := gmsubpage.StartDirectoryShard(*addr, addrs, *self, *version, opts(*ttl))
 	if err != nil {
 		fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestDebugListenerSmoke(t *testing.T) {
 	}
 	t.Cleanup(func() { ds.Close() })
 
-	dir, err := gmsubpage.StartDirectory("127.0.0.1:0")
+	dir, err := gmsubpage.StartDirectory("127.0.0.1:0", gmsubpage.DirectoryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

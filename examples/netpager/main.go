@@ -21,7 +21,7 @@ const (
 
 func main() {
 	// Assemble the cluster: directory + two donating servers.
-	dir, err := gmsubpage.StartDirectory("127.0.0.1:0")
+	dir, err := gmsubpage.StartDirectory("127.0.0.1:0", gmsubpage.DirectoryOptions{})
 	must(err)
 	defer dir.Close()
 

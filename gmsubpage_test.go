@@ -126,7 +126,7 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestRemotePrototypeEndToEnd(t *testing.T) {
-	dir, err := gmsubpage.StartDirectory("127.0.0.1:0")
+	dir, err := gmsubpage.StartDirectory("127.0.0.1:0", gmsubpage.DirectoryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestDialClientRejectsUnsupportedPolicy(t *testing.T) {
 }
 
 func TestFacadePagerAndReadahead(t *testing.T) {
-	dir, err := gmsubpage.StartDirectory("127.0.0.1:0")
+	dir, err := gmsubpage.StartDirectory("127.0.0.1:0", gmsubpage.DirectoryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestSimulateTraceFile(t *testing.T) {
 }
 
 func TestReplayWorkloadLive(t *testing.T) {
-	dir, err := gmsubpage.StartDirectory("127.0.0.1:0")
+	dir, err := gmsubpage.StartDirectory("127.0.0.1:0", gmsubpage.DirectoryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,12 +456,12 @@ func TestReplayWorkloadLive(t *testing.T) {
 func TestFacadeDurableDirectoryAndDrain(t *testing.T) {
 	jdir := t.TempDir()
 	opts := gmsubpage.DirectoryOptions{JournalDir: jdir, Fsync: "always"}
-	dir, err := gmsubpage.StartDirectoryWith("127.0.0.1:0", opts)
+	dir, err := gmsubpage.StartDirectory("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dir.Close()
-	if _, err := gmsubpage.StartDirectoryWith("127.0.0.1:0", gmsubpage.DirectoryOptions{JournalDir: jdir, Fsync: "sometimes"}); err == nil {
+	if _, err := gmsubpage.StartDirectory("127.0.0.1:0", gmsubpage.DirectoryOptions{JournalDir: jdir, Fsync: "sometimes"}); err == nil {
 		t.Fatal("bad fsync policy accepted")
 	}
 
@@ -490,7 +490,7 @@ func TestFacadeDurableDirectoryAndDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; ; i++ {
-		dir, err = gmsubpage.StartDirectoryWith(addr, opts)
+		dir, err = gmsubpage.StartDirectory(addr, opts)
 		if err == nil {
 			break
 		}

@@ -232,6 +232,48 @@ func (WideFault) Plan(subpageSize, faultOff int) []PlannedMessage {
 	return msgs
 }
 
+// wirePolicies is the set of policies the remote-memory prototype carries on
+// the wire, indexed by wire byte (the proto.Policy* constants are its
+// indices). This table is the one place a policy is tied to its byte: names
+// come from Policy.Name, so the server, Dial and the public facade resolve
+// through it and cannot disagree. The entries are stateless values, safe to
+// share across requests.
+var wirePolicies = [...]Policy{FullPage{}, Lazy{}, Eager{}, Pipelined{}}
+
+// UnknownPolicyError reports a policy the wire protocol does not carry:
+// either a name with no wire byte (simulator-only policies included) or a
+// byte no policy owns.
+type UnknownPolicyError struct {
+	// Name is the offending policy name, or a rendering of the byte.
+	Name string
+}
+
+func (e *UnknownPolicyError) Error() string {
+	return "core: policy " + e.Name + " is not supported by the wire protocol"
+}
+
+// WirePolicy returns the policy a wire byte names.
+func WirePolicy(b uint8) (Policy, error) {
+	if int(b) < len(wirePolicies) {
+		return wirePolicies[b], nil
+	}
+	return nil, &UnknownPolicyError{Name: fmt.Sprintf("byte %d", b)}
+}
+
+// WireByte returns the wire byte of the policy called name. The empty name
+// selects eager, the prototype's standard policy.
+func WireByte(name string) (uint8, error) {
+	if name == "" {
+		name = Eager{}.Name()
+	}
+	for b, p := range wirePolicies {
+		if p.Name() == name {
+			return uint8(b), nil
+		}
+	}
+	return 0, &UnknownPolicyError{Name: name}
+}
+
 // policyFactories enumerates the registered policies in presentation order.
 // Entries are constructors, not instances: a stateful policy (the
 // Prefetcher) must come out fresh per lookup so callers never share fault

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +237,39 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("bogus"); err == nil {
 		t.Error("ByName(bogus) should fail")
+	}
+}
+
+// The wire-policy table: every byte it holds resolves to a policy ByName
+// also builds under the same name, names map back to their byte, and
+// anything else — a simulator-only policy, a byte past the table — fails
+// with the typed error rather than leaking through as a bogus byte.
+func TestWirePolicyTable(t *testing.T) {
+	for b, name := range []string{"fullpage", "lazy", "eager", "pipelined"} {
+		p, err := WirePolicy(uint8(b))
+		if err != nil || p.Name() != name {
+			t.Fatalf("WirePolicy(%d) = %v, %v; want %s", b, p, err, name)
+		}
+		if q, err := ByName(name); err != nil || q != p {
+			t.Errorf("ByName(%q) = %v, %v; want the table's %v", name, q, err, p)
+		}
+		if back, err := WireByte(name); err != nil || int(back) != b {
+			t.Errorf("WireByte(%q) = %d, %v; want %d", name, back, err, b)
+		}
+	}
+	if b, err := WireByte(""); err != nil || wirePolicies[b] != (Eager{}) {
+		t.Errorf("the empty name should select eager: %d, %v", b, err)
+	}
+	var ue *UnknownPolicyError
+	for _, name := range []string{"prefetch", "widefault", "pipelined-double", "bogus"} {
+		if _, err := WireByte(name); !errors.As(err, &ue) {
+			t.Errorf("WireByte(%q) error = %v, want *UnknownPolicyError", name, err)
+		}
+	}
+	for _, b := range []uint8{uint8(len(wirePolicies)), 200, 255} {
+		if _, err := WirePolicy(b); !errors.As(err, &ue) {
+			t.Errorf("WirePolicy(%d) error = %v, want *UnknownPolicyError", b, err)
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ type Config struct {
 	// Cluster shaping.
 	SubpageSize int           // client transfer granularity (default 1024)
 	Policy      uint8         // transfer policy (default eager)
-	Prefetch    bool          // learned prefetcher: predictions in v2 want bitmaps (overrides Policy with lazy)
+	Prefetch    bool          // learned prefetcher: predictions in want bitmaps (overrides Policy with lazy)
 	CachePages  int           // client cache pages (default 64)
 	DirService  time.Duration // emulated per-lookup service time, 0 = off
 
@@ -67,9 +67,6 @@ type Config struct {
 	// (service-emulated) lookup control plane. Pair it with a small
 	// CachePages so warmed pages do not simply hit in cache.
 	Warmup bool
-	// WireV1 pins the fault clients to the pre-batching v1 wire; the
-	// protowire experiment runs the same phase both ways.
-	WireV1 bool
 
 	Seed uint64 // base seed for page choice (default 1)
 }
@@ -157,48 +154,6 @@ func Run(cfg Config) (Result, error) {
 		return res, err
 	}
 	return res, nil
-}
-
-// WireResult is the protowire experiment: the same warmed fault phase over
-// the v1 wire (one frame per fragment) and the batched v2 wire, on one
-// cluster.
-type WireResult struct {
-	V1       Result  `json:"v1"`
-	V2       Result  `json:"v2"`
-	SpeedupX float64 `json:"speedup_x"` // v2 fault rate over v1
-}
-
-// RunWire executes the fault phase twice against one fresh cluster —
-// pinned to the v1 wire, then on batched v2 — and reports both plus the
-// throughput ratio. Warmup is forced on: the comparison targets the wire
-// path, not the directory control plane.
-func RunWire(cfg Config) (WireResult, error) {
-	cfg = cfg.withDefaults()
-	cfg.Warmup = true
-	var wr WireResult
-	cl, err := startCluster(cfg)
-	if err != nil {
-		return wr, err
-	}
-	defer cl.Close()
-
-	for _, v1 := range []bool{true, false} {
-		c := cfg
-		c.WireV1 = v1
-		res := Result{Shards: cfg.Shards, Servers: cfg.Servers, Pages: cfg.Pages}
-		if err := faultPhase(c, cl.shards.Bootstrap(), &res); err != nil {
-			return wr, err
-		}
-		if v1 {
-			wr.V1 = res
-		} else {
-			wr.V2 = res
-		}
-	}
-	if wr.V1.FaultRate > 0 {
-		wr.SpeedupX = wr.V2.FaultRate / wr.V1.FaultRate
-	}
-	return wr, nil
 }
 
 // cluster is one started load cluster: the sharded directory plus the
@@ -351,7 +306,6 @@ func faultPhase(cfg Config, bootstrap string, res *Result) error {
 			Prefetch:    cfg.Prefetch,
 			SubpageSize: cfg.SubpageSize,
 			CachePages:  cfg.CachePages,
-			WireV1:      cfg.WireV1,
 		})
 		if err != nil {
 			return err

@@ -1,9 +1,6 @@
-// Wire protocol v2: batched, pipelined subpage transfer.
-//
-// The v1 fault path pays one length-prefixed frame — and one writer
-// syscall — per subpage fragment, and a reply stream is identified only
-// by its page number, so a connection cannot tell a live attempt's
-// fragments from a superseded one's. V2 fixes both:
+// The fault wire: batched, pipelined subpage transfer. (It is "v2" in the
+// tag names because it replaced a retired per-fragment wire, which paid one
+// frame and one write per subpage and identified a reply only by its page.)
 //
 //   - TGetPageV2 carries a client-chosen request ID and a want-bitmap of
 //     the subpage blocks still missing, so many gets pipeline on one
@@ -22,7 +19,7 @@
 //	bytes 8-15   page number
 //	byte  16     flags (FlagFirst, FlagLast)
 //	byte  17     run count n
-//	16×n bytes   run table: n × { offset uint32, length uint32 }
+//	8×n bytes    run table: n × { offset uint32, length uint32 }
 //	rest         run data, concatenated in table order
 //
 // Runs must be MinSubpage-aligned, in strictly ascending offset order,
@@ -38,7 +35,7 @@ import (
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
-// GetPageV2 asks for the missing subpages of one page (wire v2).
+// GetPageV2 asks for the missing subpages of one page.
 type GetPageV2 struct {
 	// ReqID identifies the reply stream; the client picks it unique per
 	// request and the server echoes it on every TSubpageBatch.
@@ -48,13 +45,13 @@ type GetPageV2 struct {
 	// FaultOff is the faulted byte offset within the page; the run
 	// covering it is flagged FlagFirst and sent in the first batch.
 	FaultOff uint32
-	// SubpageSize is the transfer granularity, as in v1.
+	// SubpageSize is the transfer granularity.
 	SubpageSize uint32
 	// Want is a bitmap over the page's MinSubpage blocks naming the
 	// blocks the client still needs; zero means "everything the policy
 	// plans". The faulted block is always included regardless.
 	Want uint32
-	// Policy is one of the Policy* constants, as in v1.
+	// Policy is one of the Policy* constants.
 	Policy uint8
 }
 

@@ -240,7 +240,7 @@ func TestWriterReleasesOversizedBuffer(t *testing.T) {
 	// And a steady stream of large frames never thrashes: the buffer
 	// survives interleaved small terminators.
 	data := make([]byte, units.PageSize)
-	if err := w.SendPageData(PageData{Page: 1, Data: data}); err != nil {
+	if err := w.SendPutPage(PutPage{Page: 1, Data: data}); err != nil {
 		t.Fatal(err)
 	}
 	before := cap(w.buf)
@@ -248,7 +248,7 @@ func TestWriterReleasesOversizedBuffer(t *testing.T) {
 		if err := w.SendAck(); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.SendPageData(PageData{Page: 1, Data: data}); err != nil {
+		if err := w.SendPutPage(PutPage{Page: 1, Data: data}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,14 +289,13 @@ func TestBatchEncodeDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestV2TagsRejectedByOldReaders documents the interop story: a v1 reader
-// (here emulated by the pre-v2 tag bound) would reject the new tag bytes
-// at the framing layer, so a v2 sender must never use them until the peer
-// advertises v2 — see DESIGN.md §11 for the rollout order.
+// TestV2TagsRejectedByOldReaders documents what a peer that predates the
+// fault wire sees: the tag bytes lie past its last known tag, so it rejects
+// them at the framing layer instead of misdispatching them.
 func TestV2TagsRejectedByOldReaders(t *testing.T) {
 	for _, tag := range []Type{TGetPageV2, TSubpageBatch, TCancel} {
 		if tag <= TWrongShard {
-			t.Fatalf("tag %v inside the v1 range; v1 peers would misdispatch it", tag)
+			t.Fatalf("tag %v inside the pre-batching range; old peers would misdispatch it", tag)
 		}
 	}
 	if got := TCancel.String(); got != "Cancel" {

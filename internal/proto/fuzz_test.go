@@ -24,12 +24,13 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	seed(func(w *Writer) error {
-		return w.SendGetPage(GetPage{Page: 3, FaultOff: 4096, SubpageSize: 1024, Policy: PolicyPipelined})
-	})
-	seed(func(w *Writer) error {
-		return w.SendPageData(PageData{Page: 3, Offset: 512, Flags: FlagFirst | FlagLast, Data: []byte("abc")})
-	})
+	seed(func(w *Writer) error { return w.SendPutPage(PutPage{Page: 3, Data: make([]byte, 512)}) })
+	// A terminator-only batch, framed the way the server does it.
+	if frame, err := AppendSubpageBatchFrame(nil, 9, 3, FlagLast, nil); err != nil {
+		f.Fatal(err)
+	} else {
+		f.Add(frame)
+	}
 	seed(func(w *Writer) error { return w.SendPutPage(PutPage{Page: 9, Data: []byte{1, 2, 3}}) })
 	seed(func(w *Writer) error { return w.SendAck() })
 	seed(func(w *Writer) error { return w.SendLookup(Lookup{Page: 12}) })
@@ -72,8 +73,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{byte(TWrongShard), 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})        // map body shorter than version+count
 	f.Add([]byte{byte(TRegister), 12, 0, 0, 0, 3, 'a', ':', '1', 0, 0, 0, 0, 0})   // epoch truncated
 	f.Add([]byte{byte(THeartbeat), 12, 0, 0, 0, 3, 'a', ':', '1', 0, 0, 0, 0, 0})  // epoch truncated
-	f.Add([]byte{byte(TGetPage), 3, 0, 0, 0, 1, 2, 3})                             // shorter than fixed layout
-	f.Add([]byte{byte(TPageData), 2, 0, 0, 0, 1, 2})                               // shorter than fixed layout
+	f.Add([]byte{1, 17, 0, 0, 0, 1, 2, 3})                                         // reserved tag byte (retired v1 get)
+	f.Add([]byte{byte(TPutPage), 3, 0, 0, 0, 1, 2, 3})                             // shorter than fixed layout
 	f.Add([]byte{byte(TShardMap), 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 'x'}) // count 0 with trailing byte
 	f.Add(append([]byte{byte(TPutPage), 255, 255, 255, 255}, make([]byte, 16)...)) // oversized length prefix
 	f.Add([]byte{byte(TRegister), 10, 0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 1}) // ragged page list
@@ -97,8 +98,6 @@ func FuzzDecode(f *testing.F) {
 			// Decode the payload under every decoder, not just the one the
 			// type byte names: a corrupted type byte must not let a payload
 			// reach a decoder that panics on it.
-			_, _ = DecodeGetPage(fr.Payload)
-			_, _ = DecodePageData(fr.Payload)
 			_, _ = DecodePutPage(fr.Payload)
 			_, _ = DecodeLookup(fr.Payload)
 			if rep, err := DecodeLookupReply(fr.Payload); err == nil {

@@ -24,15 +24,14 @@ import (
 // Type identifies a message.
 type Type uint8
 
-// Message types.
+// Message types. Tag bytes 1 and 2 belonged to the retired v1 fault wire
+// (a per-fragment GetPage/PageData pair) and stay reserved: the surviving
+// tags keep their values and Reader.Next rejects 1 and 2 as unknown. Were
+// the tags renumbered, an old peer's GetPage would decode as a TPutPage and
+// overwrite a stored page with its request header.
 const (
-	// TGetPage requests a page: the server replies with one or more
-	// TPageData frames according to the requested policy.
-	TGetPage Type = iota + 1
-	// TPageData carries a fragment of a page.
-	TPageData
 	// TPutPage stores a full page on the server.
-	TPutPage
+	TPutPage Type = iota + 3
 	// TAck acknowledges a TPutPage or TRegister.
 	TAck
 	// TLookup asks the directory which server stores a page.
@@ -55,15 +54,14 @@ const (
 	// does not own the page: the payload carries the shard's current map
 	// so the sender can re-route in one round trip.
 	TWrongShard
-	// TGetPageV2 is the batched, pipelined page request (wire v2): it
-	// carries a request ID so a connection can keep many gets in flight,
-	// and a subpage want-bitmap so a partially valid page fetches only
-	// its missing blocks. The server answers with TSubpageBatch frames
-	// echoing the ID.
+	// TGetPageV2 is the page request: it carries a request ID so a
+	// connection can keep many gets in flight, and a subpage want-bitmap
+	// so a partially valid page fetches only its missing blocks. The
+	// server answers with TSubpageBatch frames echoing the ID.
 	TGetPageV2
 	// TSubpageBatch carries many subpage ranges of one page in a single
 	// frame: one header, a run table, then the concatenated data. It is
-	// the v2 reply to TGetPageV2.
+	// the reply to TGetPageV2.
 	TSubpageBatch
 	// TCancel withdraws an in-flight TGetPageV2 by request ID: the server
 	// stops streaming the reply at the next batch boundary. Best effort —
@@ -82,10 +80,6 @@ const (
 // String names the type for diagnostics.
 func (t Type) String() string {
 	switch t {
-	case TGetPage:
-		return "GetPage"
-	case TPageData:
-		return "PageData"
 	case TPutPage:
 		return "PutPage"
 	case TAck:
@@ -127,8 +121,9 @@ const MaxPayload = units.PageSize + 512
 
 const headerSize = 5
 
-// Fetch policies a GetPage may request. These mirror the simulator's
-// core policies; the server plans its reply fragments accordingly.
+// Fetch policies a GetPageV2 may request: the wire-format definition of the
+// policy byte. Each value indexes core's wire-policy table, which ties the
+// byte to the policy that plans the reply and to its name.
 const (
 	PolicyFullPage = uint8(iota)
 	PolicyLazy
@@ -136,30 +131,14 @@ const (
 	PolicyPipelined
 )
 
-// GetPage asks for page data starting at the faulted offset.
-type GetPage struct {
-	Page        uint64
-	FaultOff    uint32
-	SubpageSize uint32
-	Policy      uint8
-}
-
-// PageData flags.
+// SubpageBatch flags.
 const (
-	// FlagFirst marks the fragment covering the faulted offset; the
-	// client unblocks on it.
+	// FlagFirst marks the batch covering the faulted offset; the client
+	// unblocks on it.
 	FlagFirst = 1 << iota
-	// FlagLast marks the final fragment of a reply.
+	// FlagLast marks the final batch of a reply.
 	FlagLast
 )
-
-// PageData is one fragment of a page.
-type PageData struct {
-	Page   uint64
-	Offset uint32
-	Flags  uint8
-	Data   []byte
-}
 
 // PutPage stores a full page.
 type PutPage struct {
@@ -247,11 +226,11 @@ type Frame struct {
 // writerRetainCap bounds the frame buffer a Writer keeps between sends;
 // writerShrinkAfter is how many consecutive sends must fit under the cap
 // before an oversized buffer is released. Control-plane writers see an
-// occasional large frame (a ShardMap for a wide deployment, a v1 page
-// fragment) between long runs of tiny acks and lookups; without the cap
-// one such frame would pin page-sized capacity on every idle connection
-// forever. The hysteresis keeps steady large-frame senders (the v1 data
-// path) from reallocating on every small terminator in between.
+// occasional large frame (a ShardMap for a wide deployment, a written-back
+// page) between long runs of tiny acks and lookups; without the cap one
+// such frame would pin page-sized capacity on every idle connection
+// forever. The hysteresis keeps steady large-frame senders (a drain's
+// put stream) from reallocating on every small frame in between.
 const (
 	writerRetainCap   = 2 * units.KiB
 	writerShrinkAfter = 8
@@ -296,26 +275,6 @@ func (w *Writer) afterSend() {
 	} else {
 		w.small = 0
 	}
-}
-
-// SendGetPage writes a TGetPage frame.
-func (w *Writer) SendGetPage(m GetPage) error {
-	p := make([]byte, 0, 17)
-	p = binary.LittleEndian.AppendUint64(p, m.Page)
-	p = binary.LittleEndian.AppendUint32(p, m.FaultOff)
-	p = binary.LittleEndian.AppendUint32(p, m.SubpageSize)
-	p = append(p, m.Policy)
-	return w.send(TGetPage, p)
-}
-
-// SendPageData writes a TPageData frame.
-func (w *Writer) SendPageData(m PageData) error {
-	p := make([]byte, 0, 13+len(m.Data))
-	p = binary.LittleEndian.AppendUint64(p, m.Page)
-	p = binary.LittleEndian.AppendUint32(p, m.Offset)
-	p = append(p, m.Flags)
-	p = append(p, m.Data...)
-	return w.send(TPageData, p)
 }
 
 // SendPutPage writes a TPutPage frame.
@@ -524,8 +483,9 @@ func (r *Reader) Next() (Frame, error) {
 	}
 	head := r.buf[r.rd : r.rd+headerSize]
 	t := Type(head[0])
-	if t < TGetPage || t > TDrainReply {
-		// Reject unknown tag bytes at the framing layer: every Frame
+	if t < TPutPage || t > TDrainReply {
+		// Reject unknown tag bytes at the framing layer (the reserved v1
+		// bytes 1 and 2 included, see the tag declarations): every Frame
 		// handed to callers carries one of the declared T* constants, so
 		// tag switches downstream can be exhaustive with no default (and
 		// gmslint's tagswitch check holds them to that). A stream that
@@ -552,32 +512,6 @@ func (r *Reader) Next() (Frame, error) {
 // Decoding helpers. Each validates the payload length.
 
 func short(t Type) error { return fmt.Errorf("proto: short %v payload", t) }
-
-// DecodeGetPage parses a TGetPage payload.
-func DecodeGetPage(p []byte) (GetPage, error) {
-	if len(p) < 17 {
-		return GetPage{}, short(TGetPage)
-	}
-	return GetPage{
-		Page:        binary.LittleEndian.Uint64(p[0:8]),
-		FaultOff:    binary.LittleEndian.Uint32(p[8:12]),
-		SubpageSize: binary.LittleEndian.Uint32(p[12:16]),
-		Policy:      p[16],
-	}, nil
-}
-
-// DecodePageData parses a TPageData payload. The Data slice aliases p.
-func DecodePageData(p []byte) (PageData, error) {
-	if len(p) < 13 {
-		return PageData{}, short(TPageData)
-	}
-	return PageData{
-		Page:   binary.LittleEndian.Uint64(p[0:8]),
-		Offset: binary.LittleEndian.Uint32(p[8:12]),
-		Flags:  p[12],
-		Data:   p[13:],
-	}, nil
-}
 
 // DecodePutPage parses a TPutPage payload. The Data slice aliases p.
 func DecodePutPage(p []byte) (PutPage, error) {

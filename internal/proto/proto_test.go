@@ -2,7 +2,6 @@ package proto
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -24,36 +23,52 @@ func roundTrip(t *testing.T, send func(*Writer) error) Frame {
 	return f
 }
 
+// TestGetPageRoundTrip pins the page request's bytes on the wire, not just
+// that encode and decode agree: tag 13, a 29-byte little-endian payload in
+// field order. Peers of other builds parse exactly this.
 func TestGetPageRoundTrip(t *testing.T) {
-	in := GetPage{Page: 0xdeadbeef, FaultOff: 4097, SubpageSize: 1024, Policy: PolicyEager}
-	f := roundTrip(t, func(w *Writer) error { return w.SendGetPage(in) })
-	if f.Type != TGetPage {
-		t.Fatalf("type = %v", f.Type)
+	in := GetPageV2{ReqID: 0x0102, Page: 0xdeadbeef, FaultOff: 4097, SubpageSize: 1024, Want: 0xf0, Policy: PolicyEager}
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).SendGetPageV2(in); err != nil {
+		t.Fatal(err)
 	}
-	out, err := DecodeGetPage(f.Payload)
+	want := []byte{13, 29, 0, 0, 0,
+		0x02, 0x01, 0, 0, 0, 0, 0, 0, // ReqID
+		0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0, // Page
+		0x01, 0x10, 0, 0, // FaultOff
+		0x00, 0x04, 0, 0, // SubpageSize
+		0xf0, 0, 0, 0, // Want
+		2} // Policy
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("request frame:\n%x\nwant\n%x", buf.Bytes(), want)
+	}
+	f, err := NewReader(&buf).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
-		t.Fatalf("round trip: %+v != %+v", out, in)
+	if out, err := DecodeGetPageV2(f.Payload); err != nil || out != in {
+		t.Fatalf("round trip: %+v, %v; want %+v", out, err, in)
 	}
 }
 
+// TestPageDataRoundTrip carries a whole page as one run of one batch — the
+// fullpage policy's reply, and the largest data frame the wire has.
 func TestPageDataRoundTrip(t *testing.T) {
 	data := make([]byte, units.PageSize)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	in := PageData{Page: 7, Offset: 2048, Flags: FlagFirst | FlagLast, Data: data}
-	f := roundTrip(t, func(w *Writer) error { return w.SendPageData(in) })
-	out, err := DecodePageData(f.Payload)
+	f := roundTrip(t, func(w *Writer) error {
+		return w.SendSubpageBatch(5, 7, FlagFirst|FlagLast, []SubpageRun{{Off: 0, Data: data}})
+	})
+	out, err := DecodeSubpageBatch(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Page != 7 || out.Offset != 2048 || out.Flags != FlagFirst|FlagLast {
+	if out.ReqID != 5 || out.Page != 7 || out.Flags != FlagFirst|FlagLast || out.Runs() != 1 {
 		t.Fatalf("header mismatch: %+v", out)
 	}
-	if !bytes.Equal(out.Data, data) {
+	if off, got := out.Run(0); off != 0 || !bytes.Equal(got, data) {
 		t.Fatal("data mismatch")
 	}
 }
@@ -120,26 +135,13 @@ func TestLookupReplyTruncated(t *testing.T) {
 	}
 }
 
+// TestPolicyMapping pins the policy byte's wire values. core's wire-policy
+// table is indexed by them (its own test covers names and the typed
+// rejection), and deployed peers send them, so they never renumber.
 func TestPolicyMapping(t *testing.T) {
-	for _, name := range []string{"fullpage", "lazy", "eager", "pipelined"} {
-		b, err := PolicyByte(name)
-		if err != nil {
-			t.Fatalf("PolicyByte(%q): %v", name, err)
-		}
-		back, err := PolicyName(b)
-		if err != nil || back != name {
-			t.Fatalf("PolicyName(%d) = %q, %v; want %q", b, back, err, name)
-		}
-	}
-	if b, err := PolicyByte(""); err != nil || b != PolicyEager {
-		t.Fatalf("empty policy should default to eager: %d, %v", b, err)
-	}
-	var perr *UnknownPolicyError
-	if _, err := PolicyByte("pipelined-double"); err == nil || !errors.As(err, &perr) {
-		t.Fatalf("simulator-only policy should be rejected with UnknownPolicyError, got %v", err)
-	}
-	if _, err := PolicyName(200); err == nil || !errors.As(err, &perr) {
-		t.Fatalf("unknown wire byte should be rejected with UnknownPolicyError, got %v", err)
+	got := [...]uint8{PolicyFullPage, PolicyLazy, PolicyEager, PolicyPipelined}
+	if got != [...]uint8{0, 1, 2, 3} {
+		t.Fatalf("policy bytes (fullpage, lazy, eager, pipelined) = %v, want [0 1 2 3]", got)
 	}
 }
 
@@ -231,13 +233,13 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 func TestOversizedPayloadRejected(t *testing.T) {
 	var buf bytes.Buffer
 	// Hand-craft a frame claiming a giant payload.
-	buf.Write([]byte{byte(TPageData), 0xff, 0xff, 0xff, 0x7f})
+	buf.Write([]byte{byte(TPutPage), 0xff, 0xff, 0xff, 0x7f})
 	if _, err := NewReader(&buf).Next(); err == nil {
 		t.Fatal("oversized frame should be rejected")
 	}
 	// And the writer refuses to produce one.
 	w := NewWriter(io.Discard)
-	err := w.SendPageData(PageData{Data: make([]byte, MaxPayload+1)})
+	err := w.SendPutPage(PutPage{Data: make([]byte, MaxPayload+1)})
 	if err == nil {
 		t.Fatal("oversized send should fail")
 	}
@@ -258,7 +260,7 @@ func TestTruncatedFrame(t *testing.T) {
 // switches over Type be exhaustive with no default: Next never hands an
 // undeclared tag to a caller.
 func TestUnknownTypeByteRejected(t *testing.T) {
-	for _, tag := range []byte{0, byte(TDrainReply) + 1, 200, 255} {
+	for _, tag := range []byte{0, 1, 2, byte(TDrainReply) + 1, 200, 255} {
 		raw := []byte{tag, 0, 0, 0, 0}
 		_, err := NewReader(bytes.NewReader(raw)).Next()
 		if err == nil {
@@ -268,7 +270,7 @@ func TestUnknownTypeByteRejected(t *testing.T) {
 			t.Fatalf("type byte %d: err = %v, want the unknown-type rejection", tag, err)
 		}
 	}
-	for tag := TGetPage; tag <= TDrainReply; tag++ {
+	for tag := TPutPage; tag <= TDrainReply; tag++ {
 		raw := []byte{byte(tag), 0, 0, 0, 0}
 		if _, err := NewReader(bytes.NewReader(raw)).Next(); err != nil {
 			t.Fatalf("declared tag %v rejected at the framing layer: %v", tag, err)
@@ -276,13 +278,29 @@ func TestUnknownTypeByteRejected(t *testing.T) {
 	}
 }
 
+// TestTagValuesPinned holds every tag to its byte on the wire. Bytes 1 and 2
+// were the retired v1 get/data pair and stay reserved: renumbering would let
+// an old peer's get decode as a TPutPage and overwrite a stored page.
+func TestTagValuesPinned(t *testing.T) {
+	want := map[Type]byte{
+		TPutPage: 3, TAck: 4, TLookup: 5, TLookupReply: 6, TRegister: 7,
+		TError: 8, THeartbeat: 9, TGetShardMap: 10, TShardMap: 11,
+		TWrongShard: 12, TGetPageV2: 13, TSubpageBatch: 14, TCancel: 15,
+		TDrain: 16, TDrainReply: 17,
+	}
+	for tag, b := range want {
+		if byte(tag) != b {
+			t.Errorf("%v = %d on the wire, want %d", tag, byte(tag), b)
+		}
+	}
+	for _, b := range []byte{0, 1, 2, 18} {
+		if _, err := NewReader(bytes.NewReader([]byte{b, 0, 0, 0, 0})).Next(); err == nil {
+			t.Errorf("Reader.Next accepted tag byte %d", b)
+		}
+	}
+}
+
 func TestShortPayloadDecodes(t *testing.T) {
-	if _, err := DecodeGetPage([]byte{1, 2}); err == nil {
-		t.Error("short GetPage should fail")
-	}
-	if _, err := DecodePageData([]byte{1}); err == nil {
-		t.Error("short PageData should fail")
-	}
 	if _, err := DecodePutPage(nil); err == nil {
 		t.Error("short PutPage should fail")
 	}
@@ -322,17 +340,17 @@ func TestRegisterAddrTooLong(t *testing.T) {
 }
 
 func TestQuickGetPageRoundTrip(t *testing.T) {
-	f := func(page uint64, off, sub uint32, pol uint8) bool {
-		in := GetPage{Page: page, FaultOff: off, SubpageSize: sub, Policy: pol}
+	f := func(id, page uint64, off, sub, want uint32, pol uint8) bool {
+		in := GetPageV2{ReqID: id, Page: page, FaultOff: off, SubpageSize: sub, Want: want, Policy: pol}
 		var buf bytes.Buffer
-		if err := NewWriter(&buf).SendGetPage(in); err != nil {
+		if err := NewWriter(&buf).SendGetPageV2(in); err != nil {
 			return false
 		}
 		fr, err := NewReader(&buf).Next()
 		if err != nil {
 			return false
 		}
-		out, err := DecodeGetPage(fr.Payload)
+		out, err := DecodeGetPageV2(fr.Payload)
 		return err == nil && out == in
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -340,23 +358,23 @@ func TestQuickGetPageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuickPageDataRoundTrip sends page data of arbitrary length and
+// content through the one frame that carries unaligned data, a put.
 func TestQuickPageDataRoundTrip(t *testing.T) {
-	f := func(page uint64, off uint32, flags uint8, data []byte) bool {
+	f := func(page uint64, data []byte) bool {
 		if len(data) > units.PageSize {
 			data = data[:units.PageSize]
 		}
-		in := PageData{Page: page, Offset: off, Flags: flags, Data: data}
 		var buf bytes.Buffer
-		if err := NewWriter(&buf).SendPageData(in); err != nil {
+		if err := NewWriter(&buf).SendPutPage(PutPage{Page: page, Data: data}); err != nil {
 			return false
 		}
 		fr, err := NewReader(&buf).Next()
 		if err != nil {
 			return false
 		}
-		out, err := DecodePageData(fr.Payload)
-		return err == nil && out.Page == page && out.Offset == off &&
-			out.Flags == flags && bytes.Equal(out.Data, data)
+		out, err := DecodePutPage(fr.Payload)
+		return err == nil && fr.Type == TPutPage && out.Page == page && bytes.Equal(out.Data, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -377,10 +395,10 @@ func TestReaderNeverPanicsOnGarbage(t *testing.T) {
 			}
 			// Decoders must not panic either.
 			switch fr.Type {
-			case TGetPage:
-				DecodeGetPage(fr.Payload)
-			case TPageData:
-				DecodePageData(fr.Payload)
+			case TGetPageV2:
+				DecodeGetPageV2(fr.Payload)
+			case TSubpageBatch:
+				DecodeSubpageBatch(fr.Payload)
 			case TPutPage:
 				DecodePutPage(fr.Payload)
 			case TLookup:
@@ -443,7 +461,7 @@ func TestDrainRoundTrip(t *testing.T) {
 }
 
 func TestTypeStrings(t *testing.T) {
-	types := []Type{TGetPage, TPageData, TPutPage, TAck, TLookup,
+	types := []Type{TPutPage, TAck, TLookup,
 		TLookupReply, TRegister, TError, THeartbeat,
 		TGetShardMap, TShardMap, TWrongShard,
 		TGetPageV2, TSubpageBatch, TCancel, TDrain, TDrainReply}

@@ -29,7 +29,7 @@ func (r *refReader) Next() (Frame, error) {
 		return Frame{}, err
 	}
 	t := Type(head[0])
-	if t < TGetPage || t > TDrainReply {
+	if t < TPutPage || t > TDrainReply {
 		return Frame{}, fmt.Errorf("proto: unknown message type %d", head[0])
 	}
 	n := binary.LittleEndian.Uint32(head[1:5])
@@ -154,7 +154,7 @@ func recordedStream(t testing.TB) []byte {
 		func() error { return w.SendLookupReply(LookupReply{Page: 12, Addrs: []string{"a:1", "b:2"}}) },
 		func() error { return w.SendError(string(make([]byte, MaxPayload))) },
 		w.SendAck,
-		func() error { return w.SendPageData(PageData{Page: 3, Offset: 512, Flags: FlagLast, Data: page[:512]}) },
+		func() error { return w.SendPutPage(PutPage{Page: 3, Data: page[:512]}) },
 	}
 	for _, send := range sends {
 		if err := send(); err != nil {

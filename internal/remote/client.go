@@ -24,7 +24,8 @@ type ClientConfig struct {
 	CachePages int
 	// SubpageSize is the transfer granularity (default 1024).
 	SubpageSize int
-	// Policy is one of the proto.Policy* constants (default eager).
+	// Policy is one of the proto.Policy* constants (the zero value is
+	// fullpage); Dial rejects a byte core's wire-policy table does not hold.
 	Policy uint8
 	// Readahead prefetches page p+1 when a fault on p follows a fault
 	// on p-1 — client-driven sequential prefetch, an extension beyond
@@ -32,11 +33,10 @@ type ClientConfig struct {
 	Readahead bool
 	// Prefetch enables the learned prefetcher (core.Prefetcher): the
 	// client feeds its access stream into a Leap-style stride detector,
-	// and each fault's v2 want bitmap carries the predicted window
-	// alongside the accessed range. The wire policy is forced to lazy so
-	// the server ships exactly the requested blocks — predictions ride
-	// the existing want bitmap, no new wire tags. Requires the v2 wire
-	// (incompatible with WireV1: the v1 request has no want bitmap).
+	// and each fault's want bitmap carries the predicted window alongside
+	// the accessed range. The wire policy is forced to lazy so the server
+	// ships exactly the requested blocks — predictions ride the existing
+	// want bitmap, no new wire tags.
 	Prefetch bool
 
 	// Resilience knobs (see DESIGN.md §7). The paper's prototype assumed
@@ -74,14 +74,6 @@ type ClientConfig struct {
 	BreakerCooldown time.Duration
 	// Dial overrides the network dialer (chaos injection, tests).
 	Dial func(network, addr string) (net.Conn, error)
-
-	// WireV1 pins the fault path to the v1 wire protocol (one GetPage in
-	// flight per page, one frame per fragment). Set it when talking to
-	// servers that predate TGetPageV2 — servers reject unknown tags at
-	// the framing layer, so rollout order is servers first, then clients
-	// (see DESIGN.md §11). Default false: batched v2 with pipelined
-	// request IDs and eager hedge cancellation.
-	WireV1 bool
 
 	// Metrics, when non-nil, registers the client's gms_client_* metrics
 	// there. Nil (the default) disables metrics at zero hot-path cost.
@@ -133,7 +125,7 @@ type Stats struct {
 	Retries    int64         // fault or lookup attempts beyond the first
 	Failovers  int64         // retries redirected to a different replica
 	Hedges     int64         // duplicate GetPages sent to mask a slow primary
-	Cancels    int64         // cancel frames sent to withdraw superseded v2 requests
+	Cancels    int64         // cancel frames sent to withdraw superseded requests
 	Predicted  int64         // fault attempts whose want bitmap carried prefetch predictions
 	SubpageLat stats.Summary // fault -> faulted-subpage arrival
 	FullLat    stats.Summary // fault -> complete page arrival
@@ -154,10 +146,10 @@ type Stats struct {
 	OpenBreakers  int   // servers currently shunned (open or half-open)
 }
 
-// source is one server streaming a page's current attempt, with its v2
-// request ID (0 on the v1 wire). A withdrawn source is also the TCancel
-// owed to that server, sent once c.mu is released (sending under the lock
-// would hold every accessor behind one peer's socket).
+// source is one server streaming a page's current attempt, with its
+// request ID. A withdrawn source is also the TCancel owed to that server,
+// sent once c.mu is released (sending under the lock would hold every
+// accessor behind one peer's socket).
 type source struct {
 	addr string
 	id   uint64
@@ -280,26 +272,22 @@ func (c *Client) unlink(p *cpage) {
 	p.prev, p.next = nil, nil
 }
 
-// reqEntry ties a live v2 request ID to the page attempt it serves.
+// reqEntry ties a live request ID to the page attempt it serves.
 type reqEntry struct {
 	p    *cpage
 	addr string
 }
 
 // regRequest mints and registers a request ID for an attempt on p served
-// by addr, or returns 0 when the client is pinned to the v1 wire. Called
-// with c.mu held.
+// by addr. Called with c.mu held.
 func (c *Client) regRequest(p *cpage, addr string) uint64 {
-	if c.cfg.WireV1 {
-		return 0
-	}
 	c.nextReq++
 	id := c.nextReq
 	c.reqs[id] = reqEntry{p: p, addr: addr}
 	return id
 }
 
-// wantFor computes the v2 want bitmap for an attempt of p's fault.
+// wantFor computes the want bitmap for an attempt of p's fault.
 // Full-coverage policies ask for everything still missing. Lazy asks only
 // for the accessed range — the want bitmap is now a request the server
 // honors beyond its plan, so over-asking would silently turn lazy into
@@ -381,7 +369,7 @@ type Client struct {
 	// thread-safe.
 	pf *core.Prefetcher
 
-	// V2 request-ID pipelining (under c.mu): nextReq mints IDs, reqs maps
+	// Request-ID pipelining (under c.mu): nextReq mints IDs, reqs maps
 	// a live ID to the page it is fetching. A TSubpageBatch whose ID is
 	// not here is stale — a canceled hedge or a timed-out attempt still
 	// draining — and applies its (correct) bytes without touching the
@@ -437,12 +425,14 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("remote: invalid subpage size %d", cfg.SubpageSize)
 	}
 	if cfg.Prefetch {
-		if cfg.WireV1 {
-			return nil, errors.New("remote: Prefetch requires the v2 wire (the v1 request has no want bitmap)")
-		}
 		// Predictions select content through the want bitmap; the lazy
 		// wire policy hands the server no plan of its own to fight them.
 		cfg.Policy = proto.PolicyLazy
+	}
+	// A byte the wire does not carry would otherwise surface only as the
+	// server's TError, after every access had burnt its retry budget.
+	if _, err := core.WirePolicy(cfg.Policy); err != nil {
+		return nil, fmt.Errorf("remote: %w", err)
 	}
 	c := &Client{
 		cfg:     cfg,
@@ -796,9 +786,6 @@ func (c *Client) stopAttempt(p *cpage) (cancels []source) {
 		p.hedge.Stop()
 	}
 	for _, src := range p.sources[:p.nsrc] {
-		if src.id == 0 {
-			continue // v1: no way to withdraw, the stream drains as it always did
-		}
 		delete(c.reqs, src.id)
 		cancels = append(cancels, src)
 		c.stats.Cancels++
@@ -978,8 +965,8 @@ func (c *Client) hedgeAddr(addrs []string, primary string) string {
 }
 
 // sendGet writes one page request to addr under a write deadline, so a
-// stalled connection cannot wedge the fault path. id and want are the v2
-// request ID and missing-block bitmap; id 0 means the v1 wire.
+// stalled connection cannot wedge the fault path. id and want are the
+// request ID and missing-block bitmap.
 func (c *Client) sendGet(addr string, page uint64, off int, id uint64, want uint32) error {
 	sc, err := c.server(addr)
 	if err != nil {
@@ -989,20 +976,12 @@ func (c *Client) sendGet(addr string, page uint64, off int, id uint64, want uint
 	defer sc.wmu.Unlock()
 	_ = sc.conn.SetWriteDeadline(time.Now().Add(c.cfg.RequestTimeout))
 	defer sc.conn.SetWriteDeadline(time.Time{})
-	if id != 0 {
-		return sc.w.SendGetPageV2(proto.GetPageV2{ //lint:allow lockio write is bounded by the deadline above; wmu only serializes writers on this conn
-			ReqID:       id,
-			Page:        page,
-			FaultOff:    uint32(off),
-			SubpageSize: uint32(c.cfg.SubpageSize),
-			Want:        want,
-			Policy:      c.cfg.Policy,
-		})
-	}
-	return sc.w.SendGetPage(proto.GetPage{ //lint:allow lockio write is bounded by the deadline above; wmu only serializes writers on this conn
+	return sc.w.SendGetPageV2(proto.GetPageV2{ //lint:allow lockio write is bounded by the deadline above; wmu only serializes writers on this conn
+		ReqID:       id,
 		Page:        page,
 		FaultOff:    uint32(off),
 		SubpageSize: uint32(c.cfg.SubpageSize),
+		Want:        want,
 		Policy:      c.cfg.Policy,
 	})
 }
@@ -1377,10 +1356,10 @@ func (dc *dirConn) lookupRPC(c *Client, page uint64) (proto.LookupReply, error) 
 		return proto.LookupReply{}, &WrongShardError{Page: ws.Page, Map: ws.Map}
 	case proto.TError:
 		return proto.LookupReply{}, fmt.Errorf("remote: directory %s: %s", dc.addr, proto.DecodeError(f.Payload).Text)
-	case proto.TGetPage, proto.TPageData, proto.TPutPage, proto.TAck,
-		proto.TLookup, proto.TRegister, proto.THeartbeat,
-		proto.TGetShardMap, proto.TShardMap, proto.TGetPageV2,
-		proto.TSubpageBatch, proto.TCancel, proto.TDrain, proto.TDrainReply:
+	case proto.TPutPage, proto.TAck, proto.TLookup, proto.TRegister,
+		proto.THeartbeat, proto.TGetShardMap, proto.TShardMap,
+		proto.TGetPageV2, proto.TSubpageBatch, proto.TCancel, proto.TDrain,
+		proto.TDrainReply:
 		// Valid tags that never answer a lookup; fall through to the
 		// protocol error below.
 	}
@@ -1429,14 +1408,14 @@ func (c *Client) server(addr string) (*srvConn, error) {
 	sc := &srvConn{conn: conn, w: proto.NewWriter(conn)}
 	c.servers[addr] = sc
 	c.wg.Add(1)
-	// The data stream deliberately reads without a deadline: fragments
+	// The data stream deliberately reads without a deadline: batches
 	// arrive whenever the server sends them. Liveness is enforced per
 	// attempt (RequestTimeout timers + dropServer), not per read.
 	go c.readLoop(addr, conn) //lint:allow deadlinecheck data-stream reads are unbounded by design; per-attempt RequestTimeout and dropServer bound liveness
 	return sc, nil
 }
 
-// readLoop applies incoming page fragments to the cache: the prototype's
+// readLoop applies incoming subpage batches to the cache: the prototype's
 // interrupt handler. A connection failure is scoped to the pages this
 // server was transferring — other servers' pages stay usable and a later
 // fault redials.
@@ -1451,12 +1430,6 @@ func (c *Client) readLoop(addr string, conn net.Conn) {
 			return
 		}
 		switch f.Type {
-		case proto.TPageData:
-			pd, err := proto.DecodePageData(f.Payload)
-			if err != nil {
-				continue
-			}
-			c.applyFragment(addr, pd)
 		case proto.TSubpageBatch:
 			b, err := proto.DecodeSubpageBatch(f.Payload)
 			if err != nil {
@@ -1471,11 +1444,11 @@ func (c *Client) readLoop(addr string, conn net.Conn) {
 			cause = fmt.Errorf("remote: server %s: %s",
 				addr, proto.DecodeError(f.Payload).Text)
 			c.failPending(addr, cause)
-		case proto.TGetPage, proto.TPutPage, proto.TAck, proto.TLookup,
-			proto.TLookupReply, proto.TRegister, proto.THeartbeat,
-			proto.TGetShardMap, proto.TShardMap, proto.TWrongShard,
-			proto.TGetPageV2, proto.TCancel, proto.TDrain, proto.TDrainReply:
-			// A data connection only ever carries page fragments and
+		case proto.TPutPage, proto.TAck, proto.TLookup, proto.TLookupReply,
+			proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
+			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
+			proto.TCancel, proto.TDrain, proto.TDrainReply:
+			// A data connection only ever carries subpage batches and
 			// errors. Any other tag means the peer is not speaking the
 			// page-server protocol (or the stream is desynchronized);
 			// trusting further frames would corrupt cached pages, so
@@ -1511,15 +1484,13 @@ func (c *Client) failPending(addr string, cause error) {
 		if !ok {
 			continue
 		}
-		if id != 0 {
-			delete(c.reqs, id)
-			// Withdraw the stream if the connection survives (an
-			// application-level TError): the server may still be
-			// streaming requests this failure did not concern.
-			cancels = append(cancels, source{addr, id})
-			c.stats.Cancels++
-			c.met.cancels.Inc()
-		}
+		delete(c.reqs, id)
+		// Withdraw the stream if the connection survives (an
+		// application-level TError): the server may still be streaming
+		// requests this failure did not concern.
+		cancels = append(cancels, source{addr, id})
+		c.stats.Cancels++
+		c.met.cancels.Inc()
 		if p.nsrc == 0 && p.inflight {
 			c.attemptFailed(p, p.addr, cause)
 		}
@@ -1527,43 +1498,6 @@ func (c *Client) failPending(addr string, cause error) {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.sendCancels(cancels)
-}
-
-// applyFragment copies one arriving fragment into the cache and, on the
-// stream terminator, ends the attempt — and with it the fault. Fragments
-// from a superseded attempt (timed out, hedged twin finishing second)
-// still carry correct bytes, so their data is applied rather than wasted.
-func (c *Client) applyFragment(addr string, pd proto.PageData) {
-	c.mu.Lock()
-	p := c.cache[pd.Page]
-	if p == nil {
-		c.mu.Unlock()
-		return // page was evicted mid-transfer; drop the data
-	}
-	if len(pd.Data) > 0 {
-		off := int(pd.Offset)
-		if off+len(pd.Data) > units.PageSize {
-			c.mu.Unlock()
-			return
-		}
-		copy(p.data[off:], pd.Data)
-		p.valid = p.valid.Set(neededMask(off, len(pd.Data)))
-		c.stats.BytesIn += int64(len(pd.Data))
-		c.met.bytesIn.Add(int64(len(pd.Data)))
-		if pd.Flags&proto.FlagFirst != 0 {
-			c.firstArrived(p)
-		}
-	}
-	done := ""
-	if pd.Flags&proto.FlagLast != 0 && p.inflight {
-		c.attemptDone(p) // no cancels: the v1 wire has no way to withdraw a stream
-		done = p.addr
-	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	if done != "" {
-		c.breakerSuccess(done)
-	}
 }
 
 // firstArrived notes the faulted subpage of the attempt in flight, once.
@@ -1591,7 +1525,7 @@ func (c *Client) attemptDone(p *cpage) []source {
 	return cancels
 }
 
-// applyBatch is the v2 interrupt handler: one frame, many subpage runs.
+// applyBatch is the interrupt handler proper: one frame, many subpage runs.
 // The request ID decides what the batch may do — a live ID applies data
 // AND drives the attempt state machine (first-subpage latency, stream
 // completion, hedge settlement); a stale ID (canceled, timed out,

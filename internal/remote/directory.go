@@ -166,14 +166,8 @@ func ListenDirectoryWith(addr string, cfg DirectoryConfig) (*Directory, error) {
 	return d, nil
 }
 
-// ListenDirectoryOn starts a directory on an existing listener — the hook
-// for running it behind a chaos injector or a custom transport.
-func ListenDirectoryOn(ln net.Listener) *Directory {
-	d, _ := ListenDirectoryOnWith(ln, DirectoryConfig{}) // no journal: cannot fail
-	return d
-}
-
-// ListenDirectoryOnWith starts a directory on an existing listener with
+// ListenDirectoryOnWith starts a directory on an existing listener — the
+// hook for running it behind a chaos injector or a custom transport — with
 // explicit liveness settings. The only failure mode is a journal that
 // cannot be opened or belongs to a different shard assignment; without
 // cfg.Journal it never fails.
@@ -793,10 +787,9 @@ func (d *Directory) serve(conn net.Conn) {
 			if err := w.SendDrainReply(proto.DrainReply{Moved: uint32(moved)}); err != nil {
 				return
 			}
-		case proto.TGetPage, proto.TPageData, proto.TPutPage, proto.TAck,
-			proto.TLookupReply, proto.TError, proto.TShardMap,
-			proto.TWrongShard, proto.TGetPageV2, proto.TSubpageBatch,
-			proto.TCancel, proto.TDrainReply:
+		case proto.TPutPage, proto.TAck, proto.TLookupReply, proto.TError,
+			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
+			proto.TSubpageBatch, proto.TCancel, proto.TDrainReply:
 			// Data-plane and reply tags never arrive at a directory;
 			// refuse and hang up rather than guess at the peer's intent.
 			_ = w.SendError(fmt.Sprintf("directory: unexpected %v", f.Type))

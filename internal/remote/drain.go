@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/gms-sim/gmsubpage/internal/dirlog"
+	"github.com/gms-sim/gmsubpage/internal/memmodel"
 	"github.com/gms-sim/gmsubpage/internal/proto"
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
@@ -226,11 +227,19 @@ func transferPages(src, dest string, pages []uint64) error {
 	sr, sw := proto.NewReader(sc), proto.NewWriter(sc)
 	dr, dw := proto.NewReader(dc), proto.NewWriter(dc)
 	buf := make([]byte, units.PageSize)
-	for _, p := range pages {
+	for i, p := range pages {
 		if err := sc.SetDeadline(time.Now().Add(drainOpTimeout)); err != nil {
 			return err
 		}
-		if err := fetchFullPage(sr, sw, p, buf); err != nil {
+		// buf still holds the previous page: only a reply that covers every
+		// block of this one may be put to the destination under its ID.
+		got, err := getPage(sr, sw, proto.GetPageV2{
+			ReqID: uint64(i) + 1, Page: p, SubpageSize: units.PageSize, Policy: proto.PolicyFullPage,
+		}, buf)
+		if err == nil && !got.Full() {
+			err = fmt.Errorf("reply ended %d blocks short of a page", units.ValidBitsPerPage-got.Count())
+		}
+		if err != nil {
 			return fmt.Errorf("fetch page %d from %s: %w", p, src, err)
 		}
 		if err := dc.SetDeadline(time.Now().Add(drainOpTimeout)); err != nil {
@@ -240,72 +249,63 @@ func transferPages(src, dest string, pages []uint64) error {
 			return fmt.Errorf("put page %d to %s: %w", p, dest, err)
 		}
 	}
-	// Puts carry no ack; a subpage read-back of the last page flushes the
-	// destination's receive pipeline (frames on one connection apply in
+	// Puts carry no ack; a one-block lazy read-back of the last page flushes
+	// the destination's receive pipeline (frames on one connection apply in
 	// order), proving every put above is stored before we fence the source.
 	if err := dc.SetDeadline(time.Now().Add(drainOpTimeout)); err != nil {
 		return err
 	}
-	if err := confirmPage(dr, dw, pages[len(pages)-1]); err != nil {
+	if _, err := getPage(dr, dw, proto.GetPageV2{
+		ReqID: 1, Page: pages[len(pages)-1], SubpageSize: units.MinSubpage,
+		Want: uint32(memmodel.BlockMask(0)), Policy: proto.PolicyLazy,
+	}, nil); err != nil {
 		return fmt.Errorf("confirm on %s: %w", dest, err)
 	}
 	return nil
 }
 
-// fetchFullPage issues a v1 full-page get and assembles the reply into
-// buf (PageSize bytes).
-func fetchFullPage(r *proto.Reader, w *proto.Writer, page uint64, buf []byte) error {
-	if err := w.SendGetPage(proto.GetPage{
-		Page: page, FaultOff: 0, SubpageSize: units.PageSize, Policy: proto.PolicyFullPage,
-	}); err != nil {
-		return err
+// getPage issues one get on a drain connection and consumes its reply
+// through FlagLast, copying the runs into buf (PageSize bytes) when non-nil.
+// It returns the blocks the reply covered; what coverage is enough is the
+// caller's call. A batch echoing another request ID or page fails the
+// exchange rather than landing in buf.
+func getPage(r *proto.Reader, w *proto.Writer, req proto.GetPageV2, buf []byte) (memmodel.Bitmap, error) {
+	if err := w.SendGetPageV2(req); err != nil {
+		return 0, err
 	}
-	return readPageData(r, page, buf)
-}
-
-// confirmPage issues a minimal lazy get and drains the reply, discarding
-// the data: its only job is proving the connection's earlier frames were
-// processed.
-func confirmPage(r *proto.Reader, w *proto.Writer, page uint64) error {
-	if err := w.SendGetPage(proto.GetPage{
-		Page: page, FaultOff: 0, SubpageSize: units.MinSubpage, Policy: proto.PolicyLazy,
-	}); err != nil {
-		return err
-	}
-	return readPageData(r, page, nil)
-}
-
-// readPageData consumes one v1 reply stream (TPageData frames through
-// FlagLast), copying fragments into buf when non-nil.
-func readPageData(r *proto.Reader, page uint64, buf []byte) error {
+	var got memmodel.Bitmap
 	for {
 		f, err := r.Next()
 		if err != nil {
-			return err
+			return got, err
 		}
 		switch f.Type {
-		case proto.TPageData:
-			pd, err := proto.DecodePageData(f.Payload)
+		case proto.TSubpageBatch:
+			b, err := proto.DecodeSubpageBatch(f.Payload)
 			if err != nil {
-				return err
+				return got, err
 			}
-			if pd.Page != page {
-				return fmt.Errorf("reply for page %d while fetching %d", pd.Page, page)
+			if b.ReqID != req.ReqID || b.Page != req.Page {
+				return got, fmt.Errorf("batch for request %d (page %d) in the reply to request %d (page %d)",
+					b.ReqID, b.Page, req.ReqID, req.Page)
 			}
-			if buf != nil && len(pd.Data) > 0 && int(pd.Offset)+len(pd.Data) <= len(buf) {
-				copy(buf[pd.Offset:], pd.Data)
+			for i := 0; i < b.Runs(); i++ {
+				off, data := b.Run(i) // in-page and block-aligned: DecodeSubpageBatch checked
+				if buf != nil {
+					copy(buf[off:], data)
+				}
+				got = got.Set(neededMask(off, len(data)))
 			}
-			if pd.Flags&proto.FlagLast != 0 {
-				return nil
+			if b.Flags&proto.FlagLast != 0 {
+				return got, nil
 			}
 		case proto.TError:
-			return fmt.Errorf("%s", proto.DecodeError(f.Payload).Text)
-		case proto.TGetPage, proto.TPutPage, proto.TAck, proto.TLookup,
-			proto.TLookupReply, proto.TRegister, proto.THeartbeat,
-			proto.TGetShardMap, proto.TShardMap, proto.TWrongShard,
-			proto.TGetPageV2, proto.TSubpageBatch, proto.TCancel,
-			proto.TDrain, proto.TDrainReply:
-			return fmt.Errorf("unexpected %v in page reply", f.Type)
+			return got, fmt.Errorf("%s", proto.DecodeError(f.Payload).Text)
+		case proto.TPutPage, proto.TAck, proto.TLookup, proto.TLookupReply,
+			proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
+			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
+			proto.TCancel, proto.TDrain, proto.TDrainReply:
+			return got, fmt.Errorf("unexpected %v in page reply", f.Type)
 		}
 	}
 }
@@ -344,11 +344,10 @@ func DrainVia(dirAddr, serverAddr string, timeout time.Duration) (int, error) {
 		return int(rep.Moved), nil
 	case proto.TError:
 		return 0, fmt.Errorf("remote: drain: %s", proto.DecodeError(f.Payload).Text)
-	case proto.TGetPage, proto.TPageData, proto.TPutPage, proto.TAck,
-		proto.TLookup, proto.TLookupReply, proto.TRegister,
-		proto.THeartbeat, proto.TGetShardMap, proto.TShardMap,
-		proto.TWrongShard, proto.TGetPageV2, proto.TSubpageBatch,
-		proto.TCancel, proto.TDrain:
+	case proto.TPutPage, proto.TAck, proto.TLookup, proto.TLookupReply,
+		proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
+		proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
+		proto.TSubpageBatch, proto.TCancel, proto.TDrain:
 		return 0, fmt.Errorf("remote: drain: unexpected %v reply", f.Type)
 	}
 	return 0, nil

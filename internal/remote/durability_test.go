@@ -3,6 +3,8 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -403,6 +405,112 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if got := d.Replicas(0); len(got) != 1 || got[0] != destSrv.Addr() {
 		t.Fatalf("failed drain disturbed the table: Replicas(0) = %v", got)
+	}
+}
+
+// fakeSource starts a scripted page source on an ephemeral port and returns
+// its address: every get on every connection is answered by reply, until the
+// peer hangs up or reply fails.
+func fakeSource(t *testing.T, reply func(*proto.Writer, proto.GetPageV2) error) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	serve := func(conn net.Conn) {
+		defer conn.Close()
+		r, w := proto.NewReader(conn), proto.NewWriter(conn)
+		for {
+			f, err := r.Next()
+			if err != nil || f.Type != proto.TGetPageV2 {
+				return
+			}
+			req, err := proto.DecodeGetPageV2(f.Payload)
+			if err != nil || reply(w, req) != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(conn)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestDrainRejectsShortReply: a source whose reply carries FlagLast after
+// half a page must fail the transfer. The fetch buffer is reused across
+// pages, so accepting it would put a page that is half the previous page's
+// bytes to the destination under this page's ID — and then fence the only
+// real copy. The destination gets no put, the mark rolls back (a journaled
+// DrainAbort) and the source stays the page's holder.
+func TestDrainRejectsShortReply(t *testing.T) {
+	jdir := t.TempDir()
+	d := durableDirectory(t, jdir, time.Minute, 0)
+	// One batch holding the first half of the page, flagged first and last.
+	src := fakeSource(t, func(w *proto.Writer, req proto.GetPageV2) error {
+		half := pagePattern(req.Page)[:units.PageSize/2]
+		return w.SendSubpageBatch(req.ReqID, req.Page, proto.FlagFirst|proto.FlagLast,
+			[]proto.SubpageRun{{Data: half}})
+	})
+	registerRaw(t, d.Addr(), src, []uint64{7})
+	dest, err := ListenServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dest.Close() })
+	if err := dest.RegisterWith(d.Addr()); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := transferPages(src, dest.Addr(), []uint64{7}); err == nil || !strings.Contains(err.Error(), "short of a page") {
+		t.Fatalf("transferPages accepted a half-page reply: err = %v", err)
+	}
+	if moved, err := d.Drain(src); err == nil || moved != 0 {
+		t.Fatalf("Drain = %d, %v; want 0 pages and the transfer's error", moved, err)
+	}
+	// Both connections to the destination are closed and drained by now or
+	// soon after; a put would have been stored before the server saw EOF.
+	time.Sleep(50 * time.Millisecond)
+	if n := dest.Pages(); n != 0 {
+		t.Fatalf("the destination stores %d pages after a refused transfer, want 0", n)
+	}
+	if got := d.Replicas(7); len(got) != 1 || got[0] != src {
+		t.Fatalf("Replicas(7) = %v, want the source alone", got)
+	}
+	if st := d.StateSnapshot(); len(st.Draining) != 0 {
+		t.Fatalf("failed drain left a draining mark: %v", st.Draining)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := journalState(t, jdir); len(st.Draining) != 0 {
+		t.Fatalf("the journal still marks %v draining: the rollback was not recorded", st.Draining)
+	}
+}
+
+// A complete page under another request's ID, or another page's number, is
+// not this get's reply: the transfer fails instead of trusting it.
+func TestDrainRejectsStrayBatch(t *testing.T) {
+	_, dest := testCluster(t, 0)
+	for name, skew := range map[string][2]uint64{"request ID": {1, 0}, "page": {0, 1}} {
+		src := fakeSource(t, func(w *proto.Writer, req proto.GetPageV2) error {
+			return w.SendSubpageBatch(req.ReqID+skew[0], req.Page+skew[1], proto.FlagFirst|proto.FlagLast,
+				[]proto.SubpageRun{{Data: pagePattern(req.Page)}})
+		})
+		if err := transferPages(src, dest.Addr(), []uint64{7}); err == nil {
+			t.Errorf("transferPages accepted a batch echoing the wrong %s", name)
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	if n := dest.Pages(); n != 0 {
+		t.Fatalf("the destination stores %d pages after refused transfers, want 0", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"github.com/gms-sim/gmsubpage/internal/core"
@@ -10,51 +9,21 @@ import (
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
-// TestPolicyWireRoundTrip keeps the three policy registries in sync: every
-// wire byte must name a policy core.ByName can build, the name must map
-// back to the same byte, and the server's policyFor must resolve it. A new
-// wire policy that misses one of the three layers fails here instead of at
-// the first cross-version request.
+// TestPolicyWireRoundTrip holds the two places the wire-policy set still
+// touches to each other: proto's Policy* constants define the byte on the
+// wire, core's table is indexed by it and owns the names. remote is the
+// package that sees both, so a constant that drifts off its table index
+// fails here instead of at the first fault planned with the wrong policy.
 func TestPolicyWireRoundTrip(t *testing.T) {
-	for b := uint8(0); ; b++ {
-		name, err := proto.PolicyName(b)
-		if err != nil {
-			if b == 0 {
-				t.Fatal("no wire policies registered at all")
-			}
-			break // first unassigned byte: the wire table is dense by construction
+	for b, name := range map[uint8]string{
+		proto.PolicyFullPage: "fullpage", proto.PolicyLazy: "lazy",
+		proto.PolicyEager: "eager", proto.PolicyPipelined: "pipelined",
+	} {
+		if pol, err := core.WirePolicy(b); err != nil || pol.Name() != name {
+			t.Errorf("wire byte %d resolves to %v, %v; want %s", b, pol, err, name)
 		}
-		pol, err := core.ByName(name)
-		if err != nil {
-			t.Errorf("wire byte %d names %q, which core.ByName rejects: %v", b, name, err)
-			continue
-		}
-		if pol.Name() != name {
-			t.Errorf("core policy for %q calls itself %q", name, pol.Name())
-		}
-		back, err := proto.PolicyByte(name)
-		if err != nil || back != b {
-			t.Errorf("PolicyByte(%q) = %d, %v; want %d", name, back, err, b)
-		}
-		spol, err := policyFor(b)
-		if err != nil {
-			t.Errorf("server policyFor(%d) failed: %v", b, err)
-		} else if spol.Name() != name {
-			t.Errorf("server policyFor(%d) = %q, want %q", b, spol.Name(), name)
-		}
-	}
-
-	// Simulator-only policies must fail typed at the wire boundary, not
-	// leak through as a bogus byte.
-	for _, name := range []string{"prefetch", "widefault", "pipelined-double"} {
-		if _, err := core.ByName(name); err != nil {
-			t.Errorf("core.ByName(%q) failed: %v", name, err)
-		}
-		var ue *proto.UnknownPolicyError
-		if _, err := proto.PolicyByte(name); err == nil {
-			t.Errorf("PolicyByte(%q) succeeded; want UnknownPolicyError for a simulator-only policy", name)
-		} else if !errors.As(err, &ue) {
-			t.Errorf("PolicyByte(%q) error %T, want *proto.UnknownPolicyError", name, err)
+		if back, err := core.WireByte(name); err != nil || back != b {
+			t.Errorf("WireByte(%q) = %d, %v; want %d", name, back, err, b)
 		}
 	}
 }
@@ -96,14 +65,5 @@ func TestClientPrefetchLearnsStride(t *testing.T) {
 	if prefFaults >= lazyFaults {
 		t.Fatalf("prefetch client faulted %d times, lazy baseline %d; predictions saved nothing",
 			prefFaults, lazyFaults)
-	}
-}
-
-// TestClientPrefetchRejectsV1 pins the config guard: predictions ride the
-// v2 want bitmap, so a v1-pinned prefetch client must fail at Dial.
-func TestClientPrefetchRejectsV1(t *testing.T) {
-	_, err := Dial(ClientConfig{Directory: "127.0.0.1:1", Prefetch: true, WireV1: true})
-	if err == nil {
-		t.Fatal("Dial accepted Prefetch+WireV1")
 	}
 }

@@ -2,11 +2,14 @@ package remote
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/gms-sim/gmsubpage/internal/core"
+	"github.com/gms-sim/gmsubpage/internal/memmodel"
 	"github.com/gms-sim/gmsubpage/internal/proto"
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
@@ -322,6 +325,11 @@ func TestInvalidSubpageSizeRejected(t *testing.T) {
 	}
 }
 
+// The reply-stream oracle in replywire_test.go is kept byte for byte; these
+// are the two names it calls that the server no longer needs for itself.
+func bitmapRuns(b memmodel.Bitmap) []byteRun { return appendBitmapRuns(nil, b) }
+func policyFor(b uint8) (core.Policy, error) { return core.WirePolicy(b) }
+
 func TestBitmapRuns(t *testing.T) {
 	runs := bitmapRuns(0)
 	if len(runs) != 0 {
@@ -339,12 +347,38 @@ func TestBitmapRuns(t *testing.T) {
 	}
 }
 
+// The server refuses a malformed get with a TError and keeps the connection:
+// Dial validates what this build's client sends, but the bytes on the wire
+// come from any build.
 func TestServerRejectsBadRequests(t *testing.T) {
-	dir, _ := testCluster(t, 1)
-	c := testClient(t, dir, ClientConfig{Policy: 200}) // unknown policy byte
-	var b [8]byte
-	if err := c.Read(b[:], 0); err == nil {
-		t.Fatal("unknown policy should produce a server error")
+	_, srv := testCluster(t, 1)
+	conn, w, r := dialRaw(t, srv.Addr())
+	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+	for _, req := range []proto.GetPageV2{
+		{ReqID: 1, SubpageSize: 1024, Policy: 200}, // a byte no policy owns
+		{ReqID: 2, SubpageSize: 100, Policy: proto.PolicyEager},
+		{ReqID: 3, FaultOff: units.PageSize, SubpageSize: 1024, Policy: proto.PolicyEager},
+		{ReqID: 4, Page: 99, SubpageSize: 1024, Policy: proto.PolicyEager}, // not stored
+	} {
+		if err := w.SendGetPageV2(req); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := r.Next(); err != nil || f.Type != proto.TError {
+			t.Fatalf("request %d answered %v, %v; want a TError", req.ReqID, f.Type, err)
+		}
+	}
+}
+
+// Dial refuses a policy byte the wire does not carry, typed and before it
+// touches the network: discovered server-side it would cost every access its
+// whole retry budget.
+func TestDialRejectsUnknownPolicy(t *testing.T) {
+	for _, b := range []uint8{4, 200} {
+		_, err := Dial(ClientConfig{Directory: "127.0.0.1:1", Policy: b})
+		var ue *core.UnknownPolicyError
+		if !errors.As(err, &ue) {
+			t.Fatalf("Dial with policy byte %d: err = %v, want *core.UnknownPolicyError", b, err)
+		}
 	}
 }
 

@@ -15,15 +15,15 @@ import (
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
-// Server is a page server: a node donating memory to the global cache. It
-// answers GetPage requests by streaming the faulted subpage first and the
-// remainder according to the requested policy, and accepts PutPage traffic
-// from evicting clients.
 // DefaultHeartbeatInterval is the lease-renewal period used unless
 // SetHeartbeatInterval overrides it. It must stay well under the
 // directory's lease TTL so a healthy server never expires.
 const DefaultHeartbeatInterval = 5 * time.Second
 
+// Server is a page server: a node donating memory to the global cache. It
+// answers GetPageV2 requests by streaming the faulted subpage first and the
+// remainder according to the requested policy, and accepts PutPage traffic
+// from evicting clients.
 type Server struct {
 	ln net.Listener
 
@@ -48,7 +48,7 @@ type Server struct {
 	hbOn     bool
 
 	// wireNsPerByte emulates a slower link: the server delays each data
-	// fragment by its serialization time at the configured rate. Loopback
+	// batch by its serialization time at the configured rate. Loopback
 	// TCP is effectively infinitely fast, which hides the transfer-size
 	// effects the paper measures on a 155 Mb/s ATM; throttling restores
 	// them. Zero means no throttling. Accessed atomically.
@@ -57,7 +57,7 @@ type Server struct {
 	// Stats.
 	Gets    int64
 	Puts    int64
-	Cancels int64 // v2 requests withdrawn by TCancel before completion
+	Cancels int64 // requests withdrawn by TCancel before completion
 	Reregs  int64 // full re-registrations after a directory answered "no lease"
 
 	// met holds the gms_server_* metric handles (nil-safe no-ops until
@@ -328,11 +328,11 @@ func (s *Server) registerAt(dirAddr string, epoch uint64, ids []uint64) error {
 		case proto.TAck:
 		case proto.TError:
 			return fmt.Errorf("remote: register: %s", proto.DecodeError(f.Payload).Text)
-		case proto.TGetPage, proto.TPageData, proto.TPutPage, proto.TLookup,
-			proto.TLookupReply, proto.TRegister, proto.THeartbeat,
-			proto.TGetShardMap, proto.TShardMap, proto.TWrongShard,
-			proto.TGetPageV2, proto.TSubpageBatch, proto.TCancel,
-			proto.TDrain, proto.TDrainReply:
+		case proto.TPutPage, proto.TLookup, proto.TLookupReply,
+			proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
+			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
+			proto.TSubpageBatch, proto.TCancel, proto.TDrain,
+			proto.TDrainReply:
 			return fmt.Errorf("remote: register: unexpected %v", f.Type)
 		}
 		ids = ids[n:]
@@ -456,19 +456,12 @@ func (s *Server) acceptLoop() {
 }
 
 // srvReq is one unit of work handed from a connection's reader to its
-// writer goroutine.
+// writer goroutine: a get to answer or, when errMsg is set, a refusal to
+// send.
 type srvReq struct {
-	get    proto.GetPage   // valid when kind == reqGetV1
-	getV2  proto.GetPageV2 // valid when kind == reqGetV2
-	errMsg string          // valid when kind == reqError
-	kind   uint8
+	get    proto.GetPageV2
+	errMsg string
 }
-
-const (
-	reqGetV1 = iota
-	reqGetV2
-	reqError
-)
 
 // connState is the per-connection serving state shared by the reader and
 // writer halves. The reader decodes requests into queue and records
@@ -496,7 +489,7 @@ type connState struct {
 	brs     []byteRun
 }
 
-// begin records a v2 request as live (called by the reader on enqueue).
+// begin records a request as live (called by the reader on enqueue).
 func (st *connState) begin(id uint64) {
 	st.cmu.Lock()
 	st.live[id] = true
@@ -575,32 +568,25 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 		switch f.Type {
-		case proto.TGetPage:
-			req, err := proto.DecodeGetPage(f.Payload)
-			if err != nil {
-				st.queue <- srvReq{kind: reqError, errMsg: err.Error()}
-				return
-			}
-			st.queue <- srvReq{kind: reqGetV1, get: req}
 		case proto.TGetPageV2:
 			req, err := proto.DecodeGetPageV2(f.Payload)
 			if err != nil {
-				st.queue <- srvReq{kind: reqError, errMsg: err.Error()}
+				st.queue <- srvReq{errMsg: err.Error()}
 				return
 			}
 			st.begin(req.ReqID)
-			st.queue <- srvReq{kind: reqGetV2, getV2: req}
+			st.queue <- srvReq{get: req}
 		case proto.TCancel:
 			cn, err := proto.DecodeCancel(f.Payload)
 			if err != nil {
-				st.queue <- srvReq{kind: reqError, errMsg: err.Error()}
+				st.queue <- srvReq{errMsg: err.Error()}
 				return
 			}
 			st.cancel(cn.ReqID)
 		case proto.TPutPage:
 			put, err := proto.DecodePutPage(f.Payload)
 			if err != nil {
-				st.queue <- srvReq{kind: reqError, errMsg: err.Error()}
+				st.queue <- srvReq{errMsg: err.Error()}
 				return
 			}
 			s.Store(put.Page, put.Data)
@@ -611,11 +597,11 @@ func (s *Server) serve(conn net.Conn) {
 			met.puts.Inc()
 		case proto.TAck, proto.TLookup, proto.TLookupReply, proto.TRegister,
 			proto.TError, proto.THeartbeat, proto.TGetShardMap,
-			proto.TShardMap, proto.TWrongShard, proto.TPageData,
-			proto.TSubpageBatch, proto.TDrain, proto.TDrainReply:
+			proto.TShardMap, proto.TWrongShard, proto.TSubpageBatch,
+			proto.TDrain, proto.TDrainReply:
 			// Tags a page server never receives; refuse and hang up so a
 			// confused peer cannot keep feeding us misdirected traffic.
-			st.queue <- srvReq{kind: reqError, errMsg: fmt.Sprintf("server: unexpected %v", f.Type)}
+			st.queue <- srvReq{errMsg: fmt.Sprintf("server: unexpected %v", f.Type)}
 			return
 		}
 	}
@@ -631,90 +617,22 @@ func (s *Server) writeLoop(st *connState) {
 	w := proto.NewWriter(st.conn)
 	dead := false
 	for req := range st.queue {
-		if dead {
-			if req.kind == reqGetV2 {
-				st.finish(req.getV2.ReqID)
-			}
-			continue
-		}
 		var err error
-		switch req.kind {
-		case reqGetV1:
-			err = s.sendPage(w, req.get, slp)
-		case reqGetV2:
-			err = s.sendPageV2(st, w, req.getV2, slp)
-			st.finish(req.getV2.ReqID)
-		case reqError:
+		switch {
+		case dead:
+		case req.errMsg != "":
 			err = w.SendError(req.errMsg)
+		default:
+			err = s.sendPageV2(st, w, req.get, slp)
+		}
+		if req.errMsg == "" {
+			st.finish(req.get.ReqID)
 		}
 		if err != nil {
 			dead = true
 			_ = st.conn.Close()
 		}
 	}
-}
-
-// wirePolicies resolves each wire policy byte once instead of per request;
-// the wire policies are stateless values, safe to share. A byte that does
-// not resolve stays nil, and policyFor reports why.
-var wirePolicies = func() (t [256]core.Policy) {
-	for b := range t {
-		name, err := proto.PolicyName(uint8(b))
-		if err != nil {
-			break // the wire bytes are dense: the first unassigned one ends them
-		}
-		t[b], _ = core.ByName(name)
-	}
-	return t
-}()
-
-// policyFor maps a wire policy byte to a transfer plan policy through the
-// protocol's shared name mapping, so the server and the public DialClient
-// can never drift on which policies the wire carries.
-func policyFor(b uint8) (core.Policy, error) {
-	if pol := wirePolicies[b]; pol != nil {
-		return pol, nil
-	}
-	name, err := proto.PolicyName(b)
-	if err != nil {
-		return nil, err
-	}
-	return core.ByName(name)
-}
-
-// sendPage streams the fragments of one page per the requested policy:
-// the fragment covering the fault goes first, the rest follow immediately
-// behind it on the wire (the prototype's sender pipelining).
-func (s *Server) sendPage(w *proto.Writer, req proto.GetPage, slp *sleeper) error {
-	pb, pol, sub, off, errMsg := s.openGet(req.Page, req.Policy, req.SubpageSize, req.FaultOff)
-	if errMsg != "" {
-		return w.SendError(errMsg)
-	}
-	defer pb.release()
-	data := pb.data
-	met := s.metrics()
-
-	plan := pol.Plan(sub, off)
-	for i, msg := range plan {
-		for _, run := range bitmapRuns(msg.Covers) {
-			flags := uint8(0)
-			if i == 0 && run.contains(off) {
-				flags |= proto.FlagFirst
-			}
-			s.wireDelay(slp, run.end-run.start)
-			if err := w.SendPageData(proto.PageData{
-				Page:   req.Page,
-				Offset: uint32(run.start),
-				Flags:  flags,
-				Data:   data[run.start:run.end],
-			}); err != nil {
-				return err
-			}
-			met.bytesOut.Add(int64(run.end - run.start))
-		}
-	}
-	// A zero-length terminator marks the reply complete.
-	return w.SendPageData(proto.PageData{Page: req.Page, Flags: proto.FlagLast})
 }
 
 // openGet validates one get request and pins its page: the returned
@@ -734,7 +652,7 @@ func (s *Server) openGet(page uint64, policy uint8, subpageSize, faultOff uint32
 		return nil, nil, 0, 0, fmt.Sprintf("server: page %d not stored", page)
 	}
 	var err error
-	if pol, err = policyFor(policy); err != nil {
+	if pol, err = core.WirePolicy(policy); err != nil {
 		pb.release()
 		return nil, nil, 0, 0, err.Error()
 	}
@@ -889,12 +807,8 @@ func (st *connState) flush(met serverMetrics) error {
 // byteRun is a contiguous valid range within a page.
 type byteRun struct{ start, end int }
 
-func (r byteRun) contains(off int) bool { return off >= r.start && off < r.end }
-
-// bitmapRuns converts a valid-bit set into contiguous byte ranges.
-func bitmapRuns(b memmodel.Bitmap) []byteRun { return appendBitmapRuns(nil, b) }
-
-// appendBitmapRuns is the allocation-free form: runs append into dst.
+// appendBitmapRuns converts a valid-bit set into contiguous byte ranges,
+// appended to dst so the reply path allocates nothing.
 func appendBitmapRuns(dst []byteRun, b memmodel.Bitmap) []byteRun {
 	runs := dst
 	inRun := false

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,9 +12,9 @@ import (
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
-// This file pins the v2 batched wire: mixed-version interop, the want
-// bitmap, cancellation (including the eager hedge-loser cancel), and the
-// fault path's steady-state allocation budgets.
+// This file pins the batched fault wire: the want bitmap, cancellation
+// (including the eager hedge-loser cancel), and the fault path's
+// steady-state allocation budgets.
 
 func serverCancels(s *Server) int64 {
 	s.mu.Lock()
@@ -41,32 +40,6 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	}
 }
 
-// A client pinned to the v1 wire must work against a v2 server unchanged:
-// the server still speaks TGetPage/TPageData to peers that ask with them.
-func TestWireV1ClientAgainstV2Server(t *testing.T) {
-	dir, srv := testCluster(t, 4)
-	c := testClient(t, dir, ClientConfig{Policy: proto.PolicyPipelined, WireV1: true})
-	buf := make([]byte, units.PageSize)
-	for p := uint64(0); p < 4; p++ {
-		if err := c.Read(buf, p*units.PageSize); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, pagePattern(p)) {
-			t.Fatalf("page %d mismatch over the v1 wire", p)
-		}
-	}
-	st := c.Stats()
-	if st.Faults != 4 {
-		t.Fatalf("Faults = %d, want 4", st.Faults)
-	}
-	if st.Cancels != 0 {
-		t.Fatalf("a v1-pinned client sent %d cancels; the v1 wire has none", st.Cancels)
-	}
-	if got := serverGets(srv); got != 4 {
-		t.Fatalf("server Gets = %d, want 4", got)
-	}
-}
-
 // registerRaw takes out a directory registration on behalf of a fake
 // server, the way a real one would on the wire.
 func registerRaw(t *testing.T, dirAddr, srvAddr string, pages []uint64) {
@@ -88,96 +61,6 @@ func registerRaw(t *testing.T, dirAddr, srvAddr string, pages []uint64) {
 	}
 	if f.Type != proto.TAck {
 		t.Fatalf("register answered %v, want TAck", f.Type)
-	}
-}
-
-// serveV1Only emulates a page server that predates the v2 wire: it serves
-// TGetPage and severs the connection on any tag it does not know, exactly
-// as the old framing layer did.
-func serveV1Only(conn net.Conn, v2Frames *atomic.Int64) {
-	defer conn.Close()
-	r := proto.NewReader(conn)
-	w := proto.NewWriter(conn)
-	for {
-		f, err := r.Next()
-		if err != nil {
-			return
-		}
-		if f.Type > proto.TWrongShard {
-			v2Frames.Add(1)
-			return
-		}
-		if f.Type != proto.TGetPage {
-			return
-		}
-		req, err := proto.DecodeGetPage(f.Payload)
-		if err != nil {
-			return
-		}
-		if err := w.SendPageData(proto.PageData{
-			Page: req.Page, Offset: 0, Flags: proto.FlagFirst, Data: pagePattern(req.Page),
-		}); err != nil {
-			return
-		}
-		if err := w.SendPageData(proto.PageData{Page: req.Page, Flags: proto.FlagLast}); err != nil {
-			return
-		}
-	}
-}
-
-// The other half of the rollout contract: a default (v2) client against a
-// v1-only server fails typed instead of wedging, and the same client
-// pinned to WireV1 works. This is why servers upgrade before clients.
-func TestV2ClientAgainstV1OnlyServer(t *testing.T) {
-	dir, err := ListenDirectory("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dir.Close() })
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	var v2Frames atomic.Int64
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go serveV1Only(conn, &v2Frames)
-		}
-	}()
-	registerRaw(t, dir.Addr(), ln.Addr().String(), []uint64{0})
-
-	cfg := fastRetry(ClientConfig{Policy: proto.PolicyEager})
-	cfg.Directory = dir.Addr()
-	c, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	buf := make([]byte, units.PageSize)
-	if err := c.Read(buf, 0); !errors.Is(err, ErrPageUnavailable) {
-		t.Fatalf("v2 client against a v1-only server: err = %v, want ErrPageUnavailable", err)
-	}
-	if v2Frames.Load() == 0 {
-		t.Fatal("the stub never saw a v2 frame; the test exercised nothing")
-	}
-
-	cfgV1 := fastRetry(ClientConfig{Policy: proto.PolicyEager, WireV1: true})
-	cfgV1.Directory = dir.Addr()
-	cv1, err := Dial(cfgV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cv1.Close() })
-	if err := cv1.Read(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pagePattern(0)) {
-		t.Fatal("page mismatch from the v1-only server")
 	}
 }
 
@@ -540,23 +423,22 @@ func TestStaleBatchAppliesWithoutSignaling(t *testing.T) {
 }
 
 // TestBatchedWireSmoke is the bounded batched-path smoke run under -race
-// by make ci: v2 and v1-pinned clients hammer the same replicated servers
+// by make ci: three clients hammer the same replicated servers
 // concurrently, with hedging on and a cache small enough to churn the
 // page-buffer pool.
 func TestBatchedWireSmoke(t *testing.T) {
 	dir, _, _ := replicatedCluster(t, 16)
-	mk := func(v1 bool) *Client {
+	mk := func() *Client {
 		cfg := fastRetry(ClientConfig{
 			Policy:      proto.PolicyPipelined,
 			SubpageSize: 512,
 			CachePages:  8,
 			Hedge:       2 * time.Millisecond,
-			WireV1:      v1,
 		})
 		cfg.RequestTimeout = 5 * time.Second
 		return testClient(t, dir, cfg)
 	}
-	clients := []*Client{mk(false), mk(false), mk(true)}
+	clients := []*Client{mk(), mk(), mk()}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(clients))
 	for gi, c := range clients {

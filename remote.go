@@ -3,6 +3,7 @@ package gmsubpage
 import (
 	"time"
 
+	"github.com/gms-sim/gmsubpage/internal/core"
 	"github.com/gms-sim/gmsubpage/internal/dirlog"
 	"github.com/gms-sim/gmsubpage/internal/dirshard"
 	"github.com/gms-sim/gmsubpage/internal/proto"
@@ -17,24 +18,13 @@ import (
 // Directory is a running global cache directory.
 type Directory struct{ d *remote.Directory }
 
-// StartDirectory starts a directory on addr (use "127.0.0.1:0" for an
-// ephemeral port) with the default lease TTL.
-func StartDirectory(addr string) (*Directory, error) {
-	return StartDirectoryTTL(addr, 0)
-}
-
-// StartDirectoryTTL starts a directory whose server registrations expire
-// after leaseTTL without a heartbeat (0 selects the default, 30s). A dead
-// page server stops being returned by lookups within one TTL.
-func StartDirectoryTTL(addr string, leaseTTL time.Duration) (*Directory, error) {
-	return StartDirectoryWith(addr, DirectoryOptions{LeaseTTL: leaseTTL})
-}
-
 // DirectoryOptions shape a directory, most notably its durability (see
-// DESIGN.md §12 and the README's "Durability" section).
+// DESIGN.md §12 and the README's "Durability" section). The zero value is
+// an in-memory directory with the default lease TTL.
 type DirectoryOptions struct {
 	// LeaseTTL is how long a registration stays visible without a
-	// renewing heartbeat (0 = default 30s).
+	// renewing heartbeat (0 = default 30s). A dead page server stops
+	// being returned by lookups within one TTL.
 	LeaseTTL time.Duration
 
 	// JournalDir, when non-empty, makes the directory durable: every
@@ -67,9 +57,9 @@ func (o DirectoryOptions) journal() (*dirlog.Options, error) {
 	return &dirlog.Options{Dir: o.JournalDir, Fsync: fsync, SnapshotEvery: o.SnapshotEvery}, nil
 }
 
-// StartDirectoryWith starts a directory with full options, including the
-// durable journal.
-func StartDirectoryWith(addr string, opts DirectoryOptions) (*Directory, error) {
+// StartDirectory starts a directory on addr (use "127.0.0.1:0" for an
+// ephemeral port).
+func StartDirectory(addr string, opts DirectoryOptions) (*Directory, error) {
 	jopts, err := opts.journal()
 	if err != nil {
 		return nil, err
@@ -91,16 +81,10 @@ func StartDirectoryWith(addr string, opts DirectoryOptions) (*Directory, error) 
 // of a deployment must be started with the same shardAddrs (in the same
 // order) and version. Clients and page servers need no special
 // configuration — they bootstrap from any shard, fetch the map, and route
-// per page; see the README's "Scale-out" section.
-func StartDirectoryShard(addr string, shardAddrs []string, self int, version uint64, leaseTTL time.Duration) (*Directory, error) {
-	return StartDirectoryShardWith(addr, shardAddrs, self, version, DirectoryOptions{LeaseTTL: leaseTTL})
-}
-
-// StartDirectoryShardWith is StartDirectoryShard with full options. With
-// JournalDir set, the shard's journal records its identity (map version
-// and self index) and a restart refuses a journal written by a different
-// shard.
-func StartDirectoryShardWith(addr string, shardAddrs []string, self int, version uint64, opts DirectoryOptions) (*Directory, error) {
+// per page; see the README's "Scale-out" section. With JournalDir set, the
+// shard's journal records its identity (map version and self index) and a
+// restart refuses a journal written by a different shard.
+func StartDirectoryShard(addr string, shardAddrs []string, self int, version uint64, opts DirectoryOptions) (*Directory, error) {
 	jopts, err := opts.journal()
 	if err != nil {
 		return nil, err
@@ -187,7 +171,7 @@ func (s *PageServer) SetHeartbeatInterval(d time.Duration) { s.s.SetHeartbeatInt
 func (s *PageServer) Pages() int { return s.s.Pages() }
 
 // SetWireMbps emulates a network link of the given rate (megabits per
-// second) by delaying each data fragment for its serialization time; 0
+// second) by delaying each data batch for its serialization time; 0
 // disables emulation. Loopback TCP is effectively infinitely fast, which
 // hides the transfer-size effects the paper measures on its 155 Mb/s ATM.
 func (s *PageServer) SetWireMbps(mbps float64) { s.s.SetWireMbps(mbps) }
@@ -203,8 +187,8 @@ type ClientOptions struct {
 	SubpageSize int
 	// Policy is FullPage, Lazy, Eager, Pipelined or Prefetch (default
 	// Eager). Prefetch enables the learned prefetcher: predictions ride
-	// the v2 want bitmap over the lazy wire policy, so it needs no wire
-	// tag of its own (and is incompatible with WireV1).
+	// the want bitmap over the lazy wire policy, so it needs no wire tag
+	// of its own.
 	Policy Policy
 	// Readahead prefetches the next page during sequential fault runs.
 	Readahead bool
@@ -235,11 +219,6 @@ type ClientOptions struct {
 	// before probing it again (default 1s).
 	BreakerCooldown time.Duration
 
-	// WireV1 pins the fault path to the v1 wire protocol for servers that
-	// predate the batched TGetPageV2/TSubpageBatch frames. Upgrade order
-	// is servers first, then clients (see DESIGN.md §11).
-	WireV1 bool
-
 	// Metrics, when non-nil, receives the client's gms_client_* metrics
 	// (see the README's Observability section). nil disables collection
 	// at zero cost on the fault path.
@@ -263,7 +242,7 @@ func DialClient(dirAddr string, opts ClientOptions) (*Client, error) {
 	prefetch := opts.Policy == Prefetch
 	if !prefetch {
 		var err error
-		if wire, err = proto.PolicyByte(string(opts.Policy)); err != nil {
+		if wire, err = core.WireByte(string(opts.Policy)); err != nil {
 			return nil, err
 		}
 	}
@@ -280,7 +259,6 @@ func DialClient(dirAddr string, opts ClientOptions) (*Client, error) {
 		Hedge:            opts.Hedge,
 		BreakerThreshold: opts.BreakerThreshold,
 		BreakerCooldown:  opts.BreakerCooldown,
-		WireV1:           opts.WireV1,
 		Metrics:          opts.Metrics.registry(),
 	})
 	if err != nil {
