@@ -4,7 +4,7 @@ GO ?= go
 # full traces.
 BENCH_SCALE ?= 0.25
 
-.PHONY: ci fmt vet lint lint-baseline build test race bench bench-smoke profile-fault trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
+.PHONY: ci loc fmt vet lint lint-baseline build test race bench bench-smoke profile-fault trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
 
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
@@ -13,6 +13,16 @@ BENCH_SCALE ?= 0.25
 # smoke, the bounded crash-soak smoke, the learned-prefetcher smoke, the gate
 # benchmark's build-and-run smoke, and the benchmark snapshot.
 ci: fmt vet lint build test race trace-smoke loadtest-smoke soak-smoke prefetch-smoke bench-smoke bench
+
+# loc prints the line table CHANGES.md entries and ROADMAP re-anchors quote:
+# non-test Go lines (wc -l, so comments and blanks count) per package
+# outside bench/, then per file in internal/remote and internal/proto.
+# Report only; nothing gates on it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); s[d] += $$1; t += $$1 } \
+		END { for (d in s) printf "%7d %s\n", s[d], d; printf "%7d total, non-test Go outside bench/\n", t }' | sort -k2
+	@wc -l $$(ls internal/remote/*.go internal/proto/*.go | grep -v _test.go)
 
 fmt:
 	@out=$$(gofmt -l .); \

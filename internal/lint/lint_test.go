@@ -304,13 +304,15 @@ func TestDeletingProtocolCaseArmFails(t *testing.T) {
 		})
 	}
 	// The floor counts every arm of every protocol switch in
-	// internal/remote — the v2 arms (TGetPageV2, TSubpageBatch, TCancel)
-	// and the drain-era arms (TDrain, TDrainReply, and the two reply
-	// switches in drain.go) included: dropping any of them must shrink
-	// this below the bound and fail here even before the lint run does.
-	// (28 until the v1 wire went: the client's fragment arm and the
-	// server's v1 get arm were deleted with their tags.)
-	if mutations < 26 {
+	// internal/remote: the four that stream or serve (the client's
+	// readLoop, drain's getPage, Server.serve, Directory.serve) — dropping
+	// an arm of any must shrink this below the bound and fail here even
+	// before the lint run does. (26 until the three reply-side switches —
+	// the client's lookup, the server's register, DrainVia; 4 + 3 + 3 arms —
+	// went: a request's one reply is now checked by proto.Conn.Call, which
+	// returns only a type the caller asked for, and TestCallReturnsOnlyWhat-
+	// WasAskedFor walks every tag through it.)
+	if mutations < 16 {
 		t.Fatalf("expected to mutate every protocol switch arm in internal/remote, only found %d", mutations)
 	}
 }

@@ -55,12 +55,13 @@ func isRandPath(path string) bool {
 }
 
 // wallClockExempt lists the live-prototype packages whose use of the wall
-// clock is the point: RPC deadlines and latency stats in internal/remote,
-// real-time service emulation in the sharded directory, the load
+// clock is the point: RPC deadlines in internal/proto (Conn.Call, the one
+// place a request/reply exchange is bounded), attempt timers and latency
+// stats in internal/remote, real-time service emulation in the sharded directory, the load
 // harness's wall-clock throughput/latency measurements, and the
 // directory journal's recovery/replay timings (its fsync cadence and the
 // `make bench` dirlog section measure real disk time).
-var wallClockExempt = []string{"internal/remote", "internal/dirshard", "internal/load", "internal/dirlog"}
+var wallClockExempt = []string{"internal/proto", "internal/remote", "internal/dirshard", "internal/load", "internal/dirlog"}
 
 func isWallClockExempt(path string) bool {
 	for _, seg := range wallClockExempt {

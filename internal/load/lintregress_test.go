@@ -43,7 +43,7 @@ func TestStormWorkerBoundedBySilentShard(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		ops, err := stormWorker(cfg, m, ring, 0, deadline)
+		ops, err := stormWorker(cfg, ring, 0, deadline)
 		done <- result{ops, err}
 	}()
 	select {

@@ -21,7 +21,6 @@ package load
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -217,7 +216,7 @@ func lookupStorm(cfg Config, m proto.ShardMap, res *Result) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ops[w], errs[w] = stormWorker(cfg, m, ring, uint64(w), deadline)
+			ops[w], errs[w] = stormWorker(cfg, ring, uint64(w), deadline)
 		}(w)
 	}
 	wg.Wait()
@@ -236,23 +235,17 @@ func lookupStorm(cfg Config, m proto.ShardMap, res *Result) error {
 
 // stormWorker is one storm loop: a private connection to every shard,
 // lookups for seeded-random pages routed by ring owner.
-func stormWorker(cfg Config, m proto.ShardMap, ring *proto.Ring, id uint64, deadline time.Time) (int, error) {
-	type shardConn struct {
-		c net.Conn
-		w *proto.Writer
-		r *proto.Reader
-	}
-	conns := make(map[string]shardConn)
-	raw := make([]net.Conn, 0, len(m.Shards))
+func stormWorker(cfg Config, ring *proto.Ring, id uint64, deadline time.Time) (int, error) {
+	conns := make(map[string]*proto.Conn)
 	defer func() {
-		for _, c := range raw {
+		for _, c := range conns {
 			_ = c.Close()
 		}
 	}()
 
-	// Every connection runs under a deadline a little past the storm's
-	// end: a shard that stops answering fails the worker (and surfaces in
-	// the harness output) instead of hanging the whole run on one Next.
+	// Every exchange runs under a deadline a little past the storm's end:
+	// a shard that stops answering fails the worker (and surfaces in the
+	// harness output) instead of hanging the whole run on one read.
 	opDeadline := deadline.Add(stormGrace)
 	r := rng.New(cfg.Seed*1_000_003 + id)
 	ops := 0
@@ -261,27 +254,17 @@ func stormWorker(cfg Config, m proto.ShardMap, ring *proto.Ring, id uint64, dead
 		addr := ring.OwnerAddr(page)
 		sc, ok := conns[addr]
 		if !ok {
-			c, err := net.DialTimeout("tcp", addr, stormGrace)
-			if err != nil {
+			var err error
+			if sc, err = proto.Dial(nil, addr, stormGrace); err != nil {
 				return ops, err
 			}
-			if tc, ok := c.(*net.TCPConn); ok {
-				_ = tc.SetNoDelay(true)
-			}
-			raw = append(raw, c)
-			sc = shardConn{c: c, w: proto.NewWriter(c), r: proto.NewReader(c)}
 			conns[addr] = sc
 		}
-		_ = sc.c.SetDeadline(opDeadline)
-		if err := sc.w.SendLookup(proto.Lookup{Page: page}); err != nil {
-			return ops, err
-		}
-		f, err := sc.r.Next()
+		_, err := sc.Call(time.Until(opDeadline), func(w *proto.Writer) error {
+			return w.SendLookup(proto.Lookup{Page: page})
+		}, proto.TLookupReply)
 		if err != nil {
-			return ops, err
-		}
-		if f.Type != proto.TLookupReply {
-			return ops, fmt.Errorf("shard %s answered %v to an owned lookup", addr, f.Type)
+			return ops, fmt.Errorf("shard %s, an owned lookup: %w", addr, err)
 		}
 		ops++
 		if cfg.LookupPause > 0 {

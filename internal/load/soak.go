@@ -2,7 +2,6 @@ package load
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -280,23 +279,16 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 // probeStaleEpoch forges a registration for serverAddr at a superseded
 // epoch and reports an error unless the directory refuses it.
 func probeStaleEpoch(dirAddr, serverAddr string, epoch uint64) error {
-	conn, err := net.DialTimeout("tcp", dirAddr, stormGrace)
+	pc, err := proto.Dial(nil, dirAddr, stormGrace)
 	if err != nil {
 		return fmt.Errorf("stale-epoch probe dial: %w", err)
 	}
-	defer func() { _ = conn.Close() }()
-	if err := conn.SetDeadline(time.Now().Add(stormGrace)); err != nil {
-		return err
-	}
-	if err := proto.NewWriter(conn).SendRegister(proto.Register{Addr: serverAddr, Epoch: epoch, Pages: []uint64{0}}); err != nil {
-		return fmt.Errorf("stale-epoch probe send: %w", err)
-	}
-	f, err := proto.NewReader(conn).Next()
+	defer func() { _ = pc.Close() }()
+	_, err = pc.Call(stormGrace, func(w *proto.Writer) error {
+		return w.SendRegister(proto.Register{Addr: serverAddr, Epoch: epoch, Pages: []uint64{0}})
+	}, proto.TError)
 	if err != nil {
-		return fmt.Errorf("stale-epoch probe reply: %w", err)
-	}
-	if f.Type != proto.TError {
-		return fmt.Errorf("stale-epoch probe drew %v, want TError: epoch fencing did not survive the restarts", f.Type)
+		return fmt.Errorf("stale-epoch probe, want TError: %w (epoch fencing did not survive the restarts?)", err)
 	}
 	return nil
 }

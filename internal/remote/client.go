@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -146,202 +145,6 @@ type Stats struct {
 	OpenBreakers  int   // servers currently shunned (open or half-open)
 }
 
-// source is one server streaming a page's current attempt, with its
-// request ID. A withdrawn source is also the TCancel owed to that server,
-// sent once c.mu is released (sending under the lock would hold every
-// accessor behind one peer's socket).
-type source struct {
-	addr string
-	id   uint64
-}
-
-// cpage is one locally cached page. An entry belongs to the client that
-// made it for good: the client's free list recycles it, never another
-// client, so its timers' callbacks always find it under the lock they take.
-type cpage struct {
-	id       uint64 // global page number, the cache key
-	data     []byte
-	valid    memmodel.Bitmap
-	touched  memmodel.Bitmap // blocks some access has covered (prefetch history feed)
-	dirty    bool
-	faulting bool // a fault owns fetching this page, from its first attempt to success or typed failure
-	inflight bool // an attempt's GetPage reply is streaming in
-	firstOK  bool // the faulted subpage of the current attempt arrived
-	prefetch bool // the fault is a read-ahead, not an accessor's
-	waiters  int  // accessors parked in ensureValid on this page
-	// sources[:nsrc] are the servers currently streaming this page: the
-	// primary, and a second when a hedge is in flight. The attempt fails
-	// only when all of them do.
-	sources [2]source
-	nsrc    int
-
-	// The fault in progress (DESIGN.md §7): the range that faulted, attempts
-	// failed so far, the servers they failed on (allocated by the first
-	// failure) and the first server tried.
-	off, n    int
-	attempt   int
-	tried     map[string]bool
-	firstAddr string
-	// The attempt in flight: when it was registered, its primary, the
-	// replica a late faulted subpage is hedged to ("" for none, or once
-	// hedged), and its generation — a count of attempts ever registered on
-	// this entry, by which a sender back from dropping c.mu knows its own.
-	start   time.Time
-	addr    string
-	hedgeTo string
-	gen     uint64
-	// timeout and hedge run their callbacks on goroutines of their own, so
-	// a Stop can lose to a fire under way; a callback acts only if the
-	// attempt it finds in flight has itself run that long. Made on first
-	// use, recycled with the entry.
-	timeout *time.Timer
-	hedge   *time.Timer
-	// prev and next thread the page onto the client's LRU list (prev is
-	// toward the most recently used end); next also threads the free list.
-	// lastUse is the tick of the last touch; ticks are unique, so list
-	// order is lastUse order.
-	prev    *cpage
-	next    *cpage
-	lastUse int64
-	err     error
-}
-
-// dropSource forgets addr as a source of p, reporting the request ID it
-// held and whether it was a source at all.
-func (p *cpage) dropSource(addr string) (id uint64, ok bool) {
-	for i, src := range p.sources[:p.nsrc] {
-		if src.addr == addr {
-			p.nsrc--
-			p.sources[i] = p.sources[p.nsrc]
-			return src.id, true
-		}
-	}
-	return 0, false
-}
-
-// install caches a fresh, zeroed entry for page as the most recently used,
-// recycling an evicted one when there is one: a client churning through a
-// working set larger than its cache allocates page storage and timers once
-// per cache slot, not per fault. Called with c.mu held.
-func (c *Client) install(page uint64) *cpage {
-	p := c.free
-	if p == nil {
-		p = &cpage{data: make([]byte, units.PageSize)}
-	} else {
-		c.free = p.next
-		clear(p.data)
-	}
-	*p = cpage{id: page, data: p.data, timeout: p.timeout, hedge: p.hedge, gen: p.gen}
-	c.cache[page] = p
-	c.touch(p)
-	return p
-}
-
-// touch stamps p as the most recently used page and moves (or, for a fresh
-// entry, adds) it to the head of the LRU list. Called with c.mu held.
-func (c *Client) touch(p *cpage) {
-	c.tick++
-	p.lastUse = c.tick
-	if c.lruHead == p {
-		return
-	}
-	if p.prev != nil { // on the list: only the head has no prev
-		c.unlink(p)
-	}
-	p.next = c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.prev = p
-	} else {
-		c.lruTail = p
-	}
-	c.lruHead = p
-}
-
-// unlink takes p off the LRU list. Called with c.mu held.
-func (c *Client) unlink(p *cpage) {
-	if p.prev != nil {
-		p.prev.next = p.next
-	} else {
-		c.lruHead = p.next
-	}
-	if p.next != nil {
-		p.next.prev = p.prev
-	} else {
-		c.lruTail = p.prev
-	}
-	p.prev, p.next = nil, nil
-}
-
-// reqEntry ties a live request ID to the page attempt it serves.
-type reqEntry struct {
-	p    *cpage
-	addr string
-}
-
-// regRequest mints and registers a request ID for an attempt on p served
-// by addr. Called with c.mu held.
-func (c *Client) regRequest(p *cpage, addr string) uint64 {
-	c.nextReq++
-	id := c.nextReq
-	c.reqs[id] = reqEntry{p: p, addr: addr}
-	return id
-}
-
-// wantFor computes the want bitmap for an attempt of p's fault.
-// Full-coverage policies ask for everything still missing. Lazy asks only
-// for the accessed range — the want bitmap is now a request the server
-// honors beyond its plan, so over-asking would silently turn lazy into
-// eager. With the learned prefetcher on, the predicted stride window rides
-// alongside the accessed range. Called with c.mu held.
-func (c *Client) wantFor(p *cpage) uint32 {
-	off, n := p.off, p.n
-	miss := ^p.valid
-	if c.pf != nil {
-		want := neededMask(off, n)
-		if m, ok := c.pf.Predict(p.id, c.cfg.SubpageSize, off); ok {
-			want |= m
-			c.stats.Predicted++
-		}
-		if want &= miss; want == 0 {
-			want = memmodel.BlockMask(off)
-		}
-		return uint32(want)
-	}
-	if c.cfg.Policy == proto.PolicyLazy {
-		if want := neededMask(off, n) & miss; want != 0 {
-			return uint32(want)
-		}
-		return uint32(memmodel.BlockMask(off))
-	}
-	return uint32(miss)
-}
-
-// sendCancels writes the queued TCancel frames. A server we no longer
-// hold a connection to needs no cancel — its stream died with the
-// connection.
-func (c *Client) sendCancels(cancels []source) {
-	for _, pc := range cancels {
-		c.srvMu.Lock()
-		sc := c.servers[pc.addr]
-		c.srvMu.Unlock()
-		if sc == nil {
-			continue
-		}
-		sc.wmu.Lock()
-		_ = sc.conn.SetWriteDeadline(time.Now().Add(c.cfg.RequestTimeout))
-		_ = sc.w.SendCancel(proto.Cancel{ReqID: pc.id}) //lint:allow lockio write is bounded by the deadline above; wmu only serializes writers on this conn
-		_ = sc.conn.SetWriteDeadline(time.Time{})
-		sc.wmu.Unlock()
-	}
-}
-
-// srvConn is a connection to one page server, with a background reader.
-type srvConn struct {
-	conn net.Conn
-	wmu  sync.Mutex
-	w    *proto.Writer
-}
-
 // Client is the faulting node: a fixed-size page cache with subpage valid
 // bits, backed by remote page servers found through the directory. Faults
 // run under per-attempt deadlines with retry, replica failover and
@@ -350,19 +153,15 @@ type srvConn struct {
 type Client struct {
 	cfg ClientConfig
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	cache map[uint64]*cpage
-	// lruHead and lruTail thread every cached page in lastUse order, most
-	// recent at the head, so eviction never scans the cache.
-	lruHead *cpage
-	lruTail *cpage
-	free    *cpage              // evicted entries awaiting reuse, threaded through next
-	located map[uint64][]string // directory answers: replica lists, primary first
-	tick    int64
-	stats   Stats
-	closed  bool
-	netErr  error
+	// mu guards the page cache and every entry in it, the fault state those
+	// entries carry, the request registry, stats and closed — and nothing of
+	// routing or transport, which have locks of their own and are only ever
+	// called with mu released (pageCache says why the cache shares it).
+	mu     sync.Mutex
+	cond   *sync.Cond
+	pages  pageCache
+	stats  Stats
+	closed bool
 	// pf is the learned prefetcher (nil unless ClientConfig.Prefetch).
 	// All access — Record on first touches, Predict when building want
 	// bitmaps — happens under c.mu; the Prefetcher itself is not
@@ -380,24 +179,8 @@ type Client struct {
 
 	closeCh chan struct{} // closed once on Close; unblocks sleeps and waits
 
-	// Control-plane connections, one per directory shard (a single entry,
-	// the bootstrap address, when the deployment is unsharded). Lookups to
-	// different shards proceed concurrently; each shard's stream
-	// serializes its own RPCs.
-	dconnMu sync.Mutex
-	dconns  map[string]*dirConn
-
-	// Shard-map cache. ring is nil while the deployment looks unsharded
-	// (every lookup goes to the bootstrap address); once a sharded map is
-	// installed — by the bootstrap fetch or by a TWrongShard bounce —
-	// lookups route by ring ownership, and any newer map in a bounce
-	// replaces the ring (stale maps converge in one extra round trip).
-	shardMu  sync.Mutex
-	ring     *proto.Ring
-	mapTried bool // the bootstrap shard-map fetch already ran
-
-	srvMu   sync.Mutex
-	servers map[string]*srvConn
+	route router    // route.go
+	tr    transport // transport.go
 
 	// br is the per-server circuit breaker consulted by replica picking
 	// and hedging; it has its own lock and is never touched under c.mu.
@@ -436,11 +219,11 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	}
 	c := &Client{
 		cfg:     cfg,
-		cache:   make(map[uint64]*cpage),
-		located: make(map[uint64][]string),
+		pages:   newPageCache(),
 		reqs:    make(map[uint64]reqEntry),
-		servers: make(map[string]*srvConn),
 		closeCh: make(chan struct{}),
+		route:   newRouter(),
+		tr:      newTransport(),
 		// Seeded from the wall clock so a fleet of clients restarting
 		// together still jitters apart; backoff jitter needs spread, not
 		// reproducibility.
@@ -451,21 +234,13 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	if cfg.Prefetch {
 		c.pf = core.NewPrefetcher()
 	}
-	conn, err := c.dial(cfg.Directory)
-	if err != nil {
-		return nil, fmt.Errorf("remote: dial directory: %w", err)
-	}
-	c.dconns = map[string]*dirConn{cfg.Directory: newDirConn(cfg.Directory, conn)}
 	c.cond = sync.NewCond(&c.mu)
-	return c, nil
-}
-
-// dial opens one connection under the configured dialer and timeout.
-func (c *Client) dial(addr string) (net.Conn, error) {
-	if c.cfg.Dial != nil {
-		return c.cfg.Dial("tcp", addr)
+	// Dial now, so that an unreachable directory fails here and not on the
+	// first access.
+	if _, err := c.route.conn(cfg.Directory).live(c); err != nil {
+		return nil, err
 	}
-	return net.DialTimeout("tcp", addr, c.cfg.DialTimeout)
+	return c, nil
 }
 
 // Close tears the client down. Dirty pages are not written back.
@@ -476,34 +251,33 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.netErr = errClientClosed
 	close(c.closeCh)
 	// Attempts in flight have nobody parked on them to unwind: settle them
 	// here, so no timer is left to fire into a closed client. (No cancels
 	// go out: the connections close below.)
-	for _, p := range c.cache {
-		if p.inflight {
-			c.stopAttempt(p)
+	for _, ent := range c.reqs {
+		if ent.p.inflight { // it has a request registered for as long as it is
+			c.stopAttempt(ent.p)
 		}
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
-	var err error
-	c.dconnMu.Lock()
-	for _, dc := range c.dconns {
-		if e := dc.drop(); e != nil && err == nil {
-			err = e
-		}
-	}
-	c.dconnMu.Unlock()
-	c.srvMu.Lock()
-	for _, sc := range c.servers {
-		_ = sc.conn.Close()
-	}
-	c.srvMu.Unlock()
+	err := c.route.close()
+	c.tr.close()
 	c.wg.Wait()
 	return err
+}
+
+// isClosed reports whether Close has begun, without c.mu: routing and
+// transport ask it under their own locks.
+func (c *Client) isClosed() bool {
+	select {
+	case <-c.closeCh:
+		return true
+	default:
+		return false
+	}
 }
 
 // Stats returns a snapshot of the client's counters. The snapshot is one
@@ -575,17 +349,17 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 	if n <= 0 || off+n > units.PageSize {
 		return nil, fmt.Errorf("remote: bad range off=%d n=%d", off, n)
 	}
-	p := c.cache[page]
+	p := c.pages.get(page)
 	if p == nil {
 		// evictIfFull may drop the lock for write-back; another
 		// goroutine can install the page meanwhile.
 		c.evictIfFull()
-		p = c.cache[page]
+		p = c.pages.get(page)
 	}
 	if p == nil {
-		p = c.install(page)
+		p = c.pages.install(page)
 	} else {
-		c.touch(p)
+		c.pages.touch(p)
 	}
 	need := neededMask(off, n)
 	if c.pf != nil {
@@ -600,8 +374,8 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 		}
 	}
 	for {
-		if c.netErr != nil {
-			return nil, c.netErr
+		if c.closed {
+			return nil, errClientClosed
 		}
 		if p.err != nil {
 			err := p.err
@@ -633,946 +407,5 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 			c.cond.Wait()
 		}
 		p.waiters--
-	}
-}
-
-// maybePrefetch issues a read-ahead fault for page+1 when the fault on
-// page continued a forward run. The read-ahead's attempt is sent from a
-// goroutine of its own, off the accessor's path. Called with c.mu held.
-func (c *Client) maybePrefetch(page uint64) {
-	if _, ok := c.cache[page-1]; !ok {
-		return
-	}
-	next := page + 1
-	if c.cache[next] != nil {
-		return
-	}
-	c.evictIfFull()
-	if c.cache[next] != nil || c.closed {
-		return // both can change while evictIfFull (or the demand send before it) has c.mu dropped
-	}
-	p := c.install(next)
-	c.stats.Prefetches++
-	c.met.prefetches.Inc()
-	c.beginFault(p, 0, units.PageSize, true)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.mu.Lock()
-		c.runAttempt(p)
-		c.mu.Unlock()
-	}()
-}
-
-// The fault engine (DESIGN.md §7). A fault is a run of attempts on one page,
-// and nothing is parked on it. Whoever takes the fault — the accessor, or a
-// goroutine for a read-ahead — sends the first attempt itself (runAttempt);
-// an attempt ends as an event: the reply's last batch, the loss of its last
-// source, its deadline. Success ends the fault on the spot; failure hands it
-// to a goroutine that lives for the bookkeeping, the backoff and the next
-// send (retry). Accessors only ever wait on the condition variable.
-
-// beginFault makes p the subject of a new fault on [off, off+n). Called
-// with c.mu held, on a page with no fault in progress.
-func (c *Client) beginFault(p *cpage, off, n int, prefetch bool) {
-	p.faulting, p.prefetch = true, prefetch
-	p.off, p.n = off, n
-	p.attempt, p.tried, p.firstAddr = 0, nil, ""
-}
-
-// endFault is the fault's epilogue: p is released, a failure is left for
-// the next accessor to collect, and everyone parked on the page looks
-// again. Called with c.mu held.
-func (c *Client) endFault(p *cpage, err error) {
-	p.faulting = false
-	if err != nil && !c.closed {
-		p.err = err
-		if p.prefetch && c.cache[p.id] == p && p.valid == 0 && !p.dirty {
-			// Best effort: forget the untouched placeholder so a later
-			// demand access retries cleanly.
-			delete(c.cache, p.id)
-			c.unlink(p)
-		}
-	}
-	c.cond.Broadcast()
-}
-
-// runAttempt sends the current attempt of p's fault: locate (the cached
-// answer at first, a fresh one after a failure), pick a replica, register
-// the request, send it, arm the deadline and the hedge. Called with c.mu
-// held and returns with it held, but drops it around the directory, the
-// breaker and the socket: by the time it returns, the attempt — or the whole
-// fault — may be over.
-func (c *Client) runAttempt(p *cpage) {
-	attempt, tried := p.attempt, p.tried
-	addrs := c.located[p.id] // retry forgot it after a failure
-	c.mu.Unlock()
-	var err error
-	if addrs == nil {
-		addrs, err = c.locate(p.id, true)
-	}
-	var addr, hedgeTo string
-	if err == nil {
-		addr = c.pickAddr(addrs, tried, attempt)
-		if c.cfg.Hedge > 0 {
-			hedgeTo = c.hedgeAddr(addrs, addr)
-		}
-	}
-	c.mu.Lock()
-	if err == nil && c.closed {
-		err = errClientClosed
-	}
-	if err != nil {
-		var pe *PageError
-		if errors.As(err, &pe) || errors.Is(err, errClientClosed) {
-			c.endFault(p, err) // authoritative miss or shutdown: retrying cannot help
-		} else {
-			c.attemptFailed(p, "", err)
-		}
-		return
-	}
-	if p.firstAddr == "" {
-		p.firstAddr = addr
-	} else if addr != p.firstAddr {
-		c.stats.Failovers++
-		c.met.failovers.Inc()
-	}
-	p.inflight, p.firstOK = true, false
-	p.addr, p.hedgeTo = addr, hedgeTo
-	p.gen++
-	gen := p.gen
-	id := c.regRequest(p, addr)
-	want := c.wantFor(p)
-	p.sources[0], p.nsrc = source{addr, id}, 1
-	p.start = time.Now()
-	page, off := p.id, p.off
-	c.mu.Unlock()
-
-	err = c.sendGet(addr, page, off, id, want)
-
-	c.mu.Lock()
-	if !p.inflight || p.gen != gen {
-		return // the reply, or the connection's loss, beat the send's return
-	}
-	if err != nil {
-		c.attemptFailed(p, addr, err)
-		return
-	}
-	if p.timeout == nil {
-		p.timeout = time.AfterFunc(c.cfg.RequestTimeout, func() { c.attemptTimedOut(p) })
-	} else {
-		p.timeout.Reset(c.cfg.RequestTimeout)
-	}
-	if hedgeTo == "" || p.firstOK {
-		return
-	}
-	if p.hedge == nil {
-		p.hedge = time.AfterFunc(c.cfg.Hedge, func() { c.hedgeDue(p) })
-	} else {
-		p.hedge.Reset(c.cfg.Hedge)
-	}
-}
-
-// stopAttempt settles the attempt in flight on p: its timers are stopped
-// and every source still registered is retired, returning the cancel
-// frames to send (after unlocking) for streams that may still be live
-// server-side. Called with c.mu held.
-func (c *Client) stopAttempt(p *cpage) (cancels []source) {
-	p.inflight = false
-	if p.timeout != nil {
-		p.timeout.Stop()
-	}
-	if p.hedge != nil {
-		p.hedge.Stop()
-	}
-	for _, src := range p.sources[:p.nsrc] {
-		delete(c.reqs, src.id)
-		cancels = append(cancels, src)
-		c.stats.Cancels++
-		c.met.cancels.Inc()
-	}
-	p.nsrc = 0
-	return cancels
-}
-
-// attemptFailed ends the attempt in flight on p, if any (addr is its
-// primary; "" means the directory, not a server, failed it), and hands the
-// fault to a goroutine for the retry. Called with c.mu held.
-func (c *Client) attemptFailed(p *cpage, addr string, cause error) {
-	cancels := c.stopAttempt(p)
-	if c.closed {
-		c.endFault(p, errClientClosed)
-		return
-	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.sendCancels(cancels)
-		c.retry(p, addr, cause)
-	}()
-}
-
-// retry owns p's fault from one attempt's failure to the next one's send:
-// it books the failure against the server and the breaker, gives up with a
-// typed error once the budget is spent, and otherwise backs off and sends
-// again — without waiting for that attempt, whose end is an event too.
-func (c *Client) retry(p *cpage, addr string, cause error) {
-	opened := addr != "" && c.br.failure(addr, time.Now())
-	c.mu.Lock()
-	if addr != "" {
-		if p.tried == nil {
-			p.tried = make(map[string]bool)
-		}
-		p.tried[addr] = true
-		delete(c.located, p.id) // the failure may mean the cached placement is stale
-	}
-	if opened {
-		c.stats.BreakerOpens++
-		c.stats.OpenBreakers++
-		c.met.breakerOpens.Inc()
-		c.met.openBreakers.Add(1)
-	}
-	p.attempt++
-	attempt := p.attempt
-	if attempt > c.cfg.MaxRetries {
-		c.endFault(p, &PageError{Page: p.id, Attempts: attempt, Err: cause})
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	slept := c.sleep(c.backoffDelay(attempt))
-	c.mu.Lock()
-	if !slept {
-		c.endFault(p, errClientClosed)
-	} else {
-		c.stats.Retries++
-		c.met.retries.Inc()
-		c.runAttempt(p)
-	}
-	c.mu.Unlock()
-}
-
-// attemptTimedOut is the deadline timer's callback, on the timer's own
-// goroutine. The server accepted the request but never finished the stream:
-// its connection is suspect (stalled or wedged), so drop it and let the
-// retry redial or fail over.
-func (c *Client) attemptTimedOut(p *cpage) {
-	c.mu.Lock()
-	if c.closed || !p.inflight || time.Since(p.start) < c.cfg.RequestTimeout {
-		c.mu.Unlock()
-		return // a fire its Stop lost to: that attempt is over, and the one in flight (if any) is younger
-	}
-	addr := p.addr
-	cause := fmt.Errorf("remote: GetPage %d from %s timed out after %v",
-		p.id, addr, c.cfg.RequestTimeout)
-	cancels := c.stopAttempt(p)
-	c.wg.Add(1)
-	c.mu.Unlock()
-	defer c.wg.Done()
-	c.sendCancels(cancels)
-	c.dropServer(addr, cause)
-	c.retry(p, addr, cause)
-}
-
-// hedgeDue is the hedge timer's callback: the faulted subpage is late, so
-// a duplicate request goes to the replica picked with the primary. The
-// attempt succeeds when either stream completes.
-func (c *Client) hedgeDue(p *cpage) {
-	c.mu.Lock()
-	if c.closed || !p.inflight || p.firstOK || p.hedgeTo == "" || time.Since(p.start) < c.cfg.Hedge {
-		c.mu.Unlock()
-		return
-	}
-	gen, hedge := p.gen, p.hedgeTo
-	p.hedgeTo = ""
-	id := c.regRequest(p, hedge)
-	want := c.wantFor(p)
-	p.sources[p.nsrc] = source{hedge, id}
-	p.nsrc++
-	c.stats.Hedges++
-	c.met.hedges.Inc()
-	page, off := p.id, p.off
-	c.wg.Add(1)
-	c.mu.Unlock()
-	defer c.wg.Done()
-	if err := c.sendGet(hedge, page, off, id, want); err != nil {
-		// The hedge could not even be sent; the primary stream (or the
-		// timeout) still decides the attempt.
-		c.mu.Lock()
-		if p.inflight && p.gen == gen {
-			p.dropSource(hedge)
-		}
-		delete(c.reqs, id)
-		c.mu.Unlock()
-	}
-}
-
-// breakerSuccess books a completed attempt on addr with the breaker, after
-// c.mu is released (c.br is never touched under it).
-func (c *Client) breakerSuccess(addr string) {
-	if c.br.success(addr) {
-		c.mu.Lock()
-		c.stats.OpenBreakers--
-		c.mu.Unlock()
-		c.met.openBreakers.Add(-1)
-	}
-}
-
-// pickAddr chooses the next replica to try: the first address not yet
-// tried, or round-robin over the list once all have failed at least once —
-// skipping servers whose circuit breaker denies traffic. When every
-// candidate is denied the preferred one is force-picked anyway: the
-// breaker sheds load but never strands a fault.
-func (c *Client) pickAddr(addrs []string, tried map[string]bool, attempt int) string {
-	now := time.Now()
-	preferred := ""
-	// Candidates: each untried address, then the round-robin one, tried or not.
-	for i := 0; i <= len(addrs); i++ {
-		a := addrs[attempt%len(addrs)]
-		if i < len(addrs) {
-			if a = addrs[i]; tried[a] {
-				continue
-			}
-		}
-		if preferred == "" {
-			preferred = a
-		}
-		ok, probe := c.br.allow(a, now)
-		if !ok {
-			continue
-		}
-		if probe {
-			c.mu.Lock()
-			c.stats.BreakerProbes++
-			c.mu.Unlock()
-			c.met.breakerProbes.Inc()
-		}
-		return a
-	}
-	return preferred
-}
-
-// hedgeAddr returns a replica distinct from the primary pick whose breaker
-// is closed, or "": hedging to a server already known bad would waste the
-// bandwidth the hedge is spending.
-func (c *Client) hedgeAddr(addrs []string, primary string) string {
-	for _, a := range addrs {
-		if a != primary && c.br.wouldAllow(a) {
-			return a
-		}
-	}
-	return ""
-}
-
-// sendGet writes one page request to addr under a write deadline, so a
-// stalled connection cannot wedge the fault path. id and want are the
-// request ID and missing-block bitmap.
-func (c *Client) sendGet(addr string, page uint64, off int, id uint64, want uint32) error {
-	sc, err := c.server(addr)
-	if err != nil {
-		return err
-	}
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	_ = sc.conn.SetWriteDeadline(time.Now().Add(c.cfg.RequestTimeout))
-	defer sc.conn.SetWriteDeadline(time.Time{})
-	return sc.w.SendGetPageV2(proto.GetPageV2{ //lint:allow lockio write is bounded by the deadline above; wmu only serializes writers on this conn
-		ReqID:       id,
-		Page:        page,
-		FaultOff:    uint32(off),
-		SubpageSize: uint32(c.cfg.SubpageSize),
-		Want:        want,
-		Policy:      c.cfg.Policy,
-	})
-}
-
-// backoffDelay returns the jittered exponential backoff before retry n
-// (1-based): base×2^(n-1), capped, with ±50% jitter so a fleet of clients
-// retrying after a shared failure does not stampede in lockstep.
-func (c *Client) backoffDelay(n int) time.Duration {
-	d := c.cfg.RetryBackoff
-	for i := 1; i < n && d < maxBackoff; i++ {
-		d *= 2
-	}
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	half := int64(d) / 2
-	if half <= 0 {
-		return d
-	}
-	c.jmu.Lock()
-	j := c.jrand.Int63n(half + 1)
-	c.jmu.Unlock()
-	return time.Duration(half + j)
-}
-
-// sleep waits for d or until the client closes, reporting true if the full
-// delay elapsed.
-func (c *Client) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-c.closeCh:
-		return false
-	}
-}
-
-// victim returns the least recently used page that nothing pins — no
-// stream, no fault owner, no parked accessor — or nil when every page is
-// pinned. Called with c.mu held.
-func (c *Client) victim() *cpage {
-	p := c.lruTail
-	for p != nil && (p.inflight || p.faulting || p.waiters > 0) {
-		p = p.prev
-	}
-	return p
-}
-
-// evictIfFull makes room for one more page. Called with c.mu held; drops
-// and retakes it around a dirty victim's write-back.
-func (c *Client) evictIfFull() {
-	for len(c.cache) >= c.cfg.CachePages {
-		victim := c.victim()
-		if victim == nil {
-			return // everything is in flight; allow a brief overcommit
-		}
-		delete(c.cache, victim.id)
-		c.unlink(victim)
-		c.stats.Evictions++
-		c.met.evictions.Inc()
-		if victim.dirty && victim.valid.Full() {
-			c.mu.Unlock()
-			// The cached placement, or a fresh one if a failed attempt forgot it.
-			addrs, _ := c.locate(victim.id, false)
-			sent := c.putPage(addrs, victim.id, victim.data)
-			c.mu.Lock()
-			if sent {
-				c.stats.PutPages++
-				c.met.putPages.Inc()
-			} else {
-				c.stats.PutDrops++
-				c.met.putDrops.Inc()
-			}
-		}
-		// Out of the cache, off the list, unpinned: nothing reaches it again
-		// but a timer fire that lost to its Stop, which finds no attempt.
-		victim.next, c.free = c.free, victim
-	}
-}
-
-// putPage writes a dirty page back (fire and forget), trying each replica
-// until one send succeeds; it reports false when none did.
-func (c *Client) putPage(addrs []string, page uint64, data []byte) bool {
-	for _, addr := range addrs {
-		sc, err := c.server(addr)
-		if err != nil {
-			continue
-		}
-		sc.wmu.Lock()
-		_ = sc.conn.SetWriteDeadline(time.Now().Add(c.cfg.RequestTimeout))
-		err = sc.w.SendPutPage(proto.PutPage{Page: page, Data: data}) //lint:allow lockio write is bounded by the deadline above; wmu only serializes writers on this conn
-		_ = sc.conn.SetWriteDeadline(time.Time{})
-		sc.wmu.Unlock()
-		if err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// locate resolves the replica list for page via the directory, with a
-// local cache of past answers. refresh forces a fresh directory query.
-// Lookup RPCs run under the request deadline; a dead shard connection is
-// redialed with backoff up to the retry budget. A TWrongShard bounce
-// (stale shard map) installs the bounced map and re-routes within the
-// same attempt, so a stale client converges in one extra round trip
-// without burning its retry budget.
-func (c *Client) locate(page uint64, refresh bool) ([]string, error) {
-	if !refresh {
-		c.mu.Lock()
-		if addrs, ok := c.located[page]; ok {
-			c.mu.Unlock()
-			return addrs, nil
-		}
-		c.mu.Unlock()
-	}
-
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			if !c.sleep(c.backoffDelay(attempt)) {
-				return nil, errClientClosed
-			}
-			c.mu.Lock()
-			c.stats.Retries++
-			c.mu.Unlock()
-			c.met.retries.Inc()
-		}
-		select {
-		case <-c.closeCh:
-			return nil, errClientClosed
-		default:
-		}
-		rep, err := c.lookupRouted(page)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if len(rep.Addrs) == 0 {
-			return nil, &PageError{Page: page, Attempts: attempt + 1, Err: errNotRegistered}
-		}
-		c.mu.Lock()
-		c.located[page] = rep.Addrs
-		c.mu.Unlock()
-		return rep.Addrs, nil
-	}
-	return nil, fmt.Errorf("remote: directory lookup for page %d: %w", page, lastErr)
-}
-
-// lookupRouted sends one lookup to the shard the current map names,
-// following at most one TWrongShard forward: the bounce carries the
-// authoritative map, so the second hop must land (a second bounce means
-// the shards themselves disagree, which the caller treats as a failed
-// attempt).
-func (c *Client) lookupRouted(page uint64) (proto.LookupReply, error) {
-	addr := c.shardFor(page)
-	rep, err := c.lookupAt(addr, page)
-	var ws *WrongShardError
-	if !errors.As(err, &ws) {
-		return rep, err
-	}
-	c.bounced(ws)
-	next := c.shardFor(page)
-	if next == addr {
-		// The bounced map still routes here: map and shard disagree.
-		return proto.LookupReply{}, err
-	}
-	rep, err = c.lookupAt(next, page)
-	if errors.As(err, &ws) {
-		c.bounced(ws)
-	}
-	return rep, err
-}
-
-// bounced accounts a TWrongShard reply and installs the map it carried.
-func (c *Client) bounced(ws *WrongShardError) {
-	c.mu.Lock()
-	c.stats.WrongShard++
-	c.mu.Unlock()
-	c.met.wrongShard.Inc()
-	c.installMap(ws.Map)
-}
-
-// shardFor names the directory shard owning page: the ring owner once a
-// sharded map is installed, the bootstrap address before then. The first
-// call fetches the map from the bootstrap directory; an unsharded
-// deployment answers with the empty map and the client stays in
-// single-directory mode at zero per-lookup cost.
-func (c *Client) shardFor(page uint64) string {
-	c.shardMu.Lock()
-	ring, tried := c.ring, c.mapTried
-	c.shardMu.Unlock()
-	if ring == nil && !tried {
-		c.fetchShardMap()
-		c.shardMu.Lock()
-		ring = c.ring
-		c.shardMu.Unlock()
-	}
-	if ring == nil {
-		return c.cfg.Directory
-	}
-	return ring.OwnerAddr(page)
-}
-
-// fetchShardMap asks the bootstrap directory for the shard map, once.
-// Failure is not fatal: lookups proceed against the bootstrap address and
-// the fetch re-arms, so a directory that was briefly unreachable still
-// gets to announce its sharding.
-func (c *Client) fetchShardMap() {
-	dc := c.dirConnFor(c.cfg.Directory)
-	m, err := dc.shardMapRPC(c)
-	if err != nil {
-		return
-	}
-	c.shardMu.Lock()
-	c.mapTried = true
-	c.shardMu.Unlock()
-	c.installMap(m)
-}
-
-// installMap adopts m if it is sharded and newer than the map in use.
-func (c *Client) installMap(m proto.ShardMap) {
-	if !m.Sharded() {
-		return
-	}
-	c.shardMu.Lock()
-	if c.ring != nil && m.Version <= c.ring.Map().Version {
-		c.shardMu.Unlock()
-		return
-	}
-	c.ring = proto.NewRing(m)
-	c.shardMu.Unlock()
-	c.mu.Lock()
-	c.stats.MapRefreshes++
-	c.mu.Unlock()
-	c.met.mapRefreshes.Inc()
-}
-
-// dirConnFor returns (creating if needed) the control-plane connection
-// slot for the directory shard at addr. The slot dials lazily.
-func (c *Client) dirConnFor(addr string) *dirConn {
-	c.dconnMu.Lock()
-	defer c.dconnMu.Unlock()
-	dc := c.dconns[addr]
-	if dc == nil {
-		dc = newDirConn(addr, nil)
-		c.dconns[addr] = dc
-	}
-	return dc
-}
-
-// lookupAt performs one lookup RPC against the shard at addr. A transport
-// failure drops the shard connection so the next attempt redials.
-func (c *Client) lookupAt(addr string, page uint64) (proto.LookupReply, error) {
-	dc := c.dirConnFor(addr)
-	rep, err := dc.lookupRPC(c, page)
-	var ws *WrongShardError
-	if err != nil && !errors.As(err, &ws) {
-		_ = dc.drop()
-	}
-	return rep, err
-}
-
-// dirConn is the client's control-plane stream to one directory shard.
-// rpc serializes request/reply exchanges; ptr guards the connection
-// pointers so drop can race an in-flight dial safely.
-type dirConn struct {
-	addr string
-	rpc  sync.Mutex
-	ptr  sync.Mutex
-	conn net.Conn
-	w    *proto.Writer
-	r    *proto.Reader
-}
-
-func newDirConn(addr string, conn net.Conn) *dirConn {
-	dc := &dirConn{addr: addr}
-	if conn != nil {
-		dc.conn = conn
-		dc.w = proto.NewWriter(conn)
-		dc.r = proto.NewReader(conn)
-	}
-	return dc
-}
-
-// ensure (re)dials the shard if there is no live connection. Called with
-// dc.rpc held.
-func (dc *dirConn) ensure(c *Client) error {
-	dc.ptr.Lock()
-	have := dc.conn != nil
-	dc.ptr.Unlock()
-	if have {
-		return nil
-	}
-	conn, err := c.dial(dc.addr)
-	if err != nil {
-		return fmt.Errorf("remote: dial directory shard %s: %w", dc.addr, err)
-	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		_ = conn.Close()
-		return errClientClosed
-	}
-	dc.ptr.Lock()
-	dc.conn = conn
-	dc.w = proto.NewWriter(conn)
-	dc.r = proto.NewReader(conn)
-	dc.ptr.Unlock()
-	return nil
-}
-
-// drop severs the connection so the next RPC redials, returning the
-// close error (nil when there was nothing to close).
-func (dc *dirConn) drop() error {
-	dc.ptr.Lock()
-	defer dc.ptr.Unlock()
-	if dc.conn == nil {
-		return nil
-	}
-	err := dc.conn.Close()
-	dc.conn = nil
-	dc.w, dc.r = nil, nil
-	return err
-}
-
-// exchange sends one frame and reads one reply under the request
-// deadline. Called with dc.rpc held.
-func (dc *dirConn) exchange(c *Client, send func(*proto.Writer) error) (proto.Frame, error) {
-	dc.ptr.Lock()
-	conn, w, r := dc.conn, dc.w, dc.r
-	dc.ptr.Unlock()
-	if conn == nil {
-		return proto.Frame{}, errors.New("remote: no directory connection")
-	}
-	_ = conn.SetDeadline(time.Now().Add(c.cfg.RequestTimeout))
-	defer conn.SetDeadline(time.Time{})
-	if err := send(w); err != nil {
-		return proto.Frame{}, fmt.Errorf("remote: directory %s: %w", dc.addr, err)
-	}
-	f, err := r.Next()
-	if err != nil {
-		return proto.Frame{}, fmt.Errorf("remote: directory %s: %w", dc.addr, err)
-	}
-	return f, nil
-}
-
-// lookupRPC performs one lookup exchange. A TWrongShard answer decodes
-// into *WrongShardError so callers can re-route.
-func (dc *dirConn) lookupRPC(c *Client, page uint64) (proto.LookupReply, error) {
-	dc.rpc.Lock()
-	defer dc.rpc.Unlock()
-	if err := dc.ensure(c); err != nil {
-		return proto.LookupReply{}, err
-	}
-	f, err := dc.exchange(c, func(w *proto.Writer) error {
-		return w.SendLookup(proto.Lookup{Page: page})
-	})
-	if err != nil {
-		return proto.LookupReply{}, err
-	}
-	switch f.Type {
-	case proto.TLookupReply:
-		return proto.DecodeLookupReply(f.Payload)
-	case proto.TWrongShard:
-		ws, err := proto.DecodeWrongShard(f.Payload)
-		if err != nil {
-			return proto.LookupReply{}, err
-		}
-		return proto.LookupReply{}, &WrongShardError{Page: ws.Page, Map: ws.Map}
-	case proto.TError:
-		return proto.LookupReply{}, fmt.Errorf("remote: directory %s: %s", dc.addr, proto.DecodeError(f.Payload).Text)
-	case proto.TPutPage, proto.TAck, proto.TLookup, proto.TRegister,
-		proto.THeartbeat, proto.TGetShardMap, proto.TShardMap,
-		proto.TGetPageV2, proto.TSubpageBatch, proto.TCancel, proto.TDrain,
-		proto.TDrainReply:
-		// Valid tags that never answer a lookup; fall through to the
-		// protocol error below.
-	}
-	return proto.LookupReply{}, fmt.Errorf("remote: directory sent %v to a lookup", f.Type)
-}
-
-// shardMapRPC fetches the shard map this directory serves.
-func (dc *dirConn) shardMapRPC(c *Client) (proto.ShardMap, error) {
-	dc.rpc.Lock()
-	defer dc.rpc.Unlock()
-	if err := dc.ensure(c); err != nil {
-		return proto.ShardMap{}, err
-	}
-	f, err := dc.exchange(c, (*proto.Writer).SendGetShardMap)
-	if err != nil {
-		_ = dc.drop()
-		return proto.ShardMap{}, err
-	}
-	if f.Type != proto.TShardMap {
-		return proto.ShardMap{}, fmt.Errorf("remote: directory sent %v", f.Type)
-	}
-	return proto.DecodeShardMap(f.Payload)
-}
-
-// server returns (dialing if needed) the connection to a page server.
-func (c *Client) server(addr string) (*srvConn, error) {
-	c.srvMu.Lock()
-	defer c.srvMu.Unlock()
-	if sc, ok := c.servers[addr]; ok {
-		return sc, nil
-	}
-	conn, err := c.dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: dial server %s: %w", addr, err)
-	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		_ = conn.Close()
-		return nil, errClientClosed
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-	}
-	sc := &srvConn{conn: conn, w: proto.NewWriter(conn)}
-	c.servers[addr] = sc
-	c.wg.Add(1)
-	// The data stream deliberately reads without a deadline: batches
-	// arrive whenever the server sends them. Liveness is enforced per
-	// attempt (RequestTimeout timers + dropServer), not per read.
-	go c.readLoop(addr, conn) //lint:allow deadlinecheck data-stream reads are unbounded by design; per-attempt RequestTimeout and dropServer bound liveness
-	return sc, nil
-}
-
-// readLoop applies incoming subpage batches to the cache: the prototype's
-// interrupt handler. A connection failure is scoped to the pages this
-// server was transferring — other servers' pages stay usable and a later
-// fault redials.
-func (c *Client) readLoop(addr string, conn net.Conn) {
-	defer c.wg.Done()
-	r := proto.NewReader(conn)
-	cause := fmt.Errorf("remote: server %s connection lost", addr)
-	for {
-		f, err := r.Next()
-		if err != nil {
-			c.dropServer(addr, cause)
-			return
-		}
-		switch f.Type {
-		case proto.TSubpageBatch:
-			b, err := proto.DecodeSubpageBatch(f.Payload)
-			if err != nil {
-				continue
-			}
-			c.applyBatch(addr, b)
-		case proto.TError:
-			// An application-level failure: the request cannot be
-			// served but the connection stays usable. Fail the
-			// pages in flight on this server now, and remember
-			// the cause in case the server hangs up next.
-			cause = fmt.Errorf("remote: server %s: %s",
-				addr, proto.DecodeError(f.Payload).Text)
-			c.failPending(addr, cause)
-		case proto.TPutPage, proto.TAck, proto.TLookup, proto.TLookupReply,
-			proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
-			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
-			proto.TCancel, proto.TDrain, proto.TDrainReply:
-			// A data connection only ever carries subpage batches and
-			// errors. Any other tag means the peer is not speaking the
-			// page-server protocol (or the stream is desynchronized);
-			// trusting further frames would corrupt cached pages, so
-			// treat it exactly like a broken connection.
-			c.dropServer(addr, fmt.Errorf("remote: server %s sent unexpected %v on the data stream", addr, f.Type))
-			return
-		}
-	}
-}
-
-// dropServer severs one server: attempts sourcing from it fail with cause,
-// the connection is forgotten so the next fault redials, and every other
-// server's pages stay untouched.
-func (c *Client) dropServer(addr string, cause error) {
-	c.srvMu.Lock()
-	if sc, ok := c.servers[addr]; ok {
-		_ = sc.conn.Close()
-		delete(c.servers, addr)
-	}
-	c.srvMu.Unlock()
-	c.failPending(addr, cause)
-}
-
-// failPending removes addr as a source for every in-flight attempt. An
-// attempt whose last source just vanished fails with cause, and its fault
-// goes on to retry, fail over or give up. An attempt with a live hedge
-// outstanding keeps going untouched.
-func (c *Client) failPending(addr string, cause error) {
-	var cancels []source
-	c.mu.Lock()
-	for _, p := range c.cache {
-		id, ok := p.dropSource(addr)
-		if !ok {
-			continue
-		}
-		delete(c.reqs, id)
-		// Withdraw the stream if the connection survives (an
-		// application-level TError): the server may still be streaming
-		// requests this failure did not concern.
-		cancels = append(cancels, source{addr, id})
-		c.stats.Cancels++
-		c.met.cancels.Inc()
-		if p.nsrc == 0 && p.inflight {
-			c.attemptFailed(p, p.addr, cause)
-		}
-	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.sendCancels(cancels)
-}
-
-// firstArrived notes the faulted subpage of the attempt in flight, once.
-// Called with c.mu held.
-func (c *Client) firstArrived(p *cpage) {
-	if p.firstOK || !p.inflight {
-		return
-	}
-	p.firstOK = true
-	lat := float64(time.Since(p.start).Microseconds())
-	c.stats.SubpageLat.Add(lat)
-	c.met.subpageLat.Observe(lat)
-}
-
-// attemptDone ends the attempt in flight on p, and its fault, in success:
-// every other source (the losing half of a hedge) is withdrawn eagerly
-// instead of streaming a page we already have. Called with c.mu held; after
-// unlocking, send the cancels and book the success with the breaker.
-func (c *Client) attemptDone(p *cpage) []source {
-	cancels := c.stopAttempt(p)
-	lat := float64(time.Since(p.start).Microseconds())
-	c.stats.FullLat.Add(lat)
-	c.met.fullLat.Observe(lat)
-	c.endFault(p, nil)
-	return cancels
-}
-
-// applyBatch is the interrupt handler proper: one frame, many subpage runs.
-// The request ID decides what the batch may do — a live ID applies data
-// AND drives the attempt state machine (first-subpage latency, stream
-// completion, hedge settlement); a stale ID (canceled, timed out,
-// superseded) still applies its correct bytes to a cached page but cannot
-// touch signaling, which is what keeps a lost hedge from skewing
-// SubpageLat or completing a newer attempt (the lost-hedge bugfix).
-func (c *Client) applyBatch(addr string, b proto.SubpageBatch) {
-	var cancels []source
-	c.mu.Lock()
-	ent, live := c.reqs[b.ReqID]
-	p := c.cache[b.Page]
-	if live && ent.p != p {
-		// The registry outlives a cache entry only through bugs; refuse
-		// to apply rather than corrupt whatever now sits at this page.
-		live = false
-	}
-	if p == nil {
-		c.mu.Unlock()
-		return // page evicted mid-transfer; drop the data
-	}
-	for i := 0; i < b.Runs(); i++ {
-		off, data := b.Run(i)
-		if off+len(data) > units.PageSize {
-			c.mu.Unlock()
-			return // DecodeSubpageBatch bounds this; belt and braces
-		}
-		copy(p.data[off:], data)
-		p.valid = p.valid.Set(neededMask(off, len(data)))
-		c.stats.BytesIn += int64(len(data))
-		c.met.bytesIn.Add(int64(len(data)))
-	}
-	done := ""
-	if live && p.inflight {
-		if b.Flags&proto.FlagFirst != 0 {
-			c.firstArrived(p)
-		}
-		if b.Flags&proto.FlagLast != 0 {
-			// This stream won: deregister it; attemptDone cancels the rest.
-			p.dropSource(addr)
-			delete(c.reqs, b.ReqID)
-			cancels, done = c.attemptDone(p), p.addr
-		}
-	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.sendCancels(cancels)
-	if done != "" {
-		c.breakerSuccess(done)
 	}
 }

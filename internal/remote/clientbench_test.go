@@ -251,7 +251,7 @@ func BenchmarkClientEvict(b *testing.B) {
 			var next uint64
 			miss := func() {
 				c.evictIfFull()
-				c.install(next)
+				c.pages.install(next)
 				next++
 			}
 			for i := 0; i < size; i++ {

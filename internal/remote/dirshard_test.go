@@ -132,10 +132,10 @@ func TestStaleShardMapConvergesInOneBounce(t *testing.T) {
 	// Plant the stale map before the first fault: version 0, shard 0
 	// only. mapTried suppresses the bootstrap fetch, so the only way the
 	// client can learn the real map is a TWrongShard bounce.
-	c.shardMu.Lock()
-	c.ring = proto.NewRing(proto.ShardMap{Version: 0, Shards: m.Shards[:1]})
-	c.mapTried = true
-	c.shardMu.Unlock()
+	c.route.mu.Lock()
+	c.route.ring = proto.NewRing(proto.ShardMap{Version: 0, Shards: m.Shards[:1]})
+	c.route.mapTried = true
+	c.route.mu.Unlock()
 
 	buf := make([]byte, 64)
 	for p := uint64(0); p < npages; p++ {
@@ -156,9 +156,9 @@ func TestStaleShardMapConvergesInOneBounce(t *testing.T) {
 	if st.Retries != 0 {
 		t.Fatalf("Retries = %d, want 0: a bounce must converge inside the attempt", st.Retries)
 	}
-	c.shardMu.Lock()
-	v := c.ring.Map().Version
-	c.shardMu.Unlock()
+	c.route.mu.Lock()
+	v := c.route.ring.Map().Version
+	c.route.mu.Unlock()
 	if v != m.Version {
 		t.Fatalf("client map version = %d, want %d", v, m.Version)
 	}

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
@@ -213,27 +212,22 @@ func (d *Directory) abortDrain(addr string) {
 // the puts are known applied before the source's lease is dropped. All
 // I/O is deadline-bounded.
 func transferPages(src, dest string, pages []uint64) error {
-	sc, err := net.DialTimeout("tcp", src, drainDialTimeout)
+	sc, err := proto.Dial(nil, src, drainDialTimeout)
 	if err != nil {
 		return fmt.Errorf("dial source: %w", err)
 	}
 	defer func() { _ = sc.Close() }()
-	dc, err := net.DialTimeout("tcp", dest, drainDialTimeout)
+	dc, err := proto.Dial(nil, dest, drainDialTimeout)
 	if err != nil {
 		return fmt.Errorf("dial destination: %w", err)
 	}
 	defer func() { _ = dc.Close() }()
 
-	sr, sw := proto.NewReader(sc), proto.NewWriter(sc)
-	dr, dw := proto.NewReader(dc), proto.NewWriter(dc)
 	buf := make([]byte, units.PageSize)
 	for i, p := range pages {
-		if err := sc.SetDeadline(time.Now().Add(drainOpTimeout)); err != nil {
-			return err
-		}
 		// buf still holds the previous page: only a reply that covers every
 		// block of this one may be put to the destination under its ID.
-		got, err := getPage(sr, sw, proto.GetPageV2{
+		got, err := getPage(sc, proto.GetPageV2{
 			ReqID: uint64(i) + 1, Page: p, SubpageSize: units.PageSize, Policy: proto.PolicyFullPage,
 		}, buf)
 		if err == nil && !got.Full() {
@@ -245,17 +239,14 @@ func transferPages(src, dest string, pages []uint64) error {
 		if err := dc.SetDeadline(time.Now().Add(drainOpTimeout)); err != nil {
 			return err
 		}
-		if err := dw.SendPutPage(proto.PutPage{Page: p, Data: buf}); err != nil {
+		if err := dc.SendPutPage(proto.PutPage{Page: p, Data: buf}); err != nil {
 			return fmt.Errorf("put page %d to %s: %w", p, dest, err)
 		}
 	}
 	// Puts carry no ack; a one-block lazy read-back of the last page flushes
 	// the destination's receive pipeline (frames on one connection apply in
 	// order), proving every put above is stored before we fence the source.
-	if err := dc.SetDeadline(time.Now().Add(drainOpTimeout)); err != nil {
-		return err
-	}
-	if _, err := getPage(dr, dw, proto.GetPageV2{
+	if _, err := getPage(dc, proto.GetPageV2{
 		ReqID: 1, Page: pages[len(pages)-1], SubpageSize: units.MinSubpage,
 		Want: uint32(memmodel.BlockMask(0)), Policy: proto.PolicyLazy,
 	}, nil); err != nil {
@@ -265,17 +256,20 @@ func transferPages(src, dest string, pages []uint64) error {
 }
 
 // getPage issues one get on a drain connection and consumes its reply
-// through FlagLast, copying the runs into buf (PageSize bytes) when non-nil.
+// through FlagLast under drainOpTimeout, copying the runs into buf (PageSize bytes) when non-nil.
 // It returns the blocks the reply covered; what coverage is enough is the
 // caller's call. A batch echoing another request ID or page fails the
 // exchange rather than landing in buf.
-func getPage(r *proto.Reader, w *proto.Writer, req proto.GetPageV2, buf []byte) (memmodel.Bitmap, error) {
-	if err := w.SendGetPageV2(req); err != nil {
+func getPage(c *proto.Conn, req proto.GetPageV2, buf []byte) (memmodel.Bitmap, error) {
+	if err := c.SetDeadline(time.Now().Add(drainOpTimeout)); err != nil {
+		return 0, err
+	}
+	if err := c.SendGetPageV2(req); err != nil {
 		return 0, err
 	}
 	var got memmodel.Bitmap
 	for {
-		f, err := r.Next()
+		f, err := c.Next()
 		if err != nil {
 			return got, err
 		}
@@ -318,37 +312,17 @@ func DrainVia(dirAddr, serverAddr string, timeout time.Duration) (int, error) {
 	if timeout <= 0 {
 		timeout = time.Minute
 	}
-	conn, err := net.DialTimeout("tcp", dirAddr, drainDialTimeout)
+	pc, err := proto.Dial(nil, dirAddr, drainDialTimeout)
 	if err != nil {
 		return 0, fmt.Errorf("remote: drain: %w", err)
 	}
-	defer func() { _ = conn.Close() }()
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return 0, err
-	}
-	w := proto.NewWriter(conn)
-	r := proto.NewReader(conn)
-	if err := w.SendDrain(proto.Drain{Addr: serverAddr}); err != nil {
-		return 0, fmt.Errorf("remote: drain: %w", err)
-	}
-	f, err := r.Next()
+	defer func() { _ = pc.Close() }()
+	f, err := pc.Call(timeout, func(w *proto.Writer) error {
+		return w.SendDrain(proto.Drain{Addr: serverAddr})
+	}, proto.TDrainReply)
 	if err != nil {
 		return 0, fmt.Errorf("remote: drain: %w", err)
 	}
-	switch f.Type {
-	case proto.TDrainReply:
-		rep, err := proto.DecodeDrainReply(f.Payload)
-		if err != nil {
-			return 0, err
-		}
-		return int(rep.Moved), nil
-	case proto.TError:
-		return 0, fmt.Errorf("remote: drain: %s", proto.DecodeError(f.Payload).Text)
-	case proto.TPutPage, proto.TAck, proto.TLookup, proto.TLookupReply,
-		proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
-		proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
-		proto.TSubpageBatch, proto.TCancel, proto.TDrain:
-		return 0, fmt.Errorf("remote: drain: unexpected %v reply", f.Type)
-	}
-	return 0, nil
+	rep, err := proto.DecodeDrainReply(f.Payload)
+	return int(rep.Moved), err
 }

@@ -21,7 +21,7 @@ import (
 // Called with c.mu held.
 func scanVictim(c *Client) *cpage {
 	var victim *cpage
-	for _, p := range c.cache {
+	for _, p := range c.pages.m {
 		if p.inflight || p.faulting || p.waiters > 0 {
 			continue
 		}
@@ -40,14 +40,14 @@ func checkLRULocked(t testing.TB, c *Client) {
 	t.Helper()
 	n := 0
 	var prev *cpage
-	for p := c.lruHead; p != nil; prev, p = p, p.next {
-		if n++; n > len(c.cache) {
-			t.Fatalf("LRU list runs past the cache's %d pages (cycle or stray entry at page %d)", len(c.cache), p.id)
+	for p := c.pages.lruHead; p != nil; prev, p = p, p.next {
+		if n++; n > len(c.pages.m) {
+			t.Fatalf("LRU list runs past the cache's %d pages (cycle or stray entry at page %d)", len(c.pages.m), p.id)
 		}
 		if p.prev != prev {
 			t.Fatalf("page %d: prev link does not point at its predecessor", p.id)
 		}
-		if c.cache[p.id] != p {
+		if c.pages.m[p.id] != p {
 			t.Fatalf("page %d is on the LRU list but not the cache entry for its id", p.id)
 		}
 		if prev != nil && p.lastUse >= prev.lastUse {
@@ -55,13 +55,13 @@ func checkLRULocked(t testing.TB, c *Client) {
 				p.id, p.lastUse, prev.id, prev.lastUse)
 		}
 	}
-	if c.lruTail != prev {
+	if c.pages.lruTail != prev {
 		t.Fatal("lruTail is not the last page of the list")
 	}
-	if n != len(c.cache) {
-		t.Fatalf("LRU list has %d pages, cache has %d", n, len(c.cache))
+	if n != len(c.pages.m) {
+		t.Fatalf("LRU list has %d pages, cache has %d", n, len(c.pages.m))
 	}
-	if got, want := c.victim(), scanVictim(c); got != want {
+	if got, want := c.pages.victim(), scanVictim(c); got != want {
 		t.Fatalf("list victim %v, scan victim %v", pageID(got), pageID(want))
 	}
 }
@@ -177,7 +177,7 @@ func newEvictHarness(t testing.TB, capacity int, seed int64) *evictHarness {
 		// evictIfFull has let go of c.mu for the write-back: this is the
 		// window in which another accessor can fault the victim back in.
 		h.c.mu.Lock()
-		if h.reinstallC.Intn(2) == 0 && len(h.c.cache) < capacity {
+		if h.reinstallC.Intn(2) == 0 && len(h.c.pages.m) < capacity {
 			h.access(victim)
 			h.reinstalled++
 		}
@@ -190,15 +190,15 @@ func newEvictHarness(t testing.TB, capacity int, seed int64) *evictHarness {
 // access is the cache half of ensureValid. Called with c.mu held.
 func (h *evictHarness) access(page uint64) {
 	c := h.c
-	p := c.cache[page]
+	p := c.pages.m[page]
 	if p == nil {
 		c.evictIfFull()
-		p = c.cache[page]
+		p = c.pages.m[page]
 	}
 	if p == nil {
-		c.install(page)
+		c.pages.install(page)
 	} else {
-		c.touch(p)
+		c.pages.touch(p)
 	}
 }
 
@@ -208,7 +208,7 @@ func (h *evictHarness) compare(step int, op string) {
 	h.t.Helper()
 	checkLRULocked(h.t, h.c)
 	var got, want []uint64
-	for id := range h.c.cache {
+	for id := range h.c.pages.m {
 		got = append(got, id)
 	}
 	for id := range h.m.pages {
@@ -227,8 +227,8 @@ func (h *evictHarness) compare(step int, op string) {
 // cached returns the ids the client caches, sorted, so a seeded stream picks
 // the same page whatever the map's iteration order.
 func (h *evictHarness) cached() []uint64 {
-	ids := make([]uint64, 0, len(h.c.cache))
-	for id := range h.c.cache {
+	ids := make([]uint64, 0, len(h.c.pages.m))
+	for id := range h.c.pages.m {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -259,13 +259,13 @@ func TestEvictionMatchesScanOracle(t *testing.T) {
 				var mp *modelPage
 				if len(ids) > 0 {
 					id = ids[r.Intn(len(ids))]
-					p, mp = c.cache[id], m.pages[id]
+					p, mp = c.pages.m[id], m.pages[id]
 				}
 				op := "access"
 				switch k := r.Intn(100); {
 				case k < 50 || p == nil:
 					id = r.Uint64() % universe
-					if c.cache[id] == nil && len(c.cache) >= capacity && scanVictim(c) == nil {
+					if c.pages.m[id] == nil && len(c.pages.m) >= capacity && scanVictim(c) == nil {
 						overcommits++ // every page pinned: the install must go through regardless
 					}
 					h.access(id)
@@ -290,14 +290,14 @@ func TestEvictionMatchesScanOracle(t *testing.T) {
 					// endFault forgetting a failed read-ahead's placeholder.
 					op = "placeholder delete"
 					if p.valid == 0 && !p.dirty {
-						delete(c.cache, id)
-						c.unlink(p)
+						delete(c.pages.m, id)
+						c.pages.unlink(p)
 						delete(m.pages, id)
 					}
 				case k < 92:
 					op = "dirty"
 					p.valid, p.dirty, mp.dirtyFull = ^memmodel.Bitmap(0), true, true
-					c.located[id] = []string{fmt.Sprintf("victim-%d", id)}
+					c.route.remember(id, []string{fmt.Sprintf("victim-%d", id)})
 				default:
 					op = "evict"
 					m.evictIfFull()
@@ -326,7 +326,7 @@ func TestEvictionAllPinnedOvercommits(t *testing.T) {
 	defer c.mu.Unlock()
 	for id := uint64(0); id < capacity; id++ {
 		h.access(id)
-		switch p := c.cache[id]; id % 3 {
+		switch p := c.pages.m[id]; id % 3 {
 		case 0:
 			p.inflight = true
 		case 1:
@@ -336,26 +336,26 @@ func TestEvictionAllPinnedOvercommits(t *testing.T) {
 		}
 	}
 	for id := uint64(capacity); id < capacity+3; id++ {
-		if v := c.victim(); v != nil {
+		if v := c.pages.victim(); v != nil {
 			t.Fatalf("victim %s with every page pinned", pageID(v))
 		}
 		h.access(id)
-		c.cache[id].waiters = 1
+		c.pages.m[id].waiters = 1
 		checkLRULocked(t, c)
 	}
-	if len(c.cache) != capacity+3 || c.stats.Evictions != 0 {
-		t.Fatalf("all pinned: %d pages cached, %d evictions; want %d and 0", len(c.cache), c.stats.Evictions, capacity+3)
+	if len(c.pages.m) != capacity+3 || c.stats.Evictions != 0 {
+		t.Fatalf("all pinned: %d pages cached, %d evictions; want %d and 0", len(c.pages.m), c.stats.Evictions, capacity+3)
 	}
-	for _, p := range c.cache {
+	for _, p := range c.pages.m {
 		p.inflight, p.faulting, p.waiters = false, false, 0
 	}
 	c.evictIfFull()
 	checkLRULocked(t, c)
-	if len(c.cache) != capacity-1 {
-		t.Fatalf("after unpinning, evictIfFull left %d pages, want %d", len(c.cache), capacity-1)
+	if len(c.pages.m) != capacity-1 {
+		t.Fatalf("after unpinning, evictIfFull left %d pages, want %d", len(c.pages.m), capacity-1)
 	}
 	for id := uint64(0); id < 4; id++ {
-		if c.cache[id] != nil {
+		if c.pages.m[id] != nil {
 			t.Fatalf("page %d survived; the overcommit must drain oldest first (cache %v)", id, h.cached())
 		}
 	}
@@ -375,11 +375,9 @@ func TestDirtyEvictionAfterForgottenPlacement(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return !c.cache[5].faulting
+		return !c.pages.m[5].faulting
 	}, "page 5's fault to settle, so that it is evictable")
-	c.mu.Lock()
-	delete(c.located, 5) // what retry does after any failed attempt on the page
-	c.mu.Unlock()
+	c.route.forget(5) // what retry does after any failed attempt on the page
 	var b [8]byte
 	for p := 0; p < 4; p++ {
 		if err := c.Read(b[:], uint64(p)*units.PageSize); err != nil {
@@ -411,11 +409,11 @@ func TestDirtyEvictionWithNoReplicaCountsDrop(t *testing.T) {
 	}
 	srv.Close()
 	waitFor(t, 2*time.Second, func() bool {
-		c.srvMu.Lock()
-		defer c.srvMu.Unlock()
+		c.tr.srvMu.Lock()
+		defer c.tr.srvMu.Unlock()
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return len(c.servers) == 0 && !c.cache[0].faulting
+		return len(c.tr.servers) == 0 && !c.pages.m[0].faulting
 	}, "the fault to settle and the client to notice its server connection died")
 	c.mu.Lock()
 	c.evictIfFull()

@@ -45,7 +45,7 @@ func inflightPage(t *testing.T, c *Client, page uint64) *cpage {
 	waitFor(t, 5*time.Second, func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		p = c.cache[page]
+		p = c.pages.m[page]
 		return p != nil && p.inflight
 	}, "the attempt to be in flight")
 	return p
@@ -284,9 +284,9 @@ func TestStalledServerTimesOutDropsAndRetries(t *testing.T) {
 	if st.Faults != 1 || st.Retries != 1 || st.Failovers != 1 || st.Cancels != 1 {
 		t.Fatalf("Faults %d Retries %d Failovers %d Cancels %d, want 1 each", st.Faults, st.Retries, st.Failovers, st.Cancels)
 	}
-	c.srvMu.Lock()
-	_, kept := c.servers[srvA.Addr()]
-	c.srvMu.Unlock()
+	c.tr.srvMu.Lock()
+	_, kept := c.tr.servers[srvA.Addr()]
+	c.tr.srvMu.Unlock()
 	if kept {
 		t.Fatal("the stalled server's connection survived the timeout")
 	}
@@ -339,7 +339,7 @@ func TestCloseWithEventDrivenAttemptsInFlight(t *testing.T) {
 		}
 	}
 	c.mu.Lock()
-	for id, p := range c.cache {
+	for id, p := range c.pages.m {
 		if p.inflight || p.nsrc != 0 {
 			t.Errorf("page %d after Close: inflight %v, %d sources", id, p.inflight, p.nsrc)
 		}

@@ -1,6 +1,8 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -76,11 +78,9 @@ func TestRegisterWithSilentDirectoryTimesOut(t *testing.T) {
 	}
 }
 
-// misdirectedServer accepts data-stream connections and answers every
-// GetPage with a TAck — a valid frame that has no business on a data
-// stream. Before the tagswitch audit the client's read loop silently
-// skipped such frames and the attempt stalled to the full RequestTimeout.
-func misdirectedServer(t *testing.T) string {
+// fakeServer accepts data-stream connections and answers every frame it
+// reads with the same raw bytes.
+func fakeServer(t *testing.T, answer []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -96,12 +96,11 @@ func misdirectedServer(t *testing.T) string {
 			go func(conn net.Conn) {
 				defer conn.Close()
 				r := proto.NewReader(conn)
-				w := proto.NewWriter(conn)
 				for {
 					if _, err := r.Next(); err != nil {
 						return
 					}
-					if err := w.SendAck(); err != nil {
+					if _, err := conn.Write(answer); err != nil {
 						return
 					}
 				}
@@ -111,26 +110,34 @@ func misdirectedServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
+// registerFake routes page 0 at addr by registering it with dir directly,
+// the way a real server announces itself.
+func registerFake(t *testing.T, dir *Directory, addr string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", dir.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := proto.NewWriter(conn).SendRegister(proto.Register{Addr: addr, Epoch: 1, Pages: []uint64{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := proto.NewReader(conn).Next(); err != nil || f.Type != proto.TAck {
+		t.Fatalf("register: %v %v", f.Type, err)
+	}
+}
+
+// TestMisdirectedFrameFailsFastNotTimeout: a server that answers every
+// GetPage with a TAck — a valid frame that has no business on a data
+// stream. Before the tagswitch audit the client's read loop silently
+// skipped such frames and the attempt stalled to the full RequestTimeout.
 func TestMisdirectedFrameFailsFastNotTimeout(t *testing.T) {
 	dir, err := ListenDirectory("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dir.Close() })
-	srvAddr := misdirectedServer(t)
-	// Route page 0 at the broken server by registering it directly, the
-	// way a real server announces itself.
-	conn, err := net.Dial("tcp", dir.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := proto.NewWriter(conn).SendRegister(proto.Register{Addr: srvAddr, Epoch: 1, Pages: []uint64{0}}); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := proto.NewReader(conn).Next(); err != nil || f.Type != proto.TAck {
-		t.Fatalf("register: %v %v", f.Type, err)
-	}
+	registerFake(t, dir, fakeServer(t, []byte{byte(proto.TAck), 0, 0, 0, 0}))
 
 	// A long request timeout so the test can tell "dropped on the bad
 	// frame" apart from "waited out the deadline".
@@ -152,5 +159,49 @@ func TestMisdirectedFrameFailsFastNotTimeout(t *testing.T) {
 	var pe *PageError
 	if errors.As(readErr, &pe) && !strings.Contains(pe.Err.Error(), "unexpected") {
 		t.Fatalf("cause = %v, want the unexpected-frame drop", pe.Err)
+	}
+}
+
+// TestMalformedBatchFailsOverNotTimeout: the primary answers a get with a
+// TSubpageBatch whose run table promises a kilobyte and whose payload
+// carries half of one. The stream is suspect from that frame on, so the
+// read loop must drop the server — failing the attempt over to the healthy
+// replica at once — rather than skip the frame and leave the attempt to its
+// deadline.
+func TestMalformedBatchFailsOverNotTimeout(t *testing.T) {
+	dir, err := ListenDirectory("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dir.Close() })
+	payload := make([]byte, 18+8+512) // ReqID, Page, Flags, one run; then the data
+	payload[16], payload[17] = proto.FlagFirst|proto.FlagLast, 1
+	binary.LittleEndian.PutUint32(payload[22:], 1024) // the run: offset 0, length 1024
+	frame := binary.LittleEndian.AppendUint32([]byte{byte(proto.TSubpageBatch)}, uint32(len(payload)))
+	registerFake(t, dir, fakeServer(t, append(frame, payload...))) // first, so primary
+	srv, err := ListenServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	srv.Store(0, pagePattern(0))
+	if err := srv.RegisterWith(dir.Addr()); err != nil {
+		t.Fatal(err)
+	}
+
+	c := testClient(t, dir, ClientConfig{RequestTimeout: 5 * time.Second, RetryBackoff: 5 * time.Millisecond})
+	var b [8]byte
+	start := time.Now()
+	if err := c.Read(b[:], 0); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("a malformed batch took %v to fail over; the read loop should drop the server on it, not wait out the deadline", el)
+	}
+	if !bytes.Equal(b[:], pagePattern(0)[:8]) {
+		t.Fatal("wrong bytes after failing over")
+	}
+	if st := c.Stats(); st.Failovers == 0 {
+		t.Fatalf("stats = %+v, want a failover to the replica", st)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -327,5 +328,70 @@ func TestCloseUnblocksPendingFault(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("shutdown left the client wedged")
 		}
+	}
+}
+
+// refusingDirectory serves the (empty) shard map and refuses every lookup
+// with a TError, counting them: a directory that is up but cannot answer.
+func refusingDirectory(t *testing.T) (string, *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	lookups := new(atomic.Int64)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				r, w := proto.NewReader(conn), proto.NewWriter(conn)
+				for {
+					f, err := r.Next()
+					if err != nil {
+						return
+					}
+					if f.Type == proto.TGetShardMap {
+						err = w.SendShardMap(proto.ShardMap{})
+					} else {
+						lookups.Add(1)
+						err = w.SendError("directory: out of order")
+					}
+					if err != nil {
+						return
+					}
+				}
+			}(conn)
+		}
+	}()
+	return ln.Addr().String(), lookups
+}
+
+// TestDirectoryOutageSpendsOneRetryBudget: a fault whose lookups all fail
+// gives up after MaxRetries+1 of them. (locate used to run a retry loop of
+// its own inside every attempt of the fault engine's: 16 lookups and 15
+// retries for MaxRetries 3, under an error that said "after 4 attempt(s)".)
+func TestDirectoryOutageSpendsOneRetryBudget(t *testing.T) {
+	addr, lookups := refusingDirectory(t)
+	c, err := Dial(ClientConfig{Directory: addr, MaxRetries: 3, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	var b [8]byte
+	err = c.Read(b[:], 0)
+	var pe *PageError
+	if !errors.As(err, &pe) || pe.Attempts != 4 {
+		t.Fatalf("err = %v, want a *PageError after 4 attempts", err)
+	}
+	if n := lookups.Load(); n > 4 {
+		t.Fatalf("%d lookups on the wire for MaxRetries 3, want at most 4", n)
+	}
+	if st := c.Stats(); st.Retries != 3 {
+		t.Fatalf("Retries = %d, want 3", st.Retries)
 	}
 }

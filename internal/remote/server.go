@@ -291,22 +291,30 @@ func (s *Server) RegisterWith(dirAddr string) error {
 	return nil
 }
 
-// registerTimeout bounds each dial and register/ack round trip with the
-// directory: a wedged or silent directory fails the registration (and the
+// registerTimeout bounds each dial and each round trip with a directory:
+// a wedged or silent one fails the registration or the renewal (and the
 // heartbeat self-heal behind it) instead of hanging it forever.
 const registerTimeout = 2 * time.Second
+
+// dialDirectory opens a control-plane connection. An unreachable directory
+// yields a typed error matching ErrDirectoryUnreachable.
+func dialDirectory(addr string) (*proto.Conn, error) {
+	pc, err := proto.Dial(nil, addr, registerTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrDirectoryUnreachable, addr, err)
+	}
+	return pc, nil
+}
 
 // registerAt streams one registration (in frame-bounded batches) to the
 // directory at dirAddr. An empty server still sends one registration so it
 // holds a lease.
 func (s *Server) registerAt(dirAddr string, epoch uint64, ids []uint64) error {
-	conn, err := net.DialTimeout("tcp", dirAddr, registerTimeout)
+	pc, err := dialDirectory(dirAddr)
 	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrDirectoryUnreachable, dirAddr, err)
+		return err
 	}
-	defer conn.Close()
-	w := proto.NewWriter(conn)
-	r := proto.NewReader(conn)
+	defer pc.Close()
 	const batch = (proto.MaxPayload - 256) / 8
 	for first := true; first || len(ids) > 0; first = false {
 		n := len(ids)
@@ -316,51 +324,33 @@ func (s *Server) registerAt(dirAddr string, epoch uint64, ids []uint64) error {
 		// A fresh deadline per batch: a large registration streams many
 		// round trips, and it is per-exchange progress that proves the
 		// directory alive, not total elapsed time.
-		_ = conn.SetDeadline(time.Now().Add(registerTimeout))
-		if err := w.SendRegister(proto.Register{Addr: s.Addr(), Epoch: epoch, Pages: ids[:n]}); err != nil {
-			return err
-		}
-		f, err := r.Next()
+		_, err := pc.Call(registerTimeout, func(w *proto.Writer) error {
+			return w.SendRegister(proto.Register{Addr: s.Addr(), Epoch: epoch, Pages: ids[:n]})
+		}, proto.TAck)
 		if err != nil {
-			return err
-		}
-		switch f.Type {
-		case proto.TAck:
-		case proto.TError:
-			return fmt.Errorf("remote: register: %s", proto.DecodeError(f.Payload).Text)
-		case proto.TPutPage, proto.TLookup, proto.TLookupReply,
-			proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
-			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
-			proto.TSubpageBatch, proto.TCancel, proto.TDrain,
-			proto.TDrainReply:
-			return fmt.Errorf("remote: register: unexpected %v", f.Type)
+			return fmt.Errorf("remote: register with %s: %w", dirAddr, err)
 		}
 		ids = ids[n:]
 	}
 	return nil
 }
 
+// askDirectory is one exchange on a connection of its own.
+func askDirectory(addr string, send func(*proto.Writer) error, want ...proto.Type) (proto.Frame, error) {
+	pc, err := dialDirectory(addr)
+	if err != nil {
+		return proto.Frame{}, err
+	}
+	defer pc.Close()
+	return pc.Call(registerTimeout, send, want...)
+}
+
 // getShardMap asks the directory at addr which shard map it serves. The
-// empty map means the deployment is unsharded. An unreachable directory
-// yields a typed error matching ErrDirectoryUnreachable.
+// empty map means the deployment is unsharded.
 func getShardMap(addr string) (proto.ShardMap, error) {
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return proto.ShardMap{}, fmt.Errorf("%w: %s: %v", ErrDirectoryUnreachable, addr, err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	w := proto.NewWriter(conn)
-	r := proto.NewReader(conn)
-	if err := w.SendGetShardMap(); err != nil {
-		return proto.ShardMap{}, fmt.Errorf("remote: shard map from %s: %w", addr, err)
-	}
-	f, err := r.Next()
+	f, err := askDirectory(addr, (*proto.Writer).SendGetShardMap, proto.TShardMap)
 	if err != nil {
 		return proto.ShardMap{}, fmt.Errorf("remote: shard map from %s: %w", addr, err)
-	}
-	if f.Type != proto.TShardMap {
-		return proto.ShardMap{}, fmt.Errorf("remote: shard map from %s: unexpected %v", addr, f.Type)
 	}
 	return proto.DecodeShardMap(f.Payload)
 }
@@ -417,24 +407,13 @@ func (s *Server) heartbeat() {
 }
 
 // renewAt sends one lease renewal to the directory at dir, reporting
-// whether the directory still recognized the lease.
+// whether the directory still recognized the lease: its TError is the "no
+// lease" answer, and anything else unasked-for is a failed renewal.
 func (s *Server) renewAt(dir string, epoch uint64) (bool, error) {
-	conn, err := net.DialTimeout("tcp", dir, time.Second)
-	if err != nil {
-		return false, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	w := proto.NewWriter(conn)
-	r := proto.NewReader(conn)
-	if err := w.SendHeartbeat(proto.Heartbeat{Addr: s.Addr(), Epoch: epoch}); err != nil {
-		return false, err
-	}
-	f, err := r.Next()
-	if err != nil {
-		return false, err
-	}
-	return f.Type == proto.TAck, nil
+	f, err := askDirectory(dir, func(w *proto.Writer) error {
+		return w.SendHeartbeat(proto.Heartbeat{Addr: s.Addr(), Epoch: epoch})
+	}, proto.TAck, proto.TError)
+	return f.Type == proto.TAck, err
 }
 
 func (s *Server) acceptLoop() {
@@ -535,10 +514,7 @@ func (s *Server) serve(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		// Latency matters more than throughput on this path.
-		_ = tc.SetNoDelay(true)
-	}
+	pc := proto.NewConn(conn)
 	st := &connState{
 		conn:     conn,
 		queue:    make(chan srvReq, 64),
@@ -553,7 +529,7 @@ func (s *Server) serve(conn net.Conn) {
 	go func() {
 		defer s.wg.Done()
 		defer close(writerDone)
-		s.writeLoop(st)
+		s.writeLoop(st, pc.Writer)
 	}()
 	defer func() {
 		close(st.queue)
@@ -561,9 +537,8 @@ func (s *Server) serve(conn net.Conn) {
 		// write fails); the connection closes after it is done.
 		<-writerDone
 	}()
-	r := proto.NewReader(conn)
 	for {
-		f, err := r.Next()
+		f, err := pc.Next()
 		if err != nil {
 			return
 		}
@@ -611,10 +586,9 @@ func (s *Server) serve(conn net.Conn) {
 // the connection, serving queued requests in arrival order. After a write
 // error the connection is severed (unblocking the reader) and the
 // remaining queue is drained without touching the wire.
-func (s *Server) writeLoop(st *connState) {
+func (s *Server) writeLoop(st *connState, w *proto.Writer) {
 	slp := newSleeper()
 	defer slp.Close()
-	w := proto.NewWriter(st.conn)
 	dead := false
 	for req := range st.queue {
 		var err error
