@@ -3,6 +3,7 @@ package dirlog
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -58,6 +59,24 @@ func FuzzDecode(f *testing.F) {
 		st := NewState()
 		for _, r := range recs {
 			st.Apply(r)
+		}
+		// The page index is exactly the one Servers implies — no holder
+		// missing, none left over, no empty set — and a clone is the same
+		// table.
+		index := make(map[uint64]map[string]struct{})
+		for addr, s := range st.Servers {
+			for p := range s.Pages {
+				if index[p] == nil {
+					index[p] = make(map[string]struct{})
+				}
+				index[p][addr] = struct{}{}
+			}
+		}
+		if !reflect.DeepEqual(st.Holders, index) {
+			t.Fatalf("Holders = %v, the index Servers implies is %v", st.Holders, index)
+		}
+		if !st.Clone().Equal(st, true) {
+			t.Fatal("a clone is not the same table")
 		}
 		var out []byte
 		for _, r := range st.Records() {

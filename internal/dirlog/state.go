@@ -1,19 +1,24 @@
 package dirlog
 
-import "sort"
+import (
+	"reflect"
+	"sort"
+)
 
 // State is the durable portion of a directory's lease table: what a
-// replayed journal reconstructs and what a snapshot compacts. It mirrors
-// the directory's in-memory maps — servers with their epochs, seniority
-// and pages; the per-address epoch memory that survives lease expiry; and
-// draining marks — but not the volatile parts (connections, metrics,
-// service-time emulation), which recovery rebuilds empty.
+// replayed journal reconstructs, what a snapshot compacts, and the very
+// table a live directory serves from — servers with their epochs,
+// seniority and pages; the per-address epoch memory that survives lease
+// expiry; and draining marks. The volatile parts (connections, metrics,
+// service-time emulation) live beside it and recovery rebuilds them empty.
 type State struct {
-	Meta     Meta
+	Meta     Meta   // identity of the journal replayed into this state
 	Seq      uint64 // high-water registration seniority counter
 	Epochs   map[string]uint64
 	Servers  map[string]*ServerState
 	Draining map[string]bool
+	// Holders indexes Servers by page; Apply keeps it, with no empty sets.
+	Holders  map[uint64]map[string]struct{}
 	Complete bool // a replayed snapshot carried its SnapEnd terminator
 }
 
@@ -31,15 +36,17 @@ func NewState() *State {
 		Epochs:   make(map[string]uint64),
 		Servers:  make(map[string]*ServerState),
 		Draining: make(map[string]bool),
+		Holders:  make(map[uint64]map[string]struct{}),
 	}
 }
 
-// Apply folds one record into the state. The semantics deliberately
-// mirror the live directory's: a Register below the remembered epoch is
-// ignored, a higher epoch fences out the old incarnation, renewals only
-// extend a matching live registration, and expunge keeps the epoch
-// memory. Replaying a journal therefore lands on the same lease table the
-// directory held when the journal was written.
+// Apply folds one record into the state. It is the lease table's only
+// transition function — the live directory decides which records to emit
+// and applies them here, replay applies the journaled copies — so a
+// replayed journal lands on the table the directory held when it wrote
+// it. A Register below the remembered epoch is ignored, a higher epoch
+// fences out the old incarnation, renewals only extend a matching
+// registration, and expunge keeps the epoch memory.
 func (st *State) Apply(r Record) {
 	switch m := r.(type) {
 	case Meta:
@@ -61,6 +68,12 @@ func (st *State) Apply(r Record) {
 		s.Expires = m.Expires
 		for _, p := range m.Pages {
 			s.Pages[p] = struct{}{}
+			holders := st.Holders[p]
+			if holders == nil {
+				holders = make(map[string]struct{})
+				st.Holders[p] = holders
+			}
+			holders[m.Addr] = struct{}{}
 		}
 		if m.Seq > st.Seq {
 			st.Seq = m.Seq
@@ -91,7 +104,20 @@ func (st *State) Apply(r Record) {
 	}
 }
 
+// expunge drops addr's registration, its replicas and its draining mark:
+// a drain ends with the registration it was draining.
 func (st *State) expunge(addr string) {
+	s := st.Servers[addr]
+	if s == nil {
+		return
+	}
+	for p := range s.Pages {
+		holders := st.Holders[p]
+		delete(holders, addr)
+		if len(holders) == 0 {
+			delete(st.Holders, p)
+		}
+	}
 	delete(st.Servers, addr)
 	delete(st.Draining, addr)
 }
@@ -107,12 +133,7 @@ func (st *State) Records() []Record {
 	for _, addr := range sortedKeys(st.Epochs) {
 		recs = append(recs, Fence{Addr: addr, Epoch: st.Epochs[addr]})
 	}
-	addrs := make([]string, 0, len(st.Servers))
-	for a := range st.Servers {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	for _, addr := range addrs {
+	for _, addr := range sortedKeys(st.Servers) {
 		s := st.Servers[addr]
 		pages := make([]uint64, 0, len(s.Pages))
 		for p := range s.Pages {
@@ -136,38 +157,35 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 	return keys
 }
 
-// Equal reports whether two states hold the same lease table: epochs,
-// registrations (epoch, seniority, pages) and draining marks. Expiry
-// times are compared only when withExpiry is set — recovery rewrites them
-// with the restart grace window, so equivalence checks usually exclude
-// them. Meta and Complete are excluded.
+// Clone returns a deep copy of the state: its canonical records replayed
+// into a fresh one, with the scalar fields carried over.
+func (st *State) Clone() *State {
+	c := NewState()
+	for _, r := range st.Records() {
+		c.Apply(r)
+	}
+	c.Meta, c.Seq, c.Complete = st.Meta, st.Seq, st.Complete
+	c.Meta.Shards = append([]string(nil), st.Meta.Shards...)
+	return c
+}
+
+// Equal reports whether two states hold the same lease table: their
+// canonical records match — epochs, registrations (epoch, seniority,
+// pages) and draining marks. Expiry times are compared only when
+// withExpiry is set — recovery rewrites them with the restart grace
+// window, so equivalence checks usually exclude them. Meta, Seq and
+// Complete are excluded.
 func (st *State) Equal(o *State, withExpiry bool) bool {
-	if len(st.Epochs) != len(o.Epochs) || len(st.Servers) != len(o.Servers) || len(st.Draining) != len(o.Draining) {
-		return false
-	}
-	for a, e := range st.Epochs {
-		if o.Epochs[a] != e {
-			return false
-		}
-	}
-	for a := range st.Draining {
-		if !o.Draining[a] {
-			return false
-		}
-	}
-	for a, s := range st.Servers {
-		os := o.Servers[a]
-		if os == nil || os.Epoch != s.Epoch || os.Seq != s.Seq || len(os.Pages) != len(s.Pages) {
-			return false
-		}
-		if withExpiry && os.Expires != s.Expires {
-			return false
-		}
-		for p := range s.Pages {
-			if _, ok := os.Pages[p]; !ok {
-				return false
+	a, b := st.Records(), o.Records()
+	if !withExpiry {
+		for _, recs := range [][]Record{a, b} {
+			for i, r := range recs {
+				if reg, ok := r.(Register); ok {
+					reg.Expires = 0
+					recs[i] = reg
+				}
 			}
 		}
 	}
-	return true
+	return reflect.DeepEqual(a, b)
 }

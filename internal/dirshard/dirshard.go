@@ -55,15 +55,23 @@ type Config struct {
 	RestartGrace time.Duration
 }
 
-// shardJournal derives shard i's journal options from cfg, or nil when
-// the cluster is not durable.
-func (cfg Config) shardJournal(i int) *dirlog.Options {
-	if cfg.Journal == nil {
-		return nil
+// directory is the DirectoryConfig for shard self of map m. A lone shard
+// (inCluster false) journals to cfg.Journal verbatim; a cluster's shard
+// journals to its own shard-NNN subdirectory of cfg.Journal.Dir.
+func (cfg Config) directory(m proto.ShardMap, self int, inCluster bool) remote.DirectoryConfig {
+	journal := cfg.Journal
+	if journal != nil && inCluster {
+		o := *journal
+		o.Dir = filepath.Join(o.Dir, fmt.Sprintf("shard-%03d", self))
+		journal = &o
 	}
-	o := *cfg.Journal
-	o.Dir = filepath.Join(cfg.Journal.Dir, fmt.Sprintf("shard-%03d", i))
-	return &o
+	return remote.DirectoryConfig{
+		LeaseTTL:      cfg.LeaseTTL,
+		LookupService: cfg.LookupService,
+		Shard:         &remote.ShardConfig{Map: m, Self: self},
+		Journal:       journal,
+		RestartGrace:  cfg.RestartGrace,
+	}
 }
 
 // StartShard starts one directory shard on addr serving shard index self
@@ -77,13 +85,7 @@ func StartShard(addr string, m proto.ShardMap, self int, cfg Config) (*remote.Di
 	if self < 0 || self >= len(m.Shards) {
 		return nil, fmt.Errorf("dirshard: self index %d outside map of %d shards", self, len(m.Shards))
 	}
-	return remote.ListenDirectoryWith(addr, remote.DirectoryConfig{
-		LeaseTTL:      cfg.LeaseTTL,
-		LookupService: cfg.LookupService,
-		Shard:         &remote.ShardConfig{Map: m, Self: self},
-		Journal:       cfg.Journal,
-		RestartGrace:  cfg.RestartGrace,
-	})
+	return remote.ListenDirectoryWith(addr, cfg.directory(m, self, false))
 }
 
 // Cluster is a full sharded directory deployment running in-process: one
@@ -121,13 +123,7 @@ func StartCluster(n int, cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{m: m, cfg: cfg}
 	for i, ln := range lns {
-		d, err := remote.ListenDirectoryOnWith(ln, remote.DirectoryConfig{
-			LeaseTTL:      cfg.LeaseTTL,
-			LookupService: cfg.LookupService,
-			Shard:         &remote.ShardConfig{Map: m, Self: i},
-			Journal:       cfg.shardJournal(i),
-			RestartGrace:  cfg.RestartGrace,
-		})
+		d, err := remote.ListenDirectoryOnWith(ln, cfg.directory(m, i, true))
 		if err != nil {
 			closeAll()
 			for _, prev := range c.shards {
@@ -180,13 +176,7 @@ func (c *Cluster) RestartShard(i int) error {
 	if err != nil {
 		return fmt.Errorf("dirshard: rebind shard %d on %s: %w", i, addr, err)
 	}
-	d, err := remote.ListenDirectoryOnWith(ln, remote.DirectoryConfig{
-		LeaseTTL:      c.cfg.LeaseTTL,
-		LookupService: c.cfg.LookupService,
-		Shard:         &remote.ShardConfig{Map: c.m, Self: i},
-		Journal:       c.cfg.shardJournal(i),
-		RestartGrace:  c.cfg.RestartGrace,
-	})
+	d, err := remote.ListenDirectoryOnWith(ln, c.cfg.directory(c.m, i, true))
 	if err != nil {
 		_ = ln.Close()
 		return fmt.Errorf("dirshard: restart shard %d: %w", i, err)

@@ -112,15 +112,19 @@ type Directory struct {
 	// on every client is a Lookup, while Register/Heartbeat traffic is
 	// per-server and periodic. Lookup/Replicas take the read lock and run
 	// concurrently; only lease mutation takes the write lock.
-	mu       sync.RWMutex
-	servers  map[string]*dirServer
-	pages    map[uint64]map[string]struct{}
-	epochs   map[string]uint64 // highest epoch per addr; survives lease expiry
-	seq      uint64            // registration seniority counter
-	draining map[string]bool   // servers mid-drain (see Drain)
-	conns    map[net.Conn]struct{}
-	done     bool
-	met      directoryMetrics // gms_dir_* handles; nil-safe no-ops by default
+	//
+	// st is the lease table. The methods decide; commit lands a decision
+	// as records, applied to st by State.Apply and appended to the
+	// journal, so the live table is the replay of its own journal.
+	mu    sync.RWMutex
+	st    *dirlog.State
+	conns map[net.Conn]struct{}
+	done  bool
+	met   directoryMetrics // gms_dir_* handles; nil-safe no-ops by default
+
+	// origin anchors lease times: expiries are the journal's Unix
+	// nanoseconds, derived from the monotonic clock through nanos.
+	origin time.Time
 
 	// Durability (nil log = classic in-memory directory). pending
 	// buffers lease renewals between janitor sweeps: heartbeats are far
@@ -135,14 +139,6 @@ type Directory struct {
 	closeErr  error
 	stop      chan struct{}
 	wg        sync.WaitGroup
-}
-
-// dirServer is one live registration (one server incarnation).
-type dirServer struct {
-	epoch   uint64
-	seq     uint64
-	expires time.Time
-	pages   map[uint64]struct{}
 }
 
 // ListenDirectory starts a directory on addr ("host:port", ":0" for an
@@ -181,23 +177,21 @@ func ListenDirectoryOnWith(ln net.Listener, cfg DirectoryConfig) (*Directory, er
 		grace = ttl
 	}
 	d := &Directory{
-		ln:       ln,
-		ttl:      ttl,
-		grace:    grace,
-		svc:      cfg.LookupService,
-		servers:  make(map[string]*dirServer),
-		pages:    make(map[uint64]map[string]struct{}),
-		epochs:   make(map[string]uint64),
-		draining: make(map[string]bool),
-		conns:    make(map[net.Conn]struct{}),
-		stop:     make(chan struct{}),
+		ln:     ln,
+		ttl:    ttl,
+		grace:  grace,
+		svc:    cfg.LookupService,
+		st:     dirlog.NewState(),
+		conns:  make(map[net.Conn]struct{}),
+		origin: time.Now(),
+		stop:   make(chan struct{}),
 	}
 	if cfg.Shard != nil {
 		d.ring = proto.NewRing(cfg.Shard.Map)
 		d.self = cfg.Shard.Self
 	}
 	if cfg.Journal != nil {
-		if err := d.openJournal(*cfg.Journal, cfg.Shard); err != nil {
+		if err := d.openJournal(*cfg.Journal); err != nil {
 			return nil, err
 		}
 	}
@@ -211,68 +205,77 @@ func ListenDirectoryOnWith(ln net.Listener, cfg DirectoryConfig) (*Directory, er
 	return d, nil
 }
 
-// openJournal opens (or creates) the write-ahead journal and installs
-// whatever it recovers: epochs, registrations with their seniority, and
-// — when this directory was started without a shard assignment — the
+// openJournal opens (or creates) the write-ahead journal and adopts the
+// table it recovers: epochs, registrations with their seniority, and —
+// when this directory was started without a shard assignment — the
 // assignment recorded by the previous incarnation. Restored leases get
 // the restart grace window instead of their recorded expiry, so servers
 // that outlived the directory have one window to heartbeat before the
 // janitor may expunge them.
-func (d *Directory) openJournal(opts dirlog.Options, shard *ShardConfig) error {
+func (d *Directory) openJournal(opts dirlog.Options) error {
 	opts.Meta = dirlog.Meta{Self: -1}
-	if shard != nil {
-		opts.Meta = dirlog.Meta{ShardVersion: shard.Map.Version, Shards: shard.Map.Shards, Self: shard.Self}
+	if d.ring != nil {
+		m := d.ring.Map()
+		opts.Meta = dirlog.Meta{ShardVersion: m.Version, Shards: m.Shards, Self: d.self}
 	}
 	j, st, err := dirlog.Open(opts)
 	if err != nil {
 		return fmt.Errorf("remote: directory journal: %w", err)
 	}
 	if j.Info().Recovered && st.Meta.Sharded() {
-		if shard == nil {
+		if d.ring == nil {
 			// Adopt the recorded shard assignment: a restarted shard that
 			// was not handed its config still comes back as itself.
 			d.ring = proto.NewRing(proto.ShardMap{Version: st.Meta.ShardVersion, Shards: st.Meta.Shards})
 			d.self = st.Meta.Self
-		} else if !st.Meta.SameShard(dirlog.Meta{ShardVersion: shard.Map.Version, Shards: shard.Map.Shards, Self: shard.Self}) {
+		} else if !st.Meta.SameShard(opts.Meta) {
 			_ = j.Close()
 			return fmt.Errorf("remote: journal %s belongs to shard %d of map v%d, not shard %d of map v%d",
-				opts.Dir, st.Meta.Self, st.Meta.ShardVersion, shard.Self, shard.Map.Version)
+				opts.Dir, st.Meta.Self, st.Meta.ShardVersion, opts.Meta.Self, opts.Meta.ShardVersion)
 		}
 	}
-	d.log = j
-	expires := time.Now().Add(d.grace)
-	for addr, s := range st.Servers {
-		ds := &dirServer{epoch: s.Epoch, seq: s.Seq, expires: expires, pages: make(map[uint64]struct{})}
-		for p := range s.Pages {
-			ds.pages[p] = struct{}{}
-			holders := d.pages[p]
-			if holders == nil {
-				holders = make(map[string]struct{})
-				d.pages[p] = holders
-			}
-			holders[addr] = struct{}{}
-		}
-		d.servers[addr] = ds
+	d.log, d.st = j, st
+	// The grace window is the one write to the table that is not a
+	// record: the recorded expiries are another process's clock, and
+	// journaling the rewrite would only make the next recovery redo it.
+	expires := d.nanos(time.Now().Add(d.grace))
+	for _, s := range st.Servers {
+		s.Expires = expires
 	}
-	for addr, e := range st.Epochs {
-		d.epochs[addr] = e
-	}
-	d.seq = st.Seq
 	d.recoveredN = len(st.Servers)
 	// A drain that was mid-flight when the previous incarnation died has
-	// no transfer running anymore: clear the mark (journaled, so the
-	// next recovery agrees) and let the admin re-issue the drain.
+	// no transfer running anymore: clear the mark (journaled, in address
+	// order so two recoveries of one journal write the same bytes) and
+	// let the admin re-issue the drain.
+	draining := make([]string, 0, len(st.Draining))
 	for addr := range st.Draining {
-		d.appendLog(dirlog.DrainAbort{Addr: addr})
+		draining = append(draining, addr)
+	}
+	sort.Strings(draining)
+	for _, addr := range draining {
+		d.commit(dirlog.DrainAbort{Addr: addr})
 	}
 	return nil
 }
 
-// appendLog journals records when durability is on. Append failures are
-// deliberately non-fatal to the serving path — an in-memory directory
-// ahead of its journal degrades to exactly the pre-durability behavior —
-// but they are counted, and the recovery tests pin what replay loses.
-func (d *Directory) appendLog(recs ...dirlog.Record) {
+// nanos converts t to the lease table's clock, Unix nanoseconds, measured
+// from origin on the monotonic clock so a wall-clock step cannot expire
+// or revive a lease.
+func (d *Directory) nanos(t time.Time) int64 {
+	return d.origin.UnixNano() + int64(t.Sub(d.origin))
+}
+
+// commit lands a decision: recs are applied to the lease table, then
+// journaled when durability is on. Called with d.mu held (or before the
+// directory is shared). Append failures are deliberately non-fatal to the
+// serving path — an in-memory directory ahead of its journal degrades to
+// exactly the pre-durability behavior — but they are counted, and the
+// recovery tests pin what replay loses.
+func (d *Directory) commit(recs ...dirlog.Record) {
+	for _, r := range recs {
+		d.st.Apply(r)
+	}
+	d.met.pages.Set(int64(len(d.st.Holders)))
 	if d.log == nil {
 		return
 	}
@@ -304,7 +307,7 @@ func (d *Directory) Owns(page uint64) bool {
 func (d *Directory) SetMetrics(r *obs.Registry) {
 	d.mu.Lock()
 	d.met = newDirectoryMetrics(r, d.ring != nil)
-	d.met.pages.Set(int64(len(d.pages)))
+	d.met.pages.Set(int64(len(d.st.Holders)))
 	d.met.recoveredServers.Set(int64(d.recoveredN))
 	if d.ring != nil {
 		d.met.shardSelf.Set(int64(d.self))
@@ -399,16 +402,17 @@ func (d *Directory) replicasLocked(page uint64, now time.Time) []string {
 	var primary string
 	primarySeq := uint64(math.MaxUint64)
 	var rest []string
-	for addr := range d.pages[page] {
-		s := d.servers[addr]
-		if s == nil || now.After(s.expires) {
+	t := d.nanos(now)
+	for addr := range d.st.Holders[page] {
+		s := d.st.Servers[addr]
+		if t > s.Expires {
 			continue
 		}
-		if s.seq < primarySeq {
+		if s.Seq < primarySeq {
 			if primary != "" {
 				rest = append(rest, primary)
 			}
-			primary, primarySeq = addr, s.seq
+			primary, primarySeq = addr, s.Seq
 		} else {
 			rest = append(rest, addr)
 		}
@@ -422,13 +426,13 @@ func (d *Directory) replicasLocked(page uint64, now time.Time) []string {
 
 // Len reports the number of pages with at least one live holder.
 func (d *Directory) Len() int {
-	now := time.Now()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	t := d.nanos(time.Now())
 	n := 0
-	for _, holders := range d.pages {
+	for _, holders := range d.st.Holders {
 		for addr := range holders {
-			if s := d.servers[addr]; s != nil && !now.After(s.expires) {
+			if t <= d.st.Servers[addr].Expires {
 				n++
 				break
 			}
@@ -442,7 +446,7 @@ func (d *Directory) Len() int {
 func (d *Directory) ServerEpoch(addr string) (uint64, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	e, ok := d.epochs[addr]
+	e, ok := d.st.Epochs[addr]
 	return e, ok
 }
 
@@ -457,23 +461,16 @@ func (d *Directory) applyRegister(reg proto.Register, now time.Time) bool {
 	if d.done {
 		return true
 	}
-	cur := d.epochs[reg.Addr]
-	if reg.Epoch < cur {
+	if reg.Epoch < d.st.Epochs[reg.Addr] {
 		d.met.staleRejects.Inc()
 		return false
 	}
-	if reg.Epoch > cur {
-		// New incarnation: fence out every entry of the old one.
-		d.expungeLocked(reg.Addr)
-		d.epochs[reg.Addr] = reg.Epoch
+	// The same incarnation keeps its seniority; a new one (whose record
+	// fences out every entry of the old) ranks behind every holder.
+	seq := d.st.Seq + 1
+	if s := d.st.Servers[reg.Addr]; s != nil && s.Epoch == reg.Epoch {
+		seq = s.Seq
 	}
-	s := d.servers[reg.Addr]
-	if s == nil {
-		d.seq++
-		s = &dirServer{epoch: reg.Epoch, seq: d.seq, pages: make(map[uint64]struct{})}
-		d.servers[reg.Addr] = s
-	}
-	s.expires = now.Add(d.ttl)
 	accepted := make([]uint64, 0, len(reg.Pages))
 	for _, p := range reg.Pages {
 		if !d.Owns(p) {
@@ -484,24 +481,13 @@ func (d *Directory) applyRegister(reg proto.Register, now time.Time) bool {
 			d.met.foreignPages.Inc()
 			continue
 		}
-		s.pages[p] = struct{}{}
-		holders := d.pages[p]
-		if holders == nil {
-			holders = make(map[string]struct{})
-			d.pages[p] = holders
-		}
-		holders[reg.Addr] = struct{}{}
 		accepted = append(accepted, p)
 	}
-	// Journal the registration as applied — owned pages only, with the
-	// seniority it landed at — so replay reproduces this exact table.
-	d.appendLog(dirlog.Register{
-		Addr: reg.Addr, Epoch: reg.Epoch, Seq: s.seq,
-		Expires: s.expires.UnixNano(), Pages: accepted,
+	d.commit(dirlog.Register{
+		Addr: reg.Addr, Epoch: reg.Epoch, Seq: seq, Expires: d.nanos(now.Add(d.ttl)), Pages: accepted,
 	})
 	d.maybeSnapshotLocked()
 	d.met.registers.Inc()
-	d.met.pages.Set(int64(len(d.pages)))
 	return true
 }
 
@@ -514,37 +500,22 @@ func (d *Directory) renewLease(hb proto.Heartbeat, now time.Time) bool {
 	if d.done {
 		return true
 	}
-	s := d.servers[hb.Addr]
-	if s == nil || s.epoch != hb.Epoch || now.After(s.expires) {
+	s := d.st.Servers[hb.Addr]
+	if s == nil || s.Epoch != hb.Epoch || d.nanos(now) > s.Expires {
 		return false
 	}
-	s.expires = now.Add(d.ttl)
+	rn := dirlog.Renew{Addr: hb.Addr, Epoch: hb.Epoch, Expires: d.nanos(now.Add(d.ttl))}
+	// The one record applied now but journaled later: heartbeats are too
+	// frequent to journal one record each, so the renewal is buffered and
+	// the janitor flushes the batch. A crash drops at most one sweep
+	// period of renewals, which the restart grace window re-grants
+	// wholesale.
+	d.st.Apply(dirlog.RenewBatch{Renews: []dirlog.Renew{rn}})
 	if d.log != nil {
-		// Heartbeats are too frequent to journal one record each: buffer
-		// the renewal and let the janitor flush the batch. A crash drops
-		// at most one sweep period of renewals, which the restart grace
-		// window re-grants wholesale.
-		d.pending = append(d.pending, dirlog.Renew{Addr: hb.Addr, Epoch: hb.Epoch, Expires: s.expires.UnixNano()})
+		d.pending = append(d.pending, rn)
 	}
 	d.met.heartbeats.Inc()
 	return true
-}
-
-// expungeLocked removes addr's registration and every replica it holds.
-// Called with d.mu held.
-func (d *Directory) expungeLocked(addr string) {
-	s := d.servers[addr]
-	if s == nil {
-		return
-	}
-	for p := range s.pages {
-		holders := d.pages[p]
-		delete(holders, addr)
-		if len(holders) == 0 {
-			delete(d.pages, p)
-		}
-	}
-	delete(d.servers, addr)
 }
 
 // janitor periodically expunges expired leases. Lookups filter expired
@@ -572,30 +543,30 @@ func (d *Directory) sweep(now time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.flushRenewsLocked()
+	t := d.nanos(now)
 	var expired []string
-	for addr, s := range d.servers {
-		if now.After(s.expires) {
+	for addr, s := range d.st.Servers {
+		if t > s.Expires {
 			expired = append(expired, addr)
-			d.expungeLocked(addr)
 			d.met.expiries.Inc()
 		}
 	}
 	if len(expired) > 0 {
 		sort.Strings(expired) // deterministic journal across map iteration orders
-		d.appendLog(dirlog.Expunge{Addrs: expired})
+		d.commit(dirlog.Expunge{Addrs: expired})
 	}
 	d.maybeSnapshotLocked()
-	d.met.pages.Set(int64(len(d.pages)))
 }
 
 // flushRenewsLocked journals the buffered lease renewals as one batch
-// record. Called with d.mu held.
+// record. Applying them again changes the table only where replay would
+// too: a registration timed before a renewal but applied after it.
+// Called with d.mu held.
 func (d *Directory) flushRenewsLocked() {
-	if d.log == nil || len(d.pending) == 0 {
-		return
+	if len(d.pending) > 0 {
+		d.commit(dirlog.RenewBatch{Renews: d.pending})
+		d.pending = d.pending[:0]
 	}
-	d.appendLog(dirlog.RenewBatch{Renews: d.pending})
-	d.pending = d.pending[:0]
 }
 
 // maybeSnapshotLocked compacts the journal once the wal passes the
@@ -609,47 +580,20 @@ func (d *Directory) maybeSnapshotLocked() {
 		return
 	}
 	d.flushRenewsLocked()
-	if err := d.log.Snapshot(d.stateLocked()); err != nil {
+	if err := d.log.Snapshot(d.st); err != nil {
 		d.met.journalErrors.Inc()
 		return
 	}
 	d.met.snapshots.Inc()
 }
 
-// stateLocked exports the durable portion of the lease table as a dirlog
-// state. Called with d.mu held (read or write).
-func (d *Directory) stateLocked() *dirlog.State {
-	st := dirlog.NewState()
-	st.Seq = d.seq
-	if d.ring != nil {
-		m := d.ring.Map()
-		st.Meta = dirlog.Meta{ShardVersion: m.Version, Shards: m.Shards, Self: d.self}
-	} else {
-		st.Meta = dirlog.Meta{Self: -1}
-	}
-	for addr, e := range d.epochs {
-		st.Epochs[addr] = e
-	}
-	for addr, s := range d.servers {
-		ss := &dirlog.ServerState{Epoch: s.epoch, Seq: s.seq, Expires: s.expires.UnixNano(), Pages: make(map[uint64]struct{}, len(s.pages))}
-		for p := range s.pages {
-			ss.Pages[p] = struct{}{}
-		}
-		st.Servers[addr] = ss
-	}
-	for addr := range d.draining {
-		st.Draining[addr] = true
-	}
-	return st
-}
-
-// StateSnapshot exports the directory's durable state — epochs,
+// StateSnapshot exports the directory's lease table — epochs,
 // registrations, draining marks — for tests and tools. The returned
 // state is a deep copy.
 func (d *Directory) StateSnapshot() *dirlog.State {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.stateLocked()
+	return d.st.Clone()
 }
 
 // RecoveredServers reports how many registrations this directory

@@ -69,34 +69,33 @@ type transfer struct {
 // plans the sole-copy transfers round-robin across the live peers. The
 // plan is deterministic: pages and destinations are sorted.
 func (d *Directory) beginDrain(addr string) ([]transfer, uint64, error) {
-	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.done {
 		return nil, 0, fmt.Errorf("directory closed")
 	}
-	s := d.servers[addr]
-	if s == nil || now.After(s.expires) {
+	t := d.nanos(time.Now())
+	s := d.st.Servers[addr]
+	if s == nil || t > s.Expires {
 		return nil, 0, fmt.Errorf("no live registration")
 	}
-	if d.draining[addr] {
+	if d.st.Draining[addr] {
 		return nil, 0, fmt.Errorf("already draining")
 	}
 
 	var dests []string
-	for a, peer := range d.servers {
-		if a != addr && !d.draining[a] && !now.After(peer.expires) {
+	for a, peer := range d.st.Servers {
+		if a != addr && !d.st.Draining[a] && t <= peer.Expires {
 			dests = append(dests, a)
 		}
 	}
 	sort.Strings(dests)
 
 	var sole []uint64
-	for p := range s.pages {
+	for p := range s.Pages {
 		alone := true
-		for holder := range d.pages[p] {
-			h := d.servers[holder]
-			if holder != addr && h != nil && !now.After(h.expires) {
+		for holder := range d.st.Holders[p] {
+			if holder != addr && t <= d.st.Servers[holder].Expires {
 				alone = false
 				break
 			}
@@ -122,45 +121,31 @@ func (d *Directory) beginDrain(addr string) ([]transfer, uint64, error) {
 		}
 	}
 
-	d.draining[addr] = true
-	d.appendLog(dirlog.Drain{Addr: addr})
-	return plan, s.epoch, nil
+	d.commit(dirlog.Drain{Addr: addr})
+	return plan, s.Epoch, nil
 }
 
 // commitTransfer records that dest now holds pages: the directory's
 // table and the journal both gain the replicas before the source is
 // expunged, so a lookup never sees a window with no holder.
 func (d *Directory) commitTransfer(addr, dest string, pages []uint64) error {
-	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.servers[dest]
-	if s == nil || now.After(s.expires) {
+	s := d.st.Servers[dest]
+	if s == nil || d.nanos(time.Now()) > s.Expires {
 		return fmt.Errorf("destination %s lost its lease mid-drain", dest)
 	}
-	if d.draining[dest] {
+	if d.st.Draining[dest] {
 		// A concurrent drain of dest started after our plan was computed.
 		// Committing sole-copy pages onto it would let its finishDrain
 		// expunge them with no live holder; refuse so the caller aborts
 		// and retries against a live destination.
 		return fmt.Errorf("destination %s began draining mid-drain", dest)
 	}
-	if src := d.servers[addr]; src == nil || !d.draining[addr] {
+	if !d.st.Draining[addr] { // expunged with its registration, or aborted
 		return fmt.Errorf("drain of %s superseded mid-transfer", addr)
 	}
-	for _, p := range pages {
-		s.pages[p] = struct{}{}
-		holders := d.pages[p]
-		if holders == nil {
-			holders = make(map[string]struct{})
-			d.pages[p] = holders
-		}
-		holders[dest] = struct{}{}
-	}
-	d.appendLog(dirlog.Register{
-		Addr: dest, Epoch: s.epoch, Seq: s.seq,
-		Expires: s.expires.UnixNano(), Pages: pages,
-	})
+	d.commit(dirlog.Register{Addr: dest, Epoch: s.Epoch, Seq: s.Seq, Expires: s.Expires, Pages: pages})
 	d.met.drainMoved.Add(int64(len(pages)))
 	return nil
 }
@@ -171,31 +156,24 @@ func (d *Directory) commitTransfer(addr, dest string, pages []uint64) error {
 func (d *Directory) finishDrain(addr string, epoch uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.servers[addr]
-	if s == nil || s.epoch != epoch {
-		delete(d.draining, addr)
-		d.appendLog(dirlog.DrainAbort{Addr: addr})
-		if s == nil {
-			// The lease expired and was expunged mid-drain (the server
-			// died during the transfers); nothing left to drop.
-			return fmt.Errorf("registration of epoch %d gone mid-drain", epoch)
-		}
-		// The server re-registered as a new incarnation mid-drain; its
-		// new lease is not ours to drop.
-		return fmt.Errorf("server re-registered with epoch %d mid-drain", s.epoch)
+	switch s := d.st.Servers[addr]; {
+	case s == nil:
+		// The lease expired and was expunged mid-drain (the server died
+		// during the transfers); nothing left to drop.
+		return fmt.Errorf("registration of epoch %d gone mid-drain", epoch)
+	case s.Epoch != epoch:
+		// The server re-registered as a new incarnation mid-drain; its new
+		// lease, and any drain of it, are not ours to end.
+		return fmt.Errorf("server re-registered with epoch %d mid-drain", s.Epoch)
+	case !d.st.Draining[addr]:
+		// An abort cleared the mark, so peers may have placed pages here
+		// since; dropping the lease now could strand them.
+		return fmt.Errorf("drain of %s aborted mid-drain", addr)
 	}
-	fenced := epoch + 1
-	if cur := d.epochs[addr]; cur >= fenced {
-		fenced = cur
-	}
-	d.epochs[addr] = fenced
-	d.appendLog(dirlog.Fence{Addr: addr, Epoch: fenced})
-	d.expungeLocked(addr)
-	delete(d.draining, addr)
-	d.appendLog(dirlog.Expunge{Addrs: []string{addr}})
+	fenced := max(epoch+1, d.st.Epochs[addr])
+	d.commit(dirlog.Fence{Addr: addr, Epoch: fenced}, dirlog.Expunge{Addrs: []string{addr}})
 	d.maybeSnapshotLocked()
 	d.met.drains.Inc()
-	d.met.pages.Set(int64(len(d.pages)))
 	return nil
 }
 
@@ -203,8 +181,7 @@ func (d *Directory) finishDrain(addr string, epoch uint64) error {
 func (d *Directory) abortDrain(addr string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.draining, addr)
-	d.appendLog(dirlog.DrainAbort{Addr: addr})
+	d.commit(dirlog.DrainAbort{Addr: addr})
 }
 
 // transferPages copies pages from the draining server src to dest: a

@@ -556,7 +556,7 @@ func TestDrainServerExpungedMidDrain(t *testing.T) {
 	}
 	// The server dies mid-drain: the janitor expunges its lease.
 	d.mu.Lock()
-	d.expungeLocked("a:1")
+	d.commit(dirlog.Expunge{Addrs: []string{"a:1"}})
 	d.mu.Unlock()
 	if err := d.finishDrain("a:1", epoch); err == nil {
 		t.Fatal("finishDrain must fail when the registration vanished mid-drain")
