@@ -163,12 +163,14 @@ prefetch-smoke:
 # bench-smoke keeps the gate's benchmark (BENCHMARK.json, bench/) compiling
 # and running. bench/ is a module of its own, so nothing above builds it: a
 # signature change in internal/proto or internal/remote would otherwise
-# surface only when the pipeline's benchmark fails to build. One second of
-# the fault path traced and one of the hit path; either exits non-zero on a
-# wrong byte or a failed op.
+# surface only when the pipeline's benchmark fails to build. One second
+# each, traced, of the fault path, the paced fault path (the link clock,
+# its sleeper and the live Table 2 probes) and the hit path; each exits
+# non-zero on a wrong byte or a failed op.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	bash bench/run.sh --workload fault-churn --seed 1 --seconds 1 --trace 1 > /dev/null
+	bash bench/run.sh --workload atm-pair --seed 1 --seconds 1 --trace 1 > /dev/null
 	bash bench/run.sh --workload hit-resident --seed 1 --seconds 1 --trace 1 > /dev/null
 
 # profile-fault profiles the fault path: BenchmarkFaultLoopback (the gate's

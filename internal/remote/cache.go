@@ -162,7 +162,13 @@ func (c *Client) evictIfFull() {
 		pc.remove(victim)
 		c.stats.Evictions++
 		c.met.evictions.Inc()
-		if victim.dirty && victim.valid.Full() {
+		switch {
+		case victim.dirty && !victim.valid.Full():
+			// A written page that never became fully valid (lazy, Prefetch)
+			// has no whole image to put back: its write is lost, counted.
+			c.stats.PutDrops++
+			c.met.putDrops.Inc()
+		case victim.dirty:
 			c.mu.Unlock()
 			// The cached placement, or a fresh one if a failed attempt forgot it.
 			sent := c.putPage(c.locate(victim.id), victim.id, victim.data)

@@ -119,7 +119,7 @@ type Stats struct {
 	Prefetches int64
 	Evictions  int64
 	PutPages   int64
-	PutDrops   int64 // dirty evictions that found no replica to write back to: the page is lost
+	PutDrops   int64 // dirty evictions not written back — no replica took the page, or it was never fully valid (lazy, Prefetch): the write is lost
 	BytesIn    int64
 	Retries    int64         // fault or lookup attempts beyond the first
 	Failovers  int64         // retries redirected to a different replica

@@ -24,9 +24,17 @@ import (
 // timerfd's hrtimer fires an epoll *event*, waking with microsecond-class
 // latency.
 
-// sleeper is a reusable precise timer. A nil *sleeper falls back to a raw
-// nanosleep.
-type sleeper struct{ f *os.File }
+// sleeper is a reusable precise timer for one goroutine at a time. Its raw
+// conn, arming closure, timer spec and read buffer are made once, so a
+// Sleep allocates nothing. A nil *sleeper falls back to a raw nanosleep.
+type sleeper struct {
+	f     *os.File
+	rc    syscall.RawConn
+	arm   func(fd uintptr) // timerfd_settime(fd, 0, &spec): one-shot, relative
+	spec  [4]int64         // itimerspec{interval: 0, value: d}
+	errno syscall.Errno    // arm's result
+	buf   [8]byte          // the expiry count a fired timer reads
+}
 
 const (
 	clockMonotonic = 1
@@ -42,7 +50,18 @@ func newSleeper() *sleeper {
 	if errno != 0 {
 		return nil
 	}
-	return &sleeper{f: os.NewFile(fd, "timerfd")}
+	s := &sleeper{f: os.NewFile(fd, "timerfd")}
+	rc, err := s.f.SyscallConn()
+	if err != nil {
+		_ = s.f.Close()
+		return nil
+	}
+	s.rc = rc
+	s.arm = func(fd uintptr) {
+		_, _, s.errno = syscall.Syscall6(syscall.SYS_TIMERFD_SETTIME,
+			fd, 0, uintptr(unsafe.Pointer(&s.spec)), 0, 0, 0)
+	}
+	return s
 }
 
 // Close releases the timer.
@@ -52,7 +71,7 @@ func (s *sleeper) Close() {
 	}
 }
 
-// Sleep pauses for about d with microsecond-class precision.
+// Sleep pauses for at least d, with microsecond-class precision.
 func (s *sleeper) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
@@ -61,25 +80,13 @@ func (s *sleeper) Sleep(d time.Duration) {
 		preciseSleep(d)
 		return
 	}
-	// itimerspec{interval: 0, value: d}, one-shot.
-	var spec [4]int64
-	spec[2] = int64(d / time.Second)
-	spec[3] = int64(d % time.Second)
-	sc, err := s.f.SyscallConn()
-	if err != nil {
+	s.spec[2] = int64(d / time.Second)
+	s.spec[3] = int64(d % time.Second)
+	if err := s.rc.Control(s.arm); err != nil || s.errno != 0 {
 		preciseSleep(d)
 		return
 	}
-	var errno syscall.Errno
-	if err := sc.Control(func(fd uintptr) {
-		_, _, errno = syscall.Syscall6(syscall.SYS_TIMERFD_SETTIME,
-			fd, 0, uintptr(unsafe.Pointer(&spec)), 0, 0, 0)
-	}); err != nil || errno != 0 {
-		preciseSleep(d)
-		return
-	}
-	var buf [8]byte
-	_, _ = s.f.Read(buf[:]) // parks in the poller until the timer fires
+	_, _ = s.f.Read(s.buf[:]) // parks in the poller until the timer fires
 }
 
 // preciseSleep blocks the calling OS thread with a raw nanosleep: better

@@ -13,7 +13,7 @@ func newSleeper() *sleeper { return &sleeper{} }
 // Close releases the timer.
 func (s *sleeper) Close() {}
 
-// Sleep pauses for about d.
+// Sleep pauses for at least d.
 func (s *sleeper) Sleep(d time.Duration) {
 	if d > 0 {
 		time.Sleep(d)

@@ -170,17 +170,17 @@ func runDirectoryModel(t *testing.T, rng *rand.Rand, steps int) {
 			r, ended := runs[i], true
 			switch {
 			case rng.Intn(5) == 0: // the transfer failed
-				act = "abort drain of " + r.addr
-				d.abortDrain(r.addr)
-				m.abortDrain(r.addr)
+				act = fmt.Sprintf("abort drain of %s epoch %d", r.addr, r.epoch)
+				d.abortDrain(r.addr, r.epoch)
+				m.abortDrain(r.addr, r.epoch)
 			case len(r.plan) > 0:
 				tr := r.plan[0]
 				act = fmt.Sprintf("commit drain of %s: %v to %s", r.addr, tr.pages, tr.dest)
 				err := d.commitTransfer(r.addr, tr.dest, tr.pages)
 				check("committed", err == nil, m.commitTransfer(r.addr, tr.dest, tr.pages))
 				if r.plan, ended = r.plan[1:], err != nil; ended {
-					d.abortDrain(r.addr) // as Drain does
-					m.abortDrain(r.addr)
+					d.abortDrain(r.addr, r.epoch) // as Drain does
+					m.abortDrain(r.addr, r.epoch)
 				}
 			default:
 				act = fmt.Sprintf("finish drain of %s epoch %d", r.addr, r.epoch)
@@ -344,7 +344,13 @@ func (m *refModel) commitTransfer(addr, dest string, pages []uint64) bool {
 	return true
 }
 
-func (m *refModel) abortDrain(addr string) { delete(m.draining, addr) }
+// abortDrain clears the mark only while the incarnation whose drain failed
+// holds the lease: a newer one's mark is its own drain's.
+func (m *refModel) abortDrain(addr string, epoch uint64) {
+	if l := m.leases[addr]; l != nil && l.epoch == epoch {
+		delete(m.draining, addr)
+	}
+}
 
 // finishDrain fences and drops the drained incarnation, if it is still
 // the registered one and still marked.

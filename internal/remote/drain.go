@@ -44,11 +44,11 @@ func (d *Directory) Drain(addr string) (int, error) {
 	moved := 0
 	for _, t := range plan {
 		if err := transferPages(addr, t.dest, t.pages); err != nil {
-			d.abortDrain(addr)
+			d.abortDrain(addr, epoch)
 			return moved, fmt.Errorf("transferring %d pages to %s: %w", len(t.pages), t.dest, err)
 		}
 		if err := d.commitTransfer(addr, t.dest, t.pages); err != nil {
-			d.abortDrain(addr)
+			d.abortDrain(addr, epoch)
 			return moved, err
 		}
 		moved += len(t.pages)
@@ -177,11 +177,16 @@ func (d *Directory) finishDrain(addr string, epoch uint64) error {
 	return nil
 }
 
-// abortDrain rolls back the draining mark after a failed transfer.
-func (d *Directory) abortDrain(addr string) {
+// abortDrain rolls back the draining mark after a failed transfer, if the
+// mark is still the drained epoch's: a new incarnation that registered
+// mid-drain dropped that mark, and the mark it may carry now belongs to a
+// drain of its own, which a stale abort must not end.
+func (d *Directory) abortDrain(addr string, epoch uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.commit(dirlog.DrainAbort{Addr: addr})
+	if s := d.st.Servers[addr]; s != nil && s.Epoch == epoch && d.st.Draining[addr] {
+		d.commit(dirlog.DrainAbort{Addr: addr})
+	}
 }
 
 // transferPages copies pages from the draining server src to dest: a

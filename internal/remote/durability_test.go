@@ -581,7 +581,7 @@ func TestDrainRefusesDrainingDestination(t *testing.T) {
 	if rawRegister(t, d.Addr(), proto.Register{Addr: "b:1", Epoch: 20, Pages: []uint64{2}}) != proto.TAck {
 		t.Fatal("register b:1 rejected")
 	}
-	plan, _, err := d.beginDrain("a:1")
+	plan, epoch, err := d.beginDrain("a:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,5 +599,43 @@ func TestDrainRefusesDrainingDestination(t *testing.T) {
 	if got := d.Replicas(1); len(got) != 1 || got[0] != "a:1" {
 		t.Fatalf("Replicas(1) = %v, want [a:1]", got)
 	}
-	d.abortDrain("a:1")
+	d.abortDrain("a:1", epoch)
+}
+
+// TestStaleDrainAbortSparesNewIncarnation: a server restarts as a new
+// incarnation while its drain is transferring, the new incarnation's own
+// drain begins, and then the old drain's transfer fails. The old drain's
+// abort must leave the new drain's mark alone, so the new drain finishes.
+func TestStaleDrainAbortSparesNewIncarnation(t *testing.T) {
+	jdir := t.TempDir()
+	d := durableDirectory(t, jdir, time.Minute, 0)
+	for _, reg := range []proto.Register{
+		{Addr: "a:1", Epoch: 10, Pages: []uint64{1, 2}},
+		{Addr: "b:1", Epoch: 20, Pages: []uint64{2}},
+	} {
+		if !d.applyRegister(reg, time.Now()) {
+			t.Fatalf("register %s rejected", reg.Addr)
+		}
+	}
+	_, oldEpoch, err := d.beginDrain("a:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.applyRegister(proto.Register{Addr: "a:1", Epoch: 11, Pages: []uint64{2}}, time.Now()) {
+		t.Fatal("the new incarnation's registration was rejected")
+	}
+	_, newEpoch, err := d.beginDrain("a:1")
+	if err != nil {
+		t.Fatalf("the new incarnation cannot be drained: %v", err)
+	}
+	d.abortDrain("a:1", oldEpoch) // the old drain's transfer failed
+	if err := d.finishDrain("a:1", newEpoch); err != nil {
+		t.Fatalf("the new incarnation's drain did not finish after the old drain's abort: %v", err)
+	}
+	if got := d.Replicas(2); len(got) != 1 || got[0] != "b:1" {
+		t.Fatalf("Replicas(2) = %v, want [b:1]", got)
+	}
+	if live, replay := d.StateSnapshot(), journalState(t, jdir); !live.Equal(replay, true) {
+		t.Fatalf("the live table is not its journal's replay\n  live: %+v\nreplay: %+v", live.Records(), replay.Records())
+	}
 }

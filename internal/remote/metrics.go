@@ -38,7 +38,7 @@ func newClientMetrics(r *obs.Registry) clientMetrics {
 		prefetches:    r.Counter("gms_client_prefetches_total", "read-ahead faults issued"),
 		evictions:     r.Counter("gms_client_evictions_total", "pages evicted from the local cache"),
 		putPages:      r.Counter("gms_client_putpages_total", "dirty pages written back on eviction"),
-		putDrops:      r.Counter("gms_client_put_drops_total", "dirty evictions that found no replica to write back to"),
+		putDrops:      r.Counter("gms_client_put_drops_total", "dirty evictions not written back: no replica, or the page never fully valid"),
 		bytesIn:       r.Counter("gms_client_bytes_in_total", "page data bytes received"),
 		retries:       r.Counter("gms_client_retries_total", "fault or lookup attempts beyond the first"),
 		failovers:     r.Counter("gms_client_failovers_total", "retries redirected to a different replica"),

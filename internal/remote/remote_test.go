@@ -167,38 +167,62 @@ func TestEagerCompletesPageInBackground(t *testing.T) {
 	}
 }
 
+// TestWriteBackOnEviction: an evicted dirty page is either written back,
+// so a fresh client reads the write, or counted lost in PutDrops. An eager
+// fault leaves the written page fully valid, and it is written back. A
+// lazy fault, and Prefetch (lazy on the wire), leave it partial, with no
+// whole page to put: its write is lost, and must at least be counted.
 func TestWriteBackOnEviction(t *testing.T) {
-	dir, srv := testCluster(t, 8)
-	c := testClient(t, dir, ClientConfig{Policy: proto.PolicyEager, CachePages: 2})
-	msg := []byte("written through remote memory")
-	if err := c.Write(msg, 5*units.PageSize+100); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		cfg  ClientConfig
+		lost bool
+	}{
+		{"eager", ClientConfig{Policy: proto.PolicyEager}, false},
+		{"lazy", ClientConfig{Policy: proto.PolicyLazy}, true},
+		{"prefetch", ClientConfig{Prefetch: true}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, _ := testCluster(t, 8)
+			cfg := tc.cfg
+			cfg.CachePages = 2
+			c := testClient(t, dir, cfg)
+			msg := []byte("written through remote memory")
+			if err := c.Write(msg, 5*units.PageSize+100); err != nil {
+				t.Fatal(err)
+			}
+			// Touch other pages to force eviction of page 5.
+			var b [8]byte
+			for p := 0; p < 4; p++ {
+				if err := c.Read(b[:], uint64(p)*units.PageSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := c.Stats()
+			if st.Evictions == 0 {
+				t.Fatal("expected evictions with a 2-page cache")
+			}
+			if tc.lost {
+				if st.PutPages != 0 || st.PutDrops != 1 {
+					t.Fatalf("PutPages %d PutDrops %d, want the partial dirty page counted lost: 0 and 1", st.PutPages, st.PutDrops)
+				}
+				return
+			}
+			if st.PutPages != 1 || st.PutDrops != 0 {
+				t.Fatalf("PutPages %d PutDrops %d, want the dirty page written back: 1 and 0", st.PutPages, st.PutDrops)
+			}
+			// Re-read page 5 through a fresh client and check the write
+			// survived on the server.
+			c2 := testClient(t, dir, ClientConfig{Policy: proto.PolicyEager})
+			got := make([]byte, len(msg))
+			if err := c2.Read(got, 5*units.PageSize+100); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, msg) {
+				t.Fatalf("write-back lost: %q", got)
+			}
+		})
 	}
-	// Touch other pages to force eviction of page 5.
-	var b [8]byte
-	for p := 0; p < 4; p++ {
-		if err := c.Read(b[:], uint64(p)*units.PageSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("expected evictions with a 2-page cache")
-	}
-	if st.PutPages == 0 {
-		t.Fatal("dirty page should have been put back")
-	}
-	// Drain: re-read page 5 through a fresh client and check the write
-	// survived on the server.
-	c2 := testClient(t, dir, ClientConfig{Policy: proto.PolicyEager})
-	got := make([]byte, len(msg))
-	if err := c2.Read(got, 5*units.PageSize+100); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("write-back lost: %q", got)
-	}
-	_ = srv
 }
 
 func TestUnknownPageFails(t *testing.T) {

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"testing"
 	"time"
 
 	"github.com/gms-sim/gmsubpage/internal/core"
 	"github.com/gms-sim/gmsubpage/internal/memmodel"
+	"github.com/gms-sim/gmsubpage/internal/netmodel"
 	"github.com/gms-sim/gmsubpage/internal/proto"
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
@@ -155,8 +157,8 @@ func TestReplyStreamMatchesTwoWriteSender(t *testing.T) {
 							t.Fatal(err)
 						}
 						got := &recConn{}
-						st := &connState{conn: got, live: map[uint64]bool{}, canceled: map[uint64]bool{}}
-						if err := srv.sendPageV2(st, proto.NewWriter(got), req, slp); err != nil {
+						st := &connState{conn: got, link: link{slp: slp}, live: map[uint64]bool{}, canceled: map[uint64]bool{}}
+						if err := srv.sendPageV2(st, proto.NewWriter(got), req); err != nil {
 							t.Fatal(err)
 						}
 						if !bytes.Equal(got.buf.Bytes(), ref.buf.Bytes()) {
@@ -183,14 +185,12 @@ func TestCancelBeforeRemainderUnpaced(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	srv.Store(0, pagePattern(0))
-	slp := newSleeper()
-	defer slp.Close()
 	got := &recConn{}
 	st := &connState{conn: got, live: map[uint64]bool{}, canceled: map[uint64]bool{}}
 	st.begin(5)
 	st.cancel(5)
 	req := proto.GetPageV2{ReqID: 5, Page: 0, FaultOff: 2048, SubpageSize: 1024, Policy: proto.PolicyPipelined}
-	if err := srv.sendPageV2(st, proto.NewWriter(got), req, slp); err != nil {
+	if err := srv.sendPageV2(st, proto.NewWriter(got), req); err != nil {
 		t.Fatal(err)
 	}
 	frames := describeReply(t, got.buf.Bytes())
@@ -234,6 +234,90 @@ func rawGets(t *testing.T, conn net.Conn, w *proto.Writer, r *proto.Reader, firs
 		t.Fatalf("%d batches over %d identical-shaped gets", batches, n)
 	}
 	return batches / n
+}
+
+// pacedLateness sends one get on a paced raw connection and reads its
+// reply. Every batch must arrive no earlier than netmodel's schedule for
+// the same plan with only a wire stage, timed from the request's send; the
+// result is how much later than that schedule the last batch arrived.
+func pacedLateness(t *testing.T, w *proto.Writer, r *proto.Reader, wire *netmodel.Params, req proto.GetPageV2) units.Nanos {
+	t.Helper()
+	pol, err := core.WirePolicy(req.Policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := pol.Plan(int(req.SubpageSize), int(req.FaultOff))
+	msgs := make([]netmodel.Message, len(plan))
+	for i, m := range plan {
+		msgs[i] = netmodel.Message{Bytes: m.Bytes}
+	}
+	sched := wire.Transfer(0, nil, msgs)
+	t0 := time.Now()
+	if err := w.SendGetPageV2(req); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		f, err := r.Next()
+		at := units.FromDuration(time.Since(t0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := proto.DecodeSubpageBatch(f.Payload)
+		if err != nil || b.ReqID != req.ReqID || i >= len(sched) {
+			t.Fatalf("policy %d: batch %d of a %d-message plan: request %d, %v", req.Policy, i, len(sched), b.ReqID, err)
+		}
+		if at < sched[i].WireEnd {
+			t.Fatalf("policy %d: batch %d arrived at %v, before the wire could carry it (%v)",
+				req.Policy, i, at.Duration(), sched[i].WireEnd.Duration())
+		}
+		if b.Flags&proto.FlagLast != 0 {
+			if i != len(sched)-1 {
+				t.Fatalf("policy %d: %d batches for a %d-message plan", req.Policy, i+1, len(sched))
+			}
+			return at - sched[i].WireEnd
+		}
+	}
+}
+
+// A paced page pays one timer overshoot, not one per plan message: every
+// batch leaves on its connection's link clock, never before netmodel says
+// the wire could have carried it, and a late wake-up is absorbed by the
+// next batch's deadline. So the last batch of a four-message pipelined
+// reply is no later than the only batch of a fullpage reply. Slept for
+// relative to the previous wake-up, the pipelined reply carries three more
+// overshoots. On a 2-vCPU virtual machine, idle or running other tests,
+// the difference of the medians was +47 to +160 µs over 19 runs that way,
+// and -46 to +9 µs over 50 runs with the clock: the tolerance sits
+// between. Earlier is not a failure: a shorter last sleep wakes from a
+// shallower idle state.
+func TestPacedLatenessDoesNotAccumulate(t *testing.T) {
+	const (
+		mbps      = 20          // 400 ns per byte: 3.3 ms per page
+		nsPerByte = 8000 / mbps // as SetWireMbps rounds it
+		replies   = 31          // per policy, interleaved
+		tolerance = 30 * time.Microsecond
+	)
+	_, srv := testCluster(t, 1)
+	srv.SetWireMbps(mbps)
+	wire := &netmodel.Params{Wire: netmodel.Stage{PerKiB: nsPerByte * units.KiB}}
+	conn, w, r := dialRaw(t, srv.Addr())
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	get := func(id uint64, policy uint8) proto.GetPageV2 {
+		return proto.GetPageV2{ReqID: id, Page: 0, FaultOff: 3000, SubpageSize: 1024, Policy: policy}
+	}
+	pacedLateness(t, w, r, wire, get(1, proto.PolicyPipelined)) // connection and poller warm
+	var full, piped []float64
+	for i := uint64(0); i < replies; i++ {
+		full = append(full, pacedLateness(t, w, r, wire, get(10+2*i, proto.PolicyFullPage)).Us())
+		piped = append(piped, pacedLateness(t, w, r, wire, get(11+2*i, proto.PolicyPipelined)).Us())
+	}
+	sort.Float64s(full)
+	sort.Float64s(piped)
+	mf, mp := full[replies/2], piped[replies/2]
+	t.Logf("last batch late by a median %.1f µs on a 1-message fullpage reply, %.1f µs on a 4-message pipelined reply", mf, mp)
+	if d := time.Duration((mp - mf) * 1e3); d > tolerance {
+		t.Fatalf("pipelined reply's last batch is %v later than fullpage's (tolerance %v): the link's lateness accumulates across batches", d, tolerance)
+	}
 }
 
 // A reply costs one write system call when nothing paces the wire, and one

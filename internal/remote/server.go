@@ -47,11 +47,11 @@ type Server struct {
 	hbEvery  time.Duration
 	hbOn     bool
 
-	// wireNsPerByte emulates a slower link: the server delays each data
-	// batch by its serialization time at the configured rate. Loopback
-	// TCP is effectively infinitely fast, which hides the transfer-size
-	// effects the paper measures on a 155 Mb/s ATM; throttling restores
-	// them. Zero means no throttling. Accessed atomically.
+	// wireNsPerByte emulates a slower link: each connection's writer paces
+	// its data batches at this rate (see link). Loopback TCP is effectively
+	// infinitely fast, which hides the transfer-size effects the paper
+	// measures on a 155 Mb/s ATM; throttling restores them. Zero means no
+	// throttling. Accessed atomically.
 	wireNsPerByte int64
 
 	// Stats.
@@ -80,17 +80,45 @@ func (s *Server) SetWireMbps(mbps float64) {
 	atomic.StoreInt64(&s.wireNsPerByte, perByte)
 }
 
-// wireDelay stalls for the serialization time of n bytes, if emulating.
-// Delays are tens to hundreds of microseconds, so each connection carries
-// its own precise sleeper (see delay_linux.go): Go's own timers can have a
-// millisecond floor, and thread-blocking sleeps can starve the client's
-// goroutines on a single CPU.
-func (s *Server) wireDelay(slp *sleeper, n int) {
-	perByte := atomic.LoadInt64(&s.wireNsPerByte)
-	if perByte <= 0 || n <= 0 {
-		return
+// link is one connection's emulated wire: the rate snapshot of the reply
+// being sent, the wire's clock and the writer's precise sleeper (see
+// delay_linux.go: Go's own timers can have a millisecond floor, and
+// thread-blocking sleeps can starve the client's goroutines on a single
+// CPU).
+//
+// The clock, free, is the instant the wire next goes idle. A reply starts
+// at max(free, now), taken when its first batch is ready, so the server's
+// own software time stays outside the wire. Each batch then advances free
+// by its serialization time and is written at that absolute deadline,
+// never before. A wake-up that overshoots one deadline is absorbed by the
+// next batch's instead of being added to it, so a paced page pays one
+// timer overshoot, not one per plan message: netmodel.Resources.WireFree's
+// rule, with every batch of a reply ready at the reply's start. The clock
+// is per connection, like a client's own link; one clock per server would
+// queue one client's reply behind another's.
+type link struct {
+	nsPerByte int64 // 0: the reply is not paced
+	free      time.Time
+	slp       *sleeper
+}
+
+// begin snapshots the emulated rate for one reply and reports whether the
+// reply is paced.
+func (l *link) begin(nsPerByte int64) bool {
+	l.nsPerByte = nsPerByte
+	return nsPerByte > 0
+}
+
+// pace holds a batch of n data bytes until the wire has carried it; first
+// marks a reply's first batch, which starts the reply on the clock.
+func (l *link) pace(first bool, n int) {
+	if first {
+		if now := time.Now(); now.After(l.free) {
+			l.free = now
+		}
 	}
-	slp.Sleep(time.Duration(perByte * int64(n)))
+	l.free = l.free.Add(time.Duration(l.nsPerByte * int64(n)))
+	l.slp.Sleep(time.Until(l.free))
 }
 
 // ListenServer starts a page server on addr.
@@ -451,6 +479,7 @@ type srvReq struct {
 type connState struct {
 	conn  net.Conn
 	queue chan srvReq
+	link  link // the writer's
 
 	cmu      sync.Mutex
 	live     map[uint64]bool
@@ -587,8 +616,8 @@ func (s *Server) serve(conn net.Conn) {
 // error the connection is severed (unblocking the reader) and the
 // remaining queue is drained without touching the wire.
 func (s *Server) writeLoop(st *connState, w *proto.Writer) {
-	slp := newSleeper()
-	defer slp.Close()
+	st.link.slp = newSleeper()
+	defer st.link.slp.Close()
 	dead := false
 	for req := range st.queue {
 		var err error
@@ -597,7 +626,7 @@ func (s *Server) writeLoop(st *connState, w *proto.Writer) {
 		case req.errMsg != "":
 			err = w.SendError(req.errMsg)
 		default:
-			err = s.sendPageV2(st, w, req.get, slp)
+			err = s.sendPageV2(st, w, req.get)
 		}
 		if req.errMsg == "" {
 			st.finish(req.get.ReqID)
@@ -659,12 +688,12 @@ func (s *Server) metrics() serverMetrics {
 // (a full page minus one subpage fits a single frame) leave in one vectored
 // write — the faulted subpage still first in the byte stream, so a real link
 // delivers it first, at one syscall per reply. With wire emulation on, every
-// plan message is its own batch, delayed by its serialization time and
-// written on its own, which keeps the arrival timing the transfer plans
+// plan message is its own batch, written on its own when the connection's
+// link has carried it, which keeps the arrival timing the transfer plans
 // model. The request's cancel flag is polled before each batch after the
 // first is appended, so a withdrawn hedge stops mid-page instead of burning
 // the rest of its bandwidth.
-func (s *Server) sendPageV2(st *connState, w *proto.Writer, req proto.GetPageV2, slp *sleeper) error {
+func (s *Server) sendPageV2(st *connState, w *proto.Writer, req proto.GetPageV2) error {
 	pb, pol, sub, off, errMsg := s.openGet(req.Page, req.Policy, req.SubpageSize, req.FaultOff)
 	if errMsg != "" {
 		return w.SendError(errMsg)
@@ -683,7 +712,7 @@ func (s *Server) sendPageV2(st *connState, w *proto.Writer, req proto.GetPageV2,
 	// still owed. The plan shapes timing and batching; want decides content,
 	// and whatever no plan message covers rides the last batch.
 	plan := pol.Plan(sub, off)
-	paced := atomic.LoadInt64(&s.wireNsPerByte) > 0
+	paced := st.link.begin(atomic.LoadInt64(&s.wireNsPerByte))
 	st.batches = st.batches[:0]
 	if !paced {
 		first := plan[0].Covers & want
@@ -724,7 +753,7 @@ func (s *Server) sendPageV2(st *connState, w *proto.Writer, req proto.GetPageV2,
 			return err
 		}
 		if paced {
-			s.wireDelay(slp, bytes)
+			st.link.pace(i == 0, bytes)
 			if err := st.flush(met); err != nil {
 				return err
 			}

@@ -345,8 +345,9 @@ func (nopConn) SetDeadline(time.Time) error      { return nil }
 func (nopConn) SetReadDeadline(time.Time) error  { return nil }
 func (nopConn) SetWriteDeadline(time.Time) error { return nil }
 
-// The v2 reply path reuses per-connection scratch: a whole-page reply
-// allocates its transfer plan and nothing per batch or per run.
+// The v2 reply path reuses per-connection scratch: a whole-page reply,
+// paced or not, allocates its transfer plan and nothing per batch or per
+// run.
 func TestServerReplyPathAllocs(t *testing.T) {
 	srv, err := ListenServer("127.0.0.1:0")
 	if err != nil {
@@ -354,27 +355,45 @@ func TestServerReplyPathAllocs(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	srv.Store(0, pagePattern(0))
+	slp := newSleeper()
+	defer slp.Close()
 	st := &connState{
 		conn:     nopConn{},
+		link:     link{slp: slp},
 		live:     make(map[uint64]bool),
 		canceled: make(map[uint64]bool),
 	}
 	w := proto.NewWriter(nopConn{})
-	slp := newSleeper()
-	defer slp.Close()
 	req := proto.GetPageV2{ReqID: 1, Page: 0, FaultOff: 1024, SubpageSize: 1024, Policy: proto.PolicyEager}
-	if err := srv.sendPageV2(st, w, req, slp); err != nil {
-		t.Fatal(err)
-	}
 	// Budget: the transfer plan's one slice. The batch list, the framing,
-	// the run tables and the scatter-gather list are connection scratch.
+	// the run tables, the scatter-gather list and the link's clock and
+	// sleeper are connection scratch.
 	const budget = 1.0
-	if n := testing.AllocsPerRun(200, func() {
-		if err := srv.sendPageV2(st, w, req, slp); err != nil {
+	for _, mbps := range []float64{0, 8000} { // 8000: a nanosecond per byte, a microsecond-scale sleep per reply
+		srv.SetWireMbps(mbps)
+		if err := srv.sendPageV2(st, w, req); err != nil {
 			t.Fatal(err)
 		}
-	}); n > budget {
-		t.Fatalf("v2 reply path allocates %.1f objects per page, budget %v", n, budget)
+		if n := testing.AllocsPerRun(200, func() {
+			if err := srv.sendPageV2(st, w, req); err != nil {
+				t.Fatal(err)
+			}
+		}); n > budget {
+			t.Fatalf("v2 reply path at %v Mb/s allocates %.1f objects per page, budget %v", mbps, n, budget)
+		}
+	}
+}
+
+// A paced reply sleeps on its connection's timer once per batch; the
+// sleep allocates nothing.
+func TestSleeperAllocs(t *testing.T) {
+	slp := newSleeper()
+	if slp == nil {
+		t.Skip("no timerfd: the nanosleep fallback has no state to reuse")
+	}
+	defer slp.Close()
+	if n := testing.AllocsPerRun(100, func() { slp.Sleep(time.Microsecond) }); n != 0 {
+		t.Fatalf("Sleep allocates %.1f objects per call, want 0", n)
 	}
 }
 
