@@ -246,7 +246,6 @@ func runClient(args []string) {
 	policy := fs.String("policy", "eager", "fullpage|lazy|eager|pipelined")
 	workload := fs.String("workload", "", "replay a paper workload (modula3|ld|atom|render|gdb) instead of the page sweep")
 	scale := fs.Float64("scale", 0.1, "workload trace scale for -workload")
-	readahead := fs.Bool("readahead", false, "prefetch the next page on sequential fault runs")
 	dialTO := fs.Duration("dial-timeout", 0, "per-dial timeout (0 = default 1s)")
 	reqTO := fs.Duration("timeout", 0, "per-lookup / per-fetch-attempt timeout (0 = default 2s)")
 	retries := fs.Int("retries", 0, "retries beyond the first attempt (0 = default 3, negative = none)")
@@ -258,7 +257,6 @@ func runClient(args []string) {
 		CachePages:     *cache,
 		SubpageSize:    *subpage,
 		Policy:         gmsubpage.Policy(*policy),
-		Readahead:      *readahead,
 		DialTimeout:    *dialTO,
 		RequestTimeout: *reqTO,
 		MaxRetries:     *retries,
@@ -282,8 +280,8 @@ func runClient(args []string) {
 			fatal(err)
 		}
 		fmt.Printf("replayed %d references in %v\n", rep.Refs, rep.Elapsed.Round(time.Millisecond))
-		fmt.Printf("  faults            %d (%.0f/s), prefetches %d, evictions %d\n",
-			rep.Faults, rep.FaultsPerSecond(), rep.Prefetches, rep.Evictions)
+		fmt.Printf("  faults            %d (%.0f/s), evictions %d\n",
+			rep.Faults, rep.FaultsPerSecond(), rep.Evictions)
 		fmt.Printf("  subpage latency   %.0f us (median)\n", rep.SubpageLatencyUs)
 		fmt.Printf("  full-page latency %.0f us (median)\n", rep.FullLatencyUs)
 		fmt.Printf("  bytes in          %.1f MB\n", float64(rep.BytesIn)/(1<<20))

@@ -13,9 +13,9 @@
 //     of the paper's evaluation, plus ablations, validations and the
 //     paper's future-work predictions (Experiments, RunExperiment);
 //   - a real networked remote-memory prototype over TCP — directory, page
-//     servers, and a faulting client with subpage valid bits, sequential
-//     readahead, io.ReaderAt/io.WriterAt paging, and live workload replay
-//     (StartDirectory, StartServer, DialClient).
+//     servers, and a faulting client with subpage valid bits, a learned
+//     stride prefetcher, io.ReaderAt/io.WriterAt paging, and live workload
+//     replay (StartDirectory, StartServer, DialClient).
 //
 // The simulator's latency model is calibrated to the paper's DEC Alpha
 // 250 / AN2 ATM prototype: a 1 KB subpage fault completes in ~0.55 ms

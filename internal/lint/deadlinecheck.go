@@ -44,7 +44,7 @@ var Deadlinecheck = &Analyzer{
 
 // deadlineSegments scopes the check to the packages that own live
 // connections.
-var deadlineSegments = []string{"internal/remote", "internal/dirshard", "internal/load", "cmd/gmsnode"}
+var deadlineSegments = []string{"internal/remote", "internal/proto", "internal/dirshard", "internal/load", "cmd/gmsnode"}
 
 func pathInSegments(path string, segs []string) bool {
 	for _, seg := range segs {

@@ -26,7 +26,7 @@ var Goloop = &Analyzer{
 	Run:  runGoloop,
 }
 
-var goloopSegments = []string{"internal/remote", "internal/dirshard", "internal/load", "internal/chaos", "internal/obs", "cmd/gmsnode", "internal/dirlog"}
+var goloopSegments = []string{"internal/remote", "internal/proto", "internal/dirshard", "internal/load", "internal/chaos", "internal/obs", "cmd/gmsnode", "internal/dirlog"}
 
 func runGoloop(pass *Pass) {
 	if !pathInSegments(pass.Path, goloopSegments) {

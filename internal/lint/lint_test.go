@@ -242,11 +242,13 @@ func TestRepositoryIsLintClean(t *testing.T) {
 
 // TestDeletingProtocolCaseArmFails pins the acceptance contract of the
 // tagswitch analyzer on the real code: removing any `case T*` arm from any
-// protocol tag switch in internal/remote must produce a finding naming the
-// dropped tags (and so fail `make lint`). The switches there are
-// exhaustive with no default — proto.Reader.Next rejects unknown tag
-// bytes, so exhaustiveness is safe — which is exactly what makes this
-// mutation detectable.
+// exhaustive protocol tag switch in internal/remote must produce a finding
+// naming the dropped tags (and so fail `make lint`). Those switches have no
+// default — proto.Reader.Next rejects unknown tag bytes, so exhaustiveness
+// is safe — which is exactly what makes this mutation detectable. A switch
+// whose default refuses (a proto.Serve handler's) turns a deleted arm into
+// a refusal at run time instead, which is what the remote package's
+// TestServeRefusesWhatNoHandlerTakes catches.
 func TestDeletingProtocolCaseArmFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks internal/remote; skipped in -short")
@@ -260,7 +262,7 @@ func TestDeletingProtocolCaseArmFails(t *testing.T) {
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sw, ok := n.(*ast.SwitchStmt)
-			if !ok || sw.Tag == nil || tagEnumType(pkg.Info, sw.Tag) == nil {
+			if !ok || sw.Tag == nil || tagEnumType(pkg.Info, sw.Tag) == nil || hasDefault(sw) {
 				return true
 			}
 			swLine := pkg.Fset.Position(sw.Pos()).Line
@@ -303,18 +305,31 @@ func TestDeletingProtocolCaseArmFails(t *testing.T) {
 			return true
 		})
 	}
-	// The floor counts every arm of every protocol switch in
-	// internal/remote: the four that stream or serve (the client's
-	// readLoop, drain's getPage, Server.serve, Directory.serve) — dropping
-	// an arm of any must shrink this below the bound and fail here even
-	// before the lint run does. (26 until the three reply-side switches —
-	// the client's lookup, the server's register, DrainVia; 4 + 3 + 3 arms —
-	// went: a request's one reply is now checked by proto.Conn.Call, which
-	// returns only a type the caller asked for, and TestCallReturnsOnlyWhat-
-	// WasAskedFor walks every tag through it.)
-	if mutations < 16 {
+	// The floor counts every arm of every exhaustive protocol switch in
+	// internal/remote: the two that read a reply stream (the client's
+	// readLoop, drain's getPage) — dropping an arm of either must shrink
+	// this below the bound and fail here even before the lint run does.
+	// (26 until the three reply-side switches — the client's lookup, the
+	// server's register, DrainVia; 4 + 3 + 3 arms — went: a request's one
+	// reply is now checked by proto.Conn.Call, which returns only a type the
+	// caller asked for, and TestCallReturnsOnlyWhatWasAskedFor walks every
+	// tag through it. 16 until the two serve switches — Server.serve and
+	// Directory.serve; 4 + 6 arms — went: they are proto.Serve handlers whose
+	// refusing default is the one refusal path, and the remote package's
+	// TestServeRefusesWhatNoHandlerTakes walks every tag through both.)
+	if mutations < 6 {
 		t.Fatalf("expected to mutate every protocol switch arm in internal/remote, only found %d", mutations)
 	}
+}
+
+// hasDefault reports whether a switch has a default clause.
+func hasDefault(sw *ast.SwitchStmt) bool {
+	for _, clause := range sw.Body.List {
+		if cc, ok := clause.(*ast.CaseClause); ok && cc.List == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // TestAnalyzerDocs keeps the -list output usable.

@@ -279,12 +279,7 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 // probeStaleEpoch forges a registration for serverAddr at a superseded
 // epoch and reports an error unless the directory refuses it.
 func probeStaleEpoch(dirAddr, serverAddr string, epoch uint64) error {
-	pc, err := proto.Dial(nil, dirAddr, stormGrace)
-	if err != nil {
-		return fmt.Errorf("stale-epoch probe dial: %w", err)
-	}
-	defer func() { _ = pc.Close() }()
-	_, err = pc.Call(stormGrace, func(w *proto.Writer) error {
+	_, err := proto.Ask(dirAddr, stormGrace, func(w *proto.Writer) error {
 		return w.SendRegister(proto.Register{Addr: serverAddr, Epoch: epoch, Pages: []uint64{0}})
 	}, proto.TError)
 	if err != nil {

@@ -62,6 +62,21 @@ func Dial(dial func(network, addr string) (net.Conn, error), addr string, timeou
 	return NewConn(c), nil
 }
 
+// ErrUnreachable is matched by an Ask whose dial failed, so a caller can
+// tell a peer it never reached from one that refused or timed out.
+var ErrUnreachable = errors.New("proto: peer unreachable")
+
+// Ask is one exchange on a connection of its own: dial addr, Call, hang up.
+// timeout bounds the dial and the exchange each.
+func Ask(addr string, timeout time.Duration, send func(*Writer) error, want ...Type) (Frame, error) {
+	c, err := Dial(nil, addr, timeout)
+	if err != nil {
+		return Frame{}, fmt.Errorf("%w: %s: %w", ErrUnreachable, addr, err)
+	}
+	defer c.Close()
+	return c.Call(timeout, send, want...)
+}
+
 // Call is one request/reply exchange under a deadline: send writes the
 // request frame, and the next frame is returned if its type is one of want.
 // A TError the caller did not ask for becomes an error carrying the peer's

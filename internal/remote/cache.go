@@ -22,7 +22,6 @@ type cpage struct {
 	faulting bool // a fault owns fetching this page, from its first attempt to success or typed failure
 	inflight bool // an attempt's GetPage reply is streaming in
 	firstOK  bool // the faulted subpage of the current attempt arrived
-	prefetch bool // the fault is a read-ahead, not an accessor's
 	waiters  int  // accessors parked in ensureValid on this page
 	// sources[:nsrc] are the servers currently streaming this page: the
 	// primary, and a second when a hedge is in flight. The attempt fails
@@ -133,12 +132,6 @@ func (pc *pageCache) unlink(p *cpage) {
 	p.prev, p.next = nil, nil
 }
 
-// remove forgets p, which must be cached: out of the map, off the list.
-func (pc *pageCache) remove(p *cpage) {
-	delete(pc.m, p.id)
-	pc.unlink(p)
-}
-
 // victim returns the least recently used page that nothing pins — no
 // stream, no fault owner, no parked accessor — or nil when every page is
 // pinned.
@@ -159,7 +152,8 @@ func (c *Client) evictIfFull() {
 		if victim == nil {
 			return // everything is in flight; allow a brief overcommit
 		}
-		pc.remove(victim)
+		delete(pc.m, victim.id)
+		pc.unlink(victim)
 		c.stats.Evictions++
 		c.met.evictions.Inc()
 		switch {

@@ -26,10 +26,6 @@ type ClientConfig struct {
 	// Policy is one of the proto.Policy* constants (the zero value is
 	// fullpage); Dial rejects a byte core's wire-policy table does not hold.
 	Policy uint8
-	// Readahead prefetches page p+1 when a fault on p follows a fault
-	// on p-1 — client-driven sequential prefetch, an extension beyond
-	// the paper's sender-side pipelining.
-	Readahead bool
 	// Prefetch enables the learned prefetcher (core.Prefetcher): the
 	// client feeds its access stream into a Leap-style stride detector,
 	// and each fault's want bitmap carries the predicted window alongside
@@ -116,7 +112,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // Stats is a snapshot of a client's counters.
 type Stats struct {
 	Faults     int64
-	Prefetches int64
 	Evictions  int64
 	PutPages   int64
 	PutDrops   int64 // dirty evictions not written back — no replica took the page, or it was never fully valid (lazy, Prefetch): the write is lost
@@ -387,9 +382,8 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 			// wait's return) through the caller's copy, so nothing evicts.
 			return p, nil
 		}
-		// About to let go of c.mu (in cond.Wait, around the send, or in the
-		// read-ahead's eviction window): park as a waiter, which evictIfFull
-		// never evicts.
+		// About to let go of c.mu (in cond.Wait or around the send): park as
+		// a waiter, which evictIfFull never evicts.
 		p.waiters++
 		if !p.inflight && !p.faulting {
 			// This accessor takes the fault and sends its first attempt
@@ -398,11 +392,8 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 			// look at the page again, never straight into Wait.
 			c.stats.Faults++
 			c.met.faults.Inc()
-			c.beginFault(p, off, n, false)
+			c.beginFault(p, off, n)
 			c.runAttempt(p)
-			if c.cfg.Readahead {
-				c.maybePrefetch(page)
-			}
 		} else {
 			c.cond.Wait()
 		}

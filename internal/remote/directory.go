@@ -92,8 +92,8 @@ type ShardConfig struct {
 // frames from the old incarnation are rejected as stale. The highest epoch
 // seen for an address is remembered even after its lease expires.
 type Directory struct {
-	ln  net.Listener
-	ttl time.Duration
+	serving *proto.Service
+	ttl     time.Duration
 
 	// Shard identity (immutable after construction). ring is nil in the
 	// classic single-directory mode; when set, this directory owns only
@@ -116,11 +116,10 @@ type Directory struct {
 	// st is the lease table. The methods decide; commit lands a decision
 	// as records, applied to st by State.Apply and appended to the
 	// journal, so the live table is the replay of its own journal.
-	mu    sync.RWMutex
-	st    *dirlog.State
-	conns map[net.Conn]struct{}
-	done  bool
-	met   directoryMetrics // gms_dir_* handles; nil-safe no-ops by default
+	mu   sync.RWMutex
+	st   *dirlog.State
+	done bool
+	met  directoryMetrics // gms_dir_* handles; nil-safe no-ops by default
 
 	// origin anchors lease times: expiries are the journal's Unix
 	// nanoseconds, derived from the monotonic clock through nanos.
@@ -177,12 +176,10 @@ func ListenDirectoryOnWith(ln net.Listener, cfg DirectoryConfig) (*Directory, er
 		grace = ttl
 	}
 	d := &Directory{
-		ln:     ln,
 		ttl:    ttl,
 		grace:  grace,
 		svc:    cfg.LookupService,
 		st:     dirlog.NewState(),
-		conns:  make(map[net.Conn]struct{}),
 		origin: time.Now(),
 		stop:   make(chan struct{}),
 	}
@@ -199,9 +196,11 @@ func ListenDirectoryOnWith(ln net.Listener, cfg DirectoryConfig) (*Directory, er
 		d.svcGate = make(chan struct{}, 1)
 		d.svcSlp = newSleeper()
 	}
-	d.wg.Add(2)
-	go d.acceptLoop()
+	d.wg.Add(1)
 	go d.janitor()
+	d.serving = proto.Serve(ln, func(pc *proto.Conn) proto.Handler {
+		return proto.Handler{Frame: func(f proto.Frame) error { return d.handle(pc.Writer, f) }}
+	})
 	return d, nil
 }
 
@@ -286,7 +285,7 @@ func (d *Directory) commit(recs ...dirlog.Record) {
 }
 
 // Addr returns the directory's listen address.
-func (d *Directory) Addr() string { return d.ln.Addr().String() }
+func (d *Directory) Addr() string { return d.serving.Addr() }
 
 // LeaseTTL reports the configured lease duration.
 func (d *Directory) LeaseTTL() time.Duration { return d.ttl }
@@ -352,24 +351,21 @@ func (d *Directory) Kill() error {
 
 func (d *Directory) shutdown(flush bool) error {
 	d.closeOnce.Do(func() {
-		d.closeErr = d.ln.Close()
 		close(d.stop)
 		d.mu.Lock()
 		d.done = true
 		if d.log != nil {
 			if flush {
 				d.flushRenewsLocked()
-				if err := d.log.Close(); err != nil && d.closeErr == nil {
-					d.closeErr = err
-				}
+				d.closeErr = d.log.Close()
 			} else {
 				_ = d.log.Crash()
 			}
 		}
-		for conn := range d.conns {
-			_ = conn.Close()
-		}
 		d.mu.Unlock()
+		if err := d.serving.Close(); err != nil {
+			d.closeErr = err
+		}
 		d.wg.Wait()
 		d.svcSlp.Close()
 	})
@@ -610,134 +606,65 @@ func (d *Directory) JournalInfo() dirlog.Info {
 	return d.log.Info()
 }
 
-func (d *Directory) acceptLoop() {
-	defer d.wg.Done()
-	for {
-		conn, err := d.ln.Accept()
+// handle answers one request. A stale registration, a lost lease and a
+// failed drain are answers (TError), not refusals: the connection stays.
+func (d *Directory) handle(w *proto.Writer, f proto.Frame) error {
+	switch f.Type {
+	case proto.TRegister:
+		reg, err := proto.DecodeRegister(f.Payload)
 		if err != nil {
-			return
+			return err
 		}
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			// A directory connection idles until the next request or the
-			// peer hangs up; server liveness is the lease janitor's job
-			// and client lookups run under their own request deadlines.
-			d.serve(conn) //lint:allow deadlinecheck request reads idle by design until the peer sends or hangs up; leases and client-side deadlines bound liveness
-		}()
-	}
-}
-
-func (d *Directory) serve(conn net.Conn) {
-	d.mu.Lock()
-	if d.done {
-		d.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	d.conns[conn] = struct{}{}
-	d.mu.Unlock()
-	defer func() {
-		_ = conn.Close()
-		d.mu.Lock()
-		delete(d.conns, conn)
-		d.mu.Unlock()
-	}()
-	r := proto.NewReader(conn)
-	w := proto.NewWriter(conn)
-	for {
-		f, err := r.Next()
+		if !d.applyRegister(reg, time.Now()) {
+			return w.SendError(fmt.Sprintf("directory: stale epoch %d for %s", reg.Epoch, reg.Addr))
+		}
+		return w.SendAck()
+	case proto.THeartbeat:
+		hb, err := proto.DecodeHeartbeat(f.Payload)
 		if err != nil {
-			return
+			return err
 		}
-		switch f.Type {
-		case proto.TRegister:
-			reg, err := proto.DecodeRegister(f.Payload)
-			if err != nil {
-				_ = w.SendError(err.Error())
-				return
-			}
-			if !d.applyRegister(reg, time.Now()) {
-				if err := w.SendError(fmt.Sprintf("directory: stale epoch %d for %s", reg.Epoch, reg.Addr)); err != nil {
-					return
-				}
-				continue
-			}
-			if err := w.SendAck(); err != nil {
-				return
-			}
-		case proto.THeartbeat:
-			hb, err := proto.DecodeHeartbeat(f.Payload)
-			if err != nil {
-				_ = w.SendError(err.Error())
-				return
-			}
-			if !d.renewLease(hb, time.Now()) {
-				if err := w.SendError(fmt.Sprintf("directory: no lease for %s epoch %d", hb.Addr, hb.Epoch)); err != nil {
-					return
-				}
-				continue
-			}
-			if err := w.SendAck(); err != nil {
-				return
-			}
-		case proto.TLookup:
-			lk, err := proto.DecodeLookup(f.Payload)
-			if err != nil {
-				_ = w.SendError(err.Error())
-				return
-			}
-			if !d.Owns(lk.Page) {
-				// Misdirected lookup: answer with the current map so the
-				// client both learns the right shard and refreshes its
-				// cache in this one round trip.
-				d.mu.RLock()
-				d.met.wrongShard.Inc()
-				d.mu.RUnlock()
-				if err := w.SendWrongShard(proto.WrongShard{Page: lk.Page, Map: d.ring.Map()}); err != nil {
-					return
-				}
-				continue
-			}
-			d.serviceDelay()
-			now := time.Now()
-			d.mu.RLock()
-			addrs := d.replicasLocked(lk.Page, now)
-			d.met.lookups.Inc()
-			d.mu.RUnlock()
-			if err := w.SendLookupReply(proto.LookupReply{Page: lk.Page, Addrs: addrs}); err != nil {
-				return
-			}
-		case proto.TGetShardMap:
-			d.mu.RLock()
-			d.met.mapRequests.Inc()
-			d.mu.RUnlock()
-			if err := w.SendShardMap(d.ring.Map()); err != nil {
-				return
-			}
-		case proto.TDrain:
-			dr, err := proto.DecodeDrain(f.Payload)
-			if err != nil {
-				_ = w.SendError(err.Error())
-				return
-			}
-			moved, err := d.Drain(dr.Addr)
-			if err != nil {
-				if serr := w.SendError(fmt.Sprintf("directory: drain %s: %v", dr.Addr, err)); serr != nil {
-					return
-				}
-				continue
-			}
-			if err := w.SendDrainReply(proto.DrainReply{Moved: uint32(moved)}); err != nil {
-				return
-			}
-		case proto.TPutPage, proto.TAck, proto.TLookupReply, proto.TError,
-			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
-			proto.TSubpageBatch, proto.TCancel, proto.TDrainReply:
-			// Data-plane and reply tags never arrive at a directory;
-			// refuse and hang up rather than guess at the peer's intent.
-			_ = w.SendError(fmt.Sprintf("directory: unexpected %v", f.Type))
-			return
+		if !d.renewLease(hb, time.Now()) {
+			return w.SendError(fmt.Sprintf("directory: no lease for %s epoch %d", hb.Addr, hb.Epoch))
 		}
+		return w.SendAck()
+	case proto.TLookup:
+		lk, err := proto.DecodeLookup(f.Payload)
+		if err != nil {
+			return err
+		}
+		if !d.Owns(lk.Page) {
+			// Misdirected lookup: answer with the current map so the client
+			// both learns the right shard and refreshes its cache in this
+			// one round trip.
+			d.mu.RLock()
+			d.met.wrongShard.Inc()
+			d.mu.RUnlock()
+			return w.SendWrongShard(proto.WrongShard{Page: lk.Page, Map: d.ring.Map()})
+		}
+		d.serviceDelay()
+		now := time.Now()
+		d.mu.RLock()
+		addrs := d.replicasLocked(lk.Page, now)
+		d.met.lookups.Inc()
+		d.mu.RUnlock()
+		return w.SendLookupReply(proto.LookupReply{Page: lk.Page, Addrs: addrs})
+	case proto.TGetShardMap:
+		d.mu.RLock()
+		d.met.mapRequests.Inc()
+		d.mu.RUnlock()
+		return w.SendShardMap(d.ring.Map())
+	case proto.TDrain:
+		dr, err := proto.DecodeDrain(f.Payload)
+		if err != nil {
+			return err
+		}
+		moved, err := d.Drain(dr.Addr)
+		if err != nil {
+			return w.SendError(fmt.Sprintf("directory: drain %s: %v", dr.Addr, err))
+		}
+		return w.SendDrainReply(proto.DrainReply{Moved: uint32(moved)})
+	default:
+		return fmt.Errorf("directory: unexpected %v", f.Type)
 	}
 }

@@ -175,9 +175,9 @@ func runDirectoryModel(t *testing.T, rng *rand.Rand, steps int) {
 				m.abortDrain(r.addr, r.epoch)
 			case len(r.plan) > 0:
 				tr := r.plan[0]
-				act = fmt.Sprintf("commit drain of %s: %v to %s", r.addr, tr.pages, tr.dest)
-				err := d.commitTransfer(r.addr, tr.dest, tr.pages)
-				check("committed", err == nil, m.commitTransfer(r.addr, tr.dest, tr.pages))
+				act = fmt.Sprintf("commit drain of %s epoch %d: %v to %s", r.addr, r.epoch, tr.pages, tr.dest)
+				err := d.commitTransfer(r.addr, r.epoch, tr.dest, tr.pages)
+				check("committed", err == nil, m.commitTransfer(r.addr, r.epoch, tr.dest, tr.pages))
 				if r.plan, ended = r.plan[1:], err != nil; ended {
 					d.abortDrain(r.addr, r.epoch) // as Drain does
 					m.abortDrain(r.addr, r.epoch)
@@ -331,11 +331,11 @@ func (m *refModel) holders(page uint64) (hs []string) {
 	return hs
 }
 
-// commitTransfer needs a present, undrained destination and a source
-// still marked draining.
-func (m *refModel) commitTransfer(addr, dest string, pages []uint64) bool {
-	l := m.leases[dest]
-	if l == nil || m.draining[dest] || !m.draining[addr] {
+// commitTransfer needs a present, undrained destination and the drained
+// incarnation still registered and marked draining.
+func (m *refModel) commitTransfer(addr string, epoch uint64, dest string, pages []uint64) bool {
+	l, src := m.leases[dest], m.leases[addr]
+	if l == nil || m.draining[dest] || src == nil || src.epoch != epoch || !m.draining[addr] {
 		return false
 	}
 	for _, p := range pages {

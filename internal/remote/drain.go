@@ -47,7 +47,7 @@ func (d *Directory) Drain(addr string) (int, error) {
 			d.abortDrain(addr, epoch)
 			return moved, fmt.Errorf("transferring %d pages to %s: %w", len(t.pages), t.dest, err)
 		}
-		if err := d.commitTransfer(addr, t.dest, t.pages); err != nil {
+		if err := d.commitTransfer(addr, epoch, t.dest, t.pages); err != nil {
 			d.abortDrain(addr, epoch)
 			return moved, err
 		}
@@ -127,8 +127,10 @@ func (d *Directory) beginDrain(addr string) ([]transfer, uint64, error) {
 
 // commitTransfer records that dest now holds pages: the directory's
 // table and the journal both gain the replicas before the source is
-// expunged, so a lookup never sees a window with no holder.
-func (d *Directory) commitTransfer(addr, dest string, pages []uint64) error {
+// expunged, so a lookup never sees a window with no holder. The drain must
+// still be the drained epoch's: pages copied from an incarnation that has
+// since re-registered may be older than what the new one serves.
+func (d *Directory) commitTransfer(addr string, epoch uint64, dest string, pages []uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := d.st.Servers[dest]
@@ -142,8 +144,10 @@ func (d *Directory) commitTransfer(addr, dest string, pages []uint64) error {
 		// and retries against a live destination.
 		return fmt.Errorf("destination %s began draining mid-drain", dest)
 	}
-	if !d.st.Draining[addr] { // expunged with its registration, or aborted
-		return fmt.Errorf("drain of %s superseded mid-transfer", addr)
+	if src := d.st.Servers[addr]; src == nil || src.Epoch != epoch || !d.st.Draining[addr] {
+		// Expunged with its registration, aborted, or re-registered as a new
+		// incarnation, whose own drain may have set the mark again.
+		return fmt.Errorf("drain of %s epoch %d superseded mid-transfer", addr, epoch)
 	}
 	d.commit(dirlog.Register{Addr: dest, Epoch: s.Epoch, Seq: s.Seq, Expires: s.Expires, Pages: pages})
 	d.met.drainMoved.Add(int64(len(pages)))
@@ -294,12 +298,7 @@ func DrainVia(dirAddr, serverAddr string, timeout time.Duration) (int, error) {
 	if timeout <= 0 {
 		timeout = time.Minute
 	}
-	pc, err := proto.Dial(nil, dirAddr, drainDialTimeout)
-	if err != nil {
-		return 0, fmt.Errorf("remote: drain: %w", err)
-	}
-	defer func() { _ = pc.Close() }()
-	f, err := pc.Call(timeout, func(w *proto.Writer) error {
+	f, err := proto.Ask(dirAddr, timeout, func(w *proto.Writer) error {
 		return w.SendDrain(proto.Drain{Addr: serverAddr})
 	}, proto.TDrainReply)
 	if err != nil {

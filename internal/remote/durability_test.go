@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -592,7 +593,7 @@ func TestDrainRefusesDrainingDestination(t *testing.T) {
 	if _, _, err := d.beginDrain("b:1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.commitTransfer("a:1", "b:1", plan[0].pages); err == nil {
+	if err := d.commitTransfer("a:1", epoch, "b:1", plan[0].pages); err == nil {
 		t.Fatal("commitTransfer must refuse a destination that began draining")
 	}
 	// The refused transfer left no replica on the draining destination.
@@ -634,6 +635,46 @@ func TestStaleDrainAbortSparesNewIncarnation(t *testing.T) {
 	}
 	if got := d.Replicas(2); len(got) != 1 || got[0] != "b:1" {
 		t.Fatalf("Replicas(2) = %v, want [b:1]", got)
+	}
+	if live, replay := d.StateSnapshot(), journalState(t, jdir); !live.Equal(replay, true) {
+		t.Fatalf("the live table is not its journal's replay\n  live: %+v\nreplay: %+v", live.Records(), replay.Records())
+	}
+}
+
+// TestStaleDrainCommitSparesNewIncarnation: a server restarts as a new
+// incarnation while its drain is transferring, and the new incarnation's own
+// drain begins. The old drain's transfer then lands. Its pages were copied
+// from the old incarnation, so committing them would route lookups to bytes
+// older than the new incarnation's: the commit must be refused.
+func TestStaleDrainCommitSparesNewIncarnation(t *testing.T) {
+	jdir := t.TempDir()
+	d := durableDirectory(t, jdir, time.Minute, 0)
+	for _, reg := range []proto.Register{
+		{Addr: "a:1", Epoch: 10, Pages: []uint64{1, 2}},
+		{Addr: "b:1", Epoch: 20, Pages: []uint64{2}},
+	} {
+		if !d.applyRegister(reg, time.Now()) {
+			t.Fatalf("register %s rejected", reg.Addr)
+		}
+	}
+	plan, oldEpoch, err := d.beginDrain("a:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan) != 1 || plan[0].dest != "b:1" || !slices.Equal(plan[0].pages, []uint64{1}) {
+		t.Fatalf("plan = %+v, want page 1 -> b:1", plan)
+	}
+	if !d.applyRegister(proto.Register{Addr: "a:1", Epoch: 11, Pages: []uint64{2}}, time.Now()) {
+		t.Fatal("the new incarnation's registration was rejected")
+	}
+	if _, _, err := d.beginDrain("a:1"); err != nil {
+		t.Fatalf("the new incarnation cannot be drained: %v", err)
+	}
+	if err := d.commitTransfer("a:1", oldEpoch, plan[0].dest, plan[0].pages); err == nil {
+		t.Fatal("the old drain committed its transfer during the new incarnation's drain")
+	}
+	if got := d.Replicas(1); len(got) != 0 {
+		t.Fatalf("Replicas(1) = %v, want none: page 1 left with the old incarnation", got)
 	}
 	if live, replay := d.StateSnapshot(), journalState(t, jdir); !live.Equal(replay, true) {
 		t.Fatalf("the live table is not its journal's replay\n  live: %+v\nreplay: %+v", live.Records(), replay.Records())

@@ -19,10 +19,11 @@ var errNotRegistered = errors.New("not registered in the directory")
 // errClientClosed aborts in-flight work when the client shuts down.
 var errClientClosed = errors.New("remote: client closed")
 
-// ErrDirectoryUnreachable is returned by Server.RegisterWith when the
-// directory cannot be dialed, so callers can tell a down control plane
-// apart from a protocol failure with errors.Is.
-var ErrDirectoryUnreachable = errors.New("remote: directory unreachable")
+// ErrDirectoryUnreachable is matched by RegisterWith, lease renewal and
+// DrainVia errors when the directory cannot be dialed, so callers can tell a
+// down control plane apart from a protocol failure with errors.Is. It is
+// proto.ErrUnreachable, which proto.Ask returns for a failed dial.
+var ErrDirectoryUnreachable = proto.ErrUnreachable
 
 // ErrWrongShard is matched (via errors.Is) by lookup errors when a
 // directory shard answered that another shard owns the page. The client

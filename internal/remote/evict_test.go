@@ -241,10 +241,10 @@ func (h *evictHarness) cached() []uint64 {
 }
 
 // TestEvictionMatchesScanOracle is the eviction differential: over seeded
-// random streams of accesses, pins of each kind, unpins, read-ahead
-// placeholder deletions, dirtyings (of whole and of partial pages) and
-// evictions, the client with the LRU list must evict exactly the pages the
-// scanning evictIfFull evicted, and count exactly its lost writes — in
+// random streams of accesses, pins of each kind, unpins, dirtyings (of
+// whole and of partial pages) and evictions, the client with the LRU list
+// must evict exactly the pages the scanning evictIfFull evicted, and count
+// exactly its lost writes — in
 // particular when every page is pinned (overcommit, no victim) and when a
 // dirty victim's unlock window lets another accessor reinstall the page.
 func TestEvictionMatchesScanOracle(t *testing.T) {
@@ -292,14 +292,6 @@ func TestEvictionMatchesScanOracle(t *testing.T) {
 					p.inflight, mp.inflight = false, false
 					p.faulting, mp.faulting = false, false
 					p.waiters, mp.waiters = 0, 0
-				case k < 82:
-					// endFault forgetting a failed read-ahead's placeholder.
-					op = "placeholder delete"
-					if p.valid == 0 && !p.dirty {
-						delete(c.pages.m, id)
-						c.pages.unlink(p)
-						delete(m.pages, id)
-					}
 				case k < 92:
 					op = "dirty"
 					p.valid, p.dirty, mp.dirty, mp.full = ^memmodel.Bitmap(0), true, true, true

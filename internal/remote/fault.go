@@ -11,12 +11,12 @@ import (
 )
 
 // The fault engine (DESIGN.md §7). A fault is a run of attempts on one page,
-// and nothing is parked on it. Whoever takes the fault — the accessor, or a
-// goroutine for a read-ahead — sends the first attempt itself (runAttempt);
-// an attempt ends as an event: the reply's last batch, the loss of its last
-// source, its deadline. Success ends the fault on the spot; failure hands it
-// to a goroutine that lives for the bookkeeping, the backoff and the next
-// send (retry). Accessors only ever wait on the condition variable.
+// and nothing is parked on it. The accessor that takes the fault sends the
+// first attempt itself (runAttempt); an attempt ends as an event: the reply's
+// last batch, the loss of its last source, its deadline. Success ends the
+// fault on the spot; failure hands it to a goroutine that lives for the
+// bookkeeping, the backoff and the next send (retry). Accessors only ever
+// wait on the condition variable.
 //
 // The engine's state is the fault fields of the cpage and the request
 // registry, all under Client.mu; it calls routing, the breaker and the
@@ -86,38 +86,10 @@ func (c *Client) wantFor(p *cpage) uint32 {
 	return uint32(miss)
 }
 
-// maybePrefetch issues a read-ahead fault for page+1 when the fault on
-// page continued a forward run. The read-ahead's attempt is sent from a
-// goroutine of its own, off the accessor's path. Called with c.mu held.
-func (c *Client) maybePrefetch(page uint64) {
-	if c.pages.get(page-1) == nil {
-		return
-	}
-	next := page + 1
-	if c.pages.get(next) != nil {
-		return
-	}
-	c.evictIfFull()
-	if c.pages.get(next) != nil || c.closed {
-		return // both can change while evictIfFull (or the demand send before it) has c.mu dropped
-	}
-	p := c.pages.install(next)
-	c.stats.Prefetches++
-	c.met.prefetches.Inc()
-	c.beginFault(p, 0, units.PageSize, true)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.mu.Lock()
-		c.runAttempt(p)
-		c.mu.Unlock()
-	}()
-}
-
 // beginFault makes p the subject of a new fault on [off, off+n). Called
 // with c.mu held, on a page with no fault in progress.
-func (c *Client) beginFault(p *cpage, off, n int, prefetch bool) {
-	p.faulting, p.prefetch = true, prefetch
+func (c *Client) beginFault(p *cpage, off, n int) {
+	p.faulting = true
 	p.off, p.n = off, n
 	p.attempt, p.tried, p.firstAddr = 0, nil, ""
 }
@@ -129,11 +101,6 @@ func (c *Client) endFault(p *cpage, err error) {
 	p.faulting = false
 	if err != nil && !c.closed {
 		p.err = err
-		if p.prefetch && c.pages.get(p.id) == p && p.valid == 0 && !p.dirty {
-			// Best effort: forget the untouched placeholder so a later
-			// demand access retries cleanly.
-			c.pages.remove(p)
-		}
 	}
 	c.cond.Broadcast()
 }

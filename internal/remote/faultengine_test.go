@@ -354,51 +354,3 @@ func TestCloseWithEventDrivenAttemptsInFlight(t *testing.T) {
 	nwB.StallWrites(false)
 	waitForGoroutines(t, base+2)
 }
-
-// Read-ahead rides on a demand fault but must stay off its path: the
-// accessor sends its own request first and never runs the read-ahead's
-// attempt, whose (slow) dial here would otherwise hold the demand read.
-func TestReadaheadOffAccessorPath(t *testing.T) {
-	const slow = 400 * time.Millisecond
-	dir, srv := testCluster(t, 2) // pages 0 and 1
-	next, err := ListenServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { next.Close() })
-	next.Store(2, pagePattern(2))
-	if err := next.RegisterWith(dir.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	c := testClient(t, dir, ClientConfig{Policy: proto.PolicyEager, Readahead: true,
-		Dial: func(network, addr string) (net.Conn, error) {
-			if addr == next.Addr() {
-				time.Sleep(slow)
-			}
-			return net.DialTimeout(network, addr, time.Second)
-		}})
-	buf := make([]byte, units.PageSize)
-	if err := c.Read(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := c.Read(buf, units.PageSize); err != nil { // continues the run: page 2 is read ahead
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el > slow/2 {
-		t.Fatalf("the demand read took %v: it waited for the read-ahead's %v dial", el, slow)
-	}
-	if st := c.Stats(); st.Prefetches != 1 {
-		t.Fatalf("Prefetches = %d, want 1", st.Prefetches)
-	}
-	if err := c.Read(buf, 2*units.PageSize); err != nil { // joins the read-ahead in flight
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pagePattern(2)) {
-		t.Fatal("read-ahead page mismatch")
-	}
-	if st := c.Stats(); st.Faults != 2 || st.Prefetches != 1 || st.Retries != 0 {
-		t.Fatalf("Faults %d Prefetches %d Retries %d, want 2 demand faults, 1 read-ahead, no retries", st.Faults, st.Prefetches, st.Retries)
-	}
-	_ = srv
-}

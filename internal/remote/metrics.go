@@ -14,7 +14,6 @@ import "github.com/gms-sim/gmsubpage/internal/obs"
 // clientMetrics are the faulting client's handles.
 type clientMetrics struct {
 	faults        *obs.Counter
-	prefetches    *obs.Counter
 	evictions     *obs.Counter
 	putPages      *obs.Counter
 	putDrops      *obs.Counter
@@ -35,7 +34,6 @@ type clientMetrics struct {
 func newClientMetrics(r *obs.Registry) clientMetrics {
 	return clientMetrics{
 		faults:        r.Counter("gms_client_faults_total", "page faults issued to remote memory"),
-		prefetches:    r.Counter("gms_client_prefetches_total", "read-ahead faults issued"),
 		evictions:     r.Counter("gms_client_evictions_total", "pages evicted from the local cache"),
 		putPages:      r.Counter("gms_client_putpages_total", "dirty pages written back on eviction"),
 		putDrops:      r.Counter("gms_client_put_drops_total", "dirty evictions not written back: no replica, or the page never fully valid"),

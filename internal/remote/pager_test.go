@@ -93,66 +93,3 @@ func TestPagerSatisfiesIOInterfaces(t *testing.T) {
 		t.Fatal("SectionReader data mismatch")
 	}
 }
-
-func TestReadaheadPrefetchesSequentialRuns(t *testing.T) {
-	dir, _ := testCluster(t, 16)
-	c := testClient(t, dir, ClientConfig{
-		Policy: proto.PolicyEager, Readahead: true, CachePages: 32,
-	})
-	buf := make([]byte, units.PageSize)
-	for p := uint64(0); p < 8; p++ {
-		if err := c.Read(buf, p*units.PageSize); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, pagePattern(p)) {
-			t.Fatalf("page %d mismatch", p)
-		}
-	}
-	st := c.Stats()
-	if st.Prefetches == 0 {
-		t.Fatal("sequential run should trigger prefetches")
-	}
-	// Prefetched pages satisfy demand without a new fault: demand faults
-	// + prefetches cover the 8 pages, with fewer demand faults than 8.
-	if st.Faults >= 8 {
-		t.Fatalf("Faults = %d, prefetching should absorb some", st.Faults)
-	}
-	if st.Faults+st.Prefetches < 8 {
-		t.Fatalf("faults %d + prefetches %d < pages", st.Faults, st.Prefetches)
-	}
-}
-
-func TestReadaheadOffByDefault(t *testing.T) {
-	dir, _ := testCluster(t, 8)
-	c := testClient(t, dir, ClientConfig{Policy: proto.PolicyEager})
-	buf := make([]byte, units.PageSize)
-	for p := uint64(0); p < 4; p++ {
-		if err := c.Read(buf, p*units.PageSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := c.Stats(); st.Prefetches != 0 {
-		t.Fatalf("Prefetches = %d without Readahead", st.Prefetches)
-	}
-}
-
-func TestReadaheadPastEndIsHarmless(t *testing.T) {
-	// Prefetching page N (unregistered) must not poison later reads.
-	dir, _ := testCluster(t, 3)
-	c := testClient(t, dir, ClientConfig{
-		Policy: proto.PolicyEager, Readahead: true,
-	})
-	buf := make([]byte, units.PageSize)
-	for p := uint64(0); p < 3; p++ {
-		if err := c.Read(buf, p*units.PageSize); err != nil {
-			t.Fatalf("page %d: %v", p, err)
-		}
-	}
-	// Re-reading the last page still works.
-	if err := c.Read(buf, 2*units.PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pagePattern(2)) {
-		t.Fatal("page 2 mismatch after failed prefetch")
-	}
-}

@@ -25,11 +25,10 @@ const DefaultHeartbeatInterval = 5 * time.Second
 // remainder according to the requested policy, and accepts PutPage traffic
 // from evicting clients.
 type Server struct {
-	ln net.Listener
+	serving *proto.Service
 
 	mu    sync.Mutex
 	pages map[uint64]*pageBuf
-	conns map[net.Conn]struct{}
 	done  bool
 
 	// Control-plane state. dirAddr is the bootstrap directory remembered
@@ -134,19 +133,16 @@ func ListenServer(addr string) (*Server, error) {
 // for serving through a chaos injector or a custom transport.
 func ListenServerOn(ln net.Listener) *Server {
 	s := &Server{
-		ln:      ln,
 		pages:   make(map[uint64]*pageBuf),
-		conns:   make(map[net.Conn]struct{}),
 		hbEvery: DefaultHeartbeatInterval,
 		hbStop:  make(chan struct{}),
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.serving = proto.Serve(ln, s.serve)
 	return s
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.serving.Addr() }
 
 // SetMetrics registers the server's gms_server_* metrics on r (nil
 // disables them). Call before serving traffic; the handles themselves are
@@ -162,14 +158,11 @@ func (s *Server) SetMetrics(r *obs.Registry) {
 // lease-renewal heartbeat. Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		s.closeErr = s.ln.Close()
 		close(s.hbStop)
 		s.mu.Lock()
 		s.done = true
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
 		s.mu.Unlock()
+		s.closeErr = s.serving.Close()
 		s.wg.Wait()
 	})
 	return s.closeErr
@@ -324,35 +317,19 @@ func (s *Server) RegisterWith(dirAddr string) error {
 // heartbeat self-heal behind it) instead of hanging it forever.
 const registerTimeout = 2 * time.Second
 
-// dialDirectory opens a control-plane connection. An unreachable directory
-// yields a typed error matching ErrDirectoryUnreachable.
-func dialDirectory(addr string) (*proto.Conn, error) {
-	pc, err := proto.Dial(nil, addr, registerTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrDirectoryUnreachable, addr, err)
-	}
-	return pc, nil
-}
-
-// registerAt streams one registration (in frame-bounded batches) to the
+// registerAt sends one registration, in frame-bounded batches, to the
 // directory at dirAddr. An empty server still sends one registration so it
 // holds a lease.
 func (s *Server) registerAt(dirAddr string, epoch uint64, ids []uint64) error {
-	pc, err := dialDirectory(dirAddr)
-	if err != nil {
-		return err
-	}
-	defer pc.Close()
 	const batch = (proto.MaxPayload - 256) / 8
 	for first := true; first || len(ids) > 0; first = false {
 		n := len(ids)
 		if n > batch {
 			n = batch
 		}
-		// A fresh deadline per batch: a large registration streams many
-		// round trips, and it is per-exchange progress that proves the
-		// directory alive, not total elapsed time.
-		_, err := pc.Call(registerTimeout, func(w *proto.Writer) error {
+		// One exchange per batch, each under its own deadline: it is
+		// per-exchange progress that proves the directory alive.
+		_, err := proto.Ask(dirAddr, registerTimeout, func(w *proto.Writer) error {
 			return w.SendRegister(proto.Register{Addr: s.Addr(), Epoch: epoch, Pages: ids[:n]})
 		}, proto.TAck)
 		if err != nil {
@@ -363,20 +340,10 @@ func (s *Server) registerAt(dirAddr string, epoch uint64, ids []uint64) error {
 	return nil
 }
 
-// askDirectory is one exchange on a connection of its own.
-func askDirectory(addr string, send func(*proto.Writer) error, want ...proto.Type) (proto.Frame, error) {
-	pc, err := dialDirectory(addr)
-	if err != nil {
-		return proto.Frame{}, err
-	}
-	defer pc.Close()
-	return pc.Call(registerTimeout, send, want...)
-}
-
 // getShardMap asks the directory at addr which shard map it serves. The
 // empty map means the deployment is unsharded.
 func getShardMap(addr string) (proto.ShardMap, error) {
-	f, err := askDirectory(addr, (*proto.Writer).SendGetShardMap, proto.TShardMap)
+	f, err := proto.Ask(addr, registerTimeout, (*proto.Writer).SendGetShardMap, proto.TShardMap)
 	if err != nil {
 		return proto.ShardMap{}, fmt.Errorf("remote: shard map from %s: %w", addr, err)
 	}
@@ -438,36 +405,10 @@ func (s *Server) heartbeat() {
 // whether the directory still recognized the lease: its TError is the "no
 // lease" answer, and anything else unasked-for is a failed renewal.
 func (s *Server) renewAt(dir string, epoch uint64) (bool, error) {
-	f, err := askDirectory(dir, func(w *proto.Writer) error {
+	f, err := proto.Ask(dir, registerTimeout, func(w *proto.Writer) error {
 		return w.SendHeartbeat(proto.Heartbeat{Addr: s.Addr(), Epoch: epoch})
 	}, proto.TAck, proto.TError)
 	return f.Type == proto.TAck, err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			// A served connection idles until the peer sends a request or
-			// hangs up; dead peers are reaped by directory lease expiry,
-			// not by read deadlines here.
-			s.serve(conn) //lint:allow deadlinecheck request reads idle by design until the peer sends or hangs up; lease expiry bounds dead peers
-		}()
-	}
-}
-
-// srvReq is one unit of work handed from a connection's reader to its
-// writer goroutine: a get to answer or, when errMsg is set, a refusal to
-// send.
-type srvReq struct {
-	get    proto.GetPageV2
-	errMsg string
 }
 
 // connState is the per-connection serving state shared by the reader and
@@ -478,7 +419,7 @@ type srvReq struct {
 // map with IDs the server never saw.
 type connState struct {
 	conn  net.Conn
-	queue chan srvReq
+	queue chan proto.GetPageV2
 	link  link // the writer's
 
 	cmu      sync.Mutex
@@ -528,113 +469,75 @@ func (st *connState) finish(id uint64) {
 	st.cmu.Unlock()
 }
 
-func (s *Server) serve(conn net.Conn) {
-	s.mu.Lock()
-	if s.done {
-		s.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	s.conns[conn] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	pc := proto.NewConn(conn)
+// serve sets up one connection: its writer half streams replies while the
+// read loop Serve runs keeps decoding, so a TCancel racing a reply stream is
+// seen mid-stream (the point of the split). The Close hook stops the writer
+// once it has sent every reply queued, ahead of any refusal.
+func (s *Server) serve(pc *proto.Conn) proto.Handler {
 	st := &connState{
-		conn:     conn,
-		queue:    make(chan srvReq, 64),
+		conn:     pc.Conn,
+		queue:    make(chan proto.GetPageV2, 64),
 		live:     make(map[uint64]bool),
 		canceled: make(map[uint64]bool),
 	}
-	// The writer half streams replies while this reader half keeps
-	// decoding, so a TCancel racing a reply stream is seen mid-stream —
-	// the point of the split. The queue close below is its stop path.
 	writerDone := make(chan struct{})
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer close(writerDone)
-		s.writeLoop(st, pc.Writer)
-	}()
-	defer func() {
-		close(st.queue)
-		// Let the writer flush queued replies (it bails out the moment a
-		// write fails); the connection closes after it is done.
-		<-writerDone
-	}()
-	for {
-		f, err := pc.Next()
-		if err != nil {
-			return
-		}
-		switch f.Type {
-		case proto.TGetPageV2:
-			req, err := proto.DecodeGetPageV2(f.Payload)
-			if err != nil {
-				st.queue <- srvReq{errMsg: err.Error()}
-				return
-			}
-			st.begin(req.ReqID)
-			st.queue <- srvReq{get: req}
-		case proto.TCancel:
-			cn, err := proto.DecodeCancel(f.Payload)
-			if err != nil {
-				st.queue <- srvReq{errMsg: err.Error()}
-				return
-			}
-			st.cancel(cn.ReqID)
-		case proto.TPutPage:
-			put, err := proto.DecodePutPage(f.Payload)
-			if err != nil {
-				st.queue <- srvReq{errMsg: err.Error()}
-				return
-			}
-			s.Store(put.Page, put.Data)
-			s.mu.Lock()
-			s.Puts++
-			met := s.met
-			s.mu.Unlock()
-			met.puts.Inc()
-		case proto.TAck, proto.TLookup, proto.TLookupReply, proto.TRegister,
-			proto.TError, proto.THeartbeat, proto.TGetShardMap,
-			proto.TShardMap, proto.TWrongShard, proto.TSubpageBatch,
-			proto.TDrain, proto.TDrainReply:
-			// Tags a page server never receives; refuse and hang up so a
-			// confused peer cannot keep feeding us misdirected traffic.
-			st.queue <- srvReq{errMsg: fmt.Sprintf("server: unexpected %v", f.Type)}
-			return
-		}
+	go func() { s.writeLoop(st, pc.Writer); close(writerDone) }()
+	return proto.Handler{
+		Frame: func(f proto.Frame) error { return s.handle(st, f) },
+		Close: func() {
+			close(st.queue)
+			<-writerDone
+		},
 	}
 }
 
+// handle takes one request frame off a connection.
+func (s *Server) handle(st *connState, f proto.Frame) error {
+	switch f.Type {
+	case proto.TGetPageV2:
+		req, err := proto.DecodeGetPageV2(f.Payload)
+		if err != nil {
+			return err
+		}
+		st.begin(req.ReqID)
+		st.queue <- req
+	case proto.TCancel:
+		cn, err := proto.DecodeCancel(f.Payload)
+		if err != nil {
+			return err
+		}
+		st.cancel(cn.ReqID)
+	case proto.TPutPage:
+		put, err := proto.DecodePutPage(f.Payload)
+		if err != nil {
+			return err
+		}
+		s.Store(put.Page, put.Data)
+		s.mu.Lock()
+		s.Puts++
+		met := s.met
+		s.mu.Unlock()
+		met.puts.Inc()
+	default:
+		return fmt.Errorf("server: unexpected %v", f.Type)
+	}
+	return nil
+}
+
 // writeLoop is a connection's writer half: it owns every byte written to
-// the connection, serving queued requests in arrival order. After a write
-// error the connection is severed (unblocking the reader) and the
-// remaining queue is drained without touching the wire.
+// the connection until the Close hook, serving queued gets in arrival
+// order. After a write error the connection is severed (unblocking the
+// reader) and the remaining queue is drained without touching the wire.
 func (s *Server) writeLoop(st *connState, w *proto.Writer) {
 	st.link.slp = newSleeper()
 	defer st.link.slp.Close()
 	dead := false
 	for req := range st.queue {
-		var err error
-		switch {
-		case dead:
-		case req.errMsg != "":
-			err = w.SendError(req.errMsg)
-		default:
-			err = s.sendPageV2(st, w, req.get)
-		}
-		if req.errMsg == "" {
-			st.finish(req.get.ReqID)
-		}
-		if err != nil {
+		if !dead && s.sendPageV2(st, w, req) != nil {
 			dead = true
 			_ = st.conn.Close()
 		}
+		st.finish(req.ReqID)
 	}
 }
 

@@ -190,8 +190,6 @@ type ClientOptions struct {
 	// the want bitmap over the lazy wire policy, so it needs no wire tag
 	// of its own.
 	Policy Policy
-	// Readahead prefetches the next page during sequential fault runs.
-	Readahead bool
 
 	// Resilience knobs (see the "Failure model and resilience" section of
 	// the README). The zero value of each picks a sensible default.
@@ -252,7 +250,6 @@ func DialClient(dirAddr string, opts ClientOptions) (*Client, error) {
 		SubpageSize:      opts.SubpageSize,
 		Policy:           wire,
 		Prefetch:         prefetch,
-		Readahead:        opts.Readahead,
 		DialTimeout:      opts.DialTimeout,
 		RequestTimeout:   opts.RequestTimeout,
 		MaxRetries:       opts.MaxRetries,
@@ -277,11 +274,10 @@ func (c *Client) Write(buf []byte, addr uint64) error { return c.c.Write(buf, ad
 
 // ClientStats snapshots a client's counters.
 type ClientStats struct {
-	Faults     int64
-	Prefetches int64
-	Evictions  int64
-	PutPages   int64
-	BytesIn    int64
+	Faults    int64
+	Evictions int64
+	PutPages  int64
+	BytesIn   int64
 	// Resilience counters: attempts beyond the first, retries that moved
 	// to a different replica, and hedged duplicate fetches.
 	Retries   int64
@@ -307,7 +303,6 @@ func (c *Client) Stats() ClientStats {
 	st := c.c.Stats()
 	return ClientStats{
 		Faults:           st.Faults,
-		Prefetches:       st.Prefetches,
 		Evictions:        st.Evictions,
 		PutPages:         st.PutPages,
 		BytesIn:          st.BytesIn,

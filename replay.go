@@ -35,7 +35,6 @@ type ReplayReport struct {
 
 	// Client counters accumulated during the replay.
 	Faults           int64
-	Prefetches       int64
 	Evictions        int64
 	BytesIn          int64
 	SubpageLatencyUs float64
@@ -110,7 +109,6 @@ func (c *Client) ReplayWorkload(workload string, scale float64, firstPage uint64
 		Refs:             refs,
 		Elapsed:          time.Since(start), //lint:allow simpurity wall-clock elapsed time of the live run is the reported measurement
 		Faults:           after.Faults - before.Faults,
-		Prefetches:       after.Prefetches - before.Prefetches,
 		Evictions:        after.Evictions - before.Evictions,
 		BytesIn:          after.BytesIn - before.BytesIn,
 		SubpageLatencyUs: after.SubpageLatencyUs,
