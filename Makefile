@@ -4,7 +4,7 @@ GO ?= go
 # full traces.
 BENCH_SCALE ?= 0.25
 
-.PHONY: ci loc fmt vet lint lint-baseline build test race bench bench-smoke profile-fault trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
+.PHONY: ci loc fmt vet lint lint-baseline build test race bench bench-smoke profile-fault profile-sim trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
 
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
@@ -187,3 +187,12 @@ profile-fault:
 	$(GO) test -run xxx -bench '^BenchmarkFaultLoopback$$' -benchtime 400000x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/fault.prof -o $(PROFILE_DIR)/remote.test ./internal/remote/
 	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/fault.prof
+
+# profile-sim profiles the simulator's fault path: BenchmarkSimFaultStorm (the
+# gate's sim-faultstorm shape, in-package: ns/fault and allocs/fault per
+# policy cell) under the CPU profiler, then the profile's top entries.
+profile-sim:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench '^BenchmarkSimFaultStorm$$' -benchtime 80x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/sim.prof -o $(PROFILE_DIR)/sim.test ./internal/sim/
+	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/sim.test $(PROFILE_DIR)/sim.prof

@@ -11,6 +11,10 @@ import (
 
 // Transfer is one in-flight remote fetch: the messages planned by the
 // policy plus their scheduled arrival times on the simulator clock.
+//
+// A transfer is dead once passed to Engine.FinishTransfer: the engine
+// recycles it for a later fault, so the owner reads what it needs first and
+// drops every reference to it.
 type Transfer struct {
 	Page     memmodel.PageID
 	FaultIdx int // subpage index of the faulted word
@@ -30,6 +34,7 @@ type Transfer struct {
 	demand   memmodel.Bitmap // the faulted subpage's blocks
 	pending  int             // messages not yet applied to the frame
 	traceID  int64           // span id in the engine's tracer; 0 when untraced
+	slot     int             // index in the engine's live list; -1 once finished
 }
 
 // Demand returns the blocks of the faulted subpage — the part of the
@@ -61,6 +66,9 @@ func (t *Transfer) ArrivalCovering(off int) (units.Ticks, bool) {
 // ApplyArrived returns the valid bits of all messages that have landed by
 // now and marks them applied. Done reports completion afterwards.
 func (t *Transfer) ApplyArrived(now units.Ticks) memmodel.Bitmap {
+	if debugEnabled {
+		debugAssert(t.slot >= 0, "ApplyArrived on a finished transfer")
+	}
 	var got memmodel.Bitmap
 	for i := range t.arrivals {
 		if t.arrivals[i] == 0 {
@@ -98,11 +106,20 @@ type Engine struct {
 
 	// Stall bookkeeping for overlap attribution: the disjoint, ordered
 	// stall intervals of the (serial) program, with a prefix sum of
-	// durations for O(log n) window queries.
+	// durations for O(log n) window queries. Only intervals a live
+	// transfer's window can reach are kept (see trimStalls).
 	stallStart []units.Ticks
 	stallEnd   []units.Ticks
 	stallSum   []units.Ticks // stallSum[i] = total stall before interval i
 	cumStall   units.Ticks
+	trimAt     int // log length at which NoteStall next trims
+
+	// live holds the unfinished transfers, each at its slot; free holds
+	// finished ones for reuse. msgs and arr are StartFault's scratch.
+	live []*Transfer
+	free []*Transfer
+	msgs []netmodel.Message
+	arr  []netmodel.Arrival
 
 	// Aggregate overlap attribution (see FinishTransfer).
 	IOOverlap   units.Ticks
@@ -143,8 +160,13 @@ func (e *Engine) SetTrace(t *obs.SimTrace) { e.trace = t }
 
 // StartFault plans and schedules the transfer for a fault at byte offset
 // faultOff of page, issued at time now. The returned transfer's
-// FirstArrival is when the program may resume.
+// FirstArrival is when the program may resume; it stays live until
+// FinishTransfer. now must not precede the end of a stall already noted:
+// the program does not fault while it is stalled.
 func (e *Engine) StartFault(now units.Ticks, page memmodel.PageID, faultOff int) *Transfer {
+	if debugEnabled && len(e.stallEnd) > 0 {
+		debugAssert(now >= e.stallEnd[len(e.stallEnd)-1], "fault issued inside a recorded stall")
+	}
 	var plan []PlannedMessage
 	if sp, ok := e.policy.(StatefulPolicy); ok {
 		sp.Record(uint64(page), faultOff)
@@ -152,28 +174,25 @@ func (e *Engine) StartFault(now units.Ticks, page memmodel.PageID, faultOff int)
 	} else {
 		plan = e.policy.Plan(e.subpage, faultOff)
 	}
-	msgs := make([]netmodel.Message, len(plan))
-	for i, m := range plan {
-		msgs[i] = netmodel.Message{Bytes: m.Bytes, Deliver: m.Deliver}
+	e.msgs = e.msgs[:0]
+	for _, m := range plan {
+		e.msgs = append(e.msgs, netmodel.Message{Bytes: m.Bytes, Deliver: m.Deliver})
 		e.BytesMoved += int64(m.Bytes)
 	}
-	arr := e.net.Transfer(now.ToNanos(), &e.res, msgs)
+	e.arr = e.net.AppendTransfer(e.arr[:0], now.ToNanos(), &e.res, e.msgs)
 
-	t := &Transfer{
-		Page:     page,
-		FaultIdx: memmodel.SubpageIndex(e.subpage, faultOff),
-		Started:  now,
-		covers:   make([]memmodel.Bitmap, len(plan)),
-		arrivals: make([]units.Ticks, len(plan)),
-		pending:  len(plan),
-	}
+	t := e.newTransfer()
+	t.Page = page
+	t.FaultIdx = memmodel.SubpageIndex(e.subpage, faultOff)
+	t.Started = now
+	t.pending = len(plan)
 	for i := range plan {
-		t.covers[i] = plan[i].Covers
-		at := arr[i].At.ToTicks()
+		t.covers = append(t.covers, plan[i].Covers)
+		at := e.arr[i].At.ToTicks()
 		if at <= now {
 			at = now + 1 // a transfer is never free on the event clock
 		}
-		t.arrivals[i] = at
+		t.arrivals = append(t.arrivals, at)
 		if at > t.CompleteAt {
 			t.CompleteAt = at
 		}
@@ -187,13 +206,35 @@ func (e *Engine) StartFault(now units.Ticks, page memmodel.PageID, faultOff int)
 	if e.trace != nil {
 		tmsgs := make([]obs.TraceMsg, len(plan))
 		for i := range plan {
-			tmsgs[i] = obs.TraceMsg{At: t.arrivals[i], Bytes: msgs[i].Bytes, Deliver: msgs[i].Deliver}
+			tmsgs[i] = obs.TraceMsg{At: t.arrivals[i], Bytes: plan[i].Bytes, Deliver: plan[i].Deliver}
 		}
 		t.traceID = e.trace.BeginTransfer(uint64(page), t.FaultIdx, now, t.FirstArrival, t.CompleteAt, tmsgs)
 	}
 	e.Faults++
 	return t
 }
+
+// newTransfer returns a cleared transfer at the end of the live list,
+// reusing a finished one (and its slices' capacity) when there is one.
+func (e *Engine) newTransfer() *Transfer {
+	var t *Transfer
+	if n := len(e.free); n > 0 {
+		t = e.free[n-1]
+		e.free = e.free[:n-1]
+		*t = Transfer{covers: t.covers[:0], arrivals: t.arrivals[:0]}
+	} else {
+		t = &Transfer{}
+	}
+	t.slot = len(e.live)
+	e.live = append(e.live, t)
+	return t
+}
+
+// Live returns the unfinished transfers. FinishTransfer moves the last one
+// into the slot it empties, so the order is that of an append-only list
+// with swap-removal. The slice is only valid until the next StartFault or
+// FinishTransfer.
+func (e *Engine) Live() []*Transfer { return e.live }
 
 // RecordUse feeds a stateful policy the first demand touch of a block that
 // arrived speculatively. Faults alone under-represent the access pattern
@@ -256,12 +297,42 @@ func (e *Engine) NoteStall(from, to units.Ticks, tr *Transfer, initial bool) {
 	e.stallEnd = append(e.stallEnd, to)
 	e.stallSum = append(e.stallSum, e.cumStall)
 	e.cumStall += d
+	if len(e.stallEnd) >= e.trimAt+64 {
+		e.trimStalls()
+	}
 	if !initial && tr != nil {
 		tr.PageWait += d
 	}
 	if e.trace != nil && tr != nil {
 		e.trace.Stall(tr.traceID, from, to, initial)
 	}
+}
+
+// trimStalls drops the stall intervals that end by the time the oldest live
+// transfer started. No query can reach them: FinishTransfer asks about
+// [FirstArrival, ...] of a live transfer, and FirstArrival > Started. A
+// transfer started later starts no earlier than every recorded stall ends
+// (the program does not run while it stalls), so with nothing live the
+// whole log goes. Trimming again only once the log has doubled keeps the
+// scan of the live list amortized O(1) per stall, and the log O(stalls in
+// the live window) rather than O(faults).
+func (e *Engine) trimStalls() {
+	n := len(e.stallEnd)
+	cut := n
+	if len(e.live) > 0 {
+		oldest := e.live[0].Started
+		for _, t := range e.live[1:] {
+			oldest = min(oldest, t.Started)
+		}
+		cut = sort.Search(n, func(k int) bool { return e.stallEnd[k] > oldest })
+	}
+	if cut > 0 {
+		// The prefix sums stay as they are: queries only take differences.
+		e.stallStart = e.stallStart[:copy(e.stallStart, e.stallStart[cut:])]
+		e.stallEnd = e.stallEnd[:copy(e.stallEnd, e.stallEnd[cut:])]
+		e.stallSum = e.stallSum[:copy(e.stallSum, e.stallSum[cut:])]
+	}
+	e.trimAt = 2 * len(e.stallEnd)
 }
 
 // stallBetween returns the exact stall time within [a, b]. Stalls are
@@ -293,32 +364,32 @@ func (e *Engine) stallBetween(a, b units.Ticks) units.Ticks {
 // uses: waiting on this page (no benefit; already in tr.PageWait), waiting
 // on other pages' transfers (overlapped I/O), and executing (overlapped
 // computation). Call it when the simulation clock has passed
-// tr.CompleteAt, or at end of trace with the final clock value.
+// tr.CompleteAt, or at end of trace with the final clock value. The
+// transfer is dead afterwards: the engine reuses it for a later fault.
 func (e *Engine) FinishTransfer(tr *Transfer, now units.Ticks) {
-	a, b := tr.FirstArrival, tr.CompleteAt
-	if b > now {
-		b = now
+	if debugEnabled {
+		debugAssert(tr.slot >= 0 && tr.slot < len(e.live) && e.live[tr.slot] == tr,
+			"FinishTransfer of a transfer that is not live (finished twice?)")
 	}
-	if b <= a {
-		if e.trace != nil {
-			e.trace.EndTransfer(tr.traceID, now, 0, 0)
-		}
-		return
+	var stalled, overlapped units.Ticks
+	if a, b := tr.FirstArrival, min(tr.CompleteAt, now); b > a {
+		window := b - a
+		stalled = min(e.stallBetween(a, b), window)
+		e.IOOverlap += max(stalled-tr.PageWait, 0)
+		overlapped = window - stalled
+		e.CompOverlap += overlapped
 	}
-	window := b - a
-	stalled := e.stallBetween(a, b)
-	if stalled > window {
-		stalled = window
-	}
-	other := stalled - tr.PageWait
-	if other < 0 {
-		other = 0
-	}
-	e.IOOverlap += other
-	e.CompOverlap += window - stalled
 	if e.trace != nil {
-		e.trace.EndTransfer(tr.traceID, now, stalled, window-stalled)
+		e.trace.EndTransfer(tr.traceID, now, stalled, overlapped)
 	}
+
+	last := e.live[len(e.live)-1]
+	last.slot = tr.slot
+	e.live[tr.slot] = last
+	e.live[len(e.live)-1] = nil
+	e.live = e.live[:len(e.live)-1]
+	tr.slot = -1
+	e.free = append(e.free, tr)
 }
 
 // IOOverlapShare returns the fraction of overlap benefit attributable to

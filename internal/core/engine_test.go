@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"github.com/gms-sim/gmsubpage/internal/memmodel"
 	"github.com/gms-sim/gmsubpage/internal/netmodel"
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
@@ -199,6 +200,70 @@ func TestBytesMovedAccounting(t *testing.T) {
 	eLazy.StartFault(0, 1, 0)
 	if eLazy.BytesMoved != 1024 {
 		t.Fatalf("lazy BytesMoved = %d, want 1024", eLazy.BytesMoved)
+	}
+}
+
+// TestEngineFaultAllocs holds a steady-state fault — plan and schedule, stall
+// to the faulted subpage, apply what arrived, attribute the overlap — to the
+// one allocation that is the policy's plan: transfers, their slices, the
+// netmodel scratch and the stall log are all reused.
+func TestEngineFaultAllocs(t *testing.T) {
+	for _, p := range []Policy{FullPage{}, Lazy{}, Eager{}, Pipelined{}} {
+		e := newTestEngine(p, 512)
+		tr := e.StartFault(0, 0, 0)
+		i := 0
+		fault := func() {
+			e.NoteStall(tr.Started, tr.FirstArrival, tr, true)
+			at := tr.CompleteAt
+			tr.ApplyArrived(at)
+			e.FinishTransfer(tr, at)
+			i++
+			tr = e.StartFault(at, memmodel.PageID(i&4095), (i*264)&(units.PageSize-1))
+		}
+		for k := 0; k < 1000; k++ {
+			fault()
+		}
+		if got := testing.AllocsPerRun(1000, fault); got != 1 {
+			t.Errorf("%s: %v allocations per fault, want 1 (the plan)", p.Name(), got)
+		}
+	}
+}
+
+// TestStallLogBoundedByLiveWindow runs 100k faults with up to 256 transfers
+// live at once, finished oldest first: the stall log must stay within a
+// small multiple of the live window however many faults went by.
+func TestStallLogBoundedByLiveWindow(t *testing.T) {
+	const window = 256
+	e := newTestEngine(Pipelined{}, 512)
+	now := units.Ticks(0)
+	var open []*Transfer
+	longest := 0
+	for i := 0; i < 100_000; i++ {
+		tr := e.StartFault(now, memmodel.PageID(i), (i*264)&(units.PageSize-1))
+		e.NoteStall(now, tr.FirstArrival, tr, true)
+		now = tr.FirstArrival + units.Ticks(i%97)
+		if i%3 == 0 {
+			// A page wait on an older transfer still in flight.
+			old := open[len(open)/2:]
+			if len(old) > 0 && old[0].CompleteAt > now {
+				e.NoteStall(now, old[0].CompleteAt, old[0], false)
+				now = old[0].CompleteAt
+			}
+		}
+		open = append(open, tr)
+		if len(open) == window {
+			e.FinishTransfer(open[0], now)
+			open = append(open[:0], open[1:]...)
+		}
+		longest = max(longest, len(e.stallEnd))
+	}
+	// Each fault adds at most two stalls, and the log trims once it has
+	// doubled since the last trim.
+	if bound := 2*(2*window) + 64; longest > bound {
+		t.Fatalf("stall log reached %d intervals over 100k faults, want <= %d", longest, bound)
+	}
+	if len(e.Live()) != window-1 {
+		t.Fatalf("%d live transfers, want %d", len(e.Live()), window-1)
 	}
 }
 

@@ -47,6 +47,29 @@ func TestDebugAssertCatchesOverlappingStalls(t *testing.T) {
 	e.NoteStall(150, 300, nil, true) // starts inside the previous interval
 }
 
+// TestDebugAssertCatchesDeadTransfers: a finished transfer belongs to the
+// engine's free list, so finishing it again or applying its arrivals is a
+// use after free.
+func TestDebugAssertCatchesDeadTransfers(t *testing.T) {
+	for name, use := range map[string]func(*Engine, *Transfer){
+		"finish twice": func(e *Engine, tr *Transfer) { e.FinishTransfer(tr, tr.CompleteAt) },
+		"apply after":  func(e *Engine, tr *Transfer) { tr.ApplyArrived(tr.CompleteAt) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(netmodel.AN2ATM(), Eager{}, 1024)
+			tr := e.StartFault(0, 1, 0)
+			e.StartFault(tr.FirstArrival, 2, 0) // keep another transfer live
+			e.FinishTransfer(tr, tr.CompleteAt)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic under gmsdebug", name)
+				}
+			}()
+			use(e, tr)
+		})
+	}
+}
+
 func TestDebugAssertMessage(t *testing.T) {
 	defer func() {
 		r := recover()

@@ -6,6 +6,7 @@ import (
 
 	"github.com/gms-sim/gmsubpage/internal/memmodel"
 	"github.com/gms-sim/gmsubpage/internal/netmodel"
+	"github.com/gms-sim/gmsubpage/internal/rng"
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
@@ -75,6 +76,95 @@ func TestQuickConcurrentFaultsFIFOPerEngine(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fullStallLog is the overlap attribution of an engine that never trims its
+// stall log: every interval is kept and every query scans them all. It is
+// the oracle the trimmed log is held to.
+type fullStallLog struct {
+	from, to               []units.Ticks
+	ioOverlap, compOverlap units.Ticks
+}
+
+func (l *fullStallLog) note(from, to units.Ticks) {
+	if to > from {
+		l.from = append(l.from, from)
+		l.to = append(l.to, to)
+	}
+}
+
+// finish attributes a transfer's window, read from the transfer before the
+// engine under test recycles it.
+func (l *fullStallLog) finish(tr *Transfer, now units.Ticks) {
+	a, b := tr.FirstArrival, min(tr.CompleteAt, now)
+	if b <= a {
+		return
+	}
+	var stalled units.Ticks
+	for i := range l.from {
+		if lo, hi := max(l.from[i], a), min(l.to[i], b); hi > lo {
+			stalled += hi - lo
+		}
+	}
+	stalled = min(stalled, b-a)
+	l.ioOverlap += max(stalled-tr.PageWait, 0)
+	l.compOverlap += b - a - stalled
+}
+
+// TestQuickStallLogMatchesUntrimmed drives an engine with long random
+// interleavings of faults, initial stalls, page waits on any live transfer,
+// execution and out-of-order finishes, and holds its overlap attribution to
+// an untrimmed log's. The program's clock only moves forward and runs to the
+// end of every stall, as in the simulator.
+func TestQuickStallLogMatchesUntrimmed(t *testing.T) {
+	f := func(seed uint64, polIdx, sizeIdx uint8, rawOps uint16) bool {
+		p := allPolicies[int(polIdx)%len(allPolicies)]
+		if _, ok := p.(StatefulPolicy); ok {
+			p = NewPrefetcher() // history must not leak between cases
+		}
+		sub := testSubpageSizes[int(sizeIdx)%len(testSubpageSizes)]
+		e := NewEngine(netmodel.AN2ATM(), p, sub)
+		var ref fullStallLog
+		r := rng.New(seed)
+		now := units.Ticks(0)
+		stall := func(to units.Ticks, tr *Transfer, initial bool) {
+			e.NoteStall(now, to, tr, initial)
+			ref.note(now, to)
+			now = max(now, to)
+		}
+		finish := func(tr *Transfer) {
+			ref.finish(tr, now)
+			e.FinishTransfer(tr, now)
+		}
+		for i := 0; i < 500+int(rawOps)%3000; i++ {
+			live := e.Live()
+			switch k := r.Intn(8); {
+			case k < 3 || len(live) == 0:
+				tr := e.StartFault(now, memmodel.PageID(r.Intn(64)), r.Intn(units.PageSize))
+				if r.Intn(8) != 0 {
+					stall(tr.FirstArrival, tr, true)
+				}
+			case k < 5:
+				tr := live[r.Intn(len(live))]
+				if at, ok := tr.ArrivalCovering(r.Intn(units.PageSize)); ok && at > now {
+					stall(at, tr, false)
+				} else {
+					stall(tr.CompleteAt, tr, false)
+				}
+			case k < 6:
+				now += units.Ticks(r.Intn(20_000))
+			default:
+				finish(live[r.Intn(len(live))])
+			}
+		}
+		for live := e.Live(); len(live) > 0; live = e.Live() {
+			finish(live[0])
+		}
+		return e.IOOverlap == ref.ioOverlap && e.CompOverlap == ref.compOverlap
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

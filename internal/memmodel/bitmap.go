@@ -6,6 +6,7 @@ package memmodel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
@@ -68,13 +69,7 @@ func (b Bitmap) HasAll(mask Bitmap) bool { return b&mask == mask }
 func (b Bitmap) Full() bool { return b == FullBitmap }
 
 // Count returns the number of valid 256-byte blocks.
-func (b Bitmap) Count() int {
-	n := 0
-	for v := uint32(b); v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
+func (b Bitmap) Count() int { return bits.OnesCount32(uint32(b)) }
 
 // String renders the bitmap LSB-first, '1' for valid blocks, for debugging.
 func (b Bitmap) String() string {

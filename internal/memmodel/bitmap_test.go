@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/gms-sim/gmsubpage/internal/rng"
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
@@ -110,6 +111,25 @@ func TestCount(t *testing.T) {
 	}
 	if Bitmap(0b1011).Count() != 3 {
 		t.Error("count of 0b1011 should be 3")
+	}
+}
+
+// TestCountMatchesBitLoop holds Count to the clear-lowest-bit loop over
+// seeded random bitmaps of every density.
+func TestCountMatchesBitLoop(t *testing.T) {
+	r := rng.New(29)
+	for i := 0; i < 100_000; i++ {
+		b := Bitmap(r.Uint64())
+		for k := i % 4; k > 0; k-- {
+			b &= Bitmap(r.Uint64()) // sparser
+		}
+		want := 0
+		for v := uint32(b); v != 0; v &= v - 1 {
+			want++
+		}
+		if got := b.Count(); got != want {
+			t.Fatalf("Count(%032b) = %d, want %d", uint32(b), got, want)
+		}
 	}
 }
 

@@ -40,6 +40,10 @@ type PageTable struct {
 	// lastFrame short-circuits the common case of repeated references to
 	// the same page, so per-reference cost is a pointer compare.
 	lastFrame *Frame
+
+	// spare is the frame the previous Insert evicted; the next Insert
+	// reuses it.
+	spare *Frame
 }
 
 // NewPageTable returns a table holding at most capacity resident pages.
@@ -80,16 +84,22 @@ func (pt *PageTable) Peek(page PageID) *Frame { return pt.frames[page] }
 
 // Insert makes page resident with the given valid bits, evicting the LRU
 // page first if the table is full. It returns the new frame and the evicted
-// frame (nil if none). Inserting an already-resident page panics; callers
-// must Lookup first.
+// frame (nil if none). The evicted frame is valid only until the next
+// Insert, which reuses it. Inserting an already-resident page panics;
+// callers must Lookup first.
 func (pt *PageTable) Insert(page PageID, valid Bitmap) (f, evicted *Frame) {
 	if pt.frames[page] != nil {
 		panic("memmodel: Insert of resident page")
 	}
+	f, pt.spare = pt.spare, nil
 	if len(pt.frames) >= pt.capacity {
 		evicted = pt.evictLRU()
+		pt.spare = evicted
 	}
-	f = &Frame{Page: page, Valid: valid, DistFrom: -1}
+	if f == nil {
+		f = new(Frame)
+	}
+	*f = Frame{Page: page, Valid: valid, DistFrom: -1}
 	pt.frames[page] = f
 	pt.pushFront(f)
 	pt.lastFrame = f

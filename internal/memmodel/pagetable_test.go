@@ -70,6 +70,34 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// TestInsertReusesEvictedFrame: the frame an Insert evicts keeps its state
+// until the next Insert, which hands it out again cleared.
+func TestInsertReusesEvictedFrame(t *testing.T) {
+	pt := NewPageTable(1)
+	f1, _ := pt.Insert(1, FullBitmap)
+	f1.Xfer, f1.Prefetched, f1.DistFrom = "in flight", 3, 2
+	f2, ev := pt.Insert(2, 0)
+	if ev != f1 || ev.Page != 1 || ev.Valid != FullBitmap || ev.Xfer != "in flight" {
+		t.Fatalf("evicted frame %+v lost its state before the next Insert", ev)
+	}
+	f3, ev := pt.Insert(3, 5)
+	if f3 != f1 || ev != f2 {
+		t.Fatalf("Insert did not reuse the previously evicted frame")
+	}
+	if f3.Page != 3 || f3.Valid != 5 || f3.Xfer != nil || f3.Prefetched != 0 || f3.DistFrom != -1 {
+		t.Fatalf("reused frame not cleared: %+v", f3)
+	}
+	if pt.Lookup(3) != f3 || pt.Peek(1) != nil || pt.Len() != 1 {
+		t.Fatal("table state wrong after reuse")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		p := pt.LRU().Page + 1
+		pt.Insert(p, 0)
+	}); allocs != 0 {
+		t.Fatalf("steady-state Insert allocates %v objects, want 0", allocs)
+	}
+}
+
 func TestInsertResidentPanics(t *testing.T) {
 	pt := NewPageTable(2)
 	pt.Insert(1, 0)

@@ -19,7 +19,11 @@
 // because the small first message leaves a gap on the wire.
 package netmodel
 
-import "github.com/gms-sim/gmsubpage/internal/units"
+import (
+	"slices"
+
+	"github.com/gms-sim/gmsubpage/internal/units"
+)
 
 // Stage is one pipelined resource with a fixed per-message cost and a
 // per-byte cost (expressed per KiB for readability).
@@ -132,15 +136,21 @@ type Arrival struct {
 // idle network). Messages are sent in order by a single server. The
 // returned arrivals are in message order and non-decreasing in At.
 func (p *Params) Transfer(start units.Nanos, res *Resources, msgs []Message) []Arrival {
+	return p.AppendTransfer(nil, start, res, msgs)
+}
+
+// AppendTransfer is Transfer appending the arrivals to dst, so a caller that
+// schedules many transfers can reuse one buffer.
+func (p *Params) AppendTransfer(dst []Arrival, start units.Nanos, res *Resources, msgs []Message) []Arrival {
 	if res == nil {
 		res = &Resources{}
 	}
-	arrivals := make([]Arrival, len(msgs))
 	srvFree := start + p.Request
+	n := len(dst)
+	dst = slices.Grow(dst, len(msgs))[:n+len(msgs)]
 	for i, m := range msgs {
-		var a Arrival
-		a.Msg = m
-		a.SrvStart = srvFree
+		a := &dst[n+i]
+		*a = Arrival{Msg: m, SrvStart: srvFree}
 		a.SrvEnd = a.SrvStart + p.SrvDMA.Cost(m.Bytes)
 		srvFree = a.SrvEnd
 
@@ -158,9 +168,8 @@ func (p *Params) Transfer(start units.Nanos, res *Resources, msgs []Message) []A
 			a.At = cpuStart + p.Deliver.Cost(m.Bytes)
 			res.CPUFree = a.At
 		}
-		arrivals[i] = a
 	}
-	return arrivals
+	return dst
 }
 
 // FetchLatency returns the time from fault to resumption for a single

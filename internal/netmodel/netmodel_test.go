@@ -170,6 +170,32 @@ func TestCongestionDelaysSecondTransfer(t *testing.T) {
 	}
 }
 
+// TestAppendTransferReusesBuffer: the appending form schedules exactly what
+// Transfer does, after whatever dst already holds, without allocating once
+// dst has room.
+func TestAppendTransferReusesBuffer(t *testing.T) {
+	p := AN2ATM()
+	msgs := []Message{{Bytes: 512, Deliver: true}, {Bytes: 512}, {Bytes: 7168, Deliver: true}}
+	var r1, r2 Resources
+	want := p.Transfer(100, &r1, msgs)
+	dst := make([]Arrival, 1, 8)
+	got := p.AppendTransfer(dst, 100, &r2, msgs)
+	if len(got) != 1+len(msgs) || &got[0] != &dst[0] {
+		t.Fatalf("AppendTransfer returned %d arrivals in a new array", len(got))
+	}
+	for i := range want {
+		if got[1+i] != want[i] {
+			t.Fatalf("arrival %d: %+v, want %+v", i, got[1+i], want[i])
+		}
+	}
+	if r1 != r2 {
+		t.Fatalf("resources %+v, want %+v", r2, r1)
+	}
+	if n := testing.AllocsPerRun(100, func() { dst = p.AppendTransfer(dst[:0], 0, &r2, msgs) }); n != 0 {
+		t.Fatalf("AppendTransfer into a roomy buffer allocates %v objects", n)
+	}
+}
+
 func TestIdleResourcesDoNotDelay(t *testing.T) {
 	p := AN2ATM()
 	var res Resources

@@ -258,13 +258,6 @@ func (r *Result) String() string {
 		r.SpLatency.Ms(), r.PageWait.Ms(), r.DiskWait.Ms(), r.Faults)
 }
 
-// openTransfer pairs an in-flight transfer with its frame for end-of-run
-// and eviction flushing.
-type openTransfer struct {
-	tr    *core.Transfer
-	frame *memmodel.Frame
-}
-
 // runner holds one run's state.
 type runner struct {
 	cfg     Config
@@ -275,7 +268,6 @@ type runner struct {
 	diskTr  *disk.Tracker
 	emu     *memmodel.Emulator
 	tlb     *memmodel.TLB
-	open    []openTransfer
 	now     units.Ticks
 	subpage int
 	// trackUse maintains Frame.Prefetched marks: set for TrackPrefetch
@@ -566,11 +558,13 @@ func (r *runner) pageFault(page memmodel.PageID, off int) *memmodel.Frame {
 		return r.diskFault(page)
 	}
 	r.res.RemoteFaults++
-	tr := r.engine.StartFault(r.now, page, off)
+	// Evict before starting the fault: the victim's transfer leaves the
+	// engine's live list before this fault's joins it. That fixes the order
+	// flush closes transfers in, and so the tail of PerFaultWait.
 	f := r.insert(page, 0)
+	tr := r.engine.StartFault(r.now, page, off)
 	f.Xfer = tr
 	f.DistFrom = int16(tr.FaultIdx)
-	r.open = append(r.open, openTransfer{tr: tr, frame: f})
 
 	r.engine.NoteStall(r.now, tr.FirstArrival, tr, true)
 	r.res.SpLatency += tr.FirstArrival - r.now
@@ -606,7 +600,6 @@ func (r *runner) subpageFault(f *memmodel.Frame, off int) {
 		r.cfg.Trace.SetKind(tr.TraceID(), obs.FaultSubpage)
 	}
 	f.Xfer = tr
-	r.open = append(r.open, openTransfer{tr: tr, frame: f})
 
 	r.engine.NoteStall(r.now, tr.FirstArrival, tr, true)
 	r.res.SpLatency += tr.FirstArrival - r.now
@@ -643,10 +636,10 @@ func (r *runner) insert(page memmodel.PageID, valid memmodel.Bitmap) *memmodel.F
 	return f
 }
 
-// finish closes a transfer: overlap attribution, per-fault wait recording,
-// and removal from the open list.
+// finish closes a transfer: per-fault wait recording, detaching it from its
+// frame, and overlap attribution — last, because the engine recycles the
+// transfer there.
 func (r *runner) finish(tr *core.Transfer, f *memmodel.Frame) {
-	r.engine.FinishTransfer(tr, r.now)
 	if r.cfg.TrackPerFault {
 		wait := (tr.FirstArrival - tr.Started) + tr.PageWait
 		r.res.PerFaultWait = append(r.res.PerFaultWait, wait)
@@ -654,19 +647,13 @@ func (r *runner) finish(tr *core.Transfer, f *memmodel.Frame) {
 	if f != nil && f.Xfer == tr {
 		f.Xfer = nil
 	}
-	for i := range r.open {
-		if r.open[i].tr == tr {
-			r.open[i] = r.open[len(r.open)-1]
-			r.open = r.open[:len(r.open)-1]
-			break
-		}
-	}
+	r.engine.FinishTransfer(tr, r.now)
 }
 
-// flush closes transfers still open at end of trace.
+// flush closes transfers still open at end of trace, in the engine's live
+// order: always the first, whose slot the last then takes.
 func (r *runner) flush() {
-	for len(r.open) > 0 {
-		ot := r.open[0]
-		r.finish(ot.tr, ot.frame)
+	for live := r.engine.Live(); len(live) > 0; live = r.engine.Live() {
+		r.finish(live[0], r.pt.Peek(live[0].Page))
 	}
 }
