@@ -4,15 +4,16 @@ GO ?= go
 # full traces.
 BENCH_SCALE ?= 0.25
 
-.PHONY: ci loc fmt vet lint lint-baseline build test race bench bench-smoke profile-fault profile-sim trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
+.PHONY: ci loc fmt vet lint lint-baseline build test race fuzz-smoke bench bench-smoke profile-fault profile-sim trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
 
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
 # over every package (the batched-wire concurrency smoke and the hedge-loser
-# cancel among its tests), the trace-export smoke, the bounded scale-out load
+# cancel among its tests), ten seconds of fuzzing the trace memo's page-run
+# index, the trace-export smoke, the bounded scale-out load
 # smoke, the bounded crash-soak smoke, the learned-prefetcher smoke, the gate
 # benchmark's build-and-run smoke, and the benchmark snapshot.
-ci: fmt vet lint build test race trace-smoke loadtest-smoke soak-smoke prefetch-smoke bench-smoke bench
+ci: fmt vet lint build test race fuzz-smoke trace-smoke loadtest-smoke soak-smoke prefetch-smoke bench-smoke bench
 
 # loc prints the line table CHANGES.md entries and ROADMAP re-anchors quote:
 # non-test Go lines (wc -l, so comments and blanks count) per package
@@ -62,6 +63,12 @@ test:
 # small scale on every CI pass.
 race:
 	$(GO) test -race -short -timeout 15m ./...
+
+# fuzz-smoke fuzzes the trace memo's page-run index (FuzzRunIndex: runs
+# against the Read stream, mixed Read/NextRun, the 2³² page boundary) for
+# ten seconds beyond its seed corpus.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz '^FuzzRunIndex$$' -fuzztime 10s ./internal/trace/
 
 # bench runs the Go microbenchmarks and regenerates BENCH_experiments.json,
 # the per-experiment wall-clock snapshot that seeds the repo's perf
@@ -188,11 +195,17 @@ profile-fault:
 		-cpuprofile $(PROFILE_DIR)/fault.prof -o $(PROFILE_DIR)/remote.test ./internal/remote/
 	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/fault.prof
 
-# profile-sim profiles the simulator's fault path: BenchmarkSimFaultStorm (the
-# gate's sim-faultstorm shape, in-package: ns/fault and allocs/fault per
-# policy cell) under the CPU profiler, then the profile's top entries.
+# profile-sim profiles the simulator's two regimes under the CPU profiler,
+# each followed by the profile's top entries: its fault path,
+# BenchmarkSimFaultStorm (the gate's sim-faultstorm shape, in-package:
+# ns/fault and allocs/fault per policy cell), and its hit-dominated replay,
+# BenchmarkSimApps (the gate's sim-apps matrix, in-package: Mrefs/s and
+# allocs per sim.Run).
 profile-sim:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench '^BenchmarkSimFaultStorm$$' -benchtime 80x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/sim.prof -o $(PROFILE_DIR)/sim.test ./internal/sim/
 	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/sim.test $(PROFILE_DIR)/sim.prof
+	$(GO) test -run xxx -bench '^BenchmarkSimApps$$' -benchtime 10x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/simapps.prof -o $(PROFILE_DIR)/sim.test ./internal/sim/
+	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/sim.test $(PROFILE_DIR)/simapps.prof

@@ -31,6 +31,7 @@ type Transfer struct {
 
 	covers   []memmodel.Bitmap
 	arrivals []units.Ticks
+	next     units.Ticks     // earliest arrival not yet applied; 0 once none is left
 	demand   memmodel.Bitmap // the faulted subpage's blocks
 	pending  int             // messages not yet applied to the frame
 	traceID  int64           // span id in the engine's tracer; 0 when untraced
@@ -69,15 +70,20 @@ func (t *Transfer) ApplyArrived(now units.Ticks) memmodel.Bitmap {
 	if debugEnabled {
 		debugAssert(t.slot >= 0, "ApplyArrived on a finished transfer")
 	}
+	if now < t.next {
+		return 0 // nothing has landed since the last call
+	}
 	var got memmodel.Bitmap
-	for i := range t.arrivals {
-		if t.arrivals[i] == 0 {
-			continue // already applied
-		}
-		if t.arrivals[i] <= now {
+	t.next = 0
+	for i, at := range t.arrivals {
+		switch {
+		case at == 0: // already applied
+		case at <= now:
 			got |= t.covers[i]
 			t.arrivals[i] = 0
 			t.pending--
+		case t.next == 0 || at < t.next:
+			t.next = at
 		}
 	}
 	return got
@@ -193,6 +199,9 @@ func (e *Engine) StartFault(now units.Ticks, page memmodel.PageID, faultOff int)
 			at = now + 1 // a transfer is never free on the event clock
 		}
 		t.arrivals = append(t.arrivals, at)
+		if t.next == 0 || at < t.next {
+			t.next = at
+		}
 		if at > t.CompleteAt {
 			t.CompleteAt = at
 		}

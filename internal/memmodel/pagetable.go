@@ -31,9 +31,17 @@ type Frame struct {
 // PageTable is a fixed-capacity page table with LRU replacement over
 // resident pages. The zero value is not usable; construct with
 // NewPageTable.
+//
+// Residency is an open-addressed hash table: a slot array whose length is a
+// power of two of at least twice the capacity (so a probe always meets an
+// empty slot), a multiplicative hash, linear probing, and backward-shift
+// deletion, which leaves no tombstones behind. A slot carries its page so a
+// probe reads no frame.
 type PageTable struct {
 	capacity int
-	frames   map[PageID]*Frame
+	n        int    // resident pages
+	slots    []slot // len a power of two >= 2*capacity
+	shift    uint   // 64 - log2(len(slots)): the hash's top bits pick the home slot
 	head     *Frame // most recently used
 	tail     *Frame // least recently used
 
@@ -46,15 +54,26 @@ type PageTable struct {
 	spare *Frame
 }
 
+// slot is one entry of the open-addressed table; f is nil when it is empty.
+type slot struct {
+	page PageID
+	f    *Frame
+}
+
 // NewPageTable returns a table holding at most capacity resident pages.
 // Capacity must be positive.
 func NewPageTable(capacity int) *PageTable {
 	if capacity <= 0 {
 		panic("memmodel: page table capacity must be positive")
 	}
+	bits := uint(1)
+	for 1<<bits < 2*capacity {
+		bits++
+	}
 	return &PageTable{
 		capacity: capacity,
-		frames:   make(map[PageID]*Frame, capacity),
+		slots:    make([]slot, 1<<bits),
+		shift:    64 - bits,
 	}
 }
 
@@ -62,7 +81,23 @@ func NewPageTable(capacity int) *PageTable {
 func (pt *PageTable) Capacity() int { return pt.capacity }
 
 // Len returns the number of resident pages.
-func (pt *PageTable) Len() int { return len(pt.frames) }
+func (pt *PageTable) Len() int { return pt.n }
+
+// home is the slot a page's probe starts at (Fibonacci hashing).
+func (pt *PageTable) home(page PageID) int {
+	return int(uint64(page) * 0x9e3779b97f4a7c15 >> pt.shift)
+}
+
+// find returns the index of page's slot, or of the empty slot that ends its
+// probe when it is not resident.
+func (pt *PageTable) find(page PageID) (int, bool) {
+	mask := len(pt.slots) - 1
+	for i := pt.home(page); ; i = (i + 1) & mask {
+		if s := &pt.slots[i]; s.f == nil || s.page == page {
+			return i, s.f != nil
+		}
+	}
+}
 
 // Lookup returns the frame for page and promotes it to most-recently-used,
 // or nil if the page is not resident.
@@ -70,17 +105,27 @@ func (pt *PageTable) Lookup(page PageID) *Frame {
 	if f := pt.lastFrame; f != nil && f.Page == page {
 		return f
 	}
-	f := pt.frames[page]
-	if f == nil {
+	return pt.lookup(page)
+}
+
+// lookup is Lookup past the last-frame compare, kept out of line so that
+// compare inlines into callers.
+func (pt *PageTable) lookup(page PageID) *Frame {
+	i, ok := pt.find(page)
+	if !ok {
 		return nil
 	}
+	f := pt.slots[i].f
 	pt.touch(f)
 	pt.lastFrame = f
 	return f
 }
 
 // Peek returns the frame without promoting it.
-func (pt *PageTable) Peek(page PageID) *Frame { return pt.frames[page] }
+func (pt *PageTable) Peek(page PageID) *Frame {
+	i, _ := pt.find(page)
+	return pt.slots[i].f
+}
 
 // Insert makes page resident with the given valid bits, evicting the LRU
 // page first if the table is full. It returns the new frame and the evicted
@@ -88,19 +133,22 @@ func (pt *PageTable) Peek(page PageID) *Frame { return pt.frames[page] }
 // Insert, which reuses it. Inserting an already-resident page panics;
 // callers must Lookup first.
 func (pt *PageTable) Insert(page PageID, valid Bitmap) (f, evicted *Frame) {
-	if pt.frames[page] != nil {
+	i, ok := pt.find(page)
+	if ok {
 		panic("memmodel: Insert of resident page")
 	}
 	f, pt.spare = pt.spare, nil
-	if len(pt.frames) >= pt.capacity {
+	if pt.n >= pt.capacity {
 		evicted = pt.evictLRU()
 		pt.spare = evicted
+		i, _ = pt.find(page) // the eviction may have shifted page's probe
 	}
 	if f == nil {
 		f = new(Frame)
 	}
 	*f = Frame{Page: page, Valid: valid, DistFrom: -1}
-	pt.frames[page] = f
+	pt.slots[i] = slot{page: page, f: f}
+	pt.n++
 	pt.pushFront(f)
 	pt.lastFrame = f
 	return f, evicted
@@ -108,15 +156,12 @@ func (pt *PageTable) Insert(page PageID, valid Bitmap) (f, evicted *Frame) {
 
 // Remove evicts a specific page, returning its frame or nil.
 func (pt *PageTable) Remove(page PageID) *Frame {
-	f := pt.frames[page]
-	if f == nil {
+	i, ok := pt.find(page)
+	if !ok {
 		return nil
 	}
-	pt.unlink(f)
-	delete(pt.frames, page)
-	if pt.lastFrame == f {
-		pt.lastFrame = nil
-	}
+	f := pt.slots[i].f
+	pt.drop(i, f)
 	return f
 }
 
@@ -129,12 +174,33 @@ func (pt *PageTable) evictLRU() *Frame {
 	if victim == nil {
 		return nil
 	}
-	pt.unlink(victim)
-	delete(pt.frames, victim.Page)
-	if pt.lastFrame == victim {
+	i, _ := pt.find(victim.Page)
+	pt.drop(i, victim)
+	return victim
+}
+
+// drop unlinks f, whose page is in slot i, and empties the slot.
+func (pt *PageTable) drop(i int, f *Frame) {
+	pt.unlink(f)
+	pt.deleteSlot(i)
+	pt.n--
+	if pt.lastFrame == f {
 		pt.lastFrame = nil
 	}
-	return victim
+}
+
+// deleteSlot empties slot i by backward shift: each later entry of the
+// probe cluster moves into the hole when the hole lies on its probe path —
+// at or after its home slot, cyclically — which keeps every probe unbroken.
+func (pt *PageTable) deleteSlot(i int) {
+	mask := len(pt.slots) - 1
+	for j := (i + 1) & mask; pt.slots[j].f != nil; j = (j + 1) & mask {
+		if h := pt.home(pt.slots[j].page); (j-h)&mask >= (j-i)&mask {
+			pt.slots[i] = pt.slots[j]
+			i = j
+		}
+	}
+	pt.slots[i] = slot{}
 }
 
 func (pt *PageTable) touch(f *Frame) {

@@ -1,6 +1,9 @@
 package memmodel
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,67 +123,133 @@ func TestPeekDoesNotPromote(t *testing.T) {
 	}
 }
 
-// TestLRUMatchesReference drives the table with random operations and
-// compares against a simple slice-based reference implementation.
+// collidingPages returns n distinct pages, negative ones among them, whose
+// home slots in pt are the table's first two or last two: their probe
+// clusters collide and wrap around the end of the slot array, which is where
+// backward-shift deletion can go wrong.
+func collidingPages(pt *PageTable, n int) []PageID {
+	last := len(pt.slots) - 1
+	var out []PageID
+	for k := int64(0); len(out) < n; k++ {
+		p := PageID(k / 2)
+		if k%2 == 1 {
+			p = -p - 1
+		}
+		if h := pt.home(p); h <= 1 || h >= last-1 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// ptOp is one operation of TestLRUMatchesReference: Kind%3 picks Lookup,
+// Insert (of a non-resident page) or Remove; Page indexes the page set.
+type ptOp struct {
+	Page uint16
+	Kind uint8
+}
+
+// TestLRUMatchesReference drives tables of capacity 1 to 64 with random
+// Lookup, Insert and Remove operations over pages that share home slots,
+// and compares against a slice-based reference: the same evictions, the
+// same recency order, and every page of the set found by Peek exactly when
+// the reference holds it.
 func TestLRUMatchesReference(t *testing.T) {
-	type op struct {
-		Page   uint8
-		Lookup bool
-	}
-	f := func(ops []op) bool {
-		const capacity = 4
-		pt := NewPageTable(capacity)
-		var ref []PageID // MRU first
-		refFind := func(p PageID) int {
-			for i, v := range ref {
-				if v == p {
-					return i
+	for capacity := 1; capacity <= 64; capacity++ {
+		pages := collidingPages(NewPageTable(capacity), capacity+capacity/2+2)
+		f := func(ops []ptOp) bool {
+			pt := NewPageTable(capacity)
+			var ref []PageID // MRU first
+			refFind := func(p PageID) int {
+				for i, v := range ref {
+					if v == p {
+						return i
+					}
 				}
+				return -1
 			}
-			return -1
-		}
-		for _, o := range ops {
-			p := PageID(o.Page % 8)
-			if o.Lookup {
-				got := pt.Lookup(p)
+			for _, o := range ops {
+				p := pages[int(o.Page)%len(pages)]
 				i := refFind(p)
-				if (got != nil) != (i >= 0) {
-					return false
-				}
-				if i > 0 {
-					ref = append(ref[:i], ref[i+1:]...)
+				switch o.Kind % 3 {
+				case 0:
+					got := pt.Lookup(p)
+					if (got != nil) != (i >= 0) || got != nil && got.Page != p {
+						return false
+					}
+					if i > 0 {
+						ref = append(ref[:i], ref[i+1:]...)
+						ref = append([]PageID{p}, ref...)
+					}
+				case 1:
+					if i >= 0 {
+						continue
+					}
+					_, ev := pt.Insert(p, 0)
+					var refEv *PageID
+					if len(ref) >= capacity {
+						refEv = &ref[len(ref)-1]
+						ref = ref[:len(ref)-1]
+					}
+					if (ev != nil) != (refEv != nil) || ev != nil && ev.Page != *refEv {
+						return false
+					}
 					ref = append([]PageID{p}, ref...)
+				case 2:
+					got := pt.Remove(p)
+					if (got != nil) != (i >= 0) || got != nil && got.Page != p {
+						return false
+					}
+					if i >= 0 {
+						ref = append(ref[:i], ref[i+1:]...)
+					}
 				}
-			} else if pt.Peek(p) == nil {
-				_, ev := pt.Insert(p, 0)
-				var refEv PageID = -1
-				if len(ref) >= capacity {
-					refEv = ref[len(ref)-1]
-					ref = ref[:len(ref)-1]
-				}
-				ref = append([]PageID{p}, ref...)
-				if (ev != nil) != (refEv >= 0) {
+				if pt.Len() != len(ref) || !slices.Equal(pt.Pages(), ref) {
 					return false
 				}
-				if ev != nil && ev.Page != refEv {
-					return false
+				for _, q := range pages {
+					if f := pt.Peek(q); (f != nil) != (refFind(q) >= 0) || f != nil && f.Page != q {
+						return false
+					}
 				}
 			}
-			// Residency sets must match.
-			if pt.Len() != len(ref) {
-				return false
-			}
-			got := pt.Pages()
-			for i := range got {
-				if got[i] != ref[i] {
-					return false
-				}
-			}
+			return true
 		}
-		return true
+		cfg := &quick.Config{
+			MaxCount: 20,
+			Rand:     rand.New(rand.NewSource(int64(capacity))),
+			// Long enough to fill the table and churn it several times.
+			Values: func(args []reflect.Value, r *rand.Rand) {
+				ops := make([]ptOp, r.Intn(12*capacity+64))
+				for i := range ops {
+					ops[i] = ptOp{Page: uint16(r.Intn(len(pages))), Kind: uint8(r.Intn(3))}
+				}
+				args[0] = reflect.ValueOf(ops)
+			},
+		}
+		if err := quick.Check(f, cfg); err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+}
+
+// TestPageTableAllocs: once the table is full and has evicted once, Lookup
+// and Insert allocate nothing.
+func TestPageTableAllocs(t *testing.T) {
+	const capacity = 64
+	pt := NewPageTable(capacity)
+	next := PageID(-capacity)
+	for ; next <= 0; next++ {
+		pt.Insert(next, FullBitmap)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		pt.Insert(next, FullBitmap)
+		if pt.Lookup(next-capacity/2) == nil || pt.Lookup(next) == nil || pt.Lookup(next-capacity) != nil {
+			t.Fatal("residency wrong")
+		}
+		next++
+	}); allocs != 0 {
+		t.Fatalf("steady-state Lookup/Insert allocates %v objects, want 0", allocs)
 	}
 }
 

@@ -119,3 +119,37 @@ func BenchmarkSimReplay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimApps is the sim-apps matrix of the gate's benchmark in-package:
+// the five paper apps at scale 0.1 x {fullpage, eager, pipelined}, half
+// memory, 1 KB subpages — hit-dominated replay over page runs. One op is the
+// whole matrix; read Mrefs/s, and allocs/run per sim.Run.
+func BenchmarkSimApps(b *testing.B) {
+	type cell struct {
+		app    *trace.App
+		policy string
+	}
+	var cells []cell
+	for _, app := range trace.Apps(0.1) {
+		trace.TouchedPages(app) // synthesize and memoize outside the timing
+		for _, pol := range []string{"fullpage", "eager", "pipelined"} {
+			cells = append(cells, cell{app, pol})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var refs int64
+	var allocs uint64
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			p, err := core.ByName(c.policy)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{App: c.app, MemFraction: 0.5, Policy: p, SubpageSize: 1024}
+			allocs += mallocs(func() { refs += Run(cfg).Events })
+		}
+	}
+	b.ReportMetric(float64(refs)/1e6/b.Elapsed().Seconds(), "Mrefs/s")
+	b.ReportMetric(float64(allocs)/float64(b.N*len(cells)), "allocs/run")
+}

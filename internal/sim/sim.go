@@ -369,11 +369,11 @@ func toPageIDs(pages []uint64) []memmodel.PageID {
 }
 
 // runReader is a reader that knows where its stream changes page: trace's
-// memoized app streams. NextRun returns what is left of the current maximal
-// run of references to one page, packed (trace.Unpack), empty at end of
-// trace.
+// memoized app streams. NextRun returns the page and what is left of the
+// current maximal run of references to it, packed (trace.Unpack), empty at
+// end of trace.
 type runReader interface {
-	NextRun() []uint32
+	NextRun() (page uint64, offs []uint16)
 }
 
 // run is the main reference loop.
@@ -395,17 +395,26 @@ func (r *runner) run() {
 	}
 }
 
-// replayRuns is the reference loop over a stream with a page-run index. It
-// steps a run's references until one leaves the page complete, then charges
-// the rest of the run at once: step would take its fast path on each of them
-// — same page, so the page table answers from its last frame and the LRU
-// order stands — and that path only counts the reference's execution event.
-// A TLB model looks at every address, so with one on nothing is skipped.
+// replayRuns is the reference loop over a stream with a page-run index. A
+// run whose page is resident and complete is charged whole from the index:
+// step on its first reference would make the same Lookup and take its fast
+// path, and so would every later one — same page, so the page table answers
+// from its last frame and the LRU order stands — and that path only counts
+// the reference's execution event. Any other run is stepped until a
+// reference leaves the page complete, and the rest is charged at once. A TLB
+// model looks at every address, so with one on nothing is skipped.
 func (r *runner) replayRuns(rd runReader) {
-	for refs := rd.NextRun(); len(refs) > 0; refs = rd.NextRun() {
-		for i, v := range refs {
-			if f := r.step(trace.Unpack(v)); complete(f) && r.tlb == nil {
-				rest := len(refs) - i - 1
+	for page, offs := rd.NextRun(); len(offs) > 0; page, offs = rd.NextRun() {
+		if r.tlb == nil {
+			if f := r.pt.Lookup(memmodel.PageID(page)); f != nil && complete(f) {
+				r.now += units.Ticks(len(offs))
+				r.res.Events += int64(len(offs))
+				continue
+			}
+		}
+		for i, v := range offs {
+			if f := r.step(trace.Unpack(page, v)); complete(f) && r.tlb == nil {
+				rest := len(offs) - i - 1
 				r.now += units.Ticks(rest)
 				r.res.Events += int64(rest)
 				break

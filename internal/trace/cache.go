@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -15,36 +16,42 @@ import (
 // run (each sim.Run otherwise replays the generators twice: once for the
 // warm-cache footprint scan and once for the reference loop).
 //
-// References are packed to 4 bytes (addr<<1 | store), and beside them sits
-// the page-run index: the length of every maximal run of consecutive
-// references to one page, in stream order. A run's page is its first
-// reference's, so the index costs 4 bytes per page change (2–4 % of the
-// references in the paper's apps) and lets a consumer that only cares when
-// the page changes (sim's reference loop, the footprint) walk runs instead
-// of references.
+// The memo is a page-run index and the references' in-page offsets. The
+// index holds every maximal run of consecutive references to one page, in
+// stream order, as the run's page and length (8 bytes per page change: 2–4 %
+// of the references in the paper's apps); each reference is packed to 2
+// bytes, offset<<1 | store. A consumer that only cares when the page changes
+// (sim's reference loop, the footprint) reads the index alone and decodes a
+// run's references only when it needs them.
 //
 // The cache is admission-bounded by a byte budget: traces that would
-// overflow the budget — or that do not pack: an address of 2³¹ or more —
-// simply fall back to the generators, so output never depends on what got
-// cached. Entries are immutable once synthesized, which is what makes
-// sharing across worker goroutines safe.
+// overflow the budget — or that do not pack: a page of 2³² or more — simply
+// fall back to the generators, so output never depends on what got cached.
+// Entries are immutable once synthesized, which is what makes sharing across
+// worker goroutines safe.
 
 // DefaultCacheBudget bounds the bytes the trace cache may retain. At the
-// paper's full scale the five app traces pack, index included, to ~2.0 GiB
+// paper's full scale the five app traces pack, index included, to ~1.1 GiB
 // (508 M references, 18 M runs): all five fit.
 const DefaultCacheBudget int64 = 2 << 30
 
 const (
-	// maxPackedAddr is the largest address a packed reference can hold.
-	maxPackedAddr = math.MaxUint32 >> 1
-	// packedPages bounds the page numbers of a packed stream.
-	packedPages = (maxPackedAddr + 1) / units.PageSize
+	// packedPages bounds the page numbers of a packed stream: a run's page
+	// is 32 bits.
+	packedPages = 1 << 32
 	// refsPerRunEstimate sizes the index before the stream exists: the
-	// paper's apps change page once per 23–55 references. The index can
-	// never exceed one entry per reference, so an entry retains at most the
-	// 8 bytes per reference the unindexed 8-byte packing used to.
+	// paper's apps change page once per 23–55 references.
 	refsPerRunEstimate = 32
 )
+
+// A packed reference's offset<<1 | store must fit its 16 bits.
+const _ uint16 = 2*units.PageSize - 1
+
+// pageRun is one entry of the page-run index.
+type pageRun struct {
+	page uint32 // Addr / units.PageSize of every reference in the run
+	n    uint32 // references in the run, at least 1
+}
 
 // cacheKey identifies one synthesized stream. Scale is not stored on App,
 // but (name, seed, pages, refs) uniquely determine the generated stream.
@@ -60,8 +67,8 @@ type cacheEntry struct {
 	charged  int64 // bytes this entry holds of traceCache.bytes; guarded by traceCache.mu
 
 	refsOnce sync.Once
-	packed   []uint32 // addr<<1|store, immutable after refsOnce
-	runs     []uint32 // length of each maximal same-page run of packed, in order
+	offs     []uint16  // offset<<1|store of every reference, immutable after refsOnce
+	runs     []pageRun // each maximal same-page run of offs, in order
 
 	pagesOnce sync.Once
 	touched   []uint64 // distinct pages ascending, immutable after pagesOnce
@@ -74,7 +81,7 @@ var traceCache = struct {
 	budget  int64
 }{entries: make(map[cacheKey]*cacheEntry), budget: DefaultCacheBudget}
 
-// SetCacheBudget bounds the bytes of packed references the trace cache may
+// SetCacheBudget bounds the bytes of packed streams the trace cache may
 // hold; 0 disables caching of reference streams (footprints are still
 // memoized). Already-cached entries are kept. Returns the previous budget.
 func SetCacheBudget(n int64) int64 {
@@ -88,7 +95,7 @@ func SetCacheBudget(n int64) int64 {
 // CacheStats reports the trace cache's occupancy.
 type CacheStats struct {
 	Entries int   // streams admitted
-	Bytes   int64 // bytes retained: packed references and run indexes
+	Bytes   int64 // bytes retained: 2 per reference and 8 per page run
 	Budget  int64
 }
 
@@ -124,7 +131,7 @@ func cacheFor(a *App) *cacheEntry {
 		return e
 	}
 	e := &cacheEntry{}
-	size := 4 * (a.totalRefs + a.totalRefs/refsPerRunEstimate)
+	size := 2*a.totalRefs + 8*(a.totalRefs/refsPerRunEstimate)
 	if a.totalRefs > 0 && a.totalRefs <= math.MaxUint32 && traceCache.bytes+size <= traceCache.budget {
 		e.admitted = true
 		e.charged = size
@@ -148,15 +155,15 @@ func (e *cacheEntry) memoized(a *App) bool {
 	if e.admitted {
 		e.refsOnce.Do(func() { e.synthesize(a) })
 	}
-	return e.packed != nil
+	return e.offs != nil
 }
 
-// synthesize materializes the app's stream into e.packed and e.runs, or
-// into neither when an address does not pack. Safe only inside e.refsOnce.
+// synthesize materializes the app's stream into e.offs and e.runs, or into
+// neither when a page does not pack. Safe only inside e.refsOnce.
 func (e *cacheEntry) synthesize(a *App) {
-	packed := make([]uint32, 0, a.totalRefs)
-	runs := make([]uint32, 0, a.totalRefs/refsPerRunEstimate)
-	page := uint64(packedPages) // no packed reference is on this page
+	offs := make([]uint16, 0, a.totalRefs)
+	runs := make([]pageRun, 0, a.totalRefs/refsPerRunEstimate)
+	page := uint64(math.MaxUint64) // no reference is on this page
 	buf := make([]Ref, 8192)
 	rd := a.generatorReader()
 	for {
@@ -165,69 +172,100 @@ func (e *cacheEntry) synthesize(a *App) {
 			break
 		}
 		for _, ref := range buf[:n] {
-			if ref.Addr > maxPackedAddr {
-				e.recharge(0)
-				return
-			}
 			if p := ref.Addr / units.PageSize; p != page {
+				if p >= packedPages {
+					e.recharge(0)
+					return
+				}
 				page = p
-				runs = append(runs, 0)
+				runs = append(runs, pageRun{page: uint32(p)})
 			}
-			runs[len(runs)-1]++
-			packed = append(packed, pack(ref))
+			runs[len(runs)-1].n++
+			offs = append(offs, uint16(ref.Addr%units.PageSize)<<1|store(ref))
 		}
 	}
-	e.packed, e.runs = packed, runs
-	e.recharge(4 * int64(cap(packed)+cap(runs)))
+	e.offs, e.runs = exact(offs), exact(runs)
+	e.recharge(2*int64(len(e.offs)) + 8*int64(len(e.runs)))
 }
 
-func pack(ref Ref) uint32 {
-	v := uint32(ref.Addr) << 1
+func store(ref Ref) uint16 {
 	if ref.Store {
-		v |= 1
+		return 1
 	}
-	return v
+	return 0
 }
 
-// Unpack decodes one reference of a NextRun slice.
-func Unpack(v uint32) Ref { return Ref{Addr: uint64(v >> 1), Store: v&1 != 0} }
+// exact returns s in an allocation of its length: a slice grown by append
+// keeps up to a quarter more than it holds, for as long as it lives.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+// Unpack decodes one reference of a NextRun run on the given page.
+func Unpack(page uint64, v uint16) Ref {
+	return Ref{Addr: page*units.PageSize + uint64(v>>1), Store: v&1 != 0}
+}
 
 // packedReader replays a cached stream. Each reader has private position
-// state; the packed slice and its index are shared and never written.
+// state; the offsets and their index are shared and never written.
 type packedReader struct {
-	refs []uint32
-	runs []uint32
-	pos  int // next reference
-	run  int // runs[:run] end at end
-	end  int
+	offs []uint16
+	runs []pageRun
+	pos  int    // next reference
+	run  int    // runs[:run] end at end
+	end  int    // end of the run pos is in; pos == end at a run boundary
+	page uint64 // page of runs[run-1]
 }
 
+// enter moves to the next run when the reader is at a run boundary. It
+// reports false at end of trace.
+func (p *packedReader) enter() bool {
+	if p.pos < p.end {
+		return true
+	}
+	if p.run == len(p.runs) {
+		return false
+	}
+	r := p.runs[p.run]
+	p.run++
+	p.page, p.end = uint64(r.page), p.end+int(r.n)
+	return true
+}
+
+// Read decodes a run at a time, each from its page's base address.
 func (p *packedReader) Read(buf []Ref) int {
-	n := len(p.refs) - p.pos
-	if n > len(buf) {
-		n = len(buf)
+	n := 0
+	for n < len(buf) && p.enter() {
+		src := p.offs[p.pos:min(p.end, p.pos+len(buf)-n)]
+		dst := buf[n : n+len(src)]
+		base := p.page * units.PageSize
+		for i, v := range src {
+			dst[i] = Ref{Addr: base + uint64(v>>1), Store: v&1 != 0}
+		}
+		n += len(src)
+		p.pos += len(src)
 	}
-	for i, v := range p.refs[p.pos : p.pos+n] {
-		buf[i] = Unpack(v)
-	}
-	p.pos += n
 	return n
 }
 
-// NextRun returns the references from the reader's position to the end of
-// the maximal same-page run that position is in — a whole run, unless a Read
-// stopped inside it — as a sub-slice of the shared stream, packed (see
-// Unpack), which the caller must not modify. It is empty only at end of
-// trace. Read and NextRun may be mixed freely: both consume from the one
-// position.
-func (p *packedReader) NextRun() []uint32 {
-	for p.end <= p.pos && p.run < len(p.runs) {
-		p.end += int(p.runs[p.run])
-		p.run++
+// NextRun returns the page and the packed references (see Unpack) from the
+// reader's position to the end of the maximal same-page run that position is
+// in — a whole run, unless a Read stopped inside it. The references are a
+// sub-slice of the shared stream, which the caller must not modify; they are
+// empty only at end of trace. Read and NextRun may be mixed freely: both
+// consume from the one position.
+func (p *packedReader) NextRun() (page uint64, offs []uint16) {
+	if !p.enter() {
+		return 0, nil
 	}
-	refs := p.refs[p.pos:p.end]
+	offs = p.offs[p.pos:p.end]
 	p.pos = p.end
-	return refs
+	return p.page, offs
 }
 
 // TouchedPages returns the distinct page numbers (Addr / units.PageSize)
@@ -246,23 +284,32 @@ func TouchedPages(a *App) []uint64 {
 	return e.touched
 }
 
-// touchedFromRuns collects the footprint from the run index: one look at the
-// first reference of each run instead of a pass over every reference.
+// touchedFromRuns collects the footprint from the run index alone: a bitmap
+// over the pages' span when that is no bigger than the index, a sort of the
+// run pages otherwise.
 func (e *cacheEntry) touchedFromRuns() []uint64 {
-	var seen [packedPages / 64]uint64
-	pos := 0
-	for _, n := range e.runs {
-		page := Unpack(e.packed[pos]).Addr / units.PageSize
-		seen[page/64] |= 1 << (page % 64)
-		pos += int(n)
+	lo, hi := e.runs[0].page, e.runs[0].page
+	for _, r := range e.runs {
+		lo, hi = min(lo, r.page), max(hi, r.page)
 	}
 	var out []uint64
-	for i, w := range seen {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, uint64(i*64+bits.TrailingZeros64(w)))
+	if words := int(hi-lo)/64 + 1; words <= len(e.runs) {
+		seen := make([]uint64, words)
+		for _, r := range e.runs {
+			seen[(r.page-lo)/64] |= 1 << ((r.page - lo) % 64)
 		}
+		for i, w := range seen {
+			for ; w != 0; w &= w - 1 {
+				out = append(out, uint64(lo)+uint64(i*64+bits.TrailingZeros64(w)))
+			}
+		}
+		return out
 	}
-	return out
+	for _, r := range e.runs {
+		out = append(out, uint64(r.page))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // scanTouched reads a stream to the end and collects its footprint.

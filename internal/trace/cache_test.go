@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -46,12 +47,15 @@ func TestCachedReaderMatchesGenerator(t *testing.T) {
 	if !sameRefs(want, got) {
 		t.Fatalf("cached stream differs from generated stream (%d vs %d refs)", len(got), len(want))
 	}
-	// Charged is what is retained: 4 bytes per reference and per run.
+	// Charged is what is retained, at its exact length: 2 bytes per
+	// reference and 8 per page run.
 	e := cacheFor(app)
-	if retained := 4 * int64(cap(e.packed)+cap(e.runs)); retained < app.TotalRefs()*4 {
-		t.Fatalf("entry retains %d bytes for %d references", retained, app.TotalRefs())
-	} else if u := CacheUsage(); u.Entries != 1 || u.Bytes != retained {
-		t.Fatalf("cache usage = %+v, want 1 entry of %d bytes", u, retained)
+	if len(e.offs) != int(app.TotalRefs()) || cap(e.offs) != len(e.offs) || cap(e.runs) != len(e.runs) {
+		t.Fatalf("entry holds %d/%d offsets and %d/%d runs (len/cap) for %d references",
+			len(e.offs), cap(e.offs), len(e.runs), cap(e.runs), app.TotalRefs())
+	}
+	if want, u := 2*app.TotalRefs()+8*int64(len(e.runs)), CacheUsage(); u.Entries != 1 || u.Bytes != want {
+		t.Fatalf("cache usage = %+v, want 1 entry of %d bytes", u, want)
 	}
 	// A second reader replays the same shared copy from the start.
 	again := drain(t, app.NewReader())
@@ -175,9 +179,9 @@ func fixedApp(refs []Ref) *App {
 }
 
 // streamFromBytes decodes a fuzz input into references, three bytes each:
-// a page move (most stay on the page, some step, a few jump — to the top of
-// the packable range, or with wide set beyond it), an offset and a store
-// flag.
+// a page move (most stay on the page, some step, a few jump — to the last
+// page that packs, 2³²−1, or with wide set to 2³², the first that does not),
+// an offset and a store flag.
 func streamFromBytes(data []byte, wide bool) []Ref {
 	var refs []Ref
 	page := uint64(0)
@@ -199,21 +203,24 @@ func streamFromBytes(data []byte, wide bool) []Ref {
 }
 
 // FuzzRunIndex: over any stream, the page runs concatenate to exactly the
-// Read stream, every run is one page, neighbouring runs are on different
-// pages, and a reader that mixes Read and NextRun stays consistent — a run
-// cut short by a Read still ends where the page changes. A stream with an
-// address that does not pack is not memoized and still replays exactly.
+// Read stream, every reference a run decodes is on the run's index page,
+// neighbouring runs are on different pages, and a reader that mixes Read and
+// NextRun stays consistent — a run cut short by a Read still ends where the
+// page changes. A stream with a page of 2³² or more is not memoized and still
+// replays exactly.
 func FuzzRunIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 160, 0, 1, 0, 9, 9, 200, 5, 5, 251, 255, 255, 0, 0, 0}, []byte{0, 3, 0, 9}, false)
 	f.Add([]byte{0, 1, 2, 255, 3, 4, 0, 0, 0}, []byte{1}, true)
 	f.Add([]byte{}, []byte{}, false)
+	f.Add([]byte{251, 7, 7, 251, 8, 9, 0, 1, 1}, []byte{2, 5}, true)
+	f.Add([]byte{255, 0, 0, 0, 1, 1}, []byte{0}, true)
 	f.Fuzz(func(t *testing.T, data, ops []byte, wide bool) {
 		resetCache()
 		defer resetCache()
 		want := streamFromBytes(data, wide)
 		packs := len(want) > 0
 		for _, r := range want {
-			packs = packs && r.Addr <= maxPackedAddr
+			packs = packs && r.Addr/units.PageSize < packedPages
 		}
 		app := fixedApp(want)
 		rd, memoized := app.NewReader().(*packedReader)
@@ -229,29 +236,31 @@ func FuzzRunIndex(f *testing.F) {
 			}
 			return
 		}
-		pageOf := func(r Ref) uint64 { return r.Addr / units.PageSize }
 		var got []Ref
-		// take appends a run to got, checking it is on one page.
-		take := func(run []uint32) {
+		// take appends a run to got, checking each reference is on its page.
+		take := func(page uint64, run []uint16) {
 			for _, v := range run {
-				if pageOf(Unpack(v)) != pageOf(Unpack(run[0])) {
-					t.Fatalf("run at %d spans pages", len(got))
+				r := Unpack(page, v)
+				if r.Addr/units.PageSize != page {
+					t.Fatalf("reference %d decodes off its run's page %d", len(got), page)
 				}
-				got = append(got, Unpack(v))
+				got = append(got, r)
 			}
 		}
 
 		// Runs alone.
-		for run := rd.NextRun(); len(run) > 0; run = rd.NextRun() {
-			if len(got) > 0 && pageOf(got[len(got)-1]) == pageOf(Unpack(run[0])) {
-				t.Fatalf("run at %d continues the previous run's page", len(got))
+		last := uint64(math.MaxUint64)
+		for page, run := rd.NextRun(); len(run) > 0; page, run = rd.NextRun() {
+			if page == last {
+				t.Fatalf("run at %d continues the previous run's page %d", len(got), page)
 			}
-			take(run)
+			last = page
+			take(page, run)
 		}
 		if !sameRefs(got, want) {
 			t.Fatalf("runs concatenate to %d refs, stream has %d", len(got), len(want))
 		}
-		if len(rd.NextRun()) != 0 || rd.Read(make([]Ref, 1)) != 0 {
+		if _, run := rd.NextRun(); len(run) != 0 || rd.Read(make([]Ref, 1)) != 0 {
 			t.Fatal("reader not at end after its last run")
 		}
 
@@ -272,12 +281,12 @@ func FuzzRunIndex(f *testing.F) {
 				got = append(got, buf[:n]...)
 				continue
 			}
-			run := rd.NextRun()
+			page, run := rd.NextRun()
 			if len(run) == 0 {
 				t.Fatalf("NextRun empty at %d of %d", len(got), len(want))
 			}
-			take(run)
-			if n := len(got); n < len(want) && pageOf(want[n]) == pageOf(want[n-1]) {
+			take(page, run)
+			if n := len(got); n < len(want) && want[n].Addr/units.PageSize == page {
 				t.Fatalf("mixed: run stopped at %d before the page changed", n)
 			}
 		}

@@ -85,7 +85,7 @@ func (a *App) Phases() []Phase { return a.newPhases() }
 // the phase generators. Both paths produce the identical stream.
 func (a *App) NewReader() Reader {
 	if e := cacheFor(a); e.memoized(a) {
-		return &packedReader{refs: e.packed, runs: e.runs}
+		return &packedReader{offs: e.offs, runs: e.runs}
 	}
 	return a.generatorReader()
 }
