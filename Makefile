@@ -4,7 +4,7 @@ GO ?= go
 # full traces.
 BENCH_SCALE ?= 0.25
 
-.PHONY: ci loc fmt vet lint lint-baseline build test race fuzz-smoke bench bench-smoke profile-fault profile-sim trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
+.PHONY: ci loc fmt vet lint lint-baseline build test race fuzz-smoke bench tables-full bench-smoke profile-fault profile-sim trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
 
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
@@ -12,8 +12,9 @@ BENCH_SCALE ?= 0.25
 # cancel among its tests), ten seconds of fuzzing the trace memo's page-run
 # index, the trace-export smoke, the bounded scale-out load
 # smoke, the bounded crash-soak smoke, the learned-prefetcher smoke, the gate
-# benchmark's build-and-run smoke, and the benchmark snapshot.
-ci: fmt vet lint build test race fuzz-smoke trace-smoke loadtest-smoke soak-smoke prefetch-smoke bench-smoke bench
+# benchmark's build-and-run smoke, the benchmark snapshot, and the paper's
+# tables at full scale.
+ci: fmt vet lint build test race fuzz-smoke trace-smoke loadtest-smoke soak-smoke prefetch-smoke bench-smoke bench tables-full
 
 # loc prints the line table CHANGES.md entries and ROADMAP re-anchors quote:
 # non-test Go lines (wc -l, so comments and blanks count) per package
@@ -70,24 +71,38 @@ race:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzRunIndex$$' -fuzztime 10s ./internal/trace/
 
-# bench runs the Go microbenchmarks and regenerates BENCH_experiments.json,
-# the per-experiment wall-clock snapshot that seeds the repo's perf
-# trajectory (see EXPERIMENTS.md). Override the scale or width with e.g.
-# `make bench BENCH_SCALE=1.0 BENCH_J=8`. The snapshot run renders every
-# paper table anyway, so at the committed artifact's scale its stdout is the
+# bench runs the Go microbenchmarks and times every experiment into a
+# BENCH_experiments.json-shaped snapshot, the per-experiment wall-clock record
+# of the repo's perf trajectory (see EXPERIMENTS.md). The snapshot goes to
+# BENCH_OUT: a temp file unless set, so a CI pass leaves the tracked
+# BENCH_experiments.json alone; `make bench BENCH_OUT=BENCH_experiments.json`
+# refreshes it. Override the scale or width with e.g. `make bench
+# BENCH_SCALE=1.0 BENCH_J=8`. The snapshot run renders every paper table
+# anyway, so at the committed artifact's scale its stdout is the
 # byte-identity gate: it must equal experiments_quarter.txt.
 BENCH_J ?= 0
+BENCH_OUT ?=
 bench:
 	$(GO) test -bench . -benchtime 200x -run xxx -timeout 30m ./...
-	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	out="$(BENCH_OUT)" && out="$${out:-$$tmp/bench.json}" && \
 	$(GO) run ./cmd/subpagesim -run all -scale $(BENCH_SCALE) -j $(BENCH_J) \
-		-benchout BENCH_experiments.json > "$$tmp" && \
+		-benchout "$$out" > "$$tmp/tables.txt" && \
 	if [ "$(BENCH_SCALE)" = "0.25" ]; then \
-		cmp "$$tmp" experiments_quarter.txt && \
+		cmp "$$tmp/tables.txt" experiments_quarter.txt && \
 		echo "bench: -run all output byte-identical to experiments_quarter.txt"; \
-	fi
+	fi && \
 	$(GO) run ./cmd/gmsload -dirlog -dirlogn 1000,10000,50000 \
-		-benchout BENCH_experiments.json > /dev/null
+		-benchout "$$out" > /dev/null
+
+# tables-full renders every paper table from the full-scale traces and checks
+# the output byte for byte against experiments_full.txt: about a minute at
+# -j 2, with ~2.5 GB of memory for the trace memo.
+tables-full:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/subpagesim -run all -scale 1.0 -j 2 > "$$tmp" && \
+	cmp "$$tmp" experiments_full.txt && \
+	echo "tables-full: -run all -scale 1.0 output byte-identical to experiments_full.txt"
 
 # trace-smoke drives the fault tracer end to end through the CLI: one
 # small traced simulation exporting both formats, run twice, and the

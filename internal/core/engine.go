@@ -127,6 +127,12 @@ type Engine struct {
 	msgs []netmodel.Message
 	arr  []netmodel.Arrival
 
+	// plans is the stateless policy's plan table (nil for a stateful
+	// policy); tables keeps the tables of the built-in policies the engine
+	// has run, oldest first, for Reset to take up again.
+	plans  *planTable
+	tables []*planTable
+
 	// Aggregate overlap attribution (see FinishTransfer).
 	IOOverlap   units.Ticks
 	CompOverlap units.Ticks
@@ -151,7 +157,70 @@ func NewEngine(net *netmodel.Params, policy Policy, subpageSize int) *Engine {
 	if !units.ValidSubpageSize(subpageSize) {
 		panic("core: invalid subpage size")
 	}
-	return &Engine{net: net, policy: policy, subpage: subpageSize}
+	e := &Engine{net: net, policy: policy, subpage: subpageSize}
+	e.plans = e.planTable()
+	return e
+}
+
+// planTable holds a stateless policy's plans at one subpage size by
+// faultOff>>planShift, each made on the first fault in its granule: Policy
+// lets a plan depend on the offset no more finely.
+type planTable struct {
+	policy  Policy
+	subpage int
+	plans   [units.PageSize >> planShift][]PlannedMessage
+}
+
+// maxPlanTables bounds the plan tables an engine keeps.
+const maxPlanTables = 16
+
+// Reset readies the engine for a new run, as NewEngine(net, policy,
+// subpageSize) would, keeping what it has allocated: recycled transfers,
+// scratch, the stall log's capacity and the plans of built-in policies.
+// Transfers still live are recycled; the owner must hold none.
+func (e *Engine) Reset(net *netmodel.Params, policy Policy, subpageSize int) {
+	if !units.ValidSubpageSize(subpageSize) {
+		panic("core: invalid subpage size")
+	}
+	for _, t := range e.live {
+		t.slot = -1
+		e.free = append(e.free, t)
+	}
+	old := *e
+	*e = Engine{
+		net: net, policy: policy, subpage: subpageSize,
+		stallStart: old.stallStart[:0], stallEnd: old.stallEnd[:0], stallSum: old.stallSum[:0],
+		live: old.live[:0], free: old.free, msgs: old.msgs[:0], arr: old.arr[:0],
+		tables: old.tables,
+	}
+	e.plans = e.planTable()
+}
+
+// planTable returns the table for the engine's policy and subpage size: a
+// kept one when the policy is a built-in stateless value the engine has run
+// at this size, else a new one, kept if the policy is built in. A stateful
+// policy plans every fault afresh and gets none.
+func (e *Engine) planTable() *planTable {
+	builtin := false
+	switch e.policy.(type) {
+	case StatefulPolicy:
+		return nil
+	case FullPage, Lazy, Eager, Pipelined, WideFault: // comparable values
+		builtin = true
+		for _, t := range e.tables {
+			if t.subpage == e.subpage && t.policy == e.policy {
+				return t
+			}
+		}
+	}
+	t := &planTable{policy: e.policy, subpage: e.subpage}
+	if builtin {
+		if len(e.tables) == maxPlanTables {
+			e.tables = e.tables[:copy(e.tables, e.tables[1:])]
+		}
+		e.tables = append(e.tables, t)
+	}
+	return t
 }
 
 // SubpageSize returns the configured subpage size.
@@ -177,8 +246,9 @@ func (e *Engine) StartFault(now units.Ticks, page memmodel.PageID, faultOff int)
 	if sp, ok := e.policy.(StatefulPolicy); ok {
 		sp.Record(uint64(page), faultOff)
 		plan = sp.PlanPage(uint64(page), e.subpage, faultOff)
-	} else {
+	} else if plan = e.plans.plans[faultOff>>planShift]; plan == nil {
 		plan = e.policy.Plan(e.subpage, faultOff)
+		e.plans.plans[faultOff>>planShift] = plan
 	}
 	e.msgs = e.msgs[:0]
 	for _, m := range plan {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/gms-sim/gmsubpage/internal/memmodel"
@@ -204,12 +205,16 @@ func TestBytesMovedAccounting(t *testing.T) {
 }
 
 // TestEngineFaultAllocs holds a steady-state fault — plan and schedule, stall
-// to the faulted subpage, apply what arrived, attribute the overlap — to the
-// one allocation that is the policy's plan: transfers, their slices, the
-// netmodel scratch and the stall log are all reused.
+// to the faulted subpage, apply what arrived, attribute the overlap — to no
+// allocation for a stateless policy, whose plans the engine keeps, and to the
+// one that is its plan for the stateful prefetcher: transfers, their slices,
+// the netmodel scratch and the stall log are all reused.
 func TestEngineFaultAllocs(t *testing.T) {
-	for _, p := range []Policy{FullPage{}, Lazy{}, Eager{}, Pipelined{}} {
-		e := newTestEngine(p, 512)
+	for _, c := range []struct {
+		p    Policy
+		want float64
+	}{{FullPage{}, 0}, {Lazy{}, 0}, {Eager{}, 0}, {Pipelined{}, 0}, {WideFault{}, 0}, {NewPrefetcher(), 1}} {
+		e := newTestEngine(c.p, 512)
 		tr := e.StartFault(0, 0, 0)
 		i := 0
 		fault := func() {
@@ -223,8 +228,46 @@ func TestEngineFaultAllocs(t *testing.T) {
 		for k := 0; k < 1000; k++ {
 			fault()
 		}
-		if got := testing.AllocsPerRun(1000, fault); got != 1 {
-			t.Errorf("%s: %v allocations per fault, want 1 (the plan)", p.Name(), got)
+		if got := testing.AllocsPerRun(1000, fault); got != c.want {
+			t.Errorf("%s: %v allocations per fault, want %v", c.p.Name(), got, c.want)
+		}
+	}
+}
+
+// TestEngineResetMatchesNew: an engine Reset after a run of one shape times
+// and attributes a run of another exactly as a new engine does, whether the
+// reset keeps its plans (same policy and size) or drops them.
+func TestEngineResetMatchesNew(t *testing.T) {
+	type shape struct {
+		p   Policy
+		sub int
+	}
+	run := func(e *Engine) (out []units.Ticks) {
+		now := units.Ticks(0)
+		var open []*Transfer
+		for i := 0; i < 500; i++ {
+			tr := e.StartFault(now, memmodel.PageID(i), (i*264)&(units.PageSize-1))
+			e.NoteStall(now, tr.FirstArrival, tr, true)
+			now = tr.FirstArrival + units.Ticks(i%97)
+			out = append(out, tr.FirstArrival, tr.CompleteAt)
+			open = append(open, tr)
+			if len(open) > 4 {
+				old := open[0]
+				old.ApplyArrived(now)
+				e.FinishTransfer(old, now)
+				open = open[1:]
+			}
+		}
+		return append(out, e.IOOverlap, e.CompOverlap, units.Ticks(e.BytesMoved), units.Ticks(e.PrefetchIssued))
+	}
+	shapes := []shape{{Pipelined{}, 512}, {Pipelined{}, 512}, {Eager{}, 1024}, {Pipelined{DoubleFollowOn: true}, 512}, {WideFault{}, 256}, {Lazy{}, 256}}
+	reused := newTestEngine(FullPage{}, units.PageSize)
+	run(reused) // leaves transfers live: Reset must recycle them
+	for _, s := range shapes {
+		want := run(newTestEngine(s.p, s.sub))
+		reused.Reset(netmodel.AN2ATM(), s.p, s.sub)
+		if got := run(reused); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s/%d: reset engine diverges from a new one", s.p.Name(), s.sub)
 		}
 	}
 }

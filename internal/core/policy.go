@@ -34,10 +34,23 @@ type PlannedMessage struct {
 // page, with the system configured for the given subpage size. The first
 // message must cover the faulted offset; together the messages may cover
 // any subset of the page (lazy fetch covers only the faulted subpage).
+//
+// A plan may depend on faultOff only through faultOff>>7, and its
+// caller must not modify it: the Engine asks a stateless policy once per
+// 128-byte granule and size, and reuses the answer for every later fault
+// there. Half the smallest subpage is fine enough for WideFault, which
+// reads which half of the subpage the fault is in.
 type Policy interface {
 	Name() string
 	Plan(subpageSize, faultOff int) []PlannedMessage
 }
+
+// planShift is log2 of the granule a stateless policy's plan is constant
+// over: half of units.MinSubpage.
+const planShift = 7
+
+// A granule must be no coarser than half the smallest subpage.
+const _ = uint(units.MinSubpage - 2<<planShift)
 
 // FullPage is the classical GMS baseline: the entire page in one transfer.
 type FullPage struct{}

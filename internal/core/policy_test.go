@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -308,6 +309,26 @@ func TestPlanAllocatesOnce(t *testing.T) {
 			for _, off := range []int{0, sub - 1, units.PageSize / 2, units.PageSize - 1} {
 				if n := testing.AllocsPerRun(50, func() { _ = p.Plan(sub, off) }); n != 1 {
 					t.Fatalf("%s.Plan(%d, %d) allocates %v times, want 1", p.Name(), sub, off, n)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanConstantOverGranule: the Engine caches a stateless policy's plans
+// by faultOff>>planShift, which is right only if every offset of a 128-byte
+// granule gets the plan of the granule's first byte — for every stateless
+// policy, subpage size and offset.
+func TestPlanConstantOverGranule(t *testing.T) {
+	for _, p := range allPolicies {
+		if _, stateful := p.(StatefulPolicy); stateful {
+			continue
+		}
+		for _, sub := range append(testSubpageSizes, units.PageSize) {
+			for off := 0; off < units.PageSize; off++ {
+				base := off &^ (1<<planShift - 1)
+				if got, want := p.Plan(sub, off), p.Plan(sub, base); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s.Plan(%d, %d) = %+v, Plan(%d, %d) = %+v", p.Name(), sub, off, got, sub, base, want)
 				}
 			}
 		}

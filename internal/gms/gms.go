@@ -84,20 +84,28 @@ func (e *EpochCluster) Store(page memmodel.PageID) NodeID { return e.Epoch.Place
 
 // NewCluster returns an empty cluster.
 func NewCluster(cfg Config) *Cluster {
+	c := &Cluster{}
+	c.Reset(cfg)
+	return c
+}
+
+// Reset empties the cluster and reshapes it to cfg with every node alive, as
+// NewCluster(cfg) would, keeping its directory's and node tables' storage.
+func (c *Cluster) Reset(cfg Config) {
 	if cfg.Nodes <= 0 {
 		panic("gms: cluster needs at least one node")
 	}
-	alive := make([]bool, cfg.Nodes)
-	for i := range alive {
-		alive[i] = true
+	dir := c.directory
+	if dir == nil {
+		dir = make(map[memmodel.PageID]entry)
 	}
-	return &Cluster{
-		cfg:        cfg,
-		directory:  make(map[memmodel.PageID]entry),
-		load:       make([]int, cfg.Nodes),
-		alive:      alive,
-		aliveCount: cfg.Nodes,
+	clear(dir)
+	load := append(c.load[:0], make([]int, cfg.Nodes)...)
+	alive := c.alive[:0]
+	for range cfg.Nodes {
+		alive = append(alive, true)
 	}
+	*c = Cluster{cfg: cfg, directory: dir, load: load, alive: alive, aliveCount: cfg.Nodes}
 }
 
 // FailNode kills node n: its donated pages vanish from global memory so

@@ -1,6 +1,7 @@
 package gms
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,4 +144,34 @@ func TestBadConfigPanics(t *testing.T) {
 		}
 	}()
 	NewCluster(Config{Nodes: 0})
+}
+
+// TestResetMatchesNew: a cluster Reset after failures, discards and a
+// different shape serves a scripted workload exactly as a new one does.
+func TestResetMatchesNew(t *testing.T) {
+	script := func(c *Cluster) []int64 {
+		var out []int64
+		c.Warm([]memmodel.PageID{1, 2, 3, 4, 5, 6, 7})
+		for p := memmodel.PageID(0); p < 40; p++ {
+			n, ok := c.Fetch(p % 9)
+			if !ok {
+				n = -1
+			}
+			out = append(out, int64(n))
+			if _, in := c.Lookup(p + 100); !in {
+				out = append(out, int64(c.Store(p+100)))
+			}
+		}
+		return append(out, c.Hits, c.Misses, c.Stores, c.Discards, int64(c.Size()))
+	}
+	used := NewCluster(Config{Nodes: 5, GlobalPagesPerNode: 3})
+	script(used)
+	used.FailNode(2)
+	for _, cfg := range []Config{{Nodes: 3, GlobalPagesPerNode: 4}, {Nodes: 8}, {Nodes: 1, GlobalPagesPerNode: 2}} {
+		want := script(NewCluster(cfg))
+		used.Reset(cfg)
+		if got := script(used); !slices.Equal(got, want) {
+			t.Fatalf("%+v: reset cluster diverges from a new one:\n got %v\nwant %v", cfg, got, want)
+		}
+	}
 }

@@ -49,9 +49,9 @@ type PageTable struct {
 	// the same page, so per-reference cost is a pointer compare.
 	lastFrame *Frame
 
-	// spare is the frame the previous Insert evicted; the next Insert
-	// reuses it.
-	spare *Frame
+	// free lists frames for reuse, linked through next: the frame the
+	// previous Insert evicted on top, and every frame a Reset released.
+	free *Frame
 }
 
 // slot is one entry of the open-addressed table; f is nil when it is empty.
@@ -66,15 +66,40 @@ func NewPageTable(capacity int) *PageTable {
 	if capacity <= 0 {
 		panic("memmodel: page table capacity must be positive")
 	}
+	pt := &PageTable{}
+	pt.Reset(capacity)
+	return pt
+}
+
+// Reset empties the table and sets its capacity, as NewPageTable(capacity)
+// would, keeping its allocations: the slot array when it is big enough, and
+// every frame for later Inserts. Frames the table returned before are dead
+// afterwards.
+func (pt *PageTable) Reset(capacity int) {
+	if capacity <= 0 {
+		panic("memmodel: page table capacity must be positive")
+	}
+	for f := pt.head; f != nil; {
+		next := f.next
+		f.prev, f.next = nil, pt.free
+		pt.free = f
+		f = next
+	}
 	bits := uint(1)
 	for 1<<bits < 2*capacity {
 		bits++
 	}
-	return &PageTable{
-		capacity: capacity,
-		slots:    make([]slot, 1<<bits),
-		shift:    64 - bits,
+	// A larger array than capacity needs changes no answer, only where the
+	// pages sit in it.
+	if len(pt.slots) >= 1<<bits {
+		clear(pt.slots)
+		for 1<<bits < len(pt.slots) {
+			bits++
+		}
+	} else {
+		pt.slots = make([]slot, 1<<bits)
 	}
+	*pt = PageTable{capacity: capacity, slots: pt.slots, shift: 64 - bits, free: pt.free}
 }
 
 // Capacity returns the maximum number of resident pages.
@@ -137,14 +162,15 @@ func (pt *PageTable) Insert(page PageID, valid Bitmap) (f, evicted *Frame) {
 	if ok {
 		panic("memmodel: Insert of resident page")
 	}
-	f, pt.spare = pt.spare, nil
+	if f = pt.free; f != nil {
+		pt.free = f.next
+	} else {
+		f = new(Frame)
+	}
 	if pt.n >= pt.capacity {
 		evicted = pt.evictLRU()
-		pt.spare = evicted
+		evicted.next, pt.free = pt.free, evicted
 		i, _ = pt.find(page) // the eviction may have shifted page's probe
-	}
-	if f == nil {
-		f = new(Frame)
 	}
 	*f = Frame{Page: page, Valid: valid, DistFrom: -1}
 	pt.slots[i] = slot{page: page, f: f}

@@ -155,10 +155,12 @@ type ptOp struct {
 // same recency order, and every page of the set found by Peek exactly when
 // the reference holds it.
 func TestLRUMatchesReference(t *testing.T) {
+	// reused is Reset before every other check: left full at whatever
+	// capacity the previous check had, with frames resident and on loan.
+	reused := NewPageTable(1)
 	for capacity := 1; capacity <= 64; capacity++ {
 		pages := collidingPages(NewPageTable(capacity), capacity+capacity/2+2)
-		f := func(ops []ptOp) bool {
-			pt := NewPageTable(capacity)
+		check := func(pt *PageTable, ops []ptOp) bool {
 			var ref []PageID // MRU first
 			refFind := func(p PageID) int {
 				for i, v := range ref {
@@ -215,6 +217,10 @@ func TestLRUMatchesReference(t *testing.T) {
 			}
 			return true
 		}
+		f := func(ops []ptOp) bool {
+			reused.Reset(capacity)
+			return check(NewPageTable(capacity), ops) && check(reused, ops)
+		}
 		cfg := &quick.Config{
 			MaxCount: 20,
 			Rand:     rand.New(rand.NewSource(int64(capacity))),
@@ -250,6 +256,28 @@ func TestPageTableAllocs(t *testing.T) {
 		next++
 	}); allocs != 0 {
 		t.Fatalf("steady-state Lookup/Insert allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestResetReusesFrames: a Reset table serves its next run from the frames
+// of the last, allocating nothing, and a frame it hands out again is cleared.
+func TestResetReusesFrames(t *testing.T) {
+	pt := NewPageTable(64)
+	fill := func(capacity int) {
+		pt.Reset(capacity)
+		for p := PageID(0); p < 3*PageID(capacity); p++ {
+			f, _ := pt.Insert(p, FullBitmap)
+			f.Xfer, f.Prefetched, f.DistFrom = "in flight", 3, 2
+		}
+	}
+	fill(64)
+	if allocs := testing.AllocsPerRun(20, func() { fill(64); fill(17) }); allocs != 0 {
+		t.Fatalf("a Reset run allocates %v objects, want 0", allocs)
+	}
+	pt.Reset(5)
+	f, ev := pt.Insert(9, 0)
+	if ev != nil || f.Xfer != nil || f.Prefetched != 0 || f.DistFrom != -1 || pt.Len() != 1 || pt.Peek(9) != f {
+		t.Fatalf("after Reset: frame %+v, evicted %v, %d resident", f, ev, pt.Len())
 	}
 }
 

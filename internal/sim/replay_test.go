@@ -9,6 +9,7 @@ import (
 	"github.com/gms-sim/gmsubpage/internal/core"
 	"github.com/gms-sim/gmsubpage/internal/obs"
 	"github.com/gms-sim/gmsubpage/internal/trace"
+	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
 // readOnly hides everything but Read, so run takes the per-reference loop.
@@ -28,7 +29,7 @@ func perRef(cfg Config) Config {
 	return cfg
 }
 
-var replayPolicies = []string{"fullpage", "eager", "pipelined", "lazy", "prefetch"}
+var replayPolicies = []string{"fullpage", "eager", "pipelined", "lazy", "widefault", "prefetch"}
 
 var replayVariants = []struct {
 	name string
@@ -42,55 +43,126 @@ var replayVariants = []struct {
 	{"trackperfault", func(c *Config) { c.TrackPerFault = true }},
 	{"coldstart", func(c *Config) { c.ColdStart = true }},
 	{"disk", func(c *Config) { c.Backing = Disk }},
+	// The smallest subpage: a run's blocks spread over the most subpages.
+	{"sub256", func(c *Config) { c.SubpageSize, c.TrackPerFault = 256, true }},
+	{"sub4096", func(c *Config) { c.SubpageSize = 4096 }},
 }
 
 // TestRunReplayMatchesPerRef: walking page runs must be indistinguishable
-// from stepping every reference — the whole Result and both trace exports —
-// for every app, policy and mode that changes what step does on a hit.
+// from stepping every reference — the whole Result and, traced, both trace
+// exports — for every app, policy and mode that changes what step does on a
+// hit, traced and untraced (a traced run must not be what keeps the two
+// equal). -short takes two apps, and each cell either traced or untraced.
 func TestRunReplayMatchesPerRef(t *testing.T) {
 	apps := trace.Apps(0.02)
+	tracing := func(int) []bool { return []bool{true, false} }
 	if testing.Short() {
 		apps = []*trace.App{trace.Modula3(0.02), trace.Gdb(0.02)}
+		tracing = func(cell int) []bool { return []bool{cell%2 == 0} }
 	}
+	cell := 0
 	for _, app := range apps {
 		if _, ok := app.NewReader().(runReader); !ok {
 			t.Fatalf("%s: memoized reader has no NextRun; the test would compare the per-reference loop with itself", app.Name)
 		}
 		for _, pol := range replayPolicies {
 			for _, v := range replayVariants {
-				run := func(per bool) (*Result, []byte) {
-					p, err := core.ByName(pol)
-					if err != nil {
-						t.Fatal(err)
+				cell++
+				for _, traced := range tracing(cell) {
+					run := func(per bool) (*Result, []byte) {
+						p, err := core.ByName(pol)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg := Config{App: app, MemFraction: 0.5, Policy: p, SubpageSize: 1024}
+						var tr *obs.SimTrace
+						if traced {
+							tr = &obs.SimTrace{}
+							cfg.Trace = tr
+						}
+						v.set(&cfg)
+						if per {
+							cfg = perRef(cfg)
+						}
+						res := Run(cfg)
+						if !traced {
+							return res, nil
+						}
+						var out bytes.Buffer
+						if err := obs.WriteJSONL(&out, tr); err != nil {
+							t.Fatal(err)
+						}
+						if err := obs.WriteChromeTrace(&out, tr); err != nil {
+							t.Fatal(err)
+						}
+						return res, out.Bytes()
 					}
-					tr := &obs.SimTrace{}
-					cfg := Config{App: app, MemFraction: 0.5, Policy: p, SubpageSize: 1024, Trace: tr}
-					v.set(&cfg)
-					if per {
-						cfg = perRef(cfg)
+					name := fmt.Sprintf("%s/%s/%s/traced=%v", app.Name, pol, v.name, traced)
+					want, wantTrace := run(true)
+					got, gotTrace := run(false)
+					if want.Events != app.TotalRefs() {
+						t.Fatalf("%s: per-reference path executed %d of %d references", name, want.Events, app.TotalRefs())
 					}
-					res := Run(cfg)
-					var out bytes.Buffer
-					if err := obs.WriteJSONL(&out, tr); err != nil {
-						t.Fatal(err)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: run replay diverged\n run: %+v\n ref: %+v", name, got, want)
 					}
-					if err := obs.WriteChromeTrace(&out, tr); err != nil {
-						t.Fatal(err)
+					if !bytes.Equal(gotTrace, wantTrace) {
+						t.Errorf("%s: trace exports differ (%d vs %d bytes)", name, len(gotTrace), len(wantTrace))
 					}
-					return res, out.Bytes()
 				}
-				name := fmt.Sprintf("%s/%s/%s", app.Name, pol, v.name)
-				want, wantTrace := run(true)
-				got, gotTrace := run(false)
-				if want.Events != app.TotalRefs() {
-					t.Fatalf("%s: per-reference path executed %d of %d references", name, want.Events, app.TotalRefs())
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: run replay diverged\n run: %+v\n ref: %+v", name, got, want)
-				}
-				if !bytes.Equal(gotTrace, wantTrace) {
-					t.Errorf("%s: trace exports differ (%d vs %d bytes)", name, len(gotTrace), len(wantTrace))
-				}
+			}
+		}
+	}
+}
+
+// TestReplayArrivalBoundary: a run that comes back to a page whose transfer
+// is in flight is charged from the index only for what has landed by each
+// reference's tick, and the transfer finishes at the tick step would have
+// finished it. The return is swept across the tick the page's remainder
+// lands, for a run whose first reference needs the remainder and for one
+// that first reads the faulted subpage for three ticks.
+func TestReplayArrivalBoundary(t *testing.T) {
+	const p, q = 1, 2 // q faults and completes first, then p faults
+	at := func(page, off uint64) trace.Ref { return trace.Ref{Addr: page*units.PageSize + off} }
+	tails := map[string][]trace.Ref{
+		"remainder-first": {at(p, 4096), at(p, 4104)},
+		"subpage-first":   {at(p, 8), at(p, 16), at(p, 24), at(p, 4096)},
+	}
+	run := func(tail string, gap int, per bool) (*Result, []byte) {
+		refs := []trace.Ref{at(q, 0), at(q, 4096), at(p, 0)}
+		for i := 0; i < gap; i++ {
+			refs = append(refs, at(q, 8))
+		}
+		tr := &obs.SimTrace{}
+		cfg := Config{App: appFromRefs(tail, append(refs, tails[tail]...), 3), MemPages: 4,
+			Policy: core.Eager{}, SubpageSize: 1024, Trace: tr}
+		if per {
+			cfg = perRef(cfg)
+		}
+		res := Run(cfg)
+		var out bytes.Buffer
+		if err := obs.WriteJSONL(&out, tr); err != nil {
+			t.Fatal(err)
+		}
+		return res, out.Bytes()
+	}
+	// With no gap p's remainder lands wait ticks after p's return.
+	none, _ := run("remainder-first", 0, true)
+	long, _ := run("remainder-first", 1<<17, true)
+	wait := int(none.PageWait - long.PageWait)
+	if wait < 8 {
+		t.Fatalf("p's remainder lands %d ticks after the return: the sweep needs a gap to move", wait)
+	}
+	for tail := range tails {
+		for gap := wait - 5; gap <= wait+1; gap++ {
+			want, wantTrace := run(tail, gap, true)
+			got, gotTrace := run(tail, gap, false)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, return %d ticks before the remainder: run replay diverged\n run: %+v\n ref: %+v",
+					tail, wait-gap, got, want)
+			}
+			if !bytes.Equal(gotTrace, wantTrace) {
+				t.Errorf("%s, return %d ticks before the remainder: trace exports differ", tail, wait-gap)
 			}
 		}
 	}

@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/gms-sim/gmsubpage/internal/core"
 	"github.com/gms-sim/gmsubpage/internal/disk"
@@ -265,7 +266,7 @@ type runner struct {
 	pt      *memmodel.PageTable
 	cluster GlobalCache
 	engine  *core.Engine
-	diskTr  *disk.Tracker
+	diskTr  disk.Tracker
 	emu     *memmodel.Emulator
 	tlb     *memmodel.TLB
 	now     units.Ticks
@@ -275,46 +276,92 @@ type runner struct {
 	// marks fed back as history (core.Engine.RecordUse) to see the demand
 	// stream their own predictions would otherwise hide.
 	trackUse bool
+
+	// own is the cluster the runner warms when the run has no shared
+	// Global, and ids the warm-up's page list: both kept for the next run.
+	own *gms.Cluster
+	ids []memmodel.PageID
 }
+
+// runners recycles runners across Runs: a Run's page table, engine and
+// owned cluster are what it allocates, and reset takes them up again, so a
+// warmed Run makes almost no garbage.
+var runners = sync.Pool{New: func() any { return new(runner) }}
 
 // Run executes the simulation described by cfg and returns its Result.
 func Run(cfg Config) *Result {
-	r := newRunner(cfg)
+	r := runners.Get().(*runner)
+	res := r.runOnce(cfg)
+	runners.Put(r)
+	return res
+}
+
+// runOnce executes the run cfg describes on r, reusing what r's last run
+// allocated, and leaves r ready for the next.
+func (r *runner) runOnce(cfg Config) *Result {
+	r.reset(cfg)
 	r.run()
 	r.finishRun()
-	return r.res
+	res := r.res
+	r.release()
+	return res
 }
 
 // newRunner prepares a run without executing it; multi-node drivers use
 // it to interleave several runners on a shared global memory.
 func newRunner(cfg Config) *runner {
+	r := new(runner)
+	r.reset(cfg)
+	return r
+}
+
+// reset prepares r for the run cfg describes, reusing the page table, engine
+// and owned cluster of its last run.
+func (r *runner) reset(cfg Config) {
 	cfg = cfg.withDefaults()
 	if cfg.App == nil && cfg.Source == nil {
 		panic("sim: Config.App or Config.Source is required")
 	}
-	r := &runner{
+	mem := cfg.memPages()
+	if r.pt == nil {
+		r.pt = memmodel.NewPageTable(mem)
+	} else {
+		r.pt.Reset(mem)
+	}
+	if r.engine == nil {
+		r.engine = core.NewEngine(cfg.Net, cfg.Policy, cfg.SubpageSize)
+	} else {
+		r.engine.Reset(cfg.Net, cfg.Policy, cfg.SubpageSize)
+	}
+	*r = runner{
 		cfg:     cfg,
 		subpage: cfg.SubpageSize,
-		pt:      memmodel.NewPageTable(cfg.memPages()),
+		pt:      r.pt,
 		cluster: cfg.Global,
-		engine:  core.NewEngine(cfg.Net, cfg.Policy, cfg.SubpageSize),
-		diskTr:  disk.NewTracker(cfg.Disk),
+		engine:  r.engine,
+		diskTr:  *disk.NewTracker(cfg.Disk),
 		res: &Result{
 			AppName:  cfg.name(),
 			Policy:   cfg.Policy.Name(),
 			Subpage:  cfg.SubpageSize,
-			MemPages: cfg.memPages(),
+			MemPages: mem,
 		},
+		own: r.own,
+		ids: r.ids,
 	}
 	r.trackUse = cfg.TrackPrefetch || r.engine.Stateful()
 	if cfg.Trace != nil {
 		r.engine.SetTrace(cfg.Trace)
 	}
 	if r.cluster == nil {
-		own := gms.NewCluster(cfg.Cluster)
-		r.cluster = own
+		if r.own == nil {
+			r.own = gms.NewCluster(cfg.Cluster)
+		} else {
+			r.own.Reset(cfg.Cluster)
+		}
+		r.cluster = r.own
 		if cfg.Backing == GlobalMemory && !cfg.ColdStart {
-			own.Warm(r.pagesTouched())
+			r.own.Warm(r.pagesTouched())
 		}
 	}
 	if cfg.PALEmulation {
@@ -323,7 +370,13 @@ func newRunner(cfg Config) *runner {
 	if cfg.TLBEntries > 0 {
 		r.tlb = memmodel.NewTLB(cfg.TLBEntries, cfg.TLBPageSize)
 	}
-	return r
+}
+
+// release drops the finished run's config, result and tracer, keeping what
+// reset reuses.
+func (r *runner) release() {
+	r.engine.SetTrace(nil)
+	*r = runner{pt: r.pt, engine: r.engine, own: r.own, ids: r.ids}
 }
 
 // pagesTouched returns every page the workload references, ascending, for
@@ -331,10 +384,12 @@ func newRunner(cfg Config) *runner {
 // use the memoized footprint; other sources pay a scan of the stream.
 func (r *runner) pagesTouched() []memmodel.PageID {
 	if src := r.cfg.Source; src != nil && src.Touched != nil {
-		return toPageIDs(src.Touched())
+		r.ids = toPageIDs(r.ids, src.Touched())
+		return r.ids
 	}
 	if r.cfg.Source == nil {
-		return toPageIDs(trace.TouchedPages(r.cfg.App))
+		r.ids = toPageIDs(r.ids, trace.TouchedPages(r.cfg.App))
+		return r.ids
 	}
 	pages := make(map[memmodel.PageID]struct{}, r.cfg.footprint())
 	buf := make([]trace.Ref, 8192)
@@ -358,22 +413,22 @@ func (r *runner) pagesTouched() []memmodel.PageID {
 	return ids
 }
 
-// toPageIDs converts ascending page numbers to PageIDs, preserving order
-// (the warm cache's age ordering depends on it).
-func toPageIDs(pages []uint64) []memmodel.PageID {
-	ids := make([]memmodel.PageID, len(pages))
-	for i, p := range pages {
-		ids[i] = memmodel.PageID(p)
+// toPageIDs converts ascending page numbers to PageIDs in buf's storage,
+// preserving order (the warm cache's age ordering depends on it).
+func toPageIDs(buf []memmodel.PageID, pages []uint64) []memmodel.PageID {
+	ids := buf[:0]
+	for _, p := range pages {
+		ids = append(ids, memmodel.PageID(p))
 	}
 	return ids
 }
 
 // runReader is a reader that knows where its stream changes page: trace's
-// memoized app streams. NextRun returns the page and what is left of the
+// memoized app streams. NextRun returns the page, what is left of the
 // current maximal run of references to it, packed (trace.Unpack), empty at
-// end of trace.
+// end of trace, and the blocks those references touch.
 type runReader interface {
-	NextRun() (page uint64, offs []uint16)
+	NextRun() (page uint64, offs []uint16, blocks uint32)
 }
 
 // run is the main reference loop.
@@ -400,25 +455,99 @@ func (r *runner) run() {
 // step on its first reference would make the same Lookup and take its fast
 // path, and so would every later one — same page, so the page table answers
 // from its last frame and the LRU order stands — and that path only counts
-// the reference's execution event. Any other run is stepped until a
-// reference leaves the page complete, and the rest is charged at once. A TLB
-// model looks at every address, so with one on nothing is skipped.
+// the reference's execution event. Any other run is walked (walk). A TLB
+// model looks at every address, so with one on every reference is stepped;
+// PAL emulation charges, and usage tracking consumes marks, per reference on
+// an incomplete page, so with either on such a run is stepped until a
+// reference leaves its page complete.
 func (r *runner) replayRuns(rd runReader) {
-	for page, offs := rd.NextRun(); len(offs) > 0; page, offs = rd.NextRun() {
-		if r.tlb == nil {
-			if f := r.pt.Lookup(memmodel.PageID(page)); f != nil && complete(f) {
-				r.now += units.Ticks(len(offs))
-				r.res.Events += int64(len(offs))
-				continue
+	for page, offs, blocks := rd.NextRun(); len(offs) > 0; page, offs, blocks = rd.NextRun() {
+		switch f := r.pt.Lookup(memmodel.PageID(page)); {
+		case r.tlb != nil:
+			for _, v := range offs {
+				r.step(trace.Unpack(page, v))
+			}
+		case f != nil && complete(f):
+			r.now += units.Ticks(len(offs))
+			r.res.Events += int64(len(offs))
+		case r.emu == nil && !r.trackUse:
+			r.walk(f, page, offs, blocks)
+		default:
+			for i, v := range offs {
+				if f := r.step(trace.Unpack(page, v)); complete(f) {
+					r.charge(f, len(offs)-i-1)
+					break
+				}
 			}
 		}
-		for i, v := range offs {
-			if f := r.step(trace.Unpack(page, v)); complete(f) && r.tlb == nil {
-				rest := len(offs) - i - 1
-				r.now += units.Ticks(rest)
-				r.res.Events += int64(rest)
-				break
+	}
+}
+
+// walk replays a run of references to page, whose frame f is nil when the
+// page is not resident, in a run without TLB, PAL emulation or usage
+// tracking. The stretches step would do nothing in but count and apply
+// arrivals — each reference to a block ready allows — are charged whole; step
+// takes only the rest, the faulting reference among them. blocks are the
+// run's, so a run whose blocks are all ready is charged whole from the index
+// even while its page's transfer is in flight.
+func (r *runner) walk(f *memmodel.Frame, page uint64, offs []uint16, blocks uint32) {
+	if f == nil {
+		f = r.step(trace.Unpack(page, offs[0]))
+		offs = offs[1:]
+	}
+	for len(offs) > 0 {
+		ok := uint32(r.ready(f))
+		i := len(offs)
+		if blocks&ok != blocks {
+			i = 0
+			for i < len(offs) && ok&trace.Block(offs[i]) != 0 {
+				i++
 			}
+		}
+		r.charge(f, i)
+		if i == len(offs) {
+			return
+		}
+		f = r.step(trace.Unpack(page, offs[i]))
+		offs = offs[i+1:]
+	}
+}
+
+// ready applies the arrivals due by the next reference's tick to f and
+// returns the blocks a reference then may touch and be charged without step:
+// any on a complete page, else the valid ones — of the faulted subpage only
+// while Figure 7 waits for the first access to another. A transfer this
+// completes is left for charge or step to finish at that tick.
+func (r *runner) ready(f *memmodel.Frame) memmodel.Bitmap {
+	if complete(f) {
+		return memmodel.FullBitmap
+	}
+	if f.Xfer != nil {
+		f.Valid |= f.Xfer.(*core.Transfer).ApplyArrived(r.now + 1)
+	}
+	if f.DistFrom >= 0 {
+		return f.Valid & memmodel.MaskFor(r.subpage, int(f.DistFrom))
+	}
+	return f.Valid
+}
+
+// charge executes the next k references, all to f's page, each of which
+// step would only count and apply arrivals for: the clock and Events advance
+// by k, and the arrivals due by the last are applied. A transfer that
+// completes among them finishes at the tick the first reference at or after
+// its last arrival would have finished it.
+func (r *runner) charge(f *memmodel.Frame, k int) {
+	if k == 0 {
+		return
+	}
+	start := r.now
+	r.now += units.Ticks(k)
+	r.res.Events += int64(k)
+	if f.Xfer != nil {
+		tr := f.Xfer.(*core.Transfer)
+		r.apply(f, tr)
+		if tr.Done() {
+			r.finish(tr, f, max(start+1, tr.CompleteAt))
 		}
 	}
 }
@@ -489,7 +618,7 @@ func (r *runner) step(ref trace.Ref) *memmodel.Frame {
 		tr := f.Xfer.(*core.Transfer)
 		r.apply(f, tr)
 		if tr.Done() {
-			r.finish(tr, f)
+			r.finish(tr, f, r.now)
 		} else if !f.Valid.Has(off) {
 			if at, ok := tr.ArrivalCovering(off); ok {
 				// Stall until the covering message lands.
@@ -498,7 +627,7 @@ func (r *runner) step(ref trace.Ref) *memmodel.Frame {
 				r.now = at
 				r.apply(f, tr)
 				if tr.Done() {
-					r.finish(tr, f)
+					r.finish(tr, f, r.now)
 				}
 			} else {
 				// In-flight transfer does not cover this byte
@@ -507,7 +636,7 @@ func (r *runner) step(ref trace.Ref) *memmodel.Frame {
 				r.res.PageWait += tr.CompleteAt - r.now
 				r.now = tr.CompleteAt
 				r.apply(f, tr)
-				r.finish(tr, f)
+				r.finish(tr, f, r.now)
 			}
 		}
 	}
@@ -581,7 +710,7 @@ func (r *runner) pageFault(page memmodel.PageID, off int) *memmodel.Frame {
 
 	r.apply(f, tr)
 	if tr.Done() {
-		r.finish(tr, f)
+		r.finish(tr, f, r.now)
 	}
 	return f
 }
@@ -616,7 +745,7 @@ func (r *runner) subpageFault(f *memmodel.Frame, off int) {
 
 	r.apply(f, tr)
 	if tr.Done() {
-		r.finish(tr, f)
+		r.finish(tr, f, r.now)
 	}
 }
 
@@ -632,7 +761,7 @@ func (r *runner) insert(page memmodel.PageID, valid memmodel.Bitmap) *memmodel.F
 			if r.cfg.Trace != nil {
 				r.cfg.Trace.Cancel(tr.TraceID())
 			}
-			r.finish(tr, evicted)
+			r.finish(tr, evicted, r.now)
 		}
 		if r.cfg.Backing == GlobalMemory {
 			// putpage: the evicted page enters the global cache
@@ -645,10 +774,10 @@ func (r *runner) insert(page memmodel.PageID, valid memmodel.Bitmap) *memmodel.F
 	return f
 }
 
-// finish closes a transfer: per-fault wait recording, detaching it from its
-// frame, and overlap attribution — last, because the engine recycles the
-// transfer there.
-func (r *runner) finish(tr *core.Transfer, f *memmodel.Frame) {
+// finish closes a transfer at tick at: per-fault wait recording, detaching
+// it from its frame, and overlap attribution — last, because the engine
+// recycles the transfer there.
+func (r *runner) finish(tr *core.Transfer, f *memmodel.Frame, at units.Ticks) {
 	if r.cfg.TrackPerFault {
 		wait := (tr.FirstArrival - tr.Started) + tr.PageWait
 		r.res.PerFaultWait = append(r.res.PerFaultWait, wait)
@@ -656,13 +785,13 @@ func (r *runner) finish(tr *core.Transfer, f *memmodel.Frame) {
 	if f != nil && f.Xfer == tr {
 		f.Xfer = nil
 	}
-	r.engine.FinishTransfer(tr, r.now)
+	r.engine.FinishTransfer(tr, at)
 }
 
 // flush closes transfers still open at end of trace, in the engine's live
 // order: always the first, whose slot the last then takes.
 func (r *runner) flush() {
 	for live := r.engine.Live(); len(live) > 0; live = r.engine.Live() {
-		r.finish(live[0], r.pt.Peek(live[0].Page))
+		r.finish(live[0], r.pt.Peek(live[0].Page), r.now)
 	}
 }

@@ -18,10 +18,11 @@ import (
 //
 // The memo is a page-run index and the references' in-page offsets. The
 // index holds every maximal run of consecutive references to one page, in
-// stream order, as the run's page and length (8 bytes per page change: 2–4 %
-// of the references in the paper's apps); each reference is packed to 2
-// bytes, offset<<1 | store. A consumer that only cares when the page changes
-// (sim's reference loop, the footprint) reads the index alone and decodes a
+// stream order, as the run's page, its length and the 256 B blocks its
+// references touch (12 bytes per page change: 2–4 % of the references in the
+// paper's apps); each reference is packed to 2 bytes, offset<<1 | store. A
+// consumer that only cares when the page changes, or which blocks a run needs
+// (sim's reference loop, the footprint), reads the index alone and decodes a
 // run's references only when it needs them.
 //
 // The cache is admission-bounded by a byte budget: traces that would
@@ -31,8 +32,8 @@ import (
 // worker goroutines safe.
 
 // DefaultCacheBudget bounds the bytes the trace cache may retain. At the
-// paper's full scale the five app traces pack, index included, to ~1.1 GiB
-// (508 M references, 18 M runs): all five fit.
+// paper's full scale the five app traces pack, index included, to 1.15 GiB
+// (1,231,225,788 B: 507.5 M references, 18.0 M runs): all five fit.
 const DefaultCacheBudget int64 = 2 << 30
 
 const (
@@ -49,9 +50,13 @@ const _ uint16 = 2*units.PageSize - 1
 
 // pageRun is one entry of the page-run index.
 type pageRun struct {
-	page uint32 // Addr / units.PageSize of every reference in the run
-	n    uint32 // references in the run, at least 1
+	page   uint32 // Addr / units.PageSize of every reference in the run
+	n      uint32 // references in the run, at least 1
+	blocks uint32 // OR of Block over the run's references
 }
+
+// runBytes is what the index retains per run.
+const runBytes = 12
 
 // cacheKey identifies one synthesized stream. Scale is not stored on App,
 // but (name, seed, pages, refs) uniquely determine the generated stream.
@@ -95,7 +100,7 @@ func SetCacheBudget(n int64) int64 {
 // CacheStats reports the trace cache's occupancy.
 type CacheStats struct {
 	Entries int   // streams admitted
-	Bytes   int64 // bytes retained: 2 per reference and 8 per page run
+	Bytes   int64 // bytes retained: 2 per reference and 12 per page run
 	Budget  int64
 }
 
@@ -131,7 +136,7 @@ func cacheFor(a *App) *cacheEntry {
 		return e
 	}
 	e := &cacheEntry{}
-	size := 2*a.totalRefs + 8*(a.totalRefs/refsPerRunEstimate)
+	size := 2*a.totalRefs + runBytes*(a.totalRefs/refsPerRunEstimate)
 	if a.totalRefs > 0 && a.totalRefs <= math.MaxUint32 && traceCache.bytes+size <= traceCache.budget {
 		e.admitted = true
 		e.charged = size
@@ -164,28 +169,36 @@ func (e *cacheEntry) synthesize(a *App) {
 	offs := make([]uint16, 0, a.totalRefs)
 	runs := make([]pageRun, 0, a.totalRefs/refsPerRunEstimate)
 	page := uint64(math.MaxUint64) // no reference is on this page
+	var n, blocks uint32           // the current run's length and blocks
 	buf := make([]Ref, 8192)
 	rd := a.generatorReader()
 	for {
-		n := rd.Read(buf)
-		if n == 0 {
+		k := rd.Read(buf)
+		if k == 0 {
 			break
 		}
-		for _, ref := range buf[:n] {
+		for _, ref := range buf[:k] {
 			if p := ref.Addr / units.PageSize; p != page {
 				if p >= packedPages {
 					e.recharge(0)
 					return
 				}
-				page = p
-				runs = append(runs, pageRun{page: uint32(p)})
+				if n > 0 {
+					runs = append(runs, pageRun{page: uint32(page), n: n, blocks: blocks})
+				}
+				page, n, blocks = p, 0, 0
 			}
-			runs[len(runs)-1].n++
-			offs = append(offs, uint16(ref.Addr%units.PageSize)<<1|store(ref))
+			v := uint16(ref.Addr%units.PageSize)<<1 | store(ref)
+			n++
+			blocks |= Block(v)
+			offs = append(offs, v)
 		}
 	}
+	if n > 0 {
+		runs = append(runs, pageRun{page: uint32(page), n: n, blocks: blocks})
+	}
 	e.offs, e.runs = exact(offs), exact(runs)
-	e.recharge(2*int64(len(e.offs)) + 8*int64(len(e.runs)))
+	e.recharge(2*int64(len(e.offs)) + runBytes*int64(len(e.runs)))
 }
 
 func store(ref Ref) uint16 {
@@ -210,6 +223,11 @@ func exact[T any](s []T) []T {
 func Unpack(page uint64, v uint16) Ref {
 	return Ref{Addr: page*units.PageSize + uint64(v>>1), Store: v&1 != 0}
 }
+
+// Block returns the valid bit (memmodel.BlockMask) of the 256 B block a
+// packed reference touches. The index is below ValidBitsPerPage already; the
+// modulus tells the compiler so, which spares the shift its range check.
+func Block(v uint16) uint32 { return 1 << (v >> 1 / units.MinSubpage % units.ValidBitsPerPage) }
 
 // packedReader replays a cached stream. Each reader has private position
 // state; the offsets and their index are shared and never written.
@@ -255,17 +273,26 @@ func (p *packedReader) Read(buf []Ref) int {
 
 // NextRun returns the page and the packed references (see Unpack) from the
 // reader's position to the end of the maximal same-page run that position is
-// in — a whole run, unless a Read stopped inside it. The references are a
-// sub-slice of the shared stream, which the caller must not modify; they are
-// empty only at end of trace. Read and NextRun may be mixed freely: both
-// consume from the one position.
-func (p *packedReader) NextRun() (page uint64, offs []uint16) {
+// in — a whole run, unless a Read stopped inside it — and the blocks they
+// touch (the OR of Block over offs), from the index for a whole run. The
+// references are a sub-slice of the shared stream, which the caller must not
+// modify; they are empty only at end of trace. Read and NextRun may be mixed
+// freely: both consume from the one position.
+func (p *packedReader) NextRun() (page uint64, offs []uint16, blocks uint32) {
 	if !p.enter() {
-		return 0, nil
+		return 0, nil, 0
 	}
+	r := &p.runs[p.run-1]
 	offs = p.offs[p.pos:p.end]
+	if p.pos == p.end-int(r.n) {
+		blocks = r.blocks
+	} else {
+		for _, v := range offs {
+			blocks |= Block(v)
+		}
+	}
 	p.pos = p.end
-	return p.page, offs
+	return p.page, offs, blocks
 }
 
 // TouchedPages returns the distinct page numbers (Addr / units.PageSize)

@@ -48,13 +48,13 @@ func TestCachedReaderMatchesGenerator(t *testing.T) {
 		t.Fatalf("cached stream differs from generated stream (%d vs %d refs)", len(got), len(want))
 	}
 	// Charged is what is retained, at its exact length: 2 bytes per
-	// reference and 8 per page run.
+	// reference and 12 per page run.
 	e := cacheFor(app)
 	if len(e.offs) != int(app.TotalRefs()) || cap(e.offs) != len(e.offs) || cap(e.runs) != len(e.runs) {
 		t.Fatalf("entry holds %d/%d offsets and %d/%d runs (len/cap) for %d references",
 			len(e.offs), cap(e.offs), len(e.runs), cap(e.runs), app.TotalRefs())
 	}
-	if want, u := 2*app.TotalRefs()+8*int64(len(e.runs)), CacheUsage(); u.Entries != 1 || u.Bytes != want {
+	if want, u := 2*app.TotalRefs()+12*int64(len(e.runs)), CacheUsage(); u.Entries != 1 || u.Bytes != want {
 		t.Fatalf("cache usage = %+v, want 1 entry of %d bytes", u, want)
 	}
 	// A second reader replays the same shared copy from the start.
@@ -204,10 +204,11 @@ func streamFromBytes(data []byte, wide bool) []Ref {
 
 // FuzzRunIndex: over any stream, the page runs concatenate to exactly the
 // Read stream, every reference a run decodes is on the run's index page,
-// neighbouring runs are on different pages, and a reader that mixes Read and
-// NextRun stays consistent — a run cut short by a Read still ends where the
-// page changes. A stream with a page of 2³² or more is not memoized and still
-// replays exactly.
+// neighbouring runs are on different pages, each run's block mask is the OR
+// of its references' 256 B blocks, and a reader that mixes Read and NextRun
+// stays consistent — a run cut short by a Read still ends where the page
+// changes, and its mask covers only what is left of it. A stream with a page
+// of 2³² or more is not memoized and still replays exactly.
 func FuzzRunIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 160, 0, 1, 0, 9, 9, 200, 5, 5, 251, 255, 255, 0, 0, 0}, []byte{0, 3, 0, 9}, false)
 	f.Add([]byte{0, 1, 2, 255, 3, 4, 0, 0, 0}, []byte{1}, true)
@@ -237,30 +238,36 @@ func FuzzRunIndex(f *testing.F) {
 			return
 		}
 		var got []Ref
-		// take appends a run to got, checking each reference is on its page.
-		take := func(page uint64, run []uint16) {
+		// take appends a run to got, checking each reference is on its page
+		// and the run's mask is exactly the blocks its references touch.
+		take := func(page uint64, run []uint16, blocks uint32) {
+			var touched uint32
 			for _, v := range run {
 				r := Unpack(page, v)
 				if r.Addr/units.PageSize != page {
 					t.Fatalf("reference %d decodes off its run's page %d", len(got), page)
 				}
+				touched |= 1 << (r.Addr % units.PageSize / units.MinSubpage)
 				got = append(got, r)
+			}
+			if blocks != touched {
+				t.Fatalf("run ending at %d: mask %032b, references touch %032b", len(got), blocks, touched)
 			}
 		}
 
 		// Runs alone.
 		last := uint64(math.MaxUint64)
-		for page, run := rd.NextRun(); len(run) > 0; page, run = rd.NextRun() {
+		for page, run, blocks := rd.NextRun(); len(run) > 0; page, run, blocks = rd.NextRun() {
 			if page == last {
 				t.Fatalf("run at %d continues the previous run's page %d", len(got), page)
 			}
 			last = page
-			take(page, run)
+			take(page, run, blocks)
 		}
 		if !sameRefs(got, want) {
 			t.Fatalf("runs concatenate to %d refs, stream has %d", len(got), len(want))
 		}
-		if _, run := rd.NextRun(); len(run) != 0 || rd.Read(make([]Ref, 1)) != 0 {
+		if _, run, _ := rd.NextRun(); len(run) != 0 || rd.Read(make([]Ref, 1)) != 0 {
 			t.Fatal("reader not at end after its last run")
 		}
 
@@ -281,11 +288,11 @@ func FuzzRunIndex(f *testing.F) {
 				got = append(got, buf[:n]...)
 				continue
 			}
-			page, run := rd.NextRun()
+			page, run, blocks := rd.NextRun()
 			if len(run) == 0 {
 				t.Fatalf("NextRun empty at %d of %d", len(got), len(want))
 			}
-			take(page, run)
+			take(page, run, blocks)
 			if n := len(got); n < len(want) && want[n].Addr/units.PageSize == page {
 				t.Fatalf("mixed: run stopped at %d before the page changed", n)
 			}
