@@ -128,8 +128,9 @@ type Engine struct {
 	arr  []netmodel.Arrival
 
 	// plans is the stateless policy's plan table (nil for a stateful
-	// policy); tables keeps the tables of the built-in policies the engine
-	// has run, oldest first, for Reset to take up again.
+	// policy); tables keeps the table of every built-in policy value and
+	// subpage size the engine has run, for Reset to take up again. Only
+	// those are kept, so there are no more than the configurations run.
 	plans  *planTable
 	tables []*planTable
 
@@ -170,9 +171,6 @@ type planTable struct {
 	subpage int
 	plans   [units.PageSize >> planShift][]PlannedMessage
 }
-
-// maxPlanTables bounds the plan tables an engine keeps.
-const maxPlanTables = 16
 
 // Reset readies the engine for a new run, as NewEngine(net, policy,
 // subpageSize) would, keeping what it has allocated: recycled transfers,
@@ -215,9 +213,6 @@ func (e *Engine) planTable() *planTable {
 	}
 	t := &planTable{policy: e.policy, subpage: e.subpage}
 	if builtin {
-		if len(e.tables) == maxPlanTables {
-			e.tables = e.tables[:copy(e.tables, e.tables[1:])]
-		}
 		e.tables = append(e.tables, t)
 	}
 	return t

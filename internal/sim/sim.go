@@ -456,10 +456,7 @@ func (r *runner) run() {
 // path, and so would every later one — same page, so the page table answers
 // from its last frame and the LRU order stands — and that path only counts
 // the reference's execution event. Any other run is walked (walk). A TLB
-// model looks at every address, so with one on every reference is stepped;
-// PAL emulation charges, and usage tracking consumes marks, per reference on
-// an incomplete page, so with either on such a run is stepped until a
-// reference leaves its page complete.
+// model looks at every address, so with one on every reference is stepped.
 func (r *runner) replayRuns(rd runReader) {
 	for page, offs, blocks := rd.NextRun(); len(offs) > 0; page, offs, blocks = rd.NextRun() {
 		switch f := r.pt.Lookup(memmodel.PageID(page)); {
@@ -470,26 +467,19 @@ func (r *runner) replayRuns(rd runReader) {
 		case f != nil && complete(f):
 			r.now += units.Ticks(len(offs))
 			r.res.Events += int64(len(offs))
-		case r.emu == nil && !r.trackUse:
-			r.walk(f, page, offs, blocks)
 		default:
-			for i, v := range offs {
-				if f := r.step(trace.Unpack(page, v)); complete(f) {
-					r.charge(f, len(offs)-i-1)
-					break
-				}
-			}
+			r.walk(f, page, offs, blocks)
 		}
 	}
 }
 
 // walk replays a run of references to page, whose frame f is nil when the
-// page is not resident, in a run without TLB, PAL emulation or usage
-// tracking. The stretches step would do nothing in but count and apply
-// arrivals — each reference to a block ready allows — are charged whole; step
-// takes only the rest, the faulting reference among them. blocks are the
-// run's, so a run whose blocks are all ready is charged whole from the index
-// even while its page's transfer is in flight.
+// page is not resident, in a run without a TLB. The stretches step would do
+// nothing in but count and apply arrivals — each reference to a block ready
+// allows — are charged whole; step takes only the rest, the faulting
+// reference among them. blocks are the run's, so a run whose blocks are all
+// ready is charged whole from the index even while its page's transfer is in
+// flight.
 func (r *runner) walk(f *memmodel.Frame, page uint64, offs []uint16, blocks uint32) {
 	if f == nil {
 		f = r.step(trace.Unpack(page, offs[0]))
@@ -516,11 +506,17 @@ func (r *runner) walk(f *memmodel.Frame, page uint64, offs []uint16, blocks uint
 // ready applies the arrivals due by the next reference's tick to f and
 // returns the blocks a reference then may touch and be charged without step:
 // any on a complete page, else the valid ones — of the faulted subpage only
-// while Figure 7 waits for the first access to another. A transfer this
-// completes is left for charge or step to finish at that tick.
+// while Figure 7 waits for the first access to another. PAL emulation
+// charges, and usage tracking consumes marks, per reference on an incomplete
+// page, so with either on none are: every reference is stepped until one
+// leaves the page complete. A transfer this completes is left for charge or
+// step to finish at that tick.
 func (r *runner) ready(f *memmodel.Frame) memmodel.Bitmap {
 	if complete(f) {
 		return memmodel.FullBitmap
+	}
+	if r.emu != nil || r.trackUse {
+		return 0
 	}
 	if f.Xfer != nil {
 		f.Valid |= f.Xfer.(*core.Transfer).ApplyArrived(r.now + 1)
