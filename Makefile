@@ -187,13 +187,16 @@ prefetch-smoke:
 # signature change in internal/proto or internal/remote would otherwise
 # surface only when the pipeline's benchmark fails to build. One second
 # each, traced, of the fault path, the paced fault path (the link clock,
-# its sleeper and the live Table 2 probes) and the hit path; each exits
-# non-zero on a wrong byte or a failed op.
+# its sleeper and the live Table 2 probes), the hit path and the cold path
+# (the one workload whose directory shards share a registry, which its
+# traced run reads through Registry.Counter); each exits non-zero on a
+# wrong byte or a failed op.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	bash bench/run.sh --workload fault-churn --seed 1 --seconds 1 --trace 1 > /dev/null
 	bash bench/run.sh --workload atm-pair --seed 1 --seconds 1 --trace 1 > /dev/null
 	bash bench/run.sh --workload hit-resident --seed 1 --seconds 1 --trace 1 > /dev/null
+	bash bench/run.sh --workload cold-scan --seed 1 --seconds 1 --trace 1 > /dev/null
 
 # profile-fault profiles the fault path: BenchmarkFaultLoopback (the gate's
 # fault-churn workload, in-package: faults/op, read+write syscalls/fault and

@@ -147,6 +147,7 @@ func runChaos(args []string) {
 	fmt.Printf("  retries    %d\n", st.Retries)
 	fmt.Printf("  failovers  %d (reads redirected to the replica)\n", st.Failovers)
 	fmt.Printf("  hedges     %d\n", st.Hedges)
+	fmt.Printf("  put drops  %d (dirty evictions not written back)\n", st.PutDrops)
 	fmt.Printf("  drops      %d, resets %d (injected)\n", nw.Drops, nw.Resets)
 	fmt.Printf("  subpage latency %.0f us (median), full page %.0f us\n",
 		st.SubpageLatencyUs, st.FullLatencyUs)

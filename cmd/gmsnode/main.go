@@ -285,6 +285,7 @@ func runClient(args []string) {
 		fmt.Printf("  subpage latency   %.0f us (median)\n", rep.SubpageLatencyUs)
 		fmt.Printf("  full-page latency %.0f us (median)\n", rep.FullLatencyUs)
 		fmt.Printf("  bytes in          %.1f MB\n", float64(rep.BytesIn)/(1<<20))
+		fmt.Printf("  put drops         %d (dirty evictions not written back)\n", c.Stats().PutDrops)
 		return
 	}
 
@@ -304,6 +305,7 @@ func runClient(args []string) {
 		*pages, elapsed.Round(time.Millisecond),
 		float64(st.Faults)/elapsed.Seconds())
 	fmt.Printf("  faults            %d\n", st.Faults)
+	fmt.Printf("  put drops         %d (dirty evictions not written back)\n", st.PutDrops)
 	fmt.Printf("  subpage latency   %.0f us (median, fault -> faulted subpage usable)\n", st.SubpageLatencyUs)
 	fmt.Printf("  full-page latency %.0f us (median, fault -> entire page resident)\n", st.FullLatencyUs)
 	fmt.Printf("  bytes in          %.1f MB\n", float64(st.BytesIn)/(1<<20))

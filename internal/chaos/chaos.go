@@ -71,13 +71,9 @@ type Network struct {
 	stalled     bool
 	conns       map[*Conn]struct{}
 
-	// Counters for assertions and reports.
-	Drops  int64
-	Resets int64
-
-	// Metric handles (nil-safe no-ops until SetMetrics).
-	dropsM  *obs.Counter
-	resetsM *obs.Counter
+	// Counters for assertions and reports, and what SetMetrics exposes.
+	Drops  int64 `metric:"gms_chaos_drops_total" help:"writes blackholed by the injector"`
+	Resets int64 `metric:"gms_chaos_resets_total" help:"connection resets injected"`
 }
 
 // New returns a Network injecting cfg.
@@ -93,13 +89,10 @@ func New(cfg Config) *Network {
 	}
 }
 
-// SetMetrics registers the injector's gms_chaos_* metrics on r (nil
-// disables them).
+// SetMetrics exposes the injector's Drops and Resets on r as the
+// gms_chaos_* counters, read at scrape time (nil disables them).
 func (n *Network) SetMetrics(r *obs.Registry) {
-	n.mu.Lock()
-	n.dropsM = r.Counter("gms_chaos_drops_total", "writes blackholed by the injector")
-	n.resetsM = r.Counter("gms_chaos_resets_total", "connection resets injected")
-	n.mu.Unlock()
+	r.NewSource().Fields(&n.mu, n)
 }
 
 // SetConfig replaces the fault configuration; existing connections pick it
@@ -225,12 +218,10 @@ func (nw *Network) plan(n int) (writePlan, error) {
 	if nw.cfg.DropRate > 0 && nw.rng.Float64() < nw.cfg.DropRate {
 		p.drop = true
 		nw.Drops++
-		nw.dropsM.Inc()
 	}
 	if nw.cfg.ResetRate > 0 && nw.rng.Float64() < nw.cfg.ResetRate {
 		p.reset = true
 		nw.Resets++
-		nw.resetsM.Inc()
 	}
 	return p, nil
 }

@@ -155,13 +155,11 @@ func (c *Client) evictIfFull() {
 		delete(pc.m, victim.id)
 		pc.unlink(victim)
 		c.stats.Evictions++
-		c.met.evictions.Inc()
 		switch {
 		case victim.dirty && !victim.valid.Full():
 			// A written page that never became fully valid (lazy, Prefetch)
 			// has no whole image to put back: its write is lost, counted.
 			c.stats.PutDrops++
-			c.met.putDrops.Inc()
 		case victim.dirty:
 			c.mu.Unlock()
 			// The cached placement, or a fresh one if a failed attempt forgot it.
@@ -169,10 +167,8 @@ func (c *Client) evictIfFull() {
 			c.mu.Lock()
 			if sent {
 				c.stats.PutPages++
-				c.met.putPages.Inc()
 			} else {
 				c.stats.PutDrops++
-				c.met.putDrops.Inc()
 			}
 		}
 		// Out of the cache, off the list, unpinned: nothing reaches it again

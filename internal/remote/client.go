@@ -11,7 +11,6 @@ import (
 	"github.com/gms-sim/gmsubpage/internal/memmodel"
 	"github.com/gms-sim/gmsubpage/internal/obs"
 	"github.com/gms-sim/gmsubpage/internal/proto"
-	"github.com/gms-sim/gmsubpage/internal/stats"
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
@@ -70,8 +69,9 @@ type ClientConfig struct {
 	// Dial overrides the network dialer (chaos injection, tests).
 	Dial func(network, addr string) (net.Conn, error)
 
-	// Metrics, when non-nil, registers the client's gms_client_* metrics
-	// there. Nil (the default) disables metrics at zero hot-path cost.
+	// Metrics, when non-nil, exposes the client's Stats there as the
+	// gms_client_* metrics, read at scrape time. The fault path costs the
+	// same either way.
 	Metrics *obs.Registry
 }
 
@@ -109,35 +109,39 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	return c
 }
 
-// Stats is a snapshot of a client's counters.
+// Stats is a snapshot of a client's counters: the one record of each
+// event. A field's metric tag names the series ClientConfig.Metrics
+// exposes it as, read at scrape time (see obs.Source.Fields). Stats holds
+// no slice, map or pointer, so its size is fixed however many faults it
+// has counted.
 type Stats struct {
-	Faults     int64
-	Evictions  int64
-	PutPages   int64
-	PutDrops   int64 // dirty evictions not written back — no replica took the page, or it was never fully valid (lazy, Prefetch): the write is lost
-	BytesIn    int64
-	Retries    int64         // fault or lookup attempts beyond the first
-	Failovers  int64         // retries redirected to a different replica
-	Hedges     int64         // duplicate GetPages sent to mask a slow primary
-	Cancels    int64         // cancel frames sent to withdraw superseded requests
+	Faults     int64         `metric:"gms_client_faults_total" help:"page faults issued to remote memory"`
+	Evictions  int64         `metric:"gms_client_evictions_total" help:"pages evicted from the local cache"`
+	PutPages   int64         `metric:"gms_client_putpages_total" help:"dirty pages written back on eviction"`
+	PutDrops   int64         `metric:"gms_client_put_drops_total" help:"dirty evictions not written back: no replica, or the page never fully valid"` // the write is lost
+	BytesIn    int64         `metric:"gms_client_bytes_in_total" help:"page data bytes received"`
+	Retries    int64         `metric:"gms_client_retries_total" help:"fault or lookup attempts beyond the first"`
+	Failovers  int64         `metric:"gms_client_failovers_total" help:"retries redirected to a different replica"`
+	Hedges     int64         `metric:"gms_client_hedges_total" help:"duplicate GetPages sent to mask a slow primary"`
+	Cancels    int64         `metric:"gms_client_cancels_total" help:"cancel frames sent to withdraw superseded v2 requests"`
 	Predicted  int64         // fault attempts whose want bitmap carried prefetch predictions
-	SubpageLat stats.Summary // fault -> faulted-subpage arrival
-	FullLat    stats.Summary // fault -> complete page arrival
+	SubpageLat obs.Histogram `metric:"gms_client_subpage_latency_us" help:"fault to faulted-subpage arrival, microseconds"`
+	FullLat    obs.Histogram `metric:"gms_client_full_latency_us" help:"fault to complete page arrival, microseconds"`
 
 	// Sharded-directory observability: lookups bounced by a shard that
 	// did not own the page (each bounce also delivers the current map),
 	// and shard maps installed (the bootstrap fetch plus every refresh a
 	// bounce carried). See DESIGN.md §9.
-	WrongShard   int64
-	MapRefreshes int64
+	WrongShard   int64 `metric:"gms_client_wrong_shard_total" help:"lookups bounced by a shard that did not own the page"`
+	MapRefreshes int64 `metric:"gms_client_shardmap_refreshes_total" help:"shard-map installs (bootstrap fetches and TWrongShard refreshes)"`
 
 	// Circuit-breaker observability (see ClientConfig.BreakerThreshold).
 	// These are maintained under the same lock as every other field, so a
 	// Stats() snapshot is one coherent cut: BreakerOpens can never run
 	// ahead of the Retries/Failovers that implied it.
-	BreakerOpens  int64 // breakers tripped (closed -> open transitions)
-	BreakerProbes int64 // half-open probes granted after a cooldown
-	OpenBreakers  int   // servers currently shunned (open or half-open)
+	BreakerOpens  int64 `metric:"gms_client_breaker_opens_total" help:"circuit breakers tripped (closed to open)"`
+	BreakerProbes int64 `metric:"gms_client_breaker_probes_total" help:"half-open probes granted after a cooldown"`
+	OpenBreakers  int   `metric:"gms_client_open_breakers,gauge" help:"servers currently shunned by their breaker"`
 }
 
 // Client is the faulting node: a fixed-size page cache with subpage valid
@@ -183,9 +187,9 @@ type Client struct {
 	// into c.stats under c.mu (see breaker).
 	br *breaker
 
-	// met holds the gms_client_* metric handles (all nil-safe no-ops when
-	// ClientConfig.Metrics is nil).
-	met clientMetrics
+	// src is the gms_client_* metrics' view of stats (nil without
+	// ClientConfig.Metrics); Close detaches it.
+	src *obs.Source
 
 	// jmu guards jrand, the client's own seeded jitter source: backoff
 	// jitter must not contend on (or correlate through) the process-wide
@@ -224,7 +228,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		// reproducibility.
 		jrand: rand.New(rand.NewSource(time.Now().UnixNano())), //lint:allow simpurity jitter seed wants real-time entropy, not determinism
 		br:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		met:   newClientMetrics(cfg.Metrics),
 	}
 	if cfg.Prefetch {
 		c.pf = core.NewPrefetcher()
@@ -235,6 +238,8 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	if _, err := c.route.conn(cfg.Directory).live(c); err != nil {
 		return nil, err
 	}
+	c.src = cfg.Metrics.NewSource()
+	c.src.Fields(&c.mu, &c.stats)
 	return c, nil
 }
 
@@ -261,6 +266,7 @@ func (c *Client) Close() error {
 	err := c.route.close()
 	c.tr.close()
 	c.wg.Wait()
+	c.src.Close()
 	return err
 }
 
@@ -391,7 +397,6 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 			// land — and broadcast — before it is retaken: go round and
 			// look at the page again, never straight into Wait.
 			c.stats.Faults++
-			c.met.faults.Inc()
 			c.beginFault(p, off, n)
 			c.runAttempt(p)
 		} else {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gms-sim/gmsubpage/internal/obs"
 	"github.com/gms-sim/gmsubpage/internal/proto"
 	"github.com/gms-sim/gmsubpage/internal/rng"
 	"github.com/gms-sim/gmsubpage/internal/units"
@@ -301,9 +302,21 @@ func BenchmarkClientHit(b *testing.B) {
 // lookup and the reply's scatter-gather list all used to allocate per fault
 // and must not come back.
 func TestWarmedFaultAllocs(t *testing.T) {
+	warmedFaultAllocs(t, nil)
+}
+
+// TestWarmedFaultAllocsWithMetrics: a client and server exposing metrics
+// allocate no more per fault. The registry reads their records when it is
+// scraped, so the fault path does no metrics work.
+func TestWarmedFaultAllocsWithMetrics(t *testing.T) {
+	warmedFaultAllocs(t, obs.NewRegistry())
+}
+
+func warmedFaultAllocs(t *testing.T, reg *obs.Registry) {
 	const pages, cache = 8, 4
-	dir, _ := testCluster(t, pages)
-	c := testClient(t, dir, ClientConfig{Policy: proto.PolicyPipelined, CachePages: cache})
+	dir, srv := testCluster(t, pages)
+	srv.SetMetrics(reg)
+	c := testClient(t, dir, ClientConfig{Policy: proto.PolicyPipelined, CachePages: cache, Metrics: reg})
 	buf := make([]byte, units.PageSize)
 	next := uint64(0)
 	// A whole-page read returns when the stream has completed, and the

@@ -120,6 +120,7 @@ type Directory struct {
 	st   *dirlog.State
 	done bool
 	met  directoryMetrics // gms_dir_* handles; nil-safe no-ops by default
+	src  *obs.Source      // the gauges read from st at scrape time
 
 	// origin anchors lease times: expiries are the journal's Unix
 	// nanoseconds, derived from the monotonic clock through nanos.
@@ -274,7 +275,6 @@ func (d *Directory) commit(recs ...dirlog.Record) {
 	for _, r := range recs {
 		d.st.Apply(r)
 	}
-	d.met.pages.Set(int64(len(d.st.Holders)))
 	if d.log == nil {
 		return
 	}
@@ -304,16 +304,24 @@ func (d *Directory) Owns(page uint64) bool {
 // disables them). A sharded directory additionally registers its
 // gms_dirshard_* handles.
 func (d *Directory) SetMetrics(r *obs.Registry) {
+	src := r.NewSource()
+	src.Gauge("gms_dir_pages", "pages currently mapped to at least one server", func() int64 {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		return int64(len(d.st.Holders))
+	})
+	src.Gauge("gms_dirlog_recovered_servers", "registrations restored from the journal at startup",
+		func() int64 { return int64(d.recoveredN) })
 	d.mu.Lock()
 	d.met = newDirectoryMetrics(r, d.ring != nil)
-	d.met.pages.Set(int64(len(d.st.Holders)))
-	d.met.recoveredServers.Set(int64(d.recoveredN))
 	if d.ring != nil {
 		d.met.shardSelf.Set(int64(d.self))
 		d.met.shardMapVersion.Set(int64(d.ring.Map().Version))
 		d.met.shardCount.Set(int64(len(d.ring.Map().Shards)))
 	}
+	src, d.src = d.src, src
 	d.mu.Unlock()
+	src.Close()
 }
 
 // serviceDelay emulates the configured per-lookup service time: the
@@ -368,6 +376,10 @@ func (d *Directory) shutdown(flush bool) error {
 		}
 		d.wg.Wait()
 		d.svcSlp.Close()
+		d.mu.Lock()
+		src := d.src
+		d.mu.Unlock()
+		src.Close()
 	})
 	return d.closeErr
 }

@@ -135,7 +135,6 @@ func (c *Client) runAttempt(p *cpage) {
 		p.firstAddr = addr
 	} else if addr != p.firstAddr {
 		c.stats.Failovers++
-		c.met.failovers.Inc()
 	}
 	p.inflight, p.firstOK = true, false
 	p.addr, p.hedgeTo = addr, hedgeTo
@@ -189,7 +188,6 @@ func (c *Client) stopAttempt(p *cpage) (cancels []source) {
 		delete(c.reqs, src.id)
 		cancels = append(cancels, src)
 		c.stats.Cancels++
-		c.met.cancels.Inc()
 	}
 	p.nsrc = 0
 	return cancels
@@ -232,8 +230,6 @@ func (c *Client) retry(p *cpage, addr string, cause error) {
 	if opened {
 		c.stats.BreakerOpens++
 		c.stats.OpenBreakers++
-		c.met.breakerOpens.Inc()
-		c.met.openBreakers.Add(1)
 	}
 	p.attempt++
 	attempt := p.attempt
@@ -249,7 +245,6 @@ func (c *Client) retry(p *cpage, addr string, cause error) {
 		c.endFault(p, errClientClosed)
 	} else {
 		c.stats.Retries++
-		c.met.retries.Inc()
 		c.runAttempt(p)
 	}
 	c.mu.Unlock()
@@ -293,7 +288,6 @@ func (c *Client) hedgeDue(p *cpage) {
 	p.sources[p.nsrc] = source{hedge, id}
 	p.nsrc++
 	c.stats.Hedges++
-	c.met.hedges.Inc()
 	page, off := p.id, p.off
 	c.wg.Add(1)
 	c.mu.Unlock()
@@ -317,7 +311,6 @@ func (c *Client) breakerSuccess(addr string) {
 		c.mu.Lock()
 		c.stats.OpenBreakers--
 		c.mu.Unlock()
-		c.met.openBreakers.Add(-1)
 	}
 }
 
@@ -348,7 +341,6 @@ func (c *Client) pickAddr(addrs []string, tried map[string]bool, attempt int) st
 			c.mu.Lock()
 			c.stats.BreakerProbes++
 			c.mu.Unlock()
-			c.met.breakerProbes.Inc()
 		}
 		return a
 	}
@@ -420,7 +412,6 @@ func (c *Client) failPending(addr string, cause error) {
 		// requests this failure did not concern.
 		cancels = append(cancels, source{addr, id})
 		c.stats.Cancels++
-		c.met.cancels.Inc()
 		if p.nsrc == 0 && p.inflight {
 			c.attemptFailed(p, p.addr, cause)
 		}
@@ -437,9 +428,7 @@ func (c *Client) firstArrived(p *cpage) {
 		return
 	}
 	p.firstOK = true
-	lat := float64(time.Since(p.start).Microseconds())
-	c.stats.SubpageLat.Add(lat)
-	c.met.subpageLat.Observe(lat)
+	c.stats.SubpageLat.Add(time.Since(p.start).Microseconds())
 }
 
 // attemptDone ends the attempt in flight on p, and its fault, in success:
@@ -448,9 +437,7 @@ func (c *Client) firstArrived(p *cpage) {
 // unlocking, send the cancels and book the success with the breaker.
 func (c *Client) attemptDone(p *cpage) []source {
 	cancels := c.stopAttempt(p)
-	lat := float64(time.Since(p.start).Microseconds())
-	c.stats.FullLat.Add(lat)
-	c.met.fullLat.Observe(lat)
+	c.stats.FullLat.Add(time.Since(p.start).Microseconds())
 	c.endFault(p, nil)
 	return cancels
 }
@@ -485,7 +472,6 @@ func (c *Client) applyBatch(addr string, b proto.SubpageBatch) {
 		copy(p.data[off:], data)
 		p.valid = p.valid.Set(neededMask(off, len(data)))
 		c.stats.BytesIn += int64(len(data))
-		c.met.bytesIn.Add(int64(len(data)))
 	}
 	done := ""
 	if live && p.inflight {

@@ -116,7 +116,6 @@ func (c *Client) locate(page uint64) []string {
 			c.mu.Lock()
 			c.stats.Retries++
 			c.mu.Unlock()
-			c.met.retries.Inc()
 		}
 		addrs, err := c.lookup(page)
 		if err == nil || errors.Is(err, errNotRegistered) {
@@ -157,7 +156,6 @@ func (c *Client) bounced(ws *WrongShardError) {
 	c.mu.Lock()
 	c.stats.WrongShard++
 	c.mu.Unlock()
-	c.met.wrongShard.Inc()
 	c.installMap(ws.Map)
 }
 
@@ -202,7 +200,6 @@ func (c *Client) installMap(m proto.ShardMap) *proto.Ring {
 		c.mu.Lock()
 		c.stats.MapRefreshes++
 		c.mu.Unlock()
-		c.met.mapRefreshes.Inc()
 	}
 	return ring
 }

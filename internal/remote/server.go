@@ -53,15 +53,17 @@ type Server struct {
 	// throttling. Accessed atomically.
 	wireNsPerByte int64
 
-	// Stats.
-	Gets    int64
-	Puts    int64
-	Cancels int64 // requests withdrawn by TCancel before completion
-	Reregs  int64 // full re-registrations after a directory answered "no lease"
+	// Stats: the one record of each event; a metric tag names the series
+	// SetMetrics exposes it as. Gets, Puts and Cancels are guarded by mu,
+	// the rest are updated atomically.
+	Gets       int64 `metric:"gms_server_gets_total" help:"GetPage requests served"`
+	Puts       int64 `metric:"gms_server_puts_total" help:"PutPage requests accepted"`
+	Cancels    int64 // requests withdrawn by TCancel before completion
+	Reregs     int64 `metric:"gms_server_reregistrations_total" help:"full re-registrations after a lost lease"`
+	Heartbeats int64 `metric:"gms_server_heartbeats_total" help:"lease-renewal heartbeats sent to the directory"`
+	BytesOut   int64 `metric:"gms_server_bytes_out_total" help:"page data bytes sent"`
 
-	// met holds the gms_server_* metric handles (nil-safe no-ops until
-	// SetMetrics is called).
-	met serverMetrics
+	src *obs.Source // the gms_server_* metrics' view of the fields above; under mu
 
 	hbStop    chan struct{}
 	closeOnce sync.Once
@@ -144,14 +146,17 @@ func ListenServerOn(ln net.Listener) *Server {
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.serving.Addr() }
 
-// SetMetrics registers the server's gms_server_* metrics on r (nil
-// disables them). Call before serving traffic; the handles themselves are
-// nil-safe, so an unset registry costs one pointer compare per event.
+// SetMetrics exposes the server's gms_server_* metrics on r (nil disables
+// them). They read the server's own counters at scrape time, so the
+// serving path costs the same with or without a registry.
 func (s *Server) SetMetrics(r *obs.Registry) {
+	src := r.NewSource()
+	src.Fields(&s.mu, s)
+	src.Gauge("gms_server_pages", "pages currently hosted", func() int64 { return int64(s.Pages()) })
 	s.mu.Lock()
-	s.met = newServerMetrics(r)
-	s.met.pages.Set(int64(len(s.pages)))
+	src, s.src = s.src, src
 	s.mu.Unlock()
+	src.Close()
 }
 
 // Close stops the server, severing active connections and stopping the
@@ -164,6 +169,10 @@ func (s *Server) Close() error {
 		s.mu.Unlock()
 		s.closeErr = s.serving.Close()
 		s.wg.Wait()
+		s.mu.Lock()
+		src := s.src
+		s.mu.Unlock()
+		src.Close()
 	})
 	return s.closeErr
 }
@@ -239,7 +248,6 @@ func (s *Server) Store(page uint64, data []byte) {
 	s.mu.Lock()
 	old := s.pages[page]
 	s.pages[page] = pb
-	s.met.pages.Set(int64(len(s.pages)))
 	s.mu.Unlock()
 	if old != nil {
 		// Dropped outside the lock: release may return the buffer to the
@@ -377,7 +385,7 @@ func (s *Server) heartbeatLoop() {
 // every shard, so the remaining renewals this tick are skipped.
 func (s *Server) heartbeat() {
 	s.mu.Lock()
-	boot, epoch, met := s.dirAddr, s.epoch, s.met
+	boot, epoch := s.dirAddr, s.epoch
 	dirs := append([]string(nil), s.dirAddrs...)
 	s.mu.Unlock()
 	if len(dirs) == 0 {
@@ -391,9 +399,8 @@ func (s *Server) heartbeat() {
 		if err != nil {
 			continue // unreachable: retried next tick
 		}
-		met.heartbeats.Inc()
+		atomic.AddInt64(&s.Heartbeats, 1)
 		if !renewed {
-			met.reregs.Inc()
 			atomic.AddInt64(&s.Reregs, 1)
 			_ = s.RegisterWith(boot)
 			return
@@ -515,9 +522,7 @@ func (s *Server) handle(st *connState, f proto.Frame) error {
 		s.Store(put.Page, put.Data)
 		s.mu.Lock()
 		s.Puts++
-		met := s.met
 		s.mu.Unlock()
-		met.puts.Inc()
 	default:
 		return fmt.Errorf("server: unexpected %v", f.Type)
 	}
@@ -551,9 +556,7 @@ func (s *Server) openGet(page uint64, policy uint8, subpageSize, faultOff uint32
 		pb.retain()
 	}
 	s.Gets++
-	met := s.met
 	s.mu.Unlock()
-	met.gets.Inc()
 	if pb == nil {
 		return nil, nil, 0, 0, fmt.Sprintf("server: page %d not stored", page)
 	}
@@ -573,12 +576,6 @@ func (s *Server) openGet(page uint64, policy uint8, subpageSize, faultOff uint32
 		return nil, nil, 0, 0, fmt.Sprintf("server: bad fault offset %d", off)
 	}
 	return pb, pol, sub, off, ""
-}
-
-func (s *Server) metrics() serverMetrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.met
 }
 
 // sendPageV2 streams one page as TSubpageBatch frames: the plan message
@@ -602,7 +599,6 @@ func (s *Server) sendPageV2(st *connState, w *proto.Writer, req proto.GetPageV2)
 		return w.SendError(errMsg)
 	}
 	defer pb.release()
-	met := s.metrics()
 
 	want := memmodel.Bitmap(req.Want)
 	if want == 0 {
@@ -657,12 +653,12 @@ func (s *Server) sendPageV2(st *connState, w *proto.Writer, req proto.GetPageV2)
 		}
 		if paced {
 			st.link.pace(i == 0, bytes)
-			if err := st.flush(met); err != nil {
+			if err := s.flush(st); err != nil {
 				return err
 			}
 		}
 	}
-	return st.flush(met)
+	return s.flush(st)
 }
 
 // appendBatch queues one TSubpageBatch covering the given valid bits behind
@@ -695,16 +691,16 @@ func (st *connState) appendBatch(reqID, page uint64, flags uint8, covers memmode
 	return bytes, nil
 }
 
-// flush hands every queued frame to the connection in one vectored write;
-// with nothing queued it does nothing.
-func (st *connState) flush(met serverMetrics) error {
+// flush hands every queued frame of st to its connection in one vectored
+// write; with nothing queued it does nothing.
+func (s *Server) flush(st *connState) error {
 	if len(st.bufs) == 0 {
 		return nil
 	}
 	st.wbufs = st.bufs // WriteTo consumes its receiver; keep st.bufs's backing array
 	_, err := st.wbufs.WriteTo(st.conn)
 	if err == nil {
-		met.bytesOut.Add(int64(st.pending))
+		atomic.AddInt64(&s.BytesOut, int64(st.pending))
 	}
 	st.hdr, st.bufs, st.pending = st.hdr[:0], st.bufs[:0], 0
 	return err

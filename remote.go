@@ -277,12 +277,21 @@ type ClientStats struct {
 	Faults    int64
 	Evictions int64
 	PutPages  int64
-	BytesIn   int64
+	// PutDrops counts dirty evictions not written back — no replica took
+	// the page, or it was never fully valid (Lazy, Prefetch): the write is
+	// lost.
+	PutDrops int64
+	BytesIn  int64
 	// Resilience counters: attempts beyond the first, retries that moved
-	// to a different replica, and hedged duplicate fetches.
+	// to a different replica, hedged duplicate fetches, and cancel frames
+	// withdrawing superseded fetches.
 	Retries   int64
 	Failovers int64
 	Hedges    int64
+	Cancels   int64
+	// Predicted counts fetches whose want bitmap carried the learned
+	// prefetcher's predictions.
+	Predicted int64
 	// Circuit-breaker state: trips (closed->open), half-open probes
 	// granted, and servers currently shunned.
 	BreakerOpens  int64
@@ -305,10 +314,13 @@ func (c *Client) Stats() ClientStats {
 		Faults:           st.Faults,
 		Evictions:        st.Evictions,
 		PutPages:         st.PutPages,
+		PutDrops:         st.PutDrops,
 		BytesIn:          st.BytesIn,
 		Retries:          st.Retries,
 		Failovers:        st.Failovers,
 		Hedges:           st.Hedges,
+		Cancels:          st.Cancels,
+		Predicted:        st.Predicted,
 		BreakerOpens:     st.BreakerOpens,
 		BreakerProbes:    st.BreakerProbes,
 		OpenBreakers:     st.OpenBreakers,

@@ -33,7 +33,8 @@ type ReplayReport struct {
 	Refs     int64
 	Elapsed  time.Duration
 
-	// Client counters accumulated during the replay.
+	// Client counters accumulated during the replay, and the median
+	// latencies of the replay's own faults.
 	Faults           int64
 	Evictions        int64
 	BytesIn          int64
@@ -62,7 +63,7 @@ func (c *Client) ReplayWorkload(workload string, scale float64, firstPage uint64
 	if app == nil {
 		return nil, fmt.Errorf("gmsubpage: unknown workload %q (have %v)", workload, Workloads())
 	}
-	before := c.Stats()
+	before := c.c.Stats()
 	start := time.Now() //lint:allow simpurity live replay measures the real prototype, so wall-clock elapsed time is the result
 
 	pageMap := make(map[uint64]uint64, app.TotalPages)
@@ -103,7 +104,9 @@ func (c *Client) ReplayWorkload(workload string, scale float64, firstPage uint64
 			refs++
 		}
 	}
-	after := c.Stats()
+	after := c.c.Stats()
+	after.SubpageLat.Sub(&before.SubpageLat)
+	after.FullLat.Sub(&before.FullLat)
 	return &ReplayReport{
 		Workload:         workload,
 		Refs:             refs,
@@ -111,7 +114,7 @@ func (c *Client) ReplayWorkload(workload string, scale float64, firstPage uint64
 		Faults:           after.Faults - before.Faults,
 		Evictions:        after.Evictions - before.Evictions,
 		BytesIn:          after.BytesIn - before.BytesIn,
-		SubpageLatencyUs: after.SubpageLatencyUs,
-		FullLatencyUs:    after.FullLatencyUs,
+		SubpageLatencyUs: after.SubpageLat.Median(),
+		FullLatencyUs:    after.FullLat.Median(),
 	}, nil
 }
