@@ -53,9 +53,12 @@ lint-baseline:
 build:
 	$(GO) build ./...
 
+# The last line runs the two benchmarks profile-sim profiles, once each, so
+# a change that breaks them fails here rather than at the next profile.
 test:
 	$(GO) test ./...
 	$(GO) test -tags gmsdebug ./internal/core
+	$(GO) test -run '^$$' -bench 'SimFaultStorm|SimApps' -benchtime 1x ./internal/sim
 
 # -short skips the heaviest experiment sweeps, but the parallel-engine
 # determinism test (internal/experiments TestParallelOutputMatchesSequential)

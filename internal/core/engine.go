@@ -107,6 +107,7 @@ func (t *Transfer) Covered() memmodel.Bitmap {
 type Engine struct {
 	net     *netmodel.Params
 	policy  Policy
+	sp      StatefulPolicy // policy, when it keeps history; else nil
 	subpage int
 	res     netmodel.Resources
 
@@ -127,10 +128,11 @@ type Engine struct {
 	msgs []netmodel.Message
 	arr  []netmodel.Arrival
 
-	// plans is the stateless policy's plan table (nil for a stateful
-	// policy); tables keeps the table of every built-in policy value and
-	// subpage size the engine has run, for Reset to take up again. Only
-	// those are kept, so there are no more than the configurations run.
+	// plans is the table of the policy's stateless Plan: every fault's plan
+	// for a stateless policy, the fallback's for a stateful one. tables
+	// keeps the table of every built-in policy value and subpage size the
+	// engine has run, for Reset to take up again. Only those are kept, so
+	// there are no more than the configurations run.
 	plans  *planTable
 	tables []*planTable
 
@@ -159,11 +161,12 @@ func NewEngine(net *netmodel.Params, policy Policy, subpageSize int) *Engine {
 		panic("core: invalid subpage size")
 	}
 	e := &Engine{net: net, policy: policy, subpage: subpageSize}
+	e.sp, _ = policy.(StatefulPolicy)
 	e.plans = e.planTable()
 	return e
 }
 
-// planTable holds a stateless policy's plans at one subpage size by
+// planTable holds a policy's stateless plans at one subpage size by
 // faultOff>>planShift, each made on the first fault in its granule: Policy
 // lets a plan depend on the offset no more finely.
 type planTable struct {
@@ -191,18 +194,16 @@ func (e *Engine) Reset(net *netmodel.Params, policy Policy, subpageSize int) {
 		live: old.live[:0], free: old.free, msgs: old.msgs[:0], arr: old.arr[:0],
 		tables: old.tables,
 	}
+	e.sp, _ = policy.(StatefulPolicy)
 	e.plans = e.planTable()
 }
 
 // planTable returns the table for the engine's policy and subpage size: a
 // kept one when the policy is a built-in stateless value the engine has run
-// at this size, else a new one, kept if the policy is built in. A stateful
-// policy plans every fault afresh and gets none.
+// at this size, else a new one, kept if the policy is built in.
 func (e *Engine) planTable() *planTable {
 	builtin := false
 	switch e.policy.(type) {
-	case StatefulPolicy:
-		return nil
 	case FullPage, Lazy, Eager, Pipelined, WideFault: // comparable values
 		builtin = true
 		for _, t := range e.tables {
@@ -238,12 +239,15 @@ func (e *Engine) StartFault(now units.Ticks, page memmodel.PageID, faultOff int)
 		debugAssert(now >= e.stallEnd[len(e.stallEnd)-1], "fault issued inside a recorded stall")
 	}
 	var plan []PlannedMessage
-	if sp, ok := e.policy.(StatefulPolicy); ok {
-		sp.Record(uint64(page), faultOff)
-		plan = sp.PlanPage(uint64(page), e.subpage, faultOff)
-	} else if plan = e.plans.plans[faultOff>>planShift]; plan == nil {
-		plan = e.policy.Plan(e.subpage, faultOff)
-		e.plans.plans[faultOff>>planShift] = plan
+	if e.sp != nil {
+		e.sp.Record(uint64(page), faultOff)
+		plan = e.sp.PlanPage(uint64(page), e.subpage, faultOff)
+	}
+	if plan == nil {
+		if plan = e.plans.plans[faultOff>>planShift]; plan == nil {
+			plan = e.policy.Plan(e.subpage, faultOff)
+			e.plans.plans[faultOff>>planShift] = plan
+		}
 	}
 	e.msgs = e.msgs[:0]
 	for _, m := range plan {
@@ -317,17 +321,14 @@ func (e *Engine) Live() []*Transfer { return e.live }
 // and the history tracks the demand stream, not the (policy-dependent)
 // fault stream. No-op for stateless policies.
 func (e *Engine) RecordUse(page memmodel.PageID, off int) {
-	if sp, ok := e.policy.(StatefulPolicy); ok {
-		sp.Record(uint64(page), off)
+	if e.sp != nil {
+		e.sp.Record(uint64(page), off)
 	}
 }
 
 // Stateful reports whether the engine's policy keeps fault history (and
 // therefore needs prefetch-usage tracking to see the full demand stream).
-func (e *Engine) Stateful() bool {
-	_, ok := e.policy.(StatefulPolicy)
-	return ok
-}
+func (e *Engine) Stateful() bool { return e.sp != nil }
 
 // checkTransferInvariants verifies, under -tags gmsdebug, the properties
 // every planned transfer must satisfy. Arrivals are monotone only within a

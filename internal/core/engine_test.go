@@ -6,6 +6,7 @@ import (
 
 	"github.com/gms-sim/gmsubpage/internal/memmodel"
 	"github.com/gms-sim/gmsubpage/internal/netmodel"
+	"github.com/gms-sim/gmsubpage/internal/rng"
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
@@ -206,14 +207,23 @@ func TestBytesMovedAccounting(t *testing.T) {
 
 // TestEngineFaultAllocs holds a steady-state fault — plan and schedule, stall
 // to the faulted subpage, apply what arrived, attribute the overlap — to no
-// allocation for a stateless policy, whose plans the engine keeps, and to the
-// one that is its plan for the stateful prefetcher: transfers, their slices,
-// the netmodel scratch and the stall log are all reused.
+// allocation: the engine keeps a stateless policy's plans and the
+// prefetcher's fallback plans, the prefetcher plans into a buffer it reuses,
+// and transfers, their slices, the netmodel scratch and the stall log are
+// all reused. The "strided" stream walks every page in 1 KB steps, a trend
+// the prefetcher's vote locks onto, so its confident plans are measured too.
 func TestEngineFaultAllocs(t *testing.T) {
+	scattered := func(i int) (memmodel.PageID, int) { return memmodel.PageID(i & 4095), (i * 264) & (units.PageSize - 1) }
+	strided := func(i int) (memmodel.PageID, int) { return memmodel.PageID(i >> 3 & 4095), (i & 7) * 1024 }
 	for _, c := range []struct {
-		p    Policy
-		want float64
-	}{{FullPage{}, 0}, {Lazy{}, 0}, {Eager{}, 0}, {Pipelined{}, 0}, {WideFault{}, 0}, {NewPrefetcher(), 1}} {
+		p      Policy
+		stream string
+		at     func(i int) (memmodel.PageID, int)
+	}{
+		{FullPage{}, "scattered", scattered}, {Lazy{}, "scattered", scattered}, {Eager{}, "scattered", scattered},
+		{Pipelined{}, "scattered", scattered}, {WideFault{}, "scattered", scattered},
+		{NewPrefetcher(), "scattered", scattered}, {NewPrefetcher(), "strided", strided},
+	} {
 		e := newTestEngine(c.p, 512)
 		tr := e.StartFault(0, 0, 0)
 		i := 0
@@ -223,13 +233,49 @@ func TestEngineFaultAllocs(t *testing.T) {
 			tr.ApplyArrived(at)
 			e.FinishTransfer(tr, at)
 			i++
-			tr = e.StartFault(at, memmodel.PageID(i&4095), (i*264)&(units.PageSize-1))
+			page, off := c.at(i)
+			tr = e.StartFault(at, page, off)
 		}
 		for k := 0; k < 1000; k++ {
 			fault()
 		}
-		if got := testing.AllocsPerRun(1000, fault); got != c.want {
-			t.Errorf("%s: %v allocations per fault, want %v", c.p.Name(), got, c.want)
+		got := testing.AllocsPerRun(1000, fault)
+		if got != 0 {
+			t.Errorf("%s on the %s stream: %v allocations per fault, want 0", c.p.Name(), c.stream, got)
+		}
+		if pf, ok := c.p.(*Prefetcher); ok && c.stream == "strided" && pf.Confident < pf.Fallbacks {
+			t.Errorf("strided stream: %d confident plans, %d fallbacks; the vote should lock on", pf.Confident, pf.Fallbacks)
+		}
+	}
+}
+
+// TestUnconfidentPrefetcherIsPipelined: a prefetcher whose vote never
+// finds an in-page trend plans every fault from its fallback, so its engine
+// schedules exactly what a Pipelined engine does — every message's blocks
+// and arrival, the bytes moved and the blocks issued beyond the demand.
+func TestUnconfidentPrefetcherIsPipelined(t *testing.T) {
+	for _, sub := range testSubpageSizes {
+		pf := NewPrefetcher()
+		ep, ew := newTestEngine(pf, sub), newTestEngine(Pipelined{}, sub)
+		r := rng.New(uint64(sub))
+		now := units.Ticks(0)
+		for i := 0; i < 5000; i++ {
+			page, off := memmodel.PageID(r.Intn(4096)), r.Intn(units.PageSize)
+			a, b := ep.StartFault(now, page, off), ew.StartFault(now, page, off)
+			if !reflect.DeepEqual(a.covers, b.covers) || !reflect.DeepEqual(a.arrivals, b.arrivals) {
+				t.Fatalf("%d B, fault %d: prefetch planned %v at %v, pipelined %v at %v",
+					sub, i, a.covers, a.arrivals, b.covers, b.arrivals)
+			}
+			now = a.CompleteAt
+			ep.FinishTransfer(a, now)
+			ew.FinishTransfer(b, now)
+		}
+		if pf.Confident != 0 {
+			t.Fatalf("%d B: %d confident plans on a random stream; the test needs none", sub, pf.Confident)
+		}
+		if ep.BytesMoved != ew.BytesMoved || ep.PrefetchIssued != ew.PrefetchIssued {
+			t.Fatalf("%d B: prefetch moved %d B and issued %d blocks, pipelined %d B and %d blocks",
+				sub, ep.BytesMoved, ep.PrefetchIssued, ew.BytesMoved, ew.PrefetchIssued)
 		}
 	}
 }

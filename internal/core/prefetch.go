@@ -16,9 +16,11 @@ type StatefulPolicy interface {
 	// once per fault, before PlanPage.
 	Record(page uint64, faultOff int)
 	// PlanPage plans the messages for a fault on a specific page, using
-	// whatever history Record has accumulated. The same contract as
-	// Policy.Plan applies: the first message covers faultOff and is
-	// CPU-delivered.
+	// whatever history Record has accumulated, or returns nil when the
+	// history implies nothing for this fault: the caller then plans it
+	// with Plan. The same contract as Policy.Plan applies to a plan: the
+	// first message covers faultOff and is CPU-delivered, and the caller
+	// must not modify it. A plan is valid until the next PlanPage.
 	PlanPage(page uint64, subpageSize, faultOff int) []PlannedMessage
 }
 
@@ -42,49 +44,56 @@ type Prefetcher struct {
 	// 16-page / 128 KB groups). Grouping keeps interleaved streams from
 	// different regions out of each other's delta history.
 	GroupShift uint
-	// Window is the per-group delta ring size (default 16).
-	Window int
 	// MinSamples is the smallest delta window the majority vote runs on
 	// (default 4); fewer observed deltas always fall back.
 	MinSamples int
 	// MaxPrefetch caps the predicted window in subpages per fault
 	// (default 4). The emitted window scales with vote confidence.
 	MaxPrefetch int
-	// MaxGroups bounds the tracked group map (default 1024); the oldest
-	// group is evicted first, deterministically.
+	// MaxGroups bounds the tracked groups (default 1024), read at the
+	// first Record; the oldest group is evicted first, deterministically.
 	MaxGroups int
-	// Fallback plans faults with no confident trend (default the paper's
-	// Pipelined policy).
-	Fallback Policy
 
-	groups map[uint64]*groupHist
-	order  []uint64 // group insertion order, for bounded deterministic eviction
-	head   int      // index of the oldest live entry in order
+	// slab holds the group histories, MaxGroups of them, allocated by the
+	// first Record. The n-th group made takes slab[n % MaxGroups], evicting
+	// the group there: the oldest. index maps a group id to its slot, and
+	// last is the slot found or made last, so a fault's Record and
+	// PlanPage look its group up once.
+	slab  []groupHist
+	index map[uint64]int32
+	made  int
+	last  int
+
+	// idxs and plan are the buffers predict and PlanPage return.
+	idxs []int
+	plan []PlannedMessage
 
 	// Confident / Fallbacks count how PlanPage decided, for reporting.
 	Confident int64
 	Fallbacks int64
 }
 
+// histLen is the per-group delta ring size: the largest window the vote
+// reads. A power of two, so a ring index wraps with a mask.
+const histLen = 16
+
 // groupHist is one page group's recent fault history: a ring of deltas
 // between consecutive fault positions, in MinSubpage blocks.
 type groupHist struct {
-	deltas  []int64
-	next    int
-	n       int
-	last    int64
-	hasLast bool
+	id     uint64
+	last   int64 // the latest fault position
+	next   int   // ring slot of the next delta
+	n      int   // deltas held, at most histLen
+	deltas [histLen]int64
 }
 
 // NewPrefetcher returns a Prefetcher with the default parameters.
 func NewPrefetcher() *Prefetcher {
 	return &Prefetcher{
 		GroupShift:  4,
-		Window:      16,
 		MinSamples:  4,
 		MaxPrefetch: 4,
 		MaxGroups:   1024,
-		Fallback:    Pipelined{},
 	}
 }
 
@@ -92,46 +101,30 @@ func NewPrefetcher() *Prefetcher {
 func (p *Prefetcher) Name() string { return "prefetch" }
 
 // Plan implements Policy: with no page identity there is no usable
-// history, so the stateless call is always the fallback plan.
+// history, so the stateless call is always the fallback plan, the paper's
+// Pipelined.
 func (p *Prefetcher) Plan(subpageSize, faultOff int) []PlannedMessage {
-	return p.fallback().Plan(subpageSize, faultOff)
-}
-
-func (p *Prefetcher) fallback() Policy {
-	if p.Fallback != nil {
-		return p.Fallback
-	}
-	return Pipelined{}
+	return Pipelined{}.Plan(subpageSize, faultOff)
 }
 
 // Record implements StatefulPolicy: append the delta from the previous
 // fault position in the page's group to the group's ring.
 func (p *Prefetcher) Record(page uint64, faultOff int) {
 	pos := int64(page)*int64(units.ValidBitsPerPage) + int64(faultOff/units.MinSubpage)
-	g := p.group(page >> p.groupShift())
-	if g.hasLast {
-		if len(g.deltas) == 0 {
-			g.deltas = make([]int64, p.window())
-		}
-		g.deltas[g.next] = pos - g.last
-		g.next = (g.next + 1) % len(g.deltas)
-		if g.n < len(g.deltas) {
-			g.n++
-		}
+	id := page >> p.GroupShift
+	s := p.find(id)
+	if s < 0 {
+		s = p.newGroup(id)
+		p.slab[s].last = pos
+		return
+	}
+	g := &p.slab[s]
+	g.deltas[g.next] = pos - g.last
+	g.next = (g.next + 1) & (histLen - 1)
+	if g.n < histLen {
+		g.n++
 	}
 	g.last = pos
-	g.hasLast = true
-}
-
-func (p *Prefetcher) groupShift() uint {
-	return p.GroupShift
-}
-
-func (p *Prefetcher) window() int {
-	if p.Window > 0 {
-		return p.Window
-	}
-	return 16
 }
 
 func (p *Prefetcher) minSamples() int {
@@ -148,31 +141,42 @@ func (p *Prefetcher) maxPrefetch() int {
 	return 4
 }
 
-// group returns the history for a group id, creating it (and evicting the
-// oldest group beyond MaxGroups) as needed.
-func (p *Prefetcher) group(id uint64) *groupHist {
-	if p.groups == nil {
-		p.groups = make(map[uint64]*groupHist)
+// find returns the slot of group id, or -1 when it is not tracked.
+func (p *Prefetcher) find(id uint64) int {
+	if p.slab == nil {
+		return -1
 	}
-	if g, ok := p.groups[id]; ok {
-		return g
+	if p.slab[p.last].id == id {
+		return p.last
 	}
-	max := p.MaxGroups
-	if max <= 0 {
-		max = 1024
+	s, ok := p.index[id]
+	if !ok {
+		return -1
 	}
-	if len(p.groups) >= max {
-		delete(p.groups, p.order[p.head])
-		p.head++
-		if p.head > len(p.order)/2 && p.head > 64 {
-			p.order = append(p.order[:0], p.order[p.head:]...)
-			p.head = 0
+	p.last = int(s)
+	return p.last
+}
+
+// newGroup makes an empty history for group id in the next slot, evicting
+// the group there once every slot has been used, and returns the slot.
+func (p *Prefetcher) newGroup(id uint64) int {
+	if p.slab == nil {
+		max := p.MaxGroups
+		if max <= 0 {
+			max = 1024
 		}
+		p.slab = make([]groupHist, max)
+		p.index = make(map[uint64]int32, max)
 	}
-	g := &groupHist{}
-	p.groups[id] = g
-	p.order = append(p.order, id)
-	return g
+	s := p.made % len(p.slab)
+	if p.made >= len(p.slab) {
+		delete(p.index, p.slab[s].id)
+	}
+	p.made++
+	p.slab[s] = groupHist{id: id}
+	p.index[id] = int32(s)
+	p.last = s
+	return s
 }
 
 // trend runs the Leap majority vote on a group: starting from the smallest
@@ -188,29 +192,8 @@ func (g *groupHist) trend(minSamples int) (stride int64, count, w int, ok bool) 
 		if w < minSamples {
 			return 0, 0, 0, false
 		}
-		// Boyer–Moore majority candidate over the w most recent deltas,
-		// then one verifying scan for the true count.
-		var cand int64
-		lead := 0
-		for i := 0; i < w; i++ {
-			d := g.at(i)
-			switch {
-			case lead == 0:
-				cand, lead = d, 1
-			case d == cand:
-				lead++
-			default:
-				lead--
-			}
-		}
-		count = 0
-		for i := 0; i < w; i++ {
-			if g.at(i) == cand {
-				count++
-			}
-		}
-		if 2*count > w {
-			return cand, count, w, true
+		if stride, count = g.vote(w); 2*count > w {
+			return stride, count, w, true
 		}
 		if w == g.n {
 			return 0, 0, 0, false
@@ -218,9 +201,33 @@ func (g *groupHist) trend(minSamples int) (stride int64, count, w int, ok bool) 
 	}
 }
 
-// at returns the i-th most recent delta (0 = newest).
-func (g *groupHist) at(i int) int64 {
-	return g.deltas[((g.next-1-i)%len(g.deltas)+len(g.deltas))%len(g.deltas)]
+// vote returns the Boyer–Moore majority candidate over the w most recent
+// deltas and, from one verifying scan, its true count. A strict majority,
+// when there is one, is the candidate whatever order the deltas are read in,
+// so both scans walk the ring oldest first; and it leaves the candidate a
+// lead, so with none left there is no majority to count.
+func (g *groupHist) vote(w int) (cand int64, count int) {
+	lead := 0
+	for i := g.next - w; i < g.next; i++ {
+		d := g.deltas[i&(histLen-1)]
+		switch {
+		case lead == 0:
+			cand, lead = d, 1
+		case d == cand:
+			lead++
+		default:
+			lead--
+		}
+	}
+	if lead == 0 {
+		return cand, 0
+	}
+	for i := g.next - w; i < g.next; i++ {
+		if g.deltas[i&(histLen-1)] == cand {
+			count++
+		}
+	}
+	return cand, count
 }
 
 // Predict returns the predicted subpage mask for a fault at faultOff of
@@ -241,13 +248,14 @@ func (p *Prefetcher) Predict(page uint64, subpageSize, faultOff int) (memmodel.B
 
 // predict computes the predicted subpage indices in stride order (nearest
 // along the trend first, deduplicated, excluding the faulted subpage),
-// plus the detected block stride.
+// plus the detected block stride. The indices are valid until the next
+// predict.
 func (p *Prefetcher) predict(page uint64, subpageSize, faultOff int) ([]int, int64, bool) {
-	g, ok := p.groups[page>>p.groupShift()]
-	if !ok {
+	s := p.find(page >> p.GroupShift)
+	if s < 0 {
 		return nil, 0, false
 	}
-	stride, count, w, ok := g.trend(p.minSamples())
+	stride, count, w, ok := p.slab[s].trend(p.minSamples())
 	if !ok || stride == 0 {
 		return nil, 0, false
 	}
@@ -261,7 +269,7 @@ func (p *Prefetcher) predict(page uint64, subpageSize, faultOff int) ([]int, int
 	blocksPerPage := int64(units.ValidBitsPerPage)
 	pos := int64(page)*blocksPerPage + int64(faultOff/units.MinSubpage)
 	faultIdx := memmodel.SubpageIndex(subpageSize, faultOff)
-	var idxs []int
+	idxs := p.idxs[:0]
 	var seen memmodel.Bitmap
 	for i := 1; i <= k; i++ {
 		q := pos + stride*int64(i)
@@ -282,6 +290,7 @@ func (p *Prefetcher) predict(page uint64, subpageSize, faultOff int) ([]int, int
 		seen |= m
 		idxs = append(idxs, idx)
 	}
+	p.idxs = idxs
 	if len(idxs) == 0 {
 		// A confident trend that predicts nothing on this page (e.g. a
 		// whole-page stride) is not a within-page prediction.
@@ -298,20 +307,20 @@ func (p *Prefetcher) predict(page uint64, subpageSize, faultOff int) ([]int, int
 // does; a sparse trend (a real stride that skips subpages) trims it, and
 // the bandwidth the prediction saves is the point: unpredicted subpages
 // fault in lazily if the trend was wrong. Without a confident in-page
-// prediction the fallback policy plans the fault.
+// prediction it returns nil, and the fault gets the fallback, Plan.
 func (p *Prefetcher) PlanPage(page uint64, subpageSize, faultOff int) []PlannedMessage {
 	if subpageSize >= units.PageSize {
-		return FullPage{}.Plan(subpageSize, faultOff)
+		return nil
 	}
 	idxs, stride, ok := p.predict(page, subpageSize, faultOff)
 	if !ok {
 		p.Fallbacks++
-		return p.fallback().Plan(subpageSize, faultOff)
+		return nil
 	}
 	p.Confident++
 	idx := memmodel.SubpageIndex(subpageSize, faultOff)
 	first := memmodel.MaskFor(subpageSize, idx)
-	msgs := []PlannedMessage{{Bytes: subpageSize, Deliver: true, Covers: first}}
+	msgs := append(p.plan[:0], PlannedMessage{Bytes: subpageSize, Deliver: true, Covers: first})
 	covered := first
 	for _, j := range idxs {
 		m := memmodel.MaskFor(subpageSize, j)
@@ -329,5 +338,6 @@ func (p *Prefetcher) PlanPage(page uint64, subpageSize, faultOff int) []PlannedM
 			})
 		}
 	}
+	p.plan = msgs
 	return msgs
 }

@@ -32,10 +32,12 @@ func strideFaults(start, strideBlocks, n int) [][2]int {
 
 func TestPrefetcherColdStartFallsBack(t *testing.T) {
 	p := NewPrefetcher()
-	plan := p.PlanPage(7, 1024, 3*1024)
-	want := Pipelined{}.Plan(1024, 3*1024)
+	if plan := p.PlanPage(7, 1024, 3*1024); plan != nil {
+		t.Fatalf("cold start has no history to plan from, got %+v", plan)
+	}
+	plan, want := p.Plan(1024, 3*1024), Pipelined{}.Plan(1024, 3*1024)
 	if !reflect.DeepEqual(plan, want) {
-		t.Fatalf("cold-start plan should be the pipelined fallback:\n got %+v\nwant %+v", plan, want)
+		t.Fatalf("the fallback plan should be pipelined's:\n got %+v\nwant %+v", plan, want)
 	}
 	if p.Fallbacks != 1 || p.Confident != 0 {
 		t.Fatalf("counters: fallbacks=%d confident=%d", p.Fallbacks, p.Confident)
@@ -97,10 +99,11 @@ func TestPrefetcherWholePageStrideFallsBack(t *testing.T) {
 	// trend says nothing about the faulted page.
 	feed(p, strideFaults(0, units.ValidBitsPerPage, 12))
 	pos := 12 * units.ValidBitsPerPage
-	plan := p.PlanPage(uint64(pos/units.ValidBitsPerPage), 1024, 0)
-	want := Pipelined{}.Plan(1024, 0)
-	if !reflect.DeepEqual(plan, want) {
-		t.Fatalf("whole-page stride should fall back to pipelined:\n got %+v\nwant %+v", plan, want)
+	if plan := p.PlanPage(uint64(pos/units.ValidBitsPerPage), 1024, 0); plan != nil {
+		t.Fatalf("whole-page stride should fall back, got %+v", plan)
+	}
+	if p.Fallbacks != 1 || p.Confident != 0 {
+		t.Fatalf("counters: fallbacks=%d confident=%d", p.Fallbacks, p.Confident)
 	}
 }
 
@@ -171,19 +174,28 @@ func TestPrefetcherGroupBoundEvictsOldest(t *testing.T) {
 	p := NewPrefetcher()
 	p.MaxGroups = 8
 	p.GroupShift = 0
+	// Every page walks a unanimous stride of 4 blocks from block 0, so a
+	// tracked page predicts at block 20 and an evicted one cannot.
 	for page := 0; page < 100; page++ {
-		for i := 0; i < 3; i++ {
-			p.Record(uint64(page), i*1024)
+		feed(p, strideFaults(page*units.ValidBitsPerPage, 4, 5))
+	}
+	tracked := func(page int) bool {
+		_, ok := p.Predict(uint64(page), 1024, 20*units.MinSubpage)
+		return ok
+	}
+	for page := 0; page < 100; page++ {
+		if want := page >= 92; tracked(page) != want {
+			t.Fatalf("page %d tracked=%v, want %v: the 8 newest groups and only they survive",
+				page, !want, want)
 		}
 	}
-	if len(p.groups) > 8 {
-		t.Fatalf("group map grew to %d entries, bound is 8", len(p.groups))
+	// A group made again starts with no history.
+	p.Record(0, 0)
+	if tracked(0) {
+		t.Fatal("an evicted group came back with its old history")
 	}
-	if _, ok := p.groups[0]; ok {
-		t.Fatal("the oldest group should have been evicted")
-	}
-	if _, ok := p.groups[99]; !ok {
-		t.Fatal("the newest group should survive")
+	if tracked(92) || !tracked(93) {
+		t.Fatal("making a group should evict exactly the oldest one")
 	}
 }
 
@@ -210,6 +222,9 @@ func TestPrefetcherPlanPageInvariants(t *testing.T) {
 			off := (pos % units.ValidBitsPerPage) * units.MinSubpage
 			p.Record(page, off)
 			plan := p.PlanPage(page, sub, off)
+			if plan == nil {
+				plan = p.Plan(sub, off)
+			}
 			checkPlan(t, "prefetch", plan, sub, off)
 		}
 	}
@@ -227,7 +242,8 @@ func TestPrefetcherDeterministic(t *testing.T) {
 			page := uint64(pos / units.ValidBitsPerPage)
 			off := (pos % units.ValidBitsPerPage) * units.MinSubpage
 			p.Record(page, off)
-			plans = append(plans, p.PlanPage(page, 1024, off))
+			// A plan is only valid until the next PlanPage: keep a copy.
+			plans = append(plans, append([]PlannedMessage(nil), p.PlanPage(page, 1024, off)...))
 		}
 		return plans
 	}
@@ -239,7 +255,10 @@ func TestPrefetcherDeterministic(t *testing.T) {
 func TestPrefetcherFullPageSubpageDegenerates(t *testing.T) {
 	p := NewPrefetcher()
 	feed(p, strideFaults(0, 1, 12))
-	plan := p.PlanPage(0, units.PageSize, 100)
+	if plan := p.PlanPage(0, units.PageSize, 100); plan != nil {
+		t.Fatalf("an 8K subpage leaves nothing to predict in the page, got %+v", plan)
+	}
+	plan := p.Plan(units.PageSize, 100)
 	if len(plan) != 1 || plan[0].Bytes != units.PageSize {
 		t.Fatalf("8K subpage should degenerate to fullpage: %+v", plan)
 	}

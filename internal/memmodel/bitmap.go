@@ -24,11 +24,15 @@ const FullBitmap Bitmap = 1<<units.ValidBitsPerPage - 1
 // divided into subpages of the given size. It panics on an invalid size or
 // out-of-range index; both are configuration errors.
 func MaskFor(subpageSize, idx int) Bitmap {
-	n := units.SubpagesPerPage(subpageSize)
-	if idx < 0 || idx >= n {
+	if !units.ValidSubpageSize(subpageSize) {
+		panic(fmt.Sprintf("memmodel: invalid subpage size %d", subpageSize))
+	}
+	// Sizes are powers of two: the subpage count is a shift, and dividing
+	// by the constant MinSubpage compiles to one.
+	if idx < 0 || idx >= units.PageSize>>bits.TrailingZeros(uint(subpageSize)) {
 		panic(fmt.Sprintf("memmodel: subpage index %d out of range for size %d", idx, subpageSize))
 	}
-	bitsPer := units.ValidBitsPerPage / n
+	bitsPer := subpageSize / units.MinSubpage
 	run := Bitmap(1)<<bitsPer - 1
 	return run << (idx * bitsPer)
 }

@@ -45,6 +45,21 @@ func TestMaskForPanicsOutOfRange(t *testing.T) {
 	MaskFor(1024, 8)
 }
 
+// TestMaskForPanicsOnInvalidSize: a size that is not a power of two in
+// [MinSubpage, PageSize] panics, whatever the index.
+func TestMaskForPanicsOnInvalidSize(t *testing.T) {
+	for _, size := range []int{0, -1024, 128, 768, 3000, 2 * units.PageSize} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MaskFor(%d, 0) should panic", size)
+				}
+			}()
+			MaskFor(size, 0)
+		}()
+	}
+}
+
 func TestSubpageIndexConsistentWithMask(t *testing.T) {
 	f := func(rawOff uint16, sizeIdx uint8) bool {
 		off := int(rawOff) % units.PageSize

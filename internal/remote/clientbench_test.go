@@ -302,31 +302,56 @@ func BenchmarkClientHit(b *testing.B) {
 // lookup and the reply's scatter-gather list all used to allocate per fault
 // and must not come back.
 func TestWarmedFaultAllocs(t *testing.T) {
-	warmedFaultAllocs(t, nil)
+	warmedFaultAllocs(t, nil, false)
 }
 
 // TestWarmedFaultAllocsWithMetrics: a client and server exposing metrics
 // allocate no more per fault. The registry reads their records when it is
 // scraped, so the fault path does no metrics work.
 func TestWarmedFaultAllocsWithMetrics(t *testing.T) {
-	warmedFaultAllocs(t, obs.NewRegistry())
+	warmedFaultAllocs(t, obs.NewRegistry(), false)
 }
 
-func warmedFaultAllocs(t *testing.T, reg *obs.Registry) {
+// TestWarmedFaultAllocsPrefetch: with the learned prefetcher on, a fault
+// also feeds the access to the stride detector and asks it for the want
+// bitmap, and allocates no more. Each visit reads 64 bytes at the start and
+// then the middle of a page: a 16-block stride the vote locks onto, whose
+// prediction carries the middle's subpage, so a visit is one fault.
+func TestWarmedFaultAllocsPrefetch(t *testing.T) {
+	warmedFaultAllocs(t, nil, true)
+}
+
+func warmedFaultAllocs(t *testing.T, reg *obs.Registry, prefetch bool) {
 	const pages, cache = 8, 4
 	dir, srv := testCluster(t, pages)
 	srv.SetMetrics(reg)
-	c := testClient(t, dir, ClientConfig{Policy: proto.PolicyPipelined, CachePages: cache, Metrics: reg})
+	cfg := ClientConfig{Policy: proto.PolicyPipelined, CachePages: cache, Metrics: reg}
+	if prefetch {
+		cfg = ClientConfig{Prefetch: true, SubpageSize: 1024, CachePages: cache, Metrics: reg}
+	}
+	c := testClient(t, dir, cfg)
 	buf := make([]byte, units.PageSize)
 	next := uint64(0)
-	// A whole-page read returns when the stream has completed, and the
-	// victim is always the page faulted cache-many reads ago, so every
-	// read is exactly one fault and one eviction of a settled page.
+	// A whole-page read returns when the stream has completed, as does a
+	// prefetching visit's second read, which waits for the predicted
+	// subpage; and the victim is always the page faulted cache-many visits
+	// ago, so every visit is exactly one fault and one eviction of a
+	// settled page.
 	fault := func() {
-		if err := c.Read(buf, next%pages*units.PageSize); err != nil {
+		addr := next % pages * units.PageSize
+		next++
+		if !prefetch {
+			if err := c.Read(buf, addr); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if err := c.Read(buf[:64], addr); err != nil {
 			t.Fatal(err)
 		}
-		next++
+		if err := c.Read(buf[:64], addr+units.PageSize/2); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 4*pages; i++ {
 		fault()
@@ -336,10 +361,13 @@ func warmedFaultAllocs(t *testing.T, reg *obs.Registry) {
 	allocs := testing.AllocsPerRun(runs, fault)
 	after := c.Stats()
 	if got := after.Faults - before.Faults; got != runs+1 {
-		t.Fatalf("%d faults in %d reads: the reads are not one fault each", got, runs+1)
+		t.Fatalf("%d faults in %d visits: the visits are not one fault each", got, runs+1)
 	}
 	if after.Retries != 0 || after.Evictions-before.Evictions != runs+1 {
 		t.Fatalf("retries %d, evictions %d: not the plain warmed fault path", after.Retries, after.Evictions-before.Evictions)
+	}
+	if got := after.Predicted - before.Predicted; prefetch && got != runs+1 {
+		t.Fatalf("%d of %d faults carried a prediction: the vote did not lock on", got, runs+1)
 	}
 	const budget = 1
 	if allocs > budget {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -73,24 +74,61 @@ func mallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestSimFaultAllocs: once the run is warm, a simulated fault allocates at
-// most its policy's plan. Two runs over a short and a long stream of the same
-// seed share their set-up and warm-up, so the difference in allocations over
-// the difference in faults is the steady-state cost of one fault. The
-// runtime's own background allocations (a handful per run) are forgiven.
+// TestSimFaultAllocs: once the run is warm, a simulated fault allocates
+// nothing. Two runs over a short and a long stream of the same seed share
+// their set-up and warm-up, so the difference in allocations is what the
+// extra faults cost. The runtime's own background allocations (a handful per
+// run) are forgiven, and the best of five runs of each length forgives one
+// that found the runner pool empty: a collection can empty it, and under the
+// race detector sync.Pool drops a quarter of what is put back.
 func TestSimFaultAllocs(t *testing.T) {
 	short, long := stormSource(1, 1<<17), stormSource(1, 1<<19)
-	for _, pol := range []string{"fullpage", "eager", "lazy", "pipelined"} {
-		var rs, rl *Result
-		ms := mallocs(func() { rs = Run(stormConfig(t, short, pol, 512)) })
-		ml := mallocs(func() { rl = Run(stormConfig(t, long, pol, 512)) })
+	for _, c := range []struct {
+		policy  string
+		subpage int
+	}{{"fullpage", 512}, {"eager", 512}, {"lazy", 512}, {"pipelined", 512}, {"prefetch", 1024}} {
+		best := func(src *TraceSource) (m uint64, r *Result) {
+			m = ^uint64(0)
+			for k := 0; k < 5; k++ {
+				m = min(m, mallocs(func() { r = Run(stormConfig(t, src, c.policy, c.subpage)) }))
+			}
+			return m, r
+		}
+		ms, rs := best(short)
+		ml, rl := best(long)
 		faults := (rl.Faults + rl.SubpageFaults) - (rs.Faults + rs.SubpageFaults)
 		if faults < 40_000 {
-			t.Fatalf("%s: only %d more faults in the long run", pol, faults)
+			t.Fatalf("%s: only %d more faults in the long run", c.policy, faults)
 		}
-		if extra := int64(ml) - int64(ms) - faults; extra > 16 {
-			t.Errorf("%s: %.3f allocations per fault after warm-up, want 1 (the plan): %d over %d faults",
-				pol, float64(faults+extra)/float64(faults), extra, faults)
+		if extra := int64(ml) - int64(ms); extra > 16 {
+			t.Errorf("%s: %.3f allocations per fault after warm-up, want 0: %d over %d faults",
+				c.policy, float64(extra)/float64(faults), extra, faults)
+		}
+	}
+}
+
+// TestStormResultsPinned holds the three storm cells, whose faults mostly
+// find no trend for the prefetcher's vote, to every Result field they had
+// before the prefetcher's history moved into a slab and its fallback into
+// the engine's plan table.
+func TestStormResultsPinned(t *testing.T) {
+	want := map[string]Result{
+		"lazy": {AppName: "faultstorm", Policy: "lazy", Subpage: 512, MemPages: 256, Events: 131072,
+			SpLatency: 2965598625, Runtime: 2965729697, Faults: 15409, SubpageFaults: 58500,
+			RemoteFaults: 15409, Evictions: 15153, BytesMoved: 37841408},
+		"pipelined": {AppName: "faultstorm", Policy: "pipelined", Subpage: 512, MemPages: 256, Events: 131072,
+			SpLatency: 618286125, PageWait: 914770238, Runtime: 1533187435, Faults: 15409,
+			RemoteFaults: 15409, Evictions: 15153, CompOverlap: 52811, BytesMoved: 126230528},
+		"prefetch": {AppName: "faultstorm", Policy: "prefetch", Subpage: 1024, MemPages: 256, Events: 131072,
+			SpLatency: 734227112, PageWait: 531289533, Runtime: 1265647717, Faults: 15409,
+			RemoteFaults: 15409, Evictions: 15153, Canceled: 2830, IOOverlap: 133506559, CompOverlap: 99420,
+			IOOverlapShare: 0.999255871625326, BytesMoved: 126230528, PrefetchIssued: 431452, PrefetchUsed: 117480},
+	}
+	src := stormSource(1, 1<<17)
+	for _, c := range stormCases {
+		got := *Run(stormConfig(t, src, c.policy, c.subpage))
+		if w := want[c.policy]; !reflect.DeepEqual(got, w) {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.policy, got, w)
 		}
 	}
 }
