@@ -1,10 +1,6 @@
 GO ?= go
 
-# Trace scale for the BENCH_experiments.json snapshot; 1.0 is the paper's
-# full traces.
-BENCH_SCALE ?= 0.25
-
-.PHONY: ci loc fmt vet lint lint-baseline build test race fuzz-smoke bench tables-full bench-smoke profile-fault profile-sim trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
+.PHONY: ci loc fmt vet lint lint-baseline build test race fuzz-smoke tables-quarter tables-full bench-smoke profile-fault profile-sim trace-smoke chaos chaos-demo loadtest loadtest-smoke soak-smoke soak prefetch-smoke
 
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
@@ -12,9 +8,10 @@ BENCH_SCALE ?= 0.25
 # cancel among its tests), ten seconds of fuzzing the trace memo's page-run
 # index, the trace-export smoke, the bounded scale-out load
 # smoke, the bounded crash-soak smoke, the learned-prefetcher smoke, the gate
-# benchmark's build-and-run smoke, the benchmark snapshot, and the paper's
-# tables at full scale.
-ci: fmt vet lint build test race fuzz-smoke trace-smoke loadtest-smoke soak-smoke prefetch-smoke bench-smoke bench tables-full
+# benchmark's build-and-run smoke, and the paper's tables at quarter and at
+# full scale. On a 2-vCPU Intel Xeon host the three slowest stages are race
+# (342 s), test (86 s) and tables-full (68 s), of 607 s in all.
+ci: fmt vet lint build test race fuzz-smoke trace-smoke loadtest-smoke soak-smoke prefetch-smoke bench-smoke tables-quarter tables-full
 
 # loc prints the line table CHANGES.md entries and ROADMAP re-anchors quote:
 # non-test Go lines (wc -l, so comments and blanks count) per package
@@ -53,12 +50,14 @@ lint-baseline:
 build:
 	$(GO) build ./...
 
-# The last line runs the two benchmarks profile-sim profiles, once each, so
-# a change that breaks them fails here rather than at the next profile.
+# The last line runs every benchmark once (BenchmarkExperiment/<id> for each
+# experiment, BenchmarkRecover, the two profile-sim profiles, ...), so a
+# change that breaks one, or the checks it makes, fails here rather than at
+# the next timing run. No benchmark's checks depend on its iteration count.
 test:
 	$(GO) test ./...
 	$(GO) test -tags gmsdebug ./internal/core
-	$(GO) test -run '^$$' -bench 'SimFaultStorm|SimApps' -benchtime 1x ./internal/sim
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # -short skips the heaviest experiment sweeps, but the parallel-engine
 # determinism test (internal/experiments TestParallelOutputMatchesSequential)
@@ -74,29 +73,14 @@ race:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzRunIndex$$' -fuzztime 10s ./internal/trace/
 
-# bench runs the Go microbenchmarks and times every experiment into a
-# BENCH_experiments.json-shaped snapshot, the per-experiment wall-clock record
-# of the repo's perf trajectory (see EXPERIMENTS.md). The snapshot goes to
-# BENCH_OUT: a temp file unless set, so a CI pass leaves the tracked
-# BENCH_experiments.json alone; `make bench BENCH_OUT=BENCH_experiments.json`
-# refreshes it. Override the scale or width with e.g. `make bench
-# BENCH_SCALE=1.0 BENCH_J=8`. The snapshot run renders every paper table
-# anyway, so at the committed artifact's scale its stdout is the
-# byte-identity gate: it must equal experiments_quarter.txt.
-BENCH_J ?= 0
-BENCH_OUT ?=
-bench:
-	$(GO) test -bench . -benchtime 200x -run xxx -timeout 30m ./...
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	out="$(BENCH_OUT)" && out="$${out:-$$tmp/bench.json}" && \
-	$(GO) run ./cmd/subpagesim -run all -scale $(BENCH_SCALE) -j $(BENCH_J) \
-		-benchout "$$out" > "$$tmp/tables.txt" && \
-	if [ "$(BENCH_SCALE)" = "0.25" ]; then \
-		cmp "$$tmp/tables.txt" experiments_quarter.txt && \
-		echo "bench: -run all output byte-identical to experiments_quarter.txt"; \
-	fi && \
-	$(GO) run ./cmd/gmsload -dirlog -dirlogn 1000,10000,50000 \
-		-benchout "$$out" > /dev/null
+# tables-quarter renders every paper table from quarter-scale traces and
+# checks the output byte for byte against experiments_quarter.txt: the
+# simulator's byte-identity gate.
+tables-quarter:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/subpagesim -run all -scale 0.25 > "$$tmp" && \
+	cmp "$$tmp" experiments_quarter.txt && \
+	echo "tables-quarter: -run all -scale 0.25 output byte-identical to experiments_quarter.txt"
 
 # tables-full renders every paper table from the full-scale traces and checks
 # the output byte for byte against experiments_full.txt: about a minute at
@@ -127,12 +111,12 @@ trace-smoke:
 # storm and a fleet of closed-loop faulting clients, with each shard's
 # lookup capacity service-emulated (-dirservice) so the scaling is visible
 # on any host. It fails unless 4 shards deliver >= 3x the 1-shard lookup
-# throughput, and writes the SLO table (experiments_loadtest.txt) plus the
-# "loadtest" section of BENCH_experiments.json — both committed artifacts.
+# throughput, and writes the SLO table to the committed
+# experiments_loadtest.txt.
 loadtest:
 	$(GO) run ./cmd/gmsload -shards 1,4 -minx 3 -j 16 -duration 2s \
 		-clients 100 -requests 100 -dirservice 500us -warmup -cache 8 \
-		-out experiments_loadtest.txt -benchout BENCH_experiments.json
+		-out experiments_loadtest.txt
 
 # loadtest-smoke is the bounded CI variant: same shape, ~1s of wall clock,
 # a looser 2x scaling gate, and no artifacts written (the tree stays

@@ -1,9 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the index). Each benchmark runs the
-// corresponding experiment end to end on reduced-scale traces; per-run
-// metrics that correspond to paper numbers are reported alongside ns/op.
+// evaluation (see DESIGN.md §4 for the index). BenchmarkExperiment/<id>
+// runs one experiment end to end on reduced-scale traces; the others time
+// the simulator's throughput and a live fault, reporting the metrics that
+// correspond to paper numbers alongside ns/op.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
+//	go test -run '^$' -bench 'Experiment/fig9' .
 //
 // For paper-scale numbers run the harness directly:
 //
@@ -20,66 +22,27 @@ import (
 // shape the paper reports.
 const benchScale = 0.05
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		out, err := gmsubpage.RunExperiment(id, benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) == 0 {
-			b.Fatal("empty experiment output")
-		}
+// BenchmarkExperiment runs every experiment gmsubpage.Experiments()
+// lists, one sub-benchmark each (BenchmarkExperiment/fig9 and so on), end
+// to end on reduced-scale traces.
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range gmsubpage.Experiments() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := gmsubpage.RunExperiment(id, benchScale)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(out) == 0 {
+					b.Fatal("empty experiment output")
+				}
+			}
+		})
 	}
 }
 
-// Figure 1: latency vs. page size for disks and networks.
-func BenchmarkFig1LatencyVsPageSize(b *testing.B) { benchExperiment(b, "fig1") }
-
-// Table 1: PALcode load/store emulation performance.
-func BenchmarkTable1PALEmulation(b *testing.B) { benchExperiment(b, "table1") }
-
-// Table 2: page-fault latencies for eager fullpage fetch.
-func BenchmarkTable2FaultLatency(b *testing.B) { benchExperiment(b, "table2") }
-
-// Figure 2: remote page fetch timelines.
-func BenchmarkFig2Timeline(b *testing.B) { benchExperiment(b, "fig2") }
-
-// Figure 3: subpage performance for three memory sizes (Modula-3).
-func BenchmarkFig3EagerMemSizes(b *testing.B) { benchExperiment(b, "fig3") }
-
-// Figure 4: runtime decomposition at 1/2 memory.
-func BenchmarkFig4RuntimeBreakdown(b *testing.B) { benchExperiment(b, "fig4") }
-
-// Figure 5: sorted per-fault waiting times.
-func BenchmarkFig5PerFaultWait(b *testing.B) { benchExperiment(b, "fig5") }
-
-// Figure 6: temporal clustering of page faults (Modula-3).
-func BenchmarkFig6FaultClustering(b *testing.B) { benchExperiment(b, "fig6") }
-
-// Figure 7: distance to the next accessed subpage.
-func BenchmarkFig7SubpageDistance(b *testing.B) { benchExperiment(b, "fig7") }
-
-// Figure 8: eager fullpage fetch vs. subpage pipelining.
-func BenchmarkFig8Pipelining(b *testing.B) { benchExperiment(b, "fig8") }
-
-// Figure 9: speedups for all five applications at 1/2-mem, 1K subpages.
-func BenchmarkFig9AllApps(b *testing.B) { benchExperiment(b, "fig9") }
-
-// Figure 10: fault clustering, gdb vs. Atom.
-func BenchmarkFig10GdbVsAtom(b *testing.B) { benchExperiment(b, "fig10") }
-
-// Ablation (§2.1): small pages / lazy subpage fetch lose.
-func BenchmarkAblationSmallPages(b *testing.B) { benchExperiment(b, "smallpage") }
-
-// Ablation (§4.3): pipelining variants.
-func BenchmarkAblationPipelineVariants(b *testing.B) { benchExperiment(b, "pipevariants") }
-
-// Methodology (§3.2): cache-hierarchy replay deriving the event clock.
-func BenchmarkEventTimeDerivation(b *testing.B) { benchExperiment(b, "eventtime") }
-
 // BenchmarkFig9Parallel8 runs the widest sweep (5 apps × 3 policies) on
-// an 8-wide worker pool; against BenchmarkFig9AllApps it measures what
+// an 8-wide worker pool; against BenchmarkExperiment/fig9 it measures what
 // the parallel engine buys (or costs, on one core) per experiment. The
 // output is byte-identical to the sequential run at any width.
 func BenchmarkFig9Parallel8(b *testing.B) {
@@ -198,16 +161,3 @@ func BenchmarkPrototypeFullPageFault(b *testing.B) {
 		}
 	}
 }
-
-// Extension: multi-node global memory under load.
-func BenchmarkClusterUnderLoad(b *testing.B) { benchExperiment(b, "cluster") }
-
-// Validation: simulator against closed-form bounds.
-func BenchmarkAnalyticBounds(b *testing.B) { benchExperiment(b, "bounds") }
-
-// Extension: the paper's closing prediction — faster networks shrink the
-// optimal subpage size.
-func BenchmarkFutureNetworks(b *testing.B) { benchExperiment(b, "future") }
-
-// Motivation (§1): TLB coverage vs. page size.
-func BenchmarkTLBCoverage(b *testing.B) { benchExperiment(b, "tlbcover") }

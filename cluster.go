@@ -1,6 +1,7 @@
 package gmsubpage
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/gms-sim/gmsubpage/internal/sim"
@@ -15,10 +16,11 @@ import (
 type ClusterConfig struct {
 	// Workloads names one workload per active node (see Workloads()).
 	Workloads []string
-	// Scale is the per-workload trace scale (default 0.25).
+	// Scale is the per-workload trace scale (default 0.25; negative or
+	// NaN is an error).
 	Scale float64
 	// MemoryFraction sizes each node's local memory relative to its own
-	// workload footprint (default 0.5).
+	// workload footprint (default 0.5; negative or NaN is an error).
 	MemoryFraction float64
 	// Policy and SubpageSize apply to every node (defaults Eager, 1024).
 	Policy      Policy
@@ -88,6 +90,9 @@ type ClusterReport struct {
 func SimulateCluster(cfg ClusterConfig) (*ClusterReport, error) {
 	if len(cfg.Workloads) == 0 {
 		return nil, fmt.Errorf("gmsubpage: cluster needs at least one workload")
+	}
+	if err := errors.Join(nonNegative("Scale", cfg.Scale), nonNegative("MemoryFraction", cfg.MemoryFraction)); err != nil {
+		return nil, err
 	}
 	if cfg.Scale == 0 {
 		cfg.Scale = 0.25

@@ -2,9 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -22,6 +22,20 @@ func TestConflictsExit2(t *testing.T) {
 		{"-policy", "warp"},
 		{"-nosuchflag"},
 		{"-wire"}, // the retired v1-vs-v2 comparison mode: now an unknown flag
+		// Non-positive sizes used to be swapped for load.Config's defaults
+		// while the table header echoed the flag.
+		{"-shards", "1", "-dirservice", "0", "-clients", "0"},
+		{"-requests", "-1"},
+		{"-pages", "0"},
+		{"-servers", "0"},
+		{"-cache", "0"},
+		{"-j", "0"},
+		{"-duration", "0s"},
+		{"-duration", "-1s"},
+		{"-subpage", "0"},
+		{"-soak", "-clients", "-2"},
+		{"-soak", "-crashes", "0"},
+		{"-soak", "-crashevery", "0s"},
 	}
 	for _, argv := range cases {
 		var stdout, stderr bytes.Buffer
@@ -50,44 +64,24 @@ func TestSmokeTable(t *testing.T) {
 	}
 }
 
-// TestJSONAndBenchMerge runs a two-arm comparison with -json and
-// -benchout against a pre-existing BENCH file, checking the snapshot
-// schema, the scaling ratio, and that foreign keys survive the merge.
-func TestJSONAndBenchMerge(t *testing.T) {
-	bench := filepath.Join(t.TempDir(), "BENCH_experiments.json")
-	if err := os.WriteFile(bench, []byte(`{"schema":"gmsubpage-bench-experiments/v1","total_ms":12.5}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// TestTwoArmTable runs a two-arm comparison and checks the table: each
+// arm reports every fault its clients made, and the scaling line closes
+// the table.
+func TestTwoArmTable(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	argv := append([]string{"-shards", "1,2", "-json", "-benchout", bench}, smokeArgs...)
+	argv := append([]string{"-shards", "1,2"}, smokeArgs...)
 	if code := run(argv, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-
-	var snap loadSnapshot
-	if err := json.Unmarshal(stdout.Bytes(), &snap); err != nil {
-		t.Fatalf("stdout is not the snapshot JSON: %v\n%s", err, stdout.String())
-	}
-	if snap.Schema != "gmsubpage-loadtest/v1" || len(snap.Arms) != 2 {
-		t.Fatalf("snapshot = %+v, want 2 arms under gmsubpage-loadtest/v1", snap)
-	}
-	if snap.Arms[0].Faults != 2*5 {
-		t.Fatalf("arm 0 faults = %d, want 10", snap.Arms[0].Faults)
-	}
-
-	raw, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var top map[string]any
-	if err := json.Unmarshal(raw, &top); err != nil {
-		t.Fatal(err)
-	}
-	if top["schema"] != "gmsubpage-bench-experiments/v1" || top["total_ms"] != 12.5 {
-		t.Fatalf("merge clobbered existing keys: %v", top)
-	}
-	if _, ok := top["loadtest"]; !ok {
-		t.Fatalf("merge did not add loadtest: %v", top)
+	out := stdout.String()
+	for _, row := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^\s+1\s+\d+\s+10\s`), // 2 clients x 5 faults
+		regexp.MustCompile(`(?m)^\s+2\s+\d+\s+10\s`),
+		regexp.MustCompile(`(?m)^lookup scaling: \d+\.\d\dx \(2 shards vs 1\)$`),
+	} {
+		if !row.MatchString(out) {
+			t.Fatalf("table has no line matching %v:\n%s", row, out)
+		}
 	}
 }
 
@@ -108,23 +102,16 @@ func TestOutWritesArtifact(t *testing.T) {
 	}
 }
 
-// TestDurabilityModeConflicts pins the -dirlog and -soak flag surfaces:
-// the modes are mutually exclusive, load-shaping flags are rejected, and
-// the mode-specific knobs demand their mode.
+// TestDurabilityModeConflicts pins the -soak flag surface: load-shaping
+// flags are rejected, and the soak's knobs demand -soak.
 func TestDurabilityModeConflicts(t *testing.T) {
 	cases := [][]string{
-		{"-dirlog", "-soak"},
-		{"-dirlog", "-clients", "2"},
-		{"-dirlog", "-minx", "2", "-shards", "1,4"},
-		{"-dirlog", "-crashes", "3"},
-		{"-dirlog", "-dirlogn", "0"},
-		{"-dirlog", "-dirlogn", "ten"},
-		{"-dirlogn", "500"},
 		{"-crashes", "3"},
 		{"-fsync", "always"},
 		{"-soak", "-duration", "1s"},
 		{"-soak", "-minx", "2"},
 		{"-soak", "-fsync", "sometimes"},
+		{"-dirlog"}, // the retired journal bench: now BenchmarkRecover in internal/dirlog
 	}
 	for _, argv := range cases {
 		var stdout, stderr bytes.Buffer
@@ -134,77 +121,27 @@ func TestDurabilityModeConflicts(t *testing.T) {
 	}
 }
 
-// TestDirlogModeMerge runs the journal recovery bench at tiny sizes with
-// -json and -benchout, checking the snapshot shape and that the dirlog
-// section lands next to existing keys.
-func TestDirlogModeMerge(t *testing.T) {
-	bench := filepath.Join(t.TempDir(), "BENCH_experiments.json")
-	if err := os.WriteFile(bench, []byte(`{"loadtest":{"schema":"gmsubpage-loadtest/v1"}}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	argv := []string{"-dirlog", "-dirlogn", "300,900", "-json", "-benchout", bench}
-	if code := run(argv, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	var snap dirlogSnapshot
-	if err := json.Unmarshal(stdout.Bytes(), &snap); err != nil {
-		t.Fatalf("stdout is not the snapshot JSON: %v\n%s", err, stdout.String())
-	}
-	if snap.Schema != "gmsubpage-dirlog/v1" || len(snap.Points) != 2 {
-		t.Fatalf("snapshot = %+v, want 2 points under gmsubpage-dirlog/v1", snap)
-	}
-	for i, p := range snap.Points {
-		if p.Records < 300 || p.ReplayRecsPerSec <= 0 || p.CompactionX <= 1 {
-			t.Fatalf("point %d looks empty: %+v", i, p)
-		}
-	}
-	raw, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var top map[string]any
-	if err := json.Unmarshal(raw, &top); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := top["dirlog"]; !ok {
-		t.Fatalf("merge did not add dirlog: %v", top)
-	}
-	if _, ok := top["loadtest"]; !ok {
-		t.Fatalf("merge clobbered loadtest: %v", top)
-	}
-}
-
 // TestSoakModeSmoke runs a bounded two-crash soak end to end and checks
-// the ledger both on stdout and in the merged soak section. Exit 0 here
-// means every recovery invariant inside load.RunSoak held.
+// its ledger on stdout. Exit 0 here means every recovery invariant inside
+// load.RunSoak held.
 func TestSoakModeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash soak sleeps through real kill/restart cycles")
 	}
-	bench := filepath.Join(t.TempDir(), "BENCH_experiments.json")
 	var stdout, stderr bytes.Buffer
 	argv := []string{"-soak", "-crashes", "2", "-crashevery", "120ms",
-		"-clients", "2", "-pages", "64", "-servers", "1", "-json", "-benchout", bench}
+		"-clients", "2", "-pages", "64", "-servers", "1"}
 	if code := run(argv, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	var snap soakSnapshot
-	if err := json.Unmarshal(stdout.Bytes(), &snap); err != nil {
-		t.Fatalf("stdout is not the snapshot JSON: %v\n%s", err, stdout.String())
-	}
-	if snap.Schema != "gmsubpage-dirsoak/v1" || snap.Result.Crashes != 2 || snap.Result.Reads <= 0 {
-		t.Fatalf("snapshot = %+v, want 2 survived crashes with reads", snap)
-	}
-	raw, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var top map[string]any
-	if err := json.Unmarshal(raw, &top); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := top["soak"]; !ok {
-		t.Fatalf("merge did not add soak: %v", top)
+	out := stdout.String()
+	for _, line := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^gmsload -soak: 2 clients x 64 pages x 1 servers, fsync interval, kill every 120ms$`),
+		regexp.MustCompile(`(?m)^crashes survived: +2 in `),
+		regexp.MustCompile(`(?m)^reads: +[1-9]\d* \(`),
+	} {
+		if !line.MatchString(out) {
+			t.Fatalf("ledger has no line matching %v:\n%s", line, out)
+		}
 	}
 }

@@ -6,7 +6,6 @@
 //	subpagesim -run table2
 //	subpagesim -run all -scale 1.0        # full paper-scale traces
 //	subpagesim -run all -j 8              # 8 parallel workers
-//	subpagesim -run all -benchout BENCH_experiments.json
 //
 // Ad-hoc simulation:
 //
@@ -18,10 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	gmsubpage "github.com/gms-sim/gmsubpage"
 	"github.com/gms-sim/gmsubpage/internal/experiments"
@@ -32,9 +30,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // allFlags lists every flag name in display order, so conflict errors
 // name the offending flags deterministically.
-var allFlags = []string{"list", "run", "scale", "j", "benchout",
-	"app", "trace", "mem", "policy", "subpage", "disk", "pal", "json",
-	"traceout", "tracejsonl"}
+var allFlags = []string{"list", "run", "scale", "j", "app", "trace", "mem",
+	"policy", "subpage", "disk", "pal", "json", "traceout", "tracejsonl"}
 
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("subpagesim", flag.ContinueOnError)
@@ -44,7 +41,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		runID    = fs.String("run", "", "experiment id to regenerate, or \"all\"")
 		scale    = fs.Float64("scale", 0.25, "trace scale (1.0 = paper-sized traces)")
 		workers  = fs.Int("j", 0, "parallel workers for -run (0 = GOMAXPROCS, 1 = sequential)")
-		benchOut = fs.String("benchout", "", "write per-experiment wall-clock JSON to this file (-run only)")
 		app      = fs.String("app", "", "run one simulation of this workload instead of an experiment")
 		traceIn  = fs.String("trace", "", "simulate a trace file saved by tracegen instead of a workload")
 		mem      = fs.Float64("mem", 1.0, "local memory as a fraction of the workload footprint")
@@ -62,6 +58,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := conflictErr(set); err != nil {
+		_, _ = fmt.Fprintln(stderr, "subpagesim:", err)
+		return 2
+	}
+	if err := rangeErr(*scale, *mem); err != nil {
 		_, _ = fmt.Fprintln(stderr, "subpagesim:", err)
 		return 2
 	}
@@ -91,32 +91,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		// so the printed output is identical at any -j width.
 		pool := par.New(*workers)
 		outs := make([]string, len(ids))
-		dursMs := make([]float64, len(ids))
-		wallStart := time.Now() //lint:allow simpurity benchmark snapshot: experiment wall-clock is the measurement, not model time
 		pool.ForEach(len(ids), func(i int) {
 			e, _ := experiments.ByID(ids[i])
-			start := time.Now() //lint:allow simpurity benchmark snapshot: experiment wall-clock is the measurement, not model time
 			outs[i] = e.Run(experiments.Config{Scale: *scale, Pool: pool}).String()
-			dursMs[i] = float64(time.Since(start).Nanoseconds()) / 1e6 //lint:allow simpurity benchmark snapshot: experiment wall-clock is the measurement, not model time
 		})
-		totalMs := float64(time.Since(wallStart).Nanoseconds()) / 1e6 //lint:allow simpurity benchmark snapshot: experiment wall-clock is the measurement, not model time
 		for _, out := range outs {
 			_, _ = fmt.Fprintln(stdout, out)
-		}
-		if *benchOut != "" {
-			// When the run covered the prefetch experiment, snapshot its
-			// coverage/accuracy/stall numbers as a first-class section —
-			// the wall-clock list above only records how long it took.
-			var prefetchSec any
-			for _, id := range ids {
-				if id == "prefetch" {
-					prefetchSec = experiments.PrefetchBenchSection(experiments.Config{Scale: *scale, Pool: pool})
-					break
-				}
-			}
-			if err := writeBench(*benchOut, *scale, pool.Workers(), ids, dursMs, totalMs, prefetchSec); err != nil {
-				return fail(err)
-			}
 		}
 	case *app != "" || *traceIn != "":
 		cfg := gmsubpage.Config{
@@ -222,7 +202,7 @@ func conflictErr(set map[string]bool) error {
 			return fmt.Errorf("-list takes no other flags (got %s)", strings.Join(bad, " "))
 		}
 	case set["run"]:
-		if bad := others("run", "scale", "j", "benchout"); len(bad) > 0 {
+		if bad := others("run", "scale", "j"); len(bad) > 0 {
 			return fmt.Errorf("-run regenerates experiments and ignores the single-simulation flags; drop %s or drop -run", strings.Join(bad, " "))
 		}
 	case set["app"] && set["trace"]:
@@ -246,54 +226,15 @@ func conflictErr(set map[string]bool) error {
 	return nil
 }
 
-// benchSnapshot is the BENCH_experiments.json schema: one wall-clock
-// sample per experiment plus the whole-run wall time at the recorded
-// scale and pool width.
-type benchSnapshot struct {
-	Schema      string            `json:"schema"`
-	Scale       float64           `json:"scale"`
-	Workers     int               `json:"workers"`
-	GOMAXPROCS  int               `json:"gomaxprocs"`
-	TotalMs     float64           `json:"total_ms"`
-	Experiments []benchExperiment `json:"experiments"`
-}
-
-type benchExperiment struct {
-	ID string  `json:"id"`
-	Ms float64 `json:"ms"`
-}
-
-// writeBench is a read-modify-write: other tools share the snapshot file
-// (gmsload merges a "loadtest" section), so keys this tool does not own
-// must survive a bench refresh. A missing or unparsable file starts fresh.
-// prefetchSec, when non-nil, replaces the "prefetch" section (the learned
-// prefetcher's coverage/accuracy/stall snapshot).
-func writeBench(path string, scale float64, workers int, ids []string, dursMs []float64, totalMs float64, prefetchSec any) error {
-	top := map[string]any{}
-	if raw, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(raw, &top)
+// rangeErr rejects a trace scale or memory fraction the simulator would
+// otherwise quietly replace: a negative or NaN scale clamps every trace to
+// its minimum size, and a negative fraction sizes memory at a page or two.
+func rangeErr(scale, mem float64) error {
+	if scale < 0 || math.IsNaN(scale) {
+		return fmt.Errorf("-scale wants a non-negative trace scale, got %v", scale)
 	}
-	exps := make([]benchExperiment, 0, len(ids))
-	for i, id := range ids {
-		exps = append(exps, benchExperiment{ID: id, Ms: round1(dursMs[i])})
+	if mem < 0 || math.IsNaN(mem) {
+		return fmt.Errorf("-mem wants a non-negative memory fraction, got %v", mem)
 	}
-	top["schema"] = "gmsubpage-bench-experiments/v1"
-	top["scale"] = scale
-	top["workers"] = workers
-	top["gomaxprocs"] = runtime.GOMAXPROCS(0)
-	top["total_ms"] = round1(totalMs)
-	top["experiments"] = exps
-	if prefetchSec != nil {
-		top["prefetch"] = prefetchSec
-	}
-	out, err := json.MarshalIndent(top, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// round1 keeps the snapshot readable: wall-clock at 0.1 ms granularity.
-func round1(ms float64) float64 {
-	return float64(int64(ms*10+0.5)) / 10
+	return nil
 }

@@ -12,7 +12,9 @@ import (
 // TestConflictingFlagsRejected pins the fix for the silent-ignore bug:
 // flags outside the selected mode used to be dropped without a word (e.g.
 // `-run fig1 -json` ran the experiment and ignored -json). Every such
-// combination must now fail with exit code 2 and an error on stderr.
+// combination must now fail with exit code 2 and an error on stderr, as
+// must a negative or NaN -scale or -mem, which used to run silently on the
+// smallest traces or a memory of a page or two.
 func TestConflictingFlagsRejected(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,13 +32,16 @@ func TestConflictingFlagsRejected(t *testing.T) {
 		{"list+scale", []string{"-list", "-scale", "1"}},
 		{"app+trace", []string{"-app", "render", "-trace", "x.trc"}},
 		{"app+j", []string{"-app", "render", "-j", "4"}},
-		{"app+benchout", []string{"-app", "render", "-benchout", "b.json"}},
 		{"trace+scale", []string{"-trace", "x.trc", "-scale", "0.5"}},
 		{"run+traceout", []string{"-run", "fig1", "-traceout", "t.json"}},
 		{"traceout alone", []string{"-traceout", "t.json"}},
 		{"j alone", []string{"-j", "4"}},
-		{"benchout alone", []string{"-benchout", "b.json"}},
 		{"json alone", []string{"-json"}},
+		{"run+negative scale", []string{"-run", "fig6", "-scale", "-1"}},
+		{"run+NaN scale", []string{"-run", "fig6", "-scale", "NaN"}},
+		{"app+negative scale", []string{"-app", "gdb", "-scale", "-0.5"}},
+		{"app+negative mem", []string{"-app", "gdb", "-mem", "-1"}},
+		{"trace+NaN mem", []string{"-trace", "x.trc", "-mem", "NaN"}},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
@@ -75,70 +80,16 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestRunWithBenchout runs one cheap experiment through the pool path and
-// checks the benchmark snapshot it writes.
-func TestRunWithBenchout(t *testing.T) {
-	benchPath := filepath.Join(t.TempDir(), "bench.json")
+// TestRunPoolPath runs one cheap experiment through the pool path at
+// width 2 and checks its tables reach stdout.
+func TestRunPoolPath(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-run", "eventtime", "-scale", "0.05", "-j", "2", "-benchout", benchPath},
-		&stdout, &stderr)
+	code := run([]string{"-run", "eventtime", "-scale", "0.05", "-j", "2"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "Event-time derivation") {
 		t.Errorf("experiment output missing:\n%s", stdout.String())
-	}
-	raw, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("bad bench JSON: %v\n%s", err, raw)
-	}
-	if snap.Schema != "gmsubpage-bench-experiments/v1" {
-		t.Errorf("schema = %q", snap.Schema)
-	}
-	if snap.Scale != 0.05 || snap.Workers != 2 {
-		t.Errorf("scale/workers = %v/%d, want 0.05/2", snap.Scale, snap.Workers)
-	}
-	if len(snap.Experiments) != 1 || snap.Experiments[0].ID != "eventtime" {
-		t.Errorf("experiments = %+v", snap.Experiments)
-	}
-	if snap.TotalMs <= 0 {
-		t.Errorf("total_ms = %v, want > 0", snap.TotalMs)
-	}
-}
-
-// TestBenchoutPreservesForeignKeys pins that -benchout is a
-// read-modify-write: sections other tools merge into the snapshot (gmsload
-// writes "loadtest") survive a bench refresh.
-func TestBenchoutPreservesForeignKeys(t *testing.T) {
-	benchPath := filepath.Join(t.TempDir(), "bench.json")
-	seed := `{"schema":"gmsubpage-bench-experiments/v1","loadtest":{"scaling_x":3.4}}` + "\n"
-	if err := os.WriteFile(benchPath, []byte(seed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-run", "eventtime", "-scale", "0.05", "-j", "1", "-benchout", benchPath},
-		&stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s", code, stderr.String())
-	}
-	raw, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var top map[string]any
-	if err := json.Unmarshal(raw, &top); err != nil {
-		t.Fatalf("bad bench JSON: %v\n%s", err, raw)
-	}
-	lt, ok := top["loadtest"].(map[string]any)
-	if !ok || lt["scaling_x"] != 3.4 {
-		t.Fatalf("bench refresh clobbered the loadtest section: %v", top)
-	}
-	if _, ok := top["experiments"]; !ok {
-		t.Fatalf("refresh did not write its own keys: %v", top)
 	}
 }
 

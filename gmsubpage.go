@@ -23,8 +23,10 @@
 package gmsubpage
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -90,10 +92,11 @@ type Config struct {
 	// Workload is one of Workloads() (default "modula3").
 	Workload string
 	// Scale shrinks the trace and footprint proportionally; 1.0 is the
-	// paper's full trace (default 0.25).
+	// paper's full trace (default 0.25). Negative or NaN is an error.
 	Scale float64
 	// MemoryFraction sizes local memory relative to the workload's
-	// footprint: 1, 0.5 or 0.25 in the paper (default 1).
+	// footprint: 1, 0.5 or 0.25 in the paper (default 1). Negative or NaN
+	// is an error.
 	MemoryFraction float64
 	// Policy selects the transfer policy (default Eager).
 	Policy Policy
@@ -154,8 +157,21 @@ func policyFor(p Policy) (core.Policy, error) {
 	return core.ByName(string(p))
 }
 
+// nonNegative rejects a negative or NaN trace scale or memory fraction,
+// which would otherwise run silently on the smallest traces the
+// generators clamp to, or on a memory of a page or two.
+func nonNegative(field string, v float64) error {
+	if v < 0 || math.IsNaN(v) {
+		return fmt.Errorf("gmsubpage: %s must be a non-negative number, got %v", field, v)
+	}
+	return nil
+}
+
 // Simulate runs one configuration and reports the paging behaviour.
 func Simulate(cfg Config) (*Report, error) {
+	if err := errors.Join(nonNegative("Scale", cfg.Scale), nonNegative("MemoryFraction", cfg.MemoryFraction)); err != nil {
+		return nil, err
+	}
 	if cfg.Workload == "" {
 		cfg.Workload = "modula3"
 	}
@@ -254,6 +270,9 @@ func WriteWorkloadTrace(w io.Writer, workload string, scale float64) (int64, err
 // saved with cmd/tracegen, instead of a built-in workload. Config's
 // Workload and Scale fields are ignored; everything else applies.
 func SimulateTraceFile(path string, cfg Config) (*Report, error) {
+	if err := nonNegative("MemoryFraction", cfg.MemoryFraction); err != nil {
+		return nil, err
+	}
 	// Profile once for the footprint (and to validate the file).
 	f, err := os.Open(path)
 	if err != nil {
@@ -336,8 +355,8 @@ func (c *closingReader) Read(buf []trace.Ref) int {
 func Experiments() []string { return experiments.IDs() }
 
 // RunExperiment regenerates one paper artifact at the given trace scale
-// (0 means the fast default, 1.0 the paper's full traces) and returns its
-// rendered tables.
+// (0 means the fast default, 1.0 the paper's full traces; negative or NaN
+// is an error) and returns its rendered tables.
 func RunExperiment(id string, scale float64) (string, error) {
 	return RunExperimentParallel(id, scale, 1)
 }
@@ -347,6 +366,9 @@ func RunExperiment(id string, scale float64) (string, error) {
 // the given width (0 selects GOMAXPROCS, 1 is sequential). The rendered
 // output is byte-identical at every width.
 func RunExperimentParallel(id string, scale float64, workers int) (string, error) {
+	if err := nonNegative("scale", scale); err != nil {
+		return "", err
+	}
 	e, ok := experiments.ByID(id)
 	if !ok {
 		return "", fmt.Errorf("gmsubpage: unknown experiment %q (have %v)", id, Experiments())

@@ -2,7 +2,9 @@ package gmsubpage_test
 
 import (
 	"bytes"
+	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +87,72 @@ func TestSimulateErrors(t *testing.T) {
 	}
 	if _, err := gmsubpage.Simulate(gmsubpage.Config{Policy: "warp", Scale: 0.05}); err == nil {
 		t.Error("bad policy should fail")
+	}
+}
+
+// TestNegativeScaleAndMemoryRejected pins that every simulator entry point
+// refuses a negative or NaN trace scale or memory fraction. They used to
+// run: a negative scale on the smallest traces the generators clamp to, a
+// negative fraction on a memory of a page or two.
+func TestNegativeScaleAndMemoryRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gdb.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gmsubpage.WriteWorkloadTrace(f, "gdb", 0.05); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	calls := []struct {
+		name, field string
+		run         func() error
+	}{
+		{"Simulate scale", "Scale", func() error {
+			_, err := gmsubpage.Simulate(gmsubpage.Config{Workload: "gdb", Scale: -1})
+			return err
+		}},
+		{"Simulate NaN scale", "Scale", func() error {
+			_, err := gmsubpage.Simulate(gmsubpage.Config{Workload: "gdb", Scale: nan})
+			return err
+		}},
+		{"Simulate memory", "MemoryFraction", func() error {
+			_, err := gmsubpage.Simulate(gmsubpage.Config{Workload: "gdb", Scale: 0.05, MemoryFraction: -1})
+			return err
+		}},
+		{"SimulateTraceFile memory", "MemoryFraction", func() error {
+			_, err := gmsubpage.SimulateTraceFile(path, gmsubpage.Config{MemoryFraction: -0.5})
+			return err
+		}},
+		{"SimulateTraceFile NaN memory", "MemoryFraction", func() error {
+			_, err := gmsubpage.SimulateTraceFile(path, gmsubpage.Config{MemoryFraction: nan})
+			return err
+		}},
+		{"SimulateCluster scale", "Scale", func() error {
+			_, err := gmsubpage.SimulateCluster(gmsubpage.ClusterConfig{Workloads: []string{"gdb"}, Scale: -1})
+			return err
+		}},
+		{"SimulateCluster memory", "MemoryFraction", func() error {
+			_, err := gmsubpage.SimulateCluster(gmsubpage.ClusterConfig{Workloads: []string{"gdb"}, Scale: 0.05, MemoryFraction: -1})
+			return err
+		}},
+		{"RunExperimentParallel scale", "scale", func() error {
+			_, err := gmsubpage.RunExperimentParallel("fig6", -1, 1)
+			return err
+		}},
+		{"RunExperiment NaN scale", "scale", func() error {
+			_, err := gmsubpage.RunExperiment("fig6", nan)
+			return err
+		}},
+	}
+	for _, c := range calls {
+		err := c.run()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.field)
+		}
 	}
 }
 

@@ -427,3 +427,40 @@ func TestBench(t *testing.T) {
 		t.Fatalf("wal bytes not monotone with journal length: %+v", pts)
 	}
 }
+
+// BenchmarkRecover times journal recovery and snapshot compaction through
+// Bench at three journal lengths. Each iteration writes a fresh journal,
+// so ns/op includes writing it; the reported metrics are the means of
+// Bench's own measurements: cold recovery, replay throughput, the
+// compacting snapshot and its compaction ratio.
+func BenchmarkRecover(b *testing.B) {
+	for _, n := range []int{1000, 10000, 50000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			root := b.TempDir()
+			var sum BenchPoint
+			for i := 0; i < b.N; i++ {
+				dir := filepath.Join(root, fmt.Sprint(i))
+				pts, err := Bench(dir, []int{n})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+				pt := pts[0]
+				if pt.Records < n || pt.CompactionX <= 1 {
+					b.Fatalf("n=%d: replayed %d records at %.2fx compaction", n, pt.Records, pt.CompactionX)
+				}
+				sum.RecoverMs += pt.RecoverMs
+				sum.ReplayRecsPerSec += pt.ReplayRecsPerSec
+				sum.SnapshotMs += pt.SnapshotMs
+				sum.CompactionX += pt.CompactionX
+			}
+			runs := float64(b.N)
+			b.ReportMetric(sum.RecoverMs/runs, "recover-ms")
+			b.ReportMetric(sum.ReplayRecsPerSec/runs, "replay-recs/s")
+			b.ReportMetric(sum.SnapshotMs/runs, "snapshot-ms")
+			b.ReportMetric(sum.CompactionX/runs, "compaction-x")
+		})
+	}
+}

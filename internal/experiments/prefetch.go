@@ -159,40 +159,3 @@ func Prefetch(cfg Config) *Result {
 	return &Result{ID: "prefetch", Title: "Learned prefetching vs. the static pipeline",
 		Tables: []*stats.Table{perf, diag}, Notes: notes}
 }
-
-// PrefetchBenchSection is the `prefetch` section of BENCH_experiments.json:
-// the per-workload coverage/accuracy/stall snapshot `make bench` tracks
-// across PRs.
-func PrefetchBenchSection(cfg Config) any {
-	cfg = cfg.withDefaults()
-	apps, grid := prefetchCells(cfg)
-	type row struct {
-		Workload    string  `json:"workload"`
-		PipelinedMs float64 `json:"pipelined_ms"`
-		PrefetchMs  float64 `json:"prefetch_ms"`
-		PipeStallMs float64 `json:"pipelined_stall_ms"`
-		PrefStallMs float64 `json:"prefetch_stall_ms"`
-		Coverage    float64 `json:"coverage"`
-		Accuracy    float64 `json:"accuracy"`
-		MBSaved     float64 `json:"mb_saved_vs_pipelined"`
-	}
-	rows := make([]row, len(apps))
-	for ai, app := range apps {
-		pipe, pref := grid[ai][0], grid[ai][2]
-		rows[ai] = row{
-			Workload:    app.Name,
-			PipelinedMs: pipe.RuntimeMs(),
-			PrefetchMs:  pref.RuntimeMs(),
-			PipeStallMs: stallMs(pipe),
-			PrefStallMs: stallMs(pref),
-			Coverage:    coverage(pref),
-			Accuracy:    accuracy(pref),
-			MBSaved:     float64(pipe.BytesMoved-pref.BytesMoved) / (1 << 20),
-		}
-	}
-	return map[string]any{
-		"scale":     cfg.Scale,
-		"subpage":   prefetchSubpage,
-		"workloads": rows,
-	}
-}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -44,42 +43,6 @@ func TestPrefetchGate(t *testing.T) {
 	if !sawStrided {
 		t.Fatal("strided workload missing from prefetch grid")
 	}
-}
-
-// TestPrefetchBenchSection sanity-checks the bench artifact emitter: it must
-// marshal cleanly with one row per workload and the strided bandwidth win
-// visible in the numbers.
-func TestPrefetchBenchSection(t *testing.T) {
-	raw, err := json.Marshal(PrefetchBenchSection(Config{Scale: 0.05}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sec struct {
-		Scale     float64 `json:"scale"`
-		Subpage   int     `json:"subpage"`
-		Workloads []struct {
-			Workload string  `json:"workload"`
-			MBSaved  float64 `json:"mb_saved_vs_pipelined"`
-		} `json:"workloads"`
-	}
-	if err := json.Unmarshal(raw, &sec); err != nil {
-		t.Fatalf("bench section does not round-trip: %v\n%s", err, raw)
-	}
-	if sec.Subpage != prefetchSubpage {
-		t.Fatalf("subpage = %d, want %d", sec.Subpage, prefetchSubpage)
-	}
-	if len(sec.Workloads) != 6 {
-		t.Fatalf("expected 6 workload rows (5 apps + strided), got %d:\n%s", len(sec.Workloads), raw)
-	}
-	for _, w := range sec.Workloads {
-		if w.Workload == "strided" {
-			if w.MBSaved <= 0 {
-				t.Errorf("strided mb_saved_vs_pipelined = %.2f, want > 0", w.MBSaved)
-			}
-			return
-		}
-	}
-	t.Fatalf("no strided row in bench section:\n%s", raw)
 }
 
 // TestPrefetchResultRenders guards the rendered artifact: both tables and the

@@ -59,8 +59,8 @@ func isRandPath(path string) bool {
 // place a request/reply exchange is bounded), attempt timers and latency
 // stats in internal/remote, real-time service emulation in the sharded directory, the load
 // harness's wall-clock throughput/latency measurements, and the
-// directory journal's recovery/replay timings (its fsync cadence and the
-// `make bench` dirlog section measure real disk time).
+// directory journal's recovery/replay timings (its fsync cadence and
+// dirlog.Bench measure real disk time).
 var wallClockExempt = []string{"internal/proto", "internal/remote", "internal/dirshard", "internal/load", "internal/dirlog"}
 
 func isWallClockExempt(path string) bool {

@@ -109,30 +109,30 @@ func (c Config) withDefaults() Config {
 
 // Result is one run's measurements.
 type Result struct {
-	Shards  int `json:"shards"`
-	Servers int `json:"servers"`
-	Pages   int `json:"pages"`
+	Shards  int
+	Servers int
+	Pages   int
 
 	// Lookup storm.
-	LookupOps  int     `json:"lookup_ops"`
-	LookupSecs float64 `json:"lookup_secs"`
-	LookupRate float64 `json:"lookup_rate"` // lookups per second
+	LookupOps  int
+	LookupSecs float64
+	LookupRate float64 // lookups per second
 
 	// Fault phase.
-	Faults    int     `json:"faults"`
-	FaultSecs float64 `json:"fault_secs"`
-	FaultRate float64 `json:"fault_rate"` // faults per second
-	MeanUs    float64 `json:"mean_us"`
-	P50Us     float64 `json:"p50_us"`
-	P99Us     float64 `json:"p99_us"`
-	P999Us    float64 `json:"p999_us"`
-	MaxUs     float64 `json:"max_us"`
+	Faults    int
+	FaultSecs float64
+	FaultRate float64 // faults per second
+	MeanUs    float64
+	P50Us     float64
+	P99Us     float64
+	P999Us    float64
+	MaxUs     float64
 
 	// Client-side control-plane accounting, summed over the fleet.
-	WrongShard   int64 `json:"wrong_shard"`
-	MapRefreshes int64 `json:"map_refreshes"`
-	Retries      int64 `json:"retries"`
-	BytesIn      int64 `json:"bytes_in"`
+	WrongShard   int64
+	MapRefreshes int64
+	Retries      int64
+	BytesIn      int64
 }
 
 // Run executes one full load run against a fresh cluster.

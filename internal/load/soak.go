@@ -72,18 +72,18 @@ func (c SoakConfig) withDefaults() SoakConfig {
 
 // SoakResult is one crash soak's ledger.
 type SoakResult struct {
-	Crashes   int     `json:"crashes"`     // kill/restart cycles completed
-	Elapsed   float64 `json:"elapsed_s"`   // wall time of the whole soak
-	Reads     int64   `json:"reads"`       // client reads issued
-	ReadErrs  int64   `json:"read_errs"`   // reads that failed (bounded, never hung)
-	MaxReadUs float64 `json:"max_read_us"` // slowest single read incl. retries
-	Reregs    int64   `json:"reregs"`      // full re-registrations across the server fleet
-	Recovered int     `json:"recovered"`   // registrations the final restart recovered
+	Crashes   int     // kill/restart cycles completed
+	Elapsed   float64 // wall time of the whole soak, seconds
+	Reads     int64   // client reads issued
+	ReadErrs  int64   // reads that failed (bounded, never hung)
+	MaxReadUs float64 // slowest single read incl. retries
+	Reregs    int64   // full re-registrations across the server fleet
+	Recovered int     // registrations the final restart recovered
 
 	// Final-recovery journal accounting.
-	WalRecords  int   `json:"wal_records"`
-	WalBytes    int64 `json:"wal_bytes"`
-	SnapRecords int   `json:"snap_records"`
+	WalRecords  int
+	WalBytes    int64
+	SnapRecords int
 }
 
 // RunSoak crashes a durable directory out from under a live fault load,
