@@ -32,6 +32,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(frame)
 	}
 	seed(func(w *Writer) error { return w.SendPutPage(PutPage{Page: 9, Data: []byte{1, 2, 3}}) })
+	seed(func(w *Writer) error { return w.SendPutBlocks(9, 1<<3|1<<30, make([]byte, 8192)) })
 	seed(func(w *Writer) error { return w.SendAck() })
 	seed(func(w *Writer) error { return w.SendLookup(Lookup{Page: 12}) })
 	seed(func(w *Writer) error {
@@ -82,6 +83,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{byte(TCancel), 4, 0, 0, 0, 1, 2, 3, 4})                           // reqID truncated
 	f.Add([]byte{byte(TDrain), 3, 0, 0, 0, 9, 'a', ':'})                           // addr len 9 overruns
 	f.Add([]byte{byte(TDrainReply), 2, 0, 0, 0, 1, 2})                             // moved truncated
+	// A block put promising two blocks and carrying one byte.
+	f.Add([]byte{byte(TPutPage), 13, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 7})
 	// Batch promising 2 runs with no table, and a table whose lengths
 	// disagree with the data section.
 	f.Add(append([]byte{byte(TSubpageBatch), 18, 0, 0, 0}, make([]byte, 17)...))

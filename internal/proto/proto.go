@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
@@ -30,7 +31,7 @@ type Type uint8
 // the tags renumbered, an old peer's GetPage would decode as a TPutPage and
 // overwrite a stored page with its request header.
 const (
-	// TPutPage stores a full page on the server.
+	// TPutPage stores a page, or merges some of its blocks, on the server.
 	TPutPage Type = iota + 3
 	// TAck acknowledges a TPutPage or TRegister.
 	TAck
@@ -140,10 +141,33 @@ const (
 	FlagLast
 )
 
-// PutPage stores a full page.
+// PutPage writes page data back to a server. Payload layout:
+//
+//	bytes 0-7    page
+//	bytes 8-11   blocks: a bitmap of 256 B blocks, bit i for [256i, 256i+256)
+//	bytes 12..   data
+//
+// Blocks == 0 makes Data a page image from offset 0, at most a page long;
+// the server stores it, zero-padding a short one. Any other Blocks makes
+// Data exactly those blocks, in ascending order (256 B per bit set), and
+// the server merges them into its copy of the page, leaving the rest as it
+// was: a write-back costs what was written, not the page.
 type PutPage struct {
-	Page uint64
-	Data []byte
+	Page   uint64
+	Blocks uint32
+	Data   []byte
+}
+
+// putFixedLen is the PutPage payload ahead of the data: page and blocks.
+const putFixedLen = 12
+
+// check reports a put whose data is not what its blocks promise.
+func (m PutPage) check() error {
+	if m.Blocks == 0 && len(m.Data) <= units.PageSize ||
+		m.Blocks != 0 && len(m.Data) == bits.OnesCount32(m.Blocks)*units.MinSubpage {
+		return nil
+	}
+	return fmt.Errorf("proto: put of blocks %#x carries %d data bytes", m.Blocks, len(m.Data))
 }
 
 // Lookup asks where a page lives.
@@ -251,13 +275,26 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 func (w *Writer) send(t Type, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("proto: payload %d exceeds max %d", len(payload), MaxPayload)
+	if err := w.begin(t, len(payload)); err != nil {
+		return err
 	}
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, byte(t))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
 	w.buf = append(w.buf, payload...)
+	return w.finish()
+}
+
+// begin starts a frame of type t with an n-byte payload in the frame
+// buffer; the caller appends exactly n bytes and calls finish.
+func (w *Writer) begin(t Type, n int) error {
+	if n > MaxPayload {
+		return fmt.Errorf("proto: payload %d exceeds max %d", n, MaxPayload)
+	}
+	w.buf = append(w.buf[:0], byte(t))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(n))
+	return nil
+}
+
+// finish writes the frame begin started.
+func (w *Writer) finish() error {
 	_, err := w.w.Write(w.buf)
 	w.afterSend()
 	return err
@@ -277,12 +314,45 @@ func (w *Writer) afterSend() {
 	}
 }
 
-// SendPutPage writes a TPutPage frame.
+// SendPutPage writes a TPutPage frame. Data must be as long as Blocks
+// says (see PutPage).
 func (w *Writer) SendPutPage(m PutPage) error {
-	p := make([]byte, 0, 8+len(m.Data))
-	p = binary.LittleEndian.AppendUint64(p, m.Page)
-	p = append(p, m.Data...)
-	return w.send(TPutPage, p)
+	if err := m.check(); err != nil {
+		return err
+	}
+	if err := w.beginPut(m.Page, m.Blocks, len(m.Data)); err != nil {
+		return err
+	}
+	w.buf = append(w.buf, m.Data...)
+	return w.finish()
+}
+
+// SendPutBlocks writes a block put of page: the 256 B blocks of image that
+// blocks names, gathered in order straight into the frame buffer, so a
+// write-back copies each dirty byte once and allocates nothing. blocks
+// must be non-zero and image a whole page.
+func (w *Writer) SendPutBlocks(page uint64, blocks uint32, image []byte) error {
+	if blocks == 0 || len(image) != units.PageSize {
+		return fmt.Errorf("proto: block put of blocks %#x from a %d-byte image", blocks, len(image))
+	}
+	if err := w.beginPut(page, blocks, bits.OnesCount32(blocks)*units.MinSubpage); err != nil {
+		return err
+	}
+	for b := blocks; b != 0; b &= b - 1 {
+		off := bits.TrailingZeros32(b) * units.MinSubpage
+		w.buf = append(w.buf, image[off:off+units.MinSubpage]...)
+	}
+	return w.finish()
+}
+
+// beginPut starts a TPutPage frame carrying n data bytes.
+func (w *Writer) beginPut(page uint64, blocks uint32, n int) error {
+	if err := w.begin(TPutPage, putFixedLen+n); err != nil {
+		return err
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, page)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, blocks)
+	return nil
 }
 
 // SendAck writes a TAck frame.
@@ -513,15 +583,22 @@ func (r *Reader) Next() (Frame, error) {
 
 func short(t Type) error { return fmt.Errorf("proto: short %v payload", t) }
 
-// DecodePutPage parses a TPutPage payload. The Data slice aliases p.
+// DecodePutPage parses a TPutPage payload. The Data slice aliases p. A
+// block put whose data is not exactly its blocks, or a page image longer
+// than a page, is an error.
 func DecodePutPage(p []byte) (PutPage, error) {
-	if len(p) < 8 {
+	if len(p) < putFixedLen {
 		return PutPage{}, short(TPutPage)
 	}
-	return PutPage{
-		Page: binary.LittleEndian.Uint64(p[0:8]),
-		Data: p[8:],
-	}, nil
+	m := PutPage{
+		Page:   binary.LittleEndian.Uint64(p[0:8]),
+		Blocks: binary.LittleEndian.Uint32(p[8:12]),
+		Data:   p[putFixedLen:],
+	}
+	if err := m.check(); err != nil {
+		return PutPage{}, err
+	}
+	return m, nil
 }
 
 // DecodeLookup parses a TLookup payload.

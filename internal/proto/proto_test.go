@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"strings"
 	"testing"
@@ -82,6 +83,98 @@ func TestPutPageRoundTrip(t *testing.T) {
 	}
 	if out.Page != 99 || !bytes.Equal(out.Data, in.Data) {
 		t.Fatal("put page mismatch")
+	}
+}
+
+// TestPutBlocksRoundTrip: a block put carries its blocks alone, in order,
+// whether built from a page image (SendPutBlocks) or from the blocks
+// (SendPutPage), and the two encodings are the same bytes.
+func TestPutBlocksRoundTrip(t *testing.T) {
+	image := make([]byte, units.PageSize)
+	for i := range image {
+		image[i] = byte(i / units.MinSubpage)
+	}
+	const blocks = 1<<0 | 1<<7 | 1<<8 | 1<<31
+	f := roundTrip(t, func(w *Writer) error { return w.SendPutBlocks(42, blocks, image) })
+	out, err := DecodePutPage(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, b := range []int{0, 7, 8, 31} {
+		want = append(want, image[b*units.MinSubpage:(b+1)*units.MinSubpage]...)
+	}
+	if out.Page != 42 || out.Blocks != blocks || !bytes.Equal(out.Data, want) {
+		t.Fatalf("block put decoded as page %d blocks %#x with %d data bytes", out.Page, out.Blocks, len(out.Data))
+	}
+	g := roundTrip(t, func(w *Writer) error { return w.SendPutPage(PutPage{Page: 42, Blocks: blocks, Data: want}) })
+	if !bytes.Equal(g.Payload, f.Payload) {
+		t.Fatal("SendPutPage and SendPutBlocks encode the same put differently")
+	}
+}
+
+// TestPutPageLengthMismatch: a put whose data is not what its blocks
+// promise is refused on both sides of the wire.
+func TestPutPageLengthMismatch(t *testing.T) {
+	payload := func(blocks uint32, n int) []byte {
+		p := binary.LittleEndian.AppendUint64(nil, 7)
+		p = binary.LittleEndian.AppendUint32(p, blocks)
+		return append(p, make([]byte, n)...)
+	}
+	for _, tc := range []struct {
+		name   string
+		blocks uint32
+		n      int
+		ok     bool
+	}{
+		{"page image", 0, units.PageSize, true},
+		{"short page image", 0, 100, true},
+		{"empty page image", 0, 0, true},
+		{"page image over a page", 0, units.PageSize + 1, false},
+		{"one block", 1 << 4, units.MinSubpage, true},
+		{"one block short", 1 << 4, units.MinSubpage - 1, false},
+		{"one block long", 1 << 4, units.MinSubpage + 1, false},
+		{"two blocks carrying one", 0b11, units.MinSubpage, false},
+		{"every block", ^uint32(0), units.PageSize, true},
+		{"blocks with no data", 1, 0, false},
+	} {
+		_, err := DecodePutPage(payload(tc.blocks, tc.n))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: DecodePutPage err = %v, want ok %v", tc.name, err, tc.ok)
+		}
+		err = NewWriter(io.Discard).SendPutPage(PutPage{Page: 7, Blocks: tc.blocks, Data: make([]byte, tc.n)})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: SendPutPage err = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+	if _, err := DecodePutPage(payload(0, 0)[:11]); err == nil {
+		t.Error("a payload shorter than page and blocks decoded")
+	}
+	w := NewWriter(io.Discard)
+	if err := w.SendPutBlocks(7, 0, make([]byte, units.PageSize)); err == nil {
+		t.Error("SendPutBlocks sent a put of no blocks")
+	}
+	if err := w.SendPutBlocks(7, 1, make([]byte, units.MinSubpage)); err == nil {
+		t.Error("SendPutBlocks gathered from less than a page image")
+	}
+}
+
+// TestPutAllocs: once the writer's frame buffer has grown, neither kind of
+// put allocates.
+func TestPutAllocs(t *testing.T) {
+	w := NewWriter(io.Discard)
+	image := make([]byte, units.PageSize)
+	put := PutPage{Page: 1, Blocks: 0b101, Data: image[:2*units.MinSubpage]}
+	_ = w.SendPutPage(put)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := w.SendPutBlocks(1, 0b1010, image); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.SendPutPage(put); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a put allocates %v objects, want 0", n)
 	}
 }
 

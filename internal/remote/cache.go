@@ -18,11 +18,12 @@ type cpage struct {
 	data     []byte
 	valid    memmodel.Bitmap
 	touched  memmodel.Bitmap // blocks some access has covered (prefetch history feed)
-	dirty    bool
-	faulting bool // a fault owns fetching this page, from its first attempt to success or typed failure
-	inflight bool // an attempt's GetPage reply is streaming in
-	firstOK  bool // the faulted subpage of the current attempt arrived
-	waiters  int  // accessors parked in ensureValid on this page
+	dirty    memmodel.Bitmap // blocks a store has covered: always valid, and all a write-back sends
+	putting  bool            // an evictor is writing the page back; an accessor waits, then looks again
+	faulting bool            // a fault owns fetching this page, from its first attempt to success or typed failure
+	inflight bool            // an attempt's GetPage reply is streaming in
+	firstOK  bool            // the faulted subpage of the current attempt arrived
+	waiters  int             // accessors parked in ensureValid on this page
 	// sources[:nsrc] are the servers currently streaming this page: the
 	// primary, and a second when a hedge is in flight. The attempt fails
 	// only when all of them do.
@@ -133,18 +134,21 @@ func (pc *pageCache) unlink(p *cpage) {
 }
 
 // victim returns the least recently used page that nothing pins — no
-// stream, no fault owner, no parked accessor — or nil when every page is
-// pinned.
+// stream, no fault owner, no parked accessor, no write-back under way — or
+// nil when every page is pinned.
 func (pc *pageCache) victim() *cpage {
 	p := pc.lruTail
-	for p != nil && (p.inflight || p.faulting || p.waiters > 0) {
+	for p != nil && (p.inflight || p.faulting || p.waiters > 0 || p.putting) {
 		p = p.prev
 	}
 	return p
 }
 
 // evictIfFull makes room for one more page. Called with c.mu held; drops
-// and retakes it around a dirty victim's write-back.
+// and retakes it around a dirty victim's write-back. The victim stays
+// cached through that window, pinned as putting, so no accessor can fetch
+// it again before its put is on the wire: a GetPage sent in the window
+// could reach the server first and read the bytes the put replaces.
 func (c *Client) evictIfFull() {
 	pc := &c.pages
 	for len(pc.m) >= c.cfg.CachePages {
@@ -152,25 +156,24 @@ func (c *Client) evictIfFull() {
 		if victim == nil {
 			return // everything is in flight; allow a brief overcommit
 		}
-		delete(pc.m, victim.id)
-		pc.unlink(victim)
 		c.stats.Evictions++
-		switch {
-		case victim.dirty && !victim.valid.Full():
-			// A written page that never became fully valid (lazy, Prefetch)
-			// has no whole image to put back: its write is lost, counted.
-			c.stats.PutDrops++
-		case victim.dirty:
+		if victim.dirty != 0 {
+			victim.putting = true
 			c.mu.Unlock()
-			// The cached placement, or a fresh one if a failed attempt forgot it.
-			sent := c.putPage(c.locate(victim.id), victim.id, victim.data)
+			// The cached placement, or a fresh one if a failed attempt
+			// forgot it. Nothing writes the image while it is putting.
+			sent, bytes := c.putPage(c.locate(victim.id), victim.id, victim.dirty, victim.data)
 			c.mu.Lock()
 			if sent {
 				c.stats.PutPages++
+				c.stats.PutBytes += bytes
 			} else {
 				c.stats.PutDrops++
 			}
+			c.cond.Broadcast() // accessors waiting on the victim look again
 		}
+		delete(pc.m, victim.id)
+		pc.unlink(victim)
 		// Out of the cache, off the list, unpinned: nothing reaches it again
 		// but a timer fire that lost to its Stop, which finds no attempt.
 		victim.next, pc.free = pc.free, victim

@@ -118,7 +118,8 @@ type Stats struct {
 	Faults     int64         `metric:"gms_client_faults_total" help:"page faults issued to remote memory"`
 	Evictions  int64         `metric:"gms_client_evictions_total" help:"pages evicted from the local cache"`
 	PutPages   int64         `metric:"gms_client_putpages_total" help:"dirty pages written back on eviction"`
-	PutDrops   int64         `metric:"gms_client_put_drops_total" help:"dirty evictions not written back: no replica, or the page never fully valid"` // the write is lost
+	PutDrops   int64         `metric:"gms_client_put_drops_total" help:"dirty evictions no replica took: the write is lost"`
+	PutBytes   int64         `metric:"gms_client_put_bytes_total" help:"write-back payload bytes sent: the dirty blocks, once per replica that took them"`
 	BytesIn    int64         `metric:"gms_client_bytes_in_total" help:"page data bytes received"`
 	Retries    int64         `metric:"gms_client_retries_total" help:"fault or lookup attempts beyond the first"`
 	Failovers  int64         `metric:"gms_client_failovers_total" help:"retries redirected to a different replica"`
@@ -326,7 +327,7 @@ func (c *Client) accessPage(buf []byte, page uint64, off int, store bool) error 
 		// Still the critical section ensureValid validated p in.
 		if store {
 			copy(p.data[off:], buf)
-			p.dirty = true
+			p.dirty |= neededMask(off, len(buf))
 		} else {
 			copy(buf, p.data[off:off+len(buf)])
 		}
@@ -350,17 +351,24 @@ func (c *Client) ensureValid(page uint64, off, n int) (*cpage, error) {
 	if n <= 0 || off+n > units.PageSize {
 		return nil, fmt.Errorf("remote: bad range off=%d n=%d", off, n)
 	}
-	p := c.pages.get(page)
-	if p == nil {
-		// evictIfFull may drop the lock for write-back; another
-		// goroutine can install the page meanwhile.
-		c.evictIfFull()
-		p = c.pages.get(page)
-	}
-	if p == nil {
-		p = c.pages.install(page)
-	} else {
-		c.pages.touch(p)
+	var p *cpage
+	for {
+		if p = c.pages.get(page); p == nil {
+			// evictIfFull may drop the lock for write-back; another
+			// goroutine can install the page meanwhile.
+			c.evictIfFull()
+			if p = c.pages.get(page); p == nil {
+				p = c.pages.install(page)
+				break
+			}
+		}
+		if !p.putting {
+			c.pages.touch(p)
+			break
+		}
+		// Being written back: once its put is on the wire the entry is
+		// gone, and a fault that follows reads what the put wrote.
+		c.cond.Wait()
 	}
 	need := neededMask(off, n)
 	if c.pf != nil {

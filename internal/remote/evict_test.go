@@ -22,7 +22,7 @@ import (
 func scanVictim(c *Client) *cpage {
 	var victim *cpage
 	for _, p := range c.pages.m {
-		if p.inflight || p.faulting || p.waiters > 0 {
+		if p.inflight || p.faulting || p.waiters > 0 || p.putting {
 			continue
 		}
 		if victim == nil || p.lastUse < victim.lastUse {
@@ -84,15 +84,16 @@ func pageID(p *cpage) string {
 
 // scanModel is the cache as the scanning evictIfFull ran it, reduced to what
 // decides the victim. It takes the same operations as the client under test;
-// the two must hold the same pages after every one.
+// the two must hold the same pages, with the same dirty blocks, after every
+// one.
 type scanModel struct {
 	capacity int
 	tick     int64
 	pages    map[uint64]*modelPage
-	drops    int64 // dirty victims lost: every write-back fails, and a partial page has none
-	partial  int64 // of which never fully valid
+	drops    int64 // dirty victims lost: every write-back fails
+	partial  int64 // of which never fully valid, which are written back all the same
 	// window is called where evictIfFull drops the lock around a dirty
-	// victim's write-back.
+	// victim's write-back; the victim is still cached, pinned as putting.
 	window func(victim uint64)
 }
 
@@ -100,33 +101,41 @@ type modelPage struct {
 	lastUse            int64
 	inflight, faulting bool
 	waiters            int
-	dirty, full        bool
+	putting            bool
+	dirty              memmodel.Bitmap
+	full               bool
+}
+
+// victim is the scan: the unpinned page with the smallest lastUse.
+func (m *scanModel) victim() (uint64, *modelPage) {
+	var victimID uint64
+	var victim *modelPage
+	for id, p := range m.pages {
+		if p.inflight || p.faulting || p.waiters > 0 || p.putting {
+			continue
+		}
+		if victim == nil || p.lastUse < victim.lastUse {
+			victim, victimID = p, id
+		}
+	}
+	return victimID, victim
 }
 
 func (m *scanModel) evictIfFull() {
 	for len(m.pages) >= m.capacity {
-		var victimID uint64
-		var victim *modelPage
-		for id, p := range m.pages {
-			if p.inflight || p.faulting || p.waiters > 0 {
-				continue
-			}
-			if victim == nil || p.lastUse < victim.lastUse {
-				victim, victimID = p, id
-			}
-		}
+		victimID, victim := m.victim()
 		if victim == nil {
 			return
 		}
-		delete(m.pages, victimID)
-		switch {
-		case victim.dirty && !victim.full: // no whole page to write back, no unlock window
+		if victim.dirty != 0 { // every dirty victim, whole or partial, opens the window
 			m.drops++
-			m.partial++
-		case victim.dirty:
-			m.drops++
+			if !victim.full {
+				m.partial++
+			}
+			victim.putting = true
 			m.window(victimID)
 		}
+		delete(m.pages, victimID)
 	}
 }
 
@@ -148,11 +157,69 @@ type evictHarness struct {
 	t testing.TB
 	c *Client
 	m *scanModel
-	// reinstall decides, per dirty victim, whether "another goroutine"
-	// faults the page back in during the write-back's unlock window. The
-	// client and the model each consume their own copy of the sequence.
-	reinstallC, reinstallM *rand.Rand
-	reinstalled            int
+	// windowC and windowM decide, per dirty victim, what "another
+	// goroutine" does during the write-back's unlock window: try the
+	// victim, access some page, or nothing. The client and the model each
+	// consume their own copy of the sequence.
+	windowC, windowM *rand.Rand
+	universe         uint64
+	victimWaits      int // window accesses to the victim, which find it putting
+	windowAccesses   int // window accesses to other pages, which go through
+}
+
+// windowOp draws what the window does: 0 tries the victim, 1 accesses page
+// id, 2 does nothing. A page other than the victim is accessed only if that
+// needs no dirty eviction of its own: the hook runs inside the outer
+// write-back's dial, under the client's srvMu, where a nested write-back
+// would wait for this goroutine. order lists the unpinned pages' dirty
+// masks, least recently used first; an install evicts from its front.
+func windowOp(r *rand.Rand, universe, victim uint64, cached func(uint64) bool, n, capacity int, order []memmodel.Bitmap) (op int, id uint64) {
+	switch r.Intn(3) {
+	case 0:
+		return 0, victim
+	case 1:
+		if id = r.Uint64() % universe; id == victim {
+			return 0, victim
+		}
+		if cached(id) {
+			return 1, id
+		}
+		for i := 0; i <= n-capacity && i < len(order); i++ {
+			if order[i] != 0 {
+				return 2, 0
+			}
+		}
+		return 1, id
+	}
+	return 2, 0
+}
+
+// lruOrder lists the dirty masks of the client's unpinned pages, least
+// recently used first: the order its evictions take them in.
+func lruOrder(c *Client) []memmodel.Bitmap {
+	var order []memmodel.Bitmap
+	for p := c.pages.lruTail; p != nil; p = p.prev {
+		if !(p.inflight || p.faulting || p.waiters > 0 || p.putting) {
+			order = append(order, p.dirty)
+		}
+	}
+	return order
+}
+
+// lruOrder is the scan's lruOrder.
+func (m *scanModel) lruOrder() []memmodel.Bitmap {
+	var ps []*modelPage
+	for _, p := range m.pages {
+		if !(p.inflight || p.faulting || p.waiters > 0 || p.putting) {
+			ps = append(ps, p)
+		}
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].lastUse < ps[j].lastUse })
+	order := make([]memmodel.Bitmap, len(ps))
+	for i, p := range ps {
+		order[i] = p.dirty
+	}
+	return order
 }
 
 // newEvictHarness dials a client whose only reachable peer is the directory:
@@ -161,17 +228,18 @@ type evictHarness struct {
 func newEvictHarness(t testing.TB, capacity int, seed int64) *evictHarness {
 	dir, _ := testCluster(t, 0)
 	h := &evictHarness{
-		t:          t,
-		m:          &scanModel{capacity: capacity, pages: make(map[uint64]*modelPage)},
-		reinstallC: rand.New(rand.NewSource(seed)),
-		reinstallM: rand.New(rand.NewSource(seed)),
+		t:        t,
+		m:        &scanModel{capacity: capacity, pages: make(map[uint64]*modelPage)},
+		windowC:  rand.New(rand.NewSource(seed)),
+		windowM:  rand.New(rand.NewSource(seed)),
+		universe: uint64(3*capacity + 2),
 	}
-	// A reinstall that would itself evict is skipped (on both sides): the
-	// hook runs inside the outer write-back's dial, under the client's
-	// srvMu, where a nested write-back would wait for this goroutine.
 	h.m.window = func(victim uint64) {
-		if h.reinstallM.Intn(2) == 0 && len(h.m.pages) < capacity {
-			h.m.access(victim)
+		m := h.m
+		op, id := windowOp(h.windowM, h.universe, victim,
+			func(id uint64) bool { return m.pages[id] != nil }, len(m.pages), capacity, m.lruOrder())
+		if op == 1 {
+			m.access(id)
 		}
 	}
 	h.c = testClient(t, dir, ClientConfig{CachePages: capacity, Dial: func(network, addr string) (net.Conn, error) {
@@ -180,13 +248,26 @@ func newEvictHarness(t testing.TB, capacity int, seed int64) *evictHarness {
 			return net.Dial(network, addr) // the directory
 		}
 		// evictIfFull has let go of c.mu for the write-back: this is the
-		// window in which another accessor can fault the victim back in.
-		h.c.mu.Lock()
-		if h.reinstallC.Intn(2) == 0 && len(h.c.pages.m) < capacity {
-			h.access(victim)
-			h.reinstalled++
+		// window in which another accessor can reach the cache.
+		c := h.c
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		op, id := windowOp(h.windowC, h.universe, victim,
+			func(id uint64) bool { return c.pages.m[id] != nil }, len(c.pages.m), capacity, lruOrder(c))
+		switch op {
+		case 0:
+			// ensureValid would wait on the condition variable: the victim
+			// must still be cached and pinned, so nothing fetches it again
+			// before its put is on the wire.
+			if p := c.pages.m[victim]; p == nil || !p.putting || c.pages.victim() == p {
+				h.t.Errorf("page %d in its write-back window: cached %v, a victim again %v; want cached, putting and pinned",
+					victim, p != nil, p != nil && c.pages.victim() == p)
+			}
+			h.victimWaits++
+		case 1:
+			h.access(id)
+			h.windowAccesses++
 		}
-		h.c.mu.Unlock()
 		return nil, errors.New("no such server")
 	}})
 	return h
@@ -207,14 +288,18 @@ func (h *evictHarness) access(page uint64) {
 	}
 }
 
-// compare requires the client and the model to cache the same pages, and
-// the client's list to be intact and to agree with the scan.
+// compare requires the client and the model to cache the same pages with
+// the same dirty blocks, none left putting, and the client's list to be
+// intact and to agree with the scan.
 func (h *evictHarness) compare(step int, op string) {
 	h.t.Helper()
 	checkLRULocked(h.t, h.c)
 	var got, want []uint64
-	for id := range h.c.pages.m {
+	for id, p := range h.c.pages.m {
 		got = append(got, id)
+		if mp := h.m.pages[id]; mp != nil && (p.dirty != mp.dirty || p.putting) {
+			h.t.Fatalf("step %d (%s): page %d dirty %v putting %v, model dirty %v", step, op, id, p.dirty, p.putting, mp.dirty)
+		}
 	}
 	for id := range h.m.pages {
 		want = append(want, id)
@@ -224,8 +309,8 @@ func (h *evictHarness) compare(step int, op string) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		h.t.Fatalf("step %d (%s): list-evicting client caches %v, scan-evicting model %v", step, op, got, want)
 	}
-	if st := h.c.stats; st.PutDrops != h.m.drops || st.PutPages != 0 {
-		h.t.Fatalf("step %d (%s): PutDrops %d PutPages %d, want %d and 0", step, op, st.PutDrops, st.PutPages, h.m.drops)
+	if st := h.c.stats; st.PutDrops != h.m.drops || st.PutPages != 0 || st.PutBytes != 0 {
+		h.t.Fatalf("step %d (%s): PutDrops %d PutPages %d PutBytes %d, want %d, 0 and 0", step, op, st.PutDrops, st.PutPages, st.PutBytes, h.m.drops)
 	}
 }
 
@@ -241,21 +326,21 @@ func (h *evictHarness) cached() []uint64 {
 }
 
 // TestEvictionMatchesScanOracle is the eviction differential: over seeded
-// random streams of accesses, pins of each kind, unpins, dirtyings (of
-// whole and of partial pages) and evictions, the client with the LRU list
-// must evict exactly the pages the scanning evictIfFull evicted, and count
-// exactly its lost writes — in
-// particular when every page is pinned (overcommit, no victim) and when a
-// dirty victim's unlock window lets another accessor reinstall the page.
+// random streams of accesses, pins of each kind, unpins, stores (into
+// whole and into partial pages, each dirtying some blocks) and evictions,
+// the client with the LRU list must evict exactly the pages the scanning
+// evictIfFull evicted, keep the same dirty blocks, and count exactly its
+// lost writes — in particular when every page is pinned (overcommit, no
+// victim), and in every dirty victim's unlock window, where the victim
+// must stay cached and pinned while other accessors use the cache.
 func TestEvictionMatchesScanOracle(t *testing.T) {
-	var evictions, overcommits, reinstalls, partialDrops int64
+	var evictions, overcommits, waits, windowAccesses, partial int64
 	for seed := int64(1); seed <= 6; seed++ {
 		capacity := []int{1, 2, 8, 32}[seed%4]
 		t.Run(fmt.Sprintf("seed%d-cap%d", seed, capacity), func(t *testing.T) {
 			h := newEvictHarness(t, capacity, seed)
 			c, m := h.c, h.m
 			r := rand.New(rand.NewSource(seed * 7919))
-			universe := uint64(3*capacity + 2)
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			for step := 0; step < 4000; step++ {
@@ -270,7 +355,7 @@ func TestEvictionMatchesScanOracle(t *testing.T) {
 				op := "access"
 				switch k := r.Intn(100); {
 				case k < 50 || p == nil:
-					id = r.Uint64() % universe
+					id = r.Uint64() % h.universe
 					if c.pages.m[id] == nil && len(c.pages.m) >= capacity && scanVictim(c) == nil {
 						overcommits++ // every page pinned: the install must go through regardless
 					}
@@ -293,12 +378,20 @@ func TestEvictionMatchesScanOracle(t *testing.T) {
 					p.faulting, mp.faulting = false, false
 					p.waiters, mp.waiters = 0, 0
 				case k < 92:
-					op = "dirty"
-					p.valid, p.dirty, mp.dirty, mp.full = ^memmodel.Bitmap(0), true, true, true
+					op = "store"
+					p.valid, mp.full = ^memmodel.Bitmap(0), true
 					if r.Intn(3) == 0 { // a lazy or Prefetch fault's page
-						op = "dirty partial"
-						p.valid, mp.full = memmodel.Bitmap(0xF0), false
+						op = "store partial"
+						p.valid = 0xF0 | p.dirty
+						mp.full = p.valid.Full()
 					}
+					// A store dirties valid blocks only: ensureValid runs first.
+					blocks := memmodel.Bitmap(r.Uint32()) & p.valid
+					if blocks == 0 {
+						blocks = p.valid & -p.valid
+					}
+					p.dirty |= blocks
+					mp.dirty |= blocks
 					c.route.remember(id, []string{fmt.Sprintf("victim-%d", id)})
 				default:
 					op = "evict"
@@ -308,14 +401,15 @@ func TestEvictionMatchesScanOracle(t *testing.T) {
 				h.compare(step, op)
 			}
 			evictions += c.stats.Evictions
-			reinstalls += int64(h.reinstalled)
-			partialDrops += m.partial
+			waits += int64(h.victimWaits)
+			windowAccesses += int64(h.windowAccesses)
+			partial += m.partial
 		})
 	}
-	t.Logf("%d evictions, %d installs with every page pinned, %d victims reinstalled in the unlock window, %d partial dirty pages dropped",
-		evictions, overcommits, reinstalls, partialDrops)
-	if evictions == 0 || overcommits == 0 || reinstalls == 0 || partialDrops == 0 {
-		t.Fatal("the streams never reached an eviction, an all-pinned overcommit, a reinstall in a dirty victim's unlock window or a partial dirty victim")
+	t.Logf("%d evictions, %d installs with every page pinned, %d accessors finding the victim putting and %d using other pages in the unlock window, %d partial dirty victims written back",
+		evictions, overcommits, waits, windowAccesses, partial)
+	if evictions == 0 || overcommits == 0 || waits == 0 || windowAccesses == 0 || partial == 0 {
+		t.Fatal("the streams never reached an eviction, an all-pinned overcommit, both kinds of access in a dirty victim's unlock window, or a partial dirty victim")
 	}
 }
 

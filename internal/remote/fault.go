@@ -459,9 +459,9 @@ func (c *Client) applyBatch(addr string, b proto.SubpageBatch) {
 		// to apply rather than corrupt whatever now sits at this page.
 		live = false
 	}
-	if p == nil {
+	if p == nil || p.putting {
 		c.mu.Unlock()
-		return // page evicted mid-transfer; drop the data
+		return // page evicted mid-transfer, or being written back; drop the data
 	}
 	for i := 0; i < b.Runs(); i++ {
 		off, data := b.Run(i)
@@ -469,9 +469,21 @@ func (c *Client) applyBatch(addr string, b proto.SubpageBatch) {
 			c.mu.Unlock()
 			return // DecodeSubpageBatch bounds this; belt and braces
 		}
-		copy(p.data[off:], data)
-		p.valid = p.valid.Set(neededMask(off, len(data)))
 		c.stats.BytesIn += int64(len(data))
+		blocks := neededMask(off, len(data))
+		p.valid = p.valid.Set(blocks)
+		if blocks&p.dirty == 0 {
+			copy(p.data[off:], data)
+			continue
+		}
+		// A block written here is newer than any copy the server sends:
+		// the faulted block rides every reply, and a stale stream can land
+		// after a store.
+		for at := off; at < off+len(data); at += units.MinSubpage {
+			if !p.dirty.Has(at) {
+				copy(p.data[at:at+units.MinSubpage], data[at-off:])
+			}
+		}
 	}
 	done := ""
 	if live && p.inflight {

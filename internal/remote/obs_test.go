@@ -89,7 +89,8 @@ func TestStatsSnapshotCoherentUnderRace(t *testing.T) {
 
 // parentMetricNames is every name one client, one page server and one
 // unsharded in-memory directory expose on a shared registry. Counting each
-// event once changed where the values come from, not what is exposed.
+// event once changed where the values come from, not what is exposed;
+// block write-back added gms_client_put_bytes_total.
 var parentMetricNames = []string{
 	"gms_client_breaker_opens_total",
 	"gms_client_breaker_probes_total",
@@ -101,6 +102,7 @@ var parentMetricNames = []string{
 	"gms_client_full_latency_us",
 	"gms_client_hedges_total",
 	"gms_client_open_breakers",
+	"gms_client_put_bytes_total",
 	"gms_client_put_drops_total",
 	"gms_client_putpages_total",
 	"gms_client_retries_total",
@@ -180,7 +182,7 @@ func TestClientMetricsMirrorStats(t *testing.T) {
 		return srv.Puts == 1
 	}, "the dirty page's write-back to land")
 	st := c.Stats()
-	if st.Faults != 6 || st.Evictions != 3 || st.PutPages != 1 {
+	if st.Faults != 6 || st.Evictions != 3 || st.PutPages != 1 || st.PutBytes != units.PageSize {
 		t.Fatalf("not the fixed run: %+v", st)
 	}
 
@@ -196,6 +198,7 @@ func TestClientMetricsMirrorStats(t *testing.T) {
 		"gms_client_evictions_total":          st.Evictions,
 		"gms_client_putpages_total":           st.PutPages,
 		"gms_client_put_drops_total":          st.PutDrops,
+		"gms_client_put_bytes_total":          st.PutBytes,
 		"gms_client_bytes_in_total":           st.BytesIn,
 		"gms_client_retries_total":            st.Retries,
 		"gms_client_failovers_total":          st.Failovers,

@@ -3,6 +3,7 @@ package remote
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -210,10 +211,11 @@ func (s *Server) SetHeartbeatInterval(d time.Duration) {
 // pageBuf is one page-sized buffer with a reference count: the pages map
 // holds one reference, and every in-flight reply stream holds another for
 // as long as it reads the data. Buffers recycle through pagePool when the
-// last reference drops, so a steady stream of Store calls — the client
-// write-back path, the load harness warm-up — runs without allocating or
-// garbage-collecting a page per call (the Server.Store bugfix; budget
-// pinned by BenchmarkServerStoreAllocs).
+// last reference drops, so a steady stream of Store calls and merges — the
+// client write-back path, the load harness warm-up — runs without
+// allocating or garbage-collecting a page per call (the Server.Store
+// bugfix; budgets pinned by TestServerStoreAllocs and
+// TestDirtyEvictionAllocs).
 type pageBuf struct {
 	data []byte // always units.PageSize long
 	refs atomic.Int64
@@ -253,6 +255,46 @@ func (s *Server) Store(page uint64, data []byte) {
 		// Dropped outside the lock: release may return the buffer to the
 		// pool, and an in-flight reply stream may still hold a reference.
 		old.release()
+	}
+}
+
+// put applies one write-back: a page image is stored, a block put merged
+// into the page's copy. The merge is copy-on-write: a reply stream still
+// holding the old buffer reads bytes that never change under it. Under
+// s.mu no stream can take a new reference, so a buffer only the map holds
+// is merged in place. A block put for a page this server does not hold is
+// dropped: the blocks around it are nowhere to merge with.
+func (s *Server) put(m proto.PutPage) {
+	if m.Blocks == 0 {
+		s.Store(m.Page, m.Data)
+		s.mu.Lock()
+		s.Puts++
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Lock()
+	old := s.pages[m.Page]
+	if old == nil {
+		s.mu.Unlock()
+		return
+	}
+	pb := old
+	if old.refs.Load() > 1 {
+		pb = newPageBuf(old.data)
+		s.pages[m.Page] = pb
+	} else {
+		old = nil // merged in place: nothing to release
+	}
+	data := m.Data
+	for b := m.Blocks; b != 0; b &= b - 1 {
+		off := bits.TrailingZeros32(b) * units.MinSubpage
+		copy(pb.data[off:off+units.MinSubpage], data)
+		data = data[units.MinSubpage:]
+	}
+	s.Puts++
+	s.mu.Unlock()
+	if old != nil {
+		old.release() // outside the lock, as in Store
 	}
 }
 
@@ -519,10 +561,7 @@ func (s *Server) handle(st *connState, f proto.Frame) error {
 		if err != nil {
 			return err
 		}
-		s.Store(put.Page, put.Data)
-		s.mu.Lock()
-		s.Puts++
-		s.mu.Unlock()
+		s.put(put)
 	default:
 		return fmt.Errorf("server: unexpected %v", f.Type)
 	}

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/gms-sim/gmsubpage/internal/memmodel"
 	"github.com/gms-sim/gmsubpage/internal/proto"
+	"github.com/gms-sim/gmsubpage/internal/units"
 )
 
 // The data plane: one connection per page server, requests written by
@@ -114,22 +116,25 @@ func (c *Client) sendCancels(cancels []source) {
 	}
 }
 
-// putPage writes a dirty page back (fire and forget), trying each replica
-// until one send succeeds; it reports false when none did.
-func (c *Client) putPage(addrs []string, page uint64, data []byte) bool {
+// putPage writes a page's dirty blocks back to every replica in addrs (fire
+// and forget), gathered from the page image straight into each
+// connection's frame buffer. It reports whether any replica took the put,
+// and the payload bytes sent in all.
+func (c *Client) putPage(addrs []string, page uint64, dirty memmodel.Bitmap, data []byte) (sent bool, bytes int64) {
 	for _, addr := range addrs {
 		sc, err := c.server(addr)
 		if err != nil {
 			continue
 		}
 		err = sc.send(c.cfg.RequestTimeout, func(w *proto.Writer) error {
-			return w.SendPutPage(proto.PutPage{Page: page, Data: data})
+			return w.SendPutBlocks(page, uint32(dirty), data)
 		})
 		if err == nil {
-			return true
+			sent = true
+			bytes += int64(dirty.Count() * units.MinSubpage)
 		}
 	}
-	return false
+	return sent, bytes
 }
 
 // readLoop applies incoming subpage batches to the cache: the prototype's

@@ -277,10 +277,11 @@ type ClientStats struct {
 	Faults    int64
 	Evictions int64
 	PutPages  int64
-	// PutDrops counts dirty evictions not written back — no replica took
-	// the page, or it was never fully valid (Lazy, Prefetch): the write is
-	// lost.
+	// PutDrops counts dirty evictions no replica took: the write is lost.
 	PutDrops int64
+	// PutBytes counts write-back payload bytes: only the dirty 256 B
+	// blocks of each evicted page, once per replica that took them.
+	PutBytes int64
 	BytesIn  int64
 	// Resilience counters: attempts beyond the first, retries that moved
 	// to a different replica, hedged duplicate fetches, and cancel frames
@@ -315,6 +316,7 @@ func (c *Client) Stats() ClientStats {
 		Evictions:        st.Evictions,
 		PutPages:         st.PutPages,
 		PutDrops:         st.PutDrops,
+		PutBytes:         st.PutBytes,
 		BytesIn:          st.BytesIn,
 		Retries:          st.Retries,
 		Failovers:        st.Failovers,
