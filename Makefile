@@ -68,10 +68,12 @@ race:
 	$(GO) test -race -short -timeout 15m ./...
 
 # fuzz-smoke fuzzes the trace memo's page-run index (FuzzRunIndex: runs
-# against the Read stream, mixed Read/NextRun, the 2³² page boundary) for
-# ten seconds beyond its seed corpus.
+# against the Read stream, mixed Read/NextRun, the 2³² page boundary) and
+# the wire decoders, every parser of bytes from another process (FuzzDecode),
+# for ten seconds each beyond their seed corpora.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzRunIndex$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/proto/
 
 # tables-quarter renders every paper table from quarter-scale traces and
 # checks the output byte for byte against experiments_quarter.txt: the
@@ -174,14 +176,16 @@ prefetch-smoke:
 # signature change in internal/proto or internal/remote would otherwise
 # surface only when the pipeline's benchmark fails to build. One second
 # each, traced, of the fault path, the paced fault path (the link clock,
-# its sleeper and the live Table 2 probes), the hit path and the cold path
-# (the one workload whose directory shards share a registry, which its
+# its sleeper and the live Table 2 probes), the write-back path (every read
+# checked against a shadow copy of the writes), the hit path and the cold
+# path (the one workload whose directory shards share a registry, which its
 # traced run reads through Registry.Counter); each exits non-zero on a
 # wrong byte or a failed op.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	bash bench/run.sh --workload fault-churn --seed 1 --seconds 1 --trace 1 > /dev/null
 	bash bench/run.sh --workload atm-pair --seed 1 --seconds 1 --trace 1 > /dev/null
+	bash bench/run.sh --workload writeback-mix --seed 1 --seconds 1 --trace 1 > /dev/null
 	bash bench/run.sh --workload hit-resident --seed 1 --seconds 1 --trace 1 > /dev/null
 	bash bench/run.sh --workload cold-scan --seed 1 --seconds 1 --trace 1 > /dev/null
 

@@ -90,8 +90,8 @@ func (w *Writer) SendGetPageV2(m GetPageV2) error {
 
 // DecodeGetPageV2 parses a TGetPageV2 payload.
 func DecodeGetPageV2(p []byte) (GetPageV2, error) {
-	if len(p) < getPageV2Len {
-		return GetPageV2{}, short(TGetPageV2)
+	if len(p) != getPageV2Len {
+		return GetPageV2{}, badLen(TGetPageV2, len(p))
 	}
 	return GetPageV2{
 		ReqID:       binary.LittleEndian.Uint64(p[0:8]),
@@ -111,8 +111,8 @@ func (w *Writer) SendCancel(m Cancel) error {
 
 // DecodeCancel parses a TCancel payload.
 func DecodeCancel(p []byte) (Cancel, error) {
-	if len(p) < cancelLen {
-		return Cancel{}, short(TCancel)
+	if len(p) != cancelLen {
+		return Cancel{}, badLen(TCancel, len(p))
 	}
 	return Cancel{ReqID: binary.LittleEndian.Uint64(p[0:8])}, nil
 }

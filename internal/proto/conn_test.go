@@ -32,7 +32,7 @@ func rawFrame(t Type, payload string) []byte {
 // out arm by arm.
 func TestCallReturnsOnlyWhatWasAskedFor(t *testing.T) {
 	const text = "directory: stale epoch 7"
-	for reply := TPutPage; reply <= TDrainReply; reply++ {
+	for reply := TPutPage; reply <= TPlacements; reply++ {
 		other := TAck
 		if reply == TAck {
 			other = TLookupReply

@@ -35,6 +35,12 @@ func FuzzDecode(f *testing.F) {
 	seed(func(w *Writer) error { return w.SendPutBlocks(9, 1<<3|1<<30, make([]byte, 8192)) })
 	seed(func(w *Writer) error { return w.SendAck() })
 	seed(func(w *Writer) error { return w.SendLookup(Lookup{Page: 12}) })
+	seed(func(w *Writer) error { return w.SendLookup(Lookup{Page: 12, Group: true}) })
+	seed(func(w *Writer) error {
+		return w.SendPlacements(Placements{Page: 12, Entries: []Placement{
+			{Page: 12, Addrs: []string{"a:1", "b:2"}}, {Page: 0, Addrs: []string{"b:2"}}, {Page: 63, Addrs: []string{"a:1", "b:2"}},
+		}})
+	})
 	seed(func(w *Writer) error {
 		return w.SendLookupReply(LookupReply{Page: 12, Addrs: []string{"a:1", "b:2"}})
 	})
@@ -83,6 +89,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{byte(TCancel), 4, 0, 0, 0, 1, 2, 3, 4})                           // reqID truncated
 	f.Add([]byte{byte(TDrain), 3, 0, 0, 0, 9, 'a', ':'})                           // addr len 9 overruns
 	f.Add([]byte{byte(TDrainReply), 2, 0, 0, 0, 1, 2})                             // moved truncated
+	f.Add([]byte{byte(TLookup), 10, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0})        // a byte past the group form
+	f.Add(append([]byte{byte(TGetPageV2), 30, 0, 0, 0}, make([]byte, 30)...))      // a byte past the fixed layout
+	f.Add([]byte{byte(TCancel), 9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})            // a byte past the reqID
+	// Placements: an address index past a one-entry table, and a count
+	// promising two entries with bytes for one.
+	f.Add([]byte{byte(TPlacements), 17, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 3, 'a', ':', '1', 1, 5, 1, 1})
+	f.Add([]byte{byte(TPlacements), 17, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 3, 'a', ':', '1', 2, 5, 1, 0})
 	// A block put promising two blocks and carrying one byte.
 	f.Add([]byte{byte(TPutPage), 13, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 7})
 	// Batch promising 2 runs with no table, and a table whose lengths
@@ -105,6 +118,11 @@ func FuzzDecode(f *testing.F) {
 			_, _ = DecodeLookup(fr.Payload)
 			if rep, err := DecodeLookupReply(fr.Payload); err == nil {
 				_ = rep.Addrs
+			}
+			if pl, err := DecodePlacements(fr.Payload); err == nil {
+				for _, e := range pl.Entries {
+					_ = e.Addrs[0] // every entry names at least one replica
+				}
 			}
 			if reg, err := DecodeRegister(fr.Payload); err == nil {
 				_ = reg.Pages

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 
 	"github.com/gms-sim/gmsubpage/internal/units"
 )
@@ -35,7 +36,8 @@ const (
 	TPutPage Type = iota + 3
 	// TAck acknowledges a TPutPage or TRegister.
 	TAck
-	// TLookup asks the directory which server stores a page.
+	// TLookup asks the directory which server stores a page, or (the group
+	// form) where every page of the page's placement group lives.
 	TLookup
 	// TLookupReply answers a TLookup.
 	TLookupReply
@@ -76,43 +78,25 @@ const (
 	// TDrainReply answers a TDrain with the number of pages the
 	// directory transferred off the drained server.
 	TDrainReply
+	// TPlacements answers a group TLookup with the placements of the
+	// asked page's placement group.
+	TPlacements
 )
 
 // String names the type for diagnostics.
 func (t Type) String() string {
-	switch t {
-	case TPutPage:
-		return "PutPage"
-	case TAck:
-		return "Ack"
-	case TLookup:
-		return "Lookup"
-	case TLookupReply:
-		return "LookupReply"
-	case TRegister:
-		return "Register"
-	case TError:
-		return "Error"
-	case THeartbeat:
-		return "Heartbeat"
-	case TGetShardMap:
-		return "GetShardMap"
-	case TShardMap:
-		return "ShardMap"
-	case TWrongShard:
-		return "WrongShard"
-	case TGetPageV2:
-		return "GetPageV2"
-	case TSubpageBatch:
-		return "SubpageBatch"
-	case TCancel:
-		return "Cancel"
-	case TDrain:
-		return "Drain"
-	case TDrainReply:
-		return "DrainReply"
+	if t >= TPutPage && t <= TPlacements {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("Type(%d)", uint8(t))
+}
+
+var typeNames = [...]string{
+	TPutPage: "PutPage", TAck: "Ack", TLookup: "Lookup", TLookupReply: "LookupReply",
+	TRegister: "Register", TError: "Error", THeartbeat: "Heartbeat", TGetShardMap: "GetShardMap",
+	TShardMap: "ShardMap", TWrongShard: "WrongShard", TGetPageV2: "GetPageV2",
+	TSubpageBatch: "SubpageBatch", TCancel: "Cancel", TDrain: "Drain", TDrainReply: "DrainReply",
+	TPlacements: "Placements",
 }
 
 // MaxPayload bounds a frame's payload: a full page plus the largest
@@ -170,8 +154,22 @@ func (m PutPage) check() error {
 	return fmt.Errorf("proto: put of blocks %#x carries %d data bytes", m.Blocks, len(m.Data))
 }
 
-// Lookup asks where a page lives.
-type Lookup struct{ Page uint64 }
+// PlacementGroup is the number of pages a group lookup answers for: the
+// aligned run of PlacementGroup pages holding the page asked about. A
+// fault's neighbours are likely to fault soon, so their placements ride
+// back in the same round trip.
+const PlacementGroup = 64
+
+// GroupBase returns the first page of page's placement group.
+func GroupBase(page uint64) uint64 { return page &^ (PlacementGroup - 1) }
+
+// Lookup asks where a page lives. Payload: page u64, then, for the group
+// form, one flag byte 1 — 8 or 9 bytes exactly. The 8-byte form is
+// answered by a TLookupReply, the group form by a TPlacements.
+type Lookup struct {
+	Page  uint64
+	Group bool
+}
 
 // LookupReply answers: Addrs lists every server holding a replica of the
 // page, primary first; it is empty when the page is unknown. Clients fail
@@ -179,6 +177,27 @@ type Lookup struct{ Page uint64 }
 type LookupReply struct {
 	Page  uint64
 	Addrs []string
+}
+
+// Placement is one page's replica list, primary first.
+type Placement struct {
+	Page  uint64
+	Addrs []string
+}
+
+// Placements answers a group Lookup: one entry for every page of Page's
+// placement group that the answering directory owns and a live server
+// holds, Page's own entry first when it has one. Payload layout:
+//
+//	bytes 0-7  page asked about
+//	byte  8    n: address-table entries, then n × (length u8, address)
+//	byte       m: entries, then m × (page − GroupBase(page) u8,
+//	           k u8 ≥ 1, k address-table indexes u8, primary first)
+//
+// Each address crosses the wire once however many pages it holds.
+type Placements struct {
+	Page    uint64
+	Entries []Placement
 }
 
 // Register announces pages stored at Addr. Epoch is the server's
@@ -264,7 +283,8 @@ const (
 type Writer struct {
 	w     io.Writer
 	buf   []byte
-	small int // consecutive sends that fit in writerRetainCap
+	small int      // consecutive sends that fit in writerRetainCap
+	tab   []string // SendPlacements' address table, reused
 }
 
 // NewWriter returns a Writer on w. The frame buffer grows on demand and
@@ -275,27 +295,24 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 func (w *Writer) send(t Type, payload []byte) error {
-	if err := w.begin(t, len(payload)); err != nil {
-		return err
-	}
+	w.begin(t)
 	w.buf = append(w.buf, payload...)
 	return w.finish()
 }
 
-// begin starts a frame of type t with an n-byte payload in the frame
-// buffer; the caller appends exactly n bytes and calls finish.
-func (w *Writer) begin(t Type, n int) error {
-	if n > MaxPayload {
-		return fmt.Errorf("proto: payload %d exceeds max %d", n, MaxPayload)
-	}
-	w.buf = append(w.buf[:0], byte(t))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(n))
-	return nil
-}
+// begin starts a frame of type t in the frame buffer; the caller appends
+// the payload and calls finish.
+func (w *Writer) begin(t Type) { w.buf = append(w.buf[:0], byte(t), 0, 0, 0, 0) }
 
-// finish writes the frame begin started.
+// finish fills in the length of the frame begin started and writes it.
 func (w *Writer) finish() error {
-	_, err := w.w.Write(w.buf)
+	var err error
+	if n := len(w.buf) - headerSize; n > MaxPayload {
+		err = fmt.Errorf("proto: payload %d exceeds max %d", n, MaxPayload)
+	} else {
+		binary.LittleEndian.PutUint32(w.buf[1:headerSize], uint32(n))
+		_, err = w.w.Write(w.buf)
+	}
 	w.afterSend()
 	return err
 }
@@ -320,9 +337,7 @@ func (w *Writer) SendPutPage(m PutPage) error {
 	if err := m.check(); err != nil {
 		return err
 	}
-	if err := w.beginPut(m.Page, m.Blocks, len(m.Data)); err != nil {
-		return err
-	}
+	w.beginPut(m.Page, m.Blocks)
 	w.buf = append(w.buf, m.Data...)
 	return w.finish()
 }
@@ -335,9 +350,7 @@ func (w *Writer) SendPutBlocks(page uint64, blocks uint32, image []byte) error {
 	if blocks == 0 || len(image) != units.PageSize {
 		return fmt.Errorf("proto: block put of blocks %#x from a %d-byte image", blocks, len(image))
 	}
-	if err := w.beginPut(page, blocks, bits.OnesCount32(blocks)*units.MinSubpage); err != nil {
-		return err
-	}
+	w.beginPut(page, blocks)
 	for b := blocks; b != 0; b &= b - 1 {
 		off := bits.TrailingZeros32(b) * units.MinSubpage
 		w.buf = append(w.buf, image[off:off+units.MinSubpage]...)
@@ -345,14 +358,11 @@ func (w *Writer) SendPutBlocks(page uint64, blocks uint32, image []byte) error {
 	return w.finish()
 }
 
-// beginPut starts a TPutPage frame carrying n data bytes.
-func (w *Writer) beginPut(page uint64, blocks uint32, n int) error {
-	if err := w.begin(TPutPage, putFixedLen+n); err != nil {
-		return err
-	}
+// beginPut starts a TPutPage frame; the caller appends the data.
+func (w *Writer) beginPut(page uint64, blocks uint32) {
+	w.begin(TPutPage)
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, page)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, blocks)
-	return nil
 }
 
 // SendAck writes a TAck frame.
@@ -360,30 +370,102 @@ func (w *Writer) SendAck() error { return w.send(TAck, nil) }
 
 // SendLookup writes a TLookup frame.
 func (w *Writer) SendLookup(m Lookup) error {
-	p := binary.LittleEndian.AppendUint64(nil, m.Page)
-	return w.send(TLookup, p)
+	w.begin(TLookup)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, m.Page)
+	if m.Group {
+		w.buf = append(w.buf, 1)
+	}
+	return w.finish()
 }
 
 // SendLookupReply writes a TLookupReply frame.
 func (w *Writer) SendLookupReply(m LookupReply) error {
-	if len(m.Addrs) > 255 {
-		return fmt.Errorf("proto: too many replicas: %d", len(m.Addrs))
+	w.begin(TLookupReply)
+	var err error
+	if w.buf, err = appendAddrs(binary.LittleEndian.AppendUint64(w.buf, m.Page), m.Addrs); err != nil {
+		return err
 	}
-	n := 9
-	for _, a := range m.Addrs {
+	return w.finish()
+}
+
+// appendAddrs appends an address list: a count byte, then each address
+// behind a length byte. On error p comes back partly extended.
+func appendAddrs(p []byte, addrs []string) ([]byte, error) {
+	if len(addrs) > 255 {
+		return p, fmt.Errorf("proto: too many addresses: %d", len(addrs))
+	}
+	p = append(p, byte(len(addrs)))
+	for _, a := range addrs {
 		if len(a) > 255 {
-			return fmt.Errorf("proto: address too long: %q", a)
+			return p, fmt.Errorf("proto: address too long: %q", a)
 		}
-		n += 1 + len(a)
+		p = append(append(p, byte(len(a))), a...)
 	}
-	p := make([]byte, 0, n)
-	p = binary.LittleEndian.AppendUint64(p, m.Page)
-	p = append(p, byte(len(m.Addrs)))
-	for _, a := range m.Addrs {
-		p = append(p, byte(len(a)))
-		p = append(p, a...)
+	return p, nil
+}
+
+// decodeAddrs parses an address list (see appendAddrs) at the head of p,
+// returning the bytes after it.
+func decodeAddrs(p []byte, t Type) ([]string, []byte, error) {
+	if len(p) < 1 {
+		return nil, nil, short(t)
 	}
-	return w.send(TLookupReply, p)
+	var addrs []string
+	if p[0] > 0 {
+		addrs = make([]string, p[0])
+	}
+	rest := p[1:]
+	for i := range addrs {
+		if len(rest) < 1 || len(rest) < 1+int(rest[0]) {
+			return nil, nil, short(t)
+		}
+		addrs[i] = string(rest[1 : 1+rest[0]])
+		rest = rest[1+rest[0]:]
+	}
+	return addrs, rest, nil
+}
+
+// SendPlacements writes a TPlacements frame, built in the frame buffer.
+// Entries that would take the frame past MaxPayload, or the address table
+// past 255 addresses, are dropped from the tail; the first entry is never
+// dropped: if it alone does not fit, the send fails.
+func (w *Writer) SendPlacements(m Placements) error {
+	base := GroupBase(m.Page)
+	tab, size, keep := w.tab[:0], 10, 0
+	for i, e := range m.Entries {
+		if e.Page-base >= PlacementGroup || len(e.Addrs) == 0 || len(e.Addrs) > 255 {
+			return fmt.Errorf("proto: placement of page %d with %d replicas in the group of %d", e.Page, len(e.Addrs), m.Page)
+		}
+		n, add := len(tab), 2+len(e.Addrs)
+		for _, a := range e.Addrs {
+			if !slices.Contains(tab, a) {
+				tab = append(tab, a)
+				add += 1 + len(a)
+			}
+		}
+		if size+add > MaxPayload || len(tab) > 255 || i == 255 {
+			if i == 0 {
+				return fmt.Errorf("proto: placement of page %d does not fit a frame", e.Page)
+			}
+			tab = tab[:n]
+			break
+		}
+		size, keep = size+add, i+1
+	}
+	w.begin(TPlacements)
+	var err error
+	if w.buf, err = appendAddrs(binary.LittleEndian.AppendUint64(w.buf, m.Page), tab); err != nil {
+		return err
+	}
+	w.buf = append(w.buf, byte(keep))
+	for _, e := range m.Entries[:keep] {
+		w.buf = append(w.buf, byte(e.Page-base), byte(len(e.Addrs)))
+		for _, a := range e.Addrs {
+			w.buf = append(w.buf, byte(slices.Index(tab, a)))
+		}
+	}
+	w.tab = tab[:0]
+	return w.finish()
 }
 
 // SendRegister writes a TRegister frame.
@@ -413,48 +495,26 @@ func (w *Writer) SendHeartbeat(m Heartbeat) error {
 	return w.send(THeartbeat, p)
 }
 
-// appendShardMap appends the shard-map encoding: version, shard count,
-// then length-prefixed addresses.
+// appendShardMap appends the shard-map encoding: version, then the shard
+// address list.
 func appendShardMap(p []byte, m ShardMap) ([]byte, error) {
-	if len(m.Shards) > 255 {
-		return nil, fmt.Errorf("proto: too many shards: %d", len(m.Shards))
-	}
-	p = binary.LittleEndian.AppendUint64(p, m.Version)
-	p = append(p, byte(len(m.Shards)))
-	for _, a := range m.Shards {
-		if len(a) > 255 {
-			return nil, fmt.Errorf("proto: address too long: %q", a)
-		}
-		p = append(p, byte(len(a)))
-		p = append(p, a...)
-	}
-	return p, nil
+	return appendAddrs(binary.LittleEndian.AppendUint64(p, m.Version), m.Shards)
 }
 
 // decodeShardMapBody parses a shard-map encoding, requiring it to consume
 // the whole input.
 func decodeShardMapBody(p []byte, t Type) (ShardMap, error) {
-	if len(p) < 9 {
+	if len(p) < 8 {
 		return ShardMap{}, short(t)
 	}
-	m := ShardMap{Version: binary.LittleEndian.Uint64(p[0:8])}
-	count := int(p[8])
-	rest := p[9:]
-	for i := 0; i < count; i++ {
-		if len(rest) < 1 {
-			return ShardMap{}, short(t)
-		}
-		alen := int(rest[0])
-		if len(rest) < 1+alen {
-			return ShardMap{}, short(t)
-		}
-		m.Shards = append(m.Shards, string(rest[1:1+alen]))
-		rest = rest[1+alen:]
+	shards, rest, err := decodeAddrs(p[8:], t)
+	if err != nil {
+		return ShardMap{}, err
 	}
 	if len(rest) != 0 {
 		return ShardMap{}, fmt.Errorf("proto: trailing bytes in %v", t)
 	}
-	return m, nil
+	return ShardMap{Version: binary.LittleEndian.Uint64(p[0:8]), Shards: shards}, nil
 }
 
 // SendGetShardMap writes a TGetShardMap frame.
@@ -553,7 +613,7 @@ func (r *Reader) Next() (Frame, error) {
 	}
 	head := r.buf[r.rd : r.rd+headerSize]
 	t := Type(head[0])
-	if t < TPutPage || t > TDrainReply {
+	if t < TPutPage || t > TPlacements {
 		// Reject unknown tag bytes at the framing layer (the reserved v1
 		// bytes 1 and 2 included, see the tag declarations): every Frame
 		// handed to callers carries one of the declared T* constants, so
@@ -583,6 +643,9 @@ func (r *Reader) Next() (Frame, error) {
 
 func short(t Type) error { return fmt.Errorf("proto: short %v payload", t) }
 
+// badLen reports a payload of a length its fixed layout does not have.
+func badLen(t Type, n int) error { return fmt.Errorf("proto: %v payload of %d bytes", t, n) }
+
 // DecodePutPage parses a TPutPage payload. The Data slice aliases p. A
 // block put whose data is not exactly its blocks, or a page image longer
 // than a page, is an error.
@@ -601,37 +664,78 @@ func DecodePutPage(p []byte) (PutPage, error) {
 	return m, nil
 }
 
-// DecodeLookup parses a TLookup payload.
+// DecodeLookup parses a TLookup payload: 8 bytes, or 9 whose last is the
+// group flag 1.
 func DecodeLookup(p []byte) (Lookup, error) {
-	if len(p) < 8 {
-		return Lookup{}, short(TLookup)
+	if len(p) != 8 && (len(p) != 9 || p[8] != 1) {
+		return Lookup{}, badLen(TLookup, len(p))
 	}
-	return Lookup{Page: binary.LittleEndian.Uint64(p[0:8])}, nil
+	return Lookup{Page: binary.LittleEndian.Uint64(p[0:8]), Group: len(p) == 9}, nil
 }
 
 // DecodeLookupReply parses a TLookupReply payload.
 func DecodeLookupReply(p []byte) (LookupReply, error) {
-	if len(p) < 9 {
+	if len(p) < 8 {
 		return LookupReply{}, short(TLookupReply)
 	}
-	m := LookupReply{Page: binary.LittleEndian.Uint64(p[0:8])}
-	count := int(p[8])
-	rest := p[9:]
-	for i := 0; i < count; i++ {
-		if len(rest) < 1 {
-			return LookupReply{}, short(TLookupReply)
-		}
-		alen := int(rest[0])
-		if len(rest) < 1+alen {
-			return LookupReply{}, short(TLookupReply)
-		}
-		m.Addrs = append(m.Addrs, string(rest[1:1+alen]))
-		rest = rest[1+alen:]
+	addrs, rest, err := decodeAddrs(p[8:], TLookupReply)
+	if err != nil {
+		return LookupReply{}, err
 	}
 	if len(rest) != 0 {
 		return LookupReply{}, fmt.Errorf("proto: trailing bytes in LookupReply")
 	}
+	return LookupReply{Page: binary.LittleEndian.Uint64(p[0:8]), Addrs: addrs}, nil
+}
+
+// DecodePlacements parses a TPlacements payload. It allocates each
+// address once and each distinct replica list once, not once per page:
+// entries with equal lists share one slice, which callers must not modify.
+func DecodePlacements(p []byte) (Placements, error) {
+	if len(p) < 8 {
+		return Placements{}, short(TPlacements)
+	}
+	m := Placements{Page: binary.LittleEndian.Uint64(p[0:8])}
+	tab, rest, err := decodeAddrs(p[8:], TPlacements)
+	if err != nil {
+		return Placements{}, err
+	}
+	if len(rest) < 1 {
+		return Placements{}, short(TPlacements)
+	}
+	count := int(rest[0])
+	m.Entries = make([]Placement, 0, count)
+	rest = rest[1:]
+	for i := 0; i < count; i++ {
+		if len(rest) < 2 || len(rest) < 2+int(rest[1]) {
+			return Placements{}, short(TPlacements)
+		}
+		off, idx := rest[0], rest[2:2+rest[1]]
+		rest = rest[2+len(idx):]
+		if off >= PlacementGroup || len(idx) == 0 || int(slices.Max(idx)) >= len(tab) {
+			return Placements{}, fmt.Errorf("proto: Placements entry at offset %d names %v of %d addresses", off, idx, len(tab))
+		}
+		m.Entries = append(m.Entries, Placement{Page: GroupBase(m.Page) + uint64(off), Addrs: replicaList(m.Entries, tab, idx)})
+	}
+	if len(rest) != 0 {
+		return Placements{}, fmt.Errorf("proto: trailing bytes in Placements")
+	}
 	return m, nil
+}
+
+// replicaList returns the replica list tab[idx...]: an earlier entry's
+// slice when one is equal, else a new one.
+func replicaList(prev []Placement, tab []string, idx []byte) []string {
+	for i := len(prev) - 1; i >= 0; i-- {
+		if a := prev[i].Addrs; len(a) == len(idx) && slices.EqualFunc(a, idx, func(s string, x byte) bool { return s == tab[x] }) {
+			return a
+		}
+	}
+	addrs := make([]string, len(idx))
+	for i, x := range idx {
+		addrs[i] = tab[x]
+	}
+	return addrs
 }
 
 // DecodeRegister parses a TRegister payload.

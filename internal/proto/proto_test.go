@@ -353,7 +353,7 @@ func TestTruncatedFrame(t *testing.T) {
 // switches over Type be exhaustive with no default: Next never hands an
 // undeclared tag to a caller.
 func TestUnknownTypeByteRejected(t *testing.T) {
-	for _, tag := range []byte{0, 1, 2, byte(TDrainReply) + 1, 200, 255} {
+	for _, tag := range []byte{0, 1, 2, byte(TPlacements) + 1, 200, 255} {
 		raw := []byte{tag, 0, 0, 0, 0}
 		_, err := NewReader(bytes.NewReader(raw)).Next()
 		if err == nil {
@@ -363,7 +363,7 @@ func TestUnknownTypeByteRejected(t *testing.T) {
 			t.Fatalf("type byte %d: err = %v, want the unknown-type rejection", tag, err)
 		}
 	}
-	for tag := TPutPage; tag <= TDrainReply; tag++ {
+	for tag := TPutPage; tag <= TPlacements; tag++ {
 		raw := []byte{byte(tag), 0, 0, 0, 0}
 		if _, err := NewReader(bytes.NewReader(raw)).Next(); err != nil {
 			t.Fatalf("declared tag %v rejected at the framing layer: %v", tag, err)
@@ -379,14 +379,14 @@ func TestTagValuesPinned(t *testing.T) {
 		TPutPage: 3, TAck: 4, TLookup: 5, TLookupReply: 6, TRegister: 7,
 		TError: 8, THeartbeat: 9, TGetShardMap: 10, TShardMap: 11,
 		TWrongShard: 12, TGetPageV2: 13, TSubpageBatch: 14, TCancel: 15,
-		TDrain: 16, TDrainReply: 17,
+		TDrain: 16, TDrainReply: 17, TPlacements: 18,
 	}
 	for tag, b := range want {
 		if byte(tag) != b {
 			t.Errorf("%v = %d on the wire, want %d", tag, byte(tag), b)
 		}
 	}
-	for _, b := range []byte{0, 1, 2, 18} {
+	for _, b := range []byte{0, 1, 2, 19} {
 		if _, err := NewReader(bytes.NewReader([]byte{b, 0, 0, 0, 0})).Next(); err == nil {
 			t.Errorf("Reader.Next accepted tag byte %d", b)
 		}
@@ -422,6 +422,20 @@ func TestShortPayloadDecodes(t *testing.T) {
 	// Trailing bytes after the epoch are also malformed.
 	if _, err := DecodeHeartbeat([]byte{1, 'a', 1, 2, 3, 4, 5, 6, 7, 8, 9}); err == nil {
 		t.Error("overlong Heartbeat should fail")
+	}
+	// Fixed layouts are exact: a byte to spare is a malformed frame, not
+	// padding. A 9-byte Lookup is the group form, whose flag must be 1.
+	if _, err := DecodeLookup(make([]byte, 10)); err == nil {
+		t.Error("overlong Lookup should fail")
+	}
+	if _, err := DecodeLookup(make([]byte, 9)); err == nil {
+		t.Error("Lookup with group flag 0 should fail")
+	}
+	if _, err := DecodeGetPageV2(make([]byte, getPageV2Len+1)); err == nil {
+		t.Error("overlong GetPageV2 should fail")
+	}
+	if _, err := DecodeCancel(make([]byte, cancelLen+1)); err == nil {
+		t.Error("overlong Cancel should fail")
 	}
 }
 
@@ -498,6 +512,8 @@ func TestReaderNeverPanicsOnGarbage(t *testing.T) {
 				DecodeLookup(fr.Payload)
 			case TLookupReply:
 				DecodeLookupReply(fr.Payload)
+			case TPlacements:
+				DecodePlacements(fr.Payload)
 			case TRegister:
 				DecodeRegister(fr.Payload)
 			case TError:
@@ -557,7 +573,7 @@ func TestTypeStrings(t *testing.T) {
 	types := []Type{TPutPage, TAck, TLookup,
 		TLookupReply, TRegister, TError, THeartbeat,
 		TGetShardMap, TShardMap, TWrongShard,
-		TGetPageV2, TSubpageBatch, TCancel, TDrain, TDrainReply}
+		TGetPageV2, TSubpageBatch, TCancel, TDrain, TDrainReply, TPlacements}
 	seen := map[string]bool{}
 	for _, tp := range types {
 		s := tp.String()

@@ -29,7 +29,7 @@ func (r *refReader) Next() (Frame, error) {
 		return Frame{}, err
 	}
 	t := Type(head[0])
-	if t < TPutPage || t > TDrainReply {
+	if t < TPutPage || t > TPlacements {
 		return Frame{}, fmt.Errorf("proto: unknown message type %d", head[0])
 	}
 	n := binary.LittleEndian.Uint32(head[1:5])
@@ -183,7 +183,7 @@ func TestReaderMatchesReferenceUnderChunking(t *testing.T) {
 		is      error // what errors.Is must find, if anything
 	}{
 		{"unknown tag", frame(0, 0, 0), "proto: unknown message type 0", nil},
-		{"tag past the last", frame(byte(TDrainReply)+1, 0, 0), fmt.Sprintf("proto: unknown message type %d", TDrainReply+1), nil},
+		{"tag past the last", frame(byte(TPlacements)+1, 0, 0), fmt.Sprintf("proto: unknown message type %d", TPlacements+1), nil},
 		{"oversized length", frame(byte(TPutPage), MaxPayload+1, 0), fmt.Sprintf("proto: oversized payload %d for PutPage", MaxPayload+1), nil},
 		{"eof mid-header", []byte{byte(TPutPage), 1, 0}, "unexpected EOF", io.ErrUnexpectedEOF},
 		{"eof mid-payload", frame(byte(TPutPage), 100, 40), "proto: truncated PutPage frame: unexpected EOF", io.ErrUnexpectedEOF},

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -267,30 +268,65 @@ func BenchmarkClientEvict(b *testing.B) {
 	}
 }
 
-// BenchmarkClientHit times a 64-byte read of a resident page, rotating over
-// the resident set so every hit moves its page to the head of the LRU list.
+// BenchmarkClientHit times a 64-byte read of a resident page. "rotate"
+// walks the resident set, so every hit moves its page to the head of the
+// LRU list; "parallel" has GOMAXPROCS goroutines read 64 B at random from
+// 256 resident pages of one client, the shape of bench's hit-resident, so
+// -cpu 1,2 shows how the hit path scales across goroutines sharing a cache.
 func BenchmarkClientHit(b *testing.B) {
-	const resident = 64
+	b.Run("rotate", func(b *testing.B) {
+		const resident = 64
+		c := hitClient(b, resident)
+		buf := make([]byte, 64)
+		faults := c.Stats().Faults
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.Read(buf, uint64(i%resident)*units.PageSize); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if got := c.Stats().Faults; got != faults {
+			b.Fatalf("%d faults during the timed hits", got-faults)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		const resident = 256
+		c := hitClient(b, resident)
+		faults := c.Stats().Faults
+		var seed atomic.Uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			r := rng.New(seed.Add(1))
+			buf := make([]byte, 64)
+			for pb.Next() {
+				off := uint64(r.Intn(resident))*units.PageSize + uint64(r.Intn(units.PageSize/64))*64
+				if err := c.Read(buf, off); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.StopTimer()
+		if got := c.Stats().Faults; got != faults {
+			b.Fatalf("%d faults during the timed hits", got-faults)
+		}
+	})
+}
+
+// hitClient returns a client with resident pages, all cached.
+func hitClient(b *testing.B, resident int) *Client {
 	dir, _ := testCluster(b, resident)
 	c := testClient(b, dir, ClientConfig{Policy: proto.PolicyPipelined, CachePages: resident})
 	buf := make([]byte, 64)
-	for p := uint64(0); p < resident; p++ {
+	for p := uint64(0); p < uint64(resident); p++ {
 		if err := c.Read(buf, p*units.PageSize); err != nil {
 			b.Fatal(err)
 		}
 	}
-	faults := c.Stats().Faults
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Read(buf, uint64(i%resident)*units.PageSize); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if got := c.Stats().Faults; got != faults {
-		b.Fatalf("%d faults during the timed hits", got-faults)
-	}
+	return c
 }
 
 // TestWarmedFaultAllocs pins what one fault allocates end to end — client

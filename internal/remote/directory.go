@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -200,7 +201,8 @@ func ListenDirectoryOnWith(ln net.Listener, cfg DirectoryConfig) (*Directory, er
 	d.wg.Add(1)
 	go d.janitor()
 	d.serving = proto.Serve(ln, func(pc *proto.Conn) proto.Handler {
-		return proto.Handler{Frame: func(f proto.Frame) error { return d.handle(pc.Writer, f) }}
+		var sc lookupScratch
+		return proto.Handler{Frame: func(f proto.Frame) error { return d.handle(pc.Writer, &sc, f) }}
 	})
 	return d, nil
 }
@@ -386,10 +388,7 @@ func (d *Directory) shutdown(flush bool) error {
 
 // Lookup reports the primary server storing page, for tests and tools.
 func (d *Directory) Lookup(page uint64) (string, bool) {
-	now := time.Now()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	addrs := d.replicasLocked(page, now)
+	addrs := d.Replicas(page)
 	if len(addrs) == 0 {
 		return "", false
 	}
@@ -400,36 +399,65 @@ func (d *Directory) Lookup(page uint64) (string, bool) {
 // (earliest surviving registrant) first, then the remaining replicas in
 // sorted address order. Expired leases are filtered out inline.
 func (d *Directory) Replicas(page uint64) []string {
-	now := time.Now()
+	t := d.nanos(time.Now())
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.replicasLocked(page, now)
+	return d.appendReplicasLocked(nil, page, t)
 }
 
-func (d *Directory) replicasLocked(page uint64, now time.Time) []string {
-	var primary string
+// appendReplicasLocked appends page's live replica list (see Replicas) to
+// dst; t is the lease clock's now. Called with d.mu held.
+func (d *Directory) appendReplicasLocked(dst []string, page uint64, t int64) []string {
+	start := len(dst)
 	primarySeq := uint64(math.MaxUint64)
-	var rest []string
-	t := d.nanos(now)
 	for addr := range d.st.Holders[page] {
 		s := d.st.Servers[addr]
 		if t > s.Expires {
 			continue
 		}
+		dst = append(dst, addr)
 		if s.Seq < primarySeq {
-			if primary != "" {
-				rest = append(rest, primary)
-			}
-			primary, primarySeq = addr, s.Seq
-		} else {
-			rest = append(rest, addr)
+			primarySeq = s.Seq
+			dst[start], dst[len(dst)-1] = addr, dst[start]
 		}
 	}
-	if primary == "" {
-		return nil
+	if len(dst) > start+2 {
+		slices.Sort(dst[start+1:])
 	}
-	sort.Strings(rest)
-	return append([]string{primary}, rest...)
+	return dst
+}
+
+// lookupScratch is one connection's reused lookup answer: the replica
+// lists back to back, and the placements slicing them.
+type lookupScratch struct {
+	addrs []string
+	ents  []proto.Placement
+}
+
+// answerLocked computes a lookup's answer in sc: lk.Page's placement
+// first, then, for a group lookup, that of every other page of its
+// placement group that this directory owns and a live server holds. A
+// page without one has no entry; the single-page answer is the one-page
+// group. Called with d.mu held.
+func (d *Directory) answerLocked(sc *lookupScratch, lk proto.Lookup, now time.Time) []proto.Placement {
+	t := d.nanos(now)
+	base, n := lk.Page, uint64(1)
+	if lk.Group {
+		base, n = proto.GroupBase(lk.Page), proto.PlacementGroup
+	}
+	sc.addrs, sc.ents = sc.addrs[:0], sc.ents[:0]
+	for i := uint64(0); i < n; i++ {
+		p := base + (lk.Page-base+i)%n // lk.Page first
+		if i > 0 && !d.Owns(p) {
+			continue
+		}
+		start := len(sc.addrs)
+		if sc.addrs = d.appendReplicasLocked(sc.addrs, p, t); len(sc.addrs) > start {
+			// A later append may move sc.addrs; this slice keeps the old array.
+			sc.ents = append(sc.ents, proto.Placement{Page: p, Addrs: sc.addrs[start:len(sc.addrs):len(sc.addrs)]})
+		}
+	}
+	return sc.ents
 }
 
 // Len reports the number of pages with at least one live holder.
@@ -618,9 +646,10 @@ func (d *Directory) JournalInfo() dirlog.Info {
 	return d.log.Info()
 }
 
-// handle answers one request. A stale registration, a lost lease and a
-// failed drain are answers (TError), not refusals: the connection stays.
-func (d *Directory) handle(w *proto.Writer, f proto.Frame) error {
+// handle answers one request; sc is the connection's lookup scratch. A
+// stale registration, a lost lease and a failed drain are answers
+// (TError), not refusals: the connection stays.
+func (d *Directory) handle(w *proto.Writer, sc *lookupScratch, f proto.Frame) error {
 	switch f.Type {
 	case proto.TRegister:
 		reg, err := proto.DecodeRegister(f.Payload)
@@ -657,9 +686,16 @@ func (d *Directory) handle(w *proto.Writer, f proto.Frame) error {
 		d.serviceDelay()
 		now := time.Now()
 		d.mu.RLock()
-		addrs := d.replicasLocked(lk.Page, now)
+		ents := d.answerLocked(sc, lk, now)
 		d.met.lookups.Inc()
 		d.mu.RUnlock()
+		if lk.Group {
+			return w.SendPlacements(proto.Placements{Page: lk.Page, Entries: ents})
+		}
+		var addrs []string
+		if len(ents) > 0 {
+			addrs = ents[0].Addrs
+		}
 		return w.SendLookupReply(proto.LookupReply{Page: lk.Page, Addrs: addrs})
 	case proto.TGetShardMap:
 		d.mu.RLock()

@@ -138,13 +138,25 @@ func runDirectoryModel(t *testing.T, rng *rand.Rand, steps int) {
 			d.sweep(t0.Add(time.Duration(tick) * modelTick))
 			m.sweep(tick)
 		case k < 13:
+			// A group lookup: pages 0-7 share one placement group, so the
+			// answer holds every page's placement, the asked page's first.
 			page := uint64(rng.Intn(8))
 			act = fmt.Sprintf("lookup page %d at tick %d", page, tick)
+			var sc lookupScratch
 			d.mu.RLock()
-			got := d.replicasLocked(page, now)
+			ents := d.answerLocked(&sc, proto.Lookup{Page: page, Group: true}, now)
 			d.mu.RUnlock()
-			if want := m.lookup(page, tick); !slices.Equal(got, want) {
-				t.Fatalf("step %d, %s: directory answers %v, the lease rules say %v", step, act, got, want)
+			got := make(map[uint64][]string)
+			for _, e := range ents {
+				got[e.Page] = e.Addrs
+			}
+			if len(got) != len(ents) || len(ents) > 0 && ents[0].Page != page && got[page] != nil {
+				t.Fatalf("step %d, %s: answer %v repeats a page or does not lead with the asked one", step, act, ents)
+			}
+			for p := uint64(0); p < 8; p++ {
+				if want := m.lookup(p, tick); !slices.Equal(got[p], want) {
+					t.Fatalf("step %d, %s: directory answers %v for page %d, the lease rules say %v", step, act, got[p], p, want)
+				}
 			}
 		case k < 15:
 			act = "begin drain of " + addr

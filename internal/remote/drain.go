@@ -284,7 +284,7 @@ func getPage(c *proto.Conn, req proto.GetPageV2, buf []byte) (memmodel.Bitmap, e
 		case proto.TPutPage, proto.TAck, proto.TLookup, proto.TLookupReply,
 			proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
 			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
-			proto.TCancel, proto.TDrain, proto.TDrainReply:
+			proto.TCancel, proto.TDrain, proto.TDrainReply, proto.TPlacements:
 			return got, fmt.Errorf("unexpected %v in page reply", f.Type)
 		}
 	}

@@ -392,7 +392,7 @@ func TestEvictionMatchesScanOracle(t *testing.T) {
 					}
 					p.dirty |= blocks
 					mp.dirty |= blocks
-					c.route.remember(id, []string{fmt.Sprintf("victim-%d", id)})
+					c.route.install([]proto.Placement{{Page: id, Addrs: []string{fmt.Sprintf("victim-%d", id)}}})
 				default:
 					op = "evict"
 					m.evictIfFull()

@@ -42,9 +42,12 @@ func (r *router) cached(page uint64) []string {
 	return r.located[page]
 }
 
-func (r *router) remember(page uint64, addrs []string) {
+// install caches every placement of a lookup's answer under one hold.
+func (r *router) install(ents []proto.Placement) {
 	r.mu.Lock()
-	r.located[page] = addrs
+	for _, e := range ents {
+		r.located[e.Page] = e.Addrs
+	}
 	r.mu.Unlock()
 }
 
@@ -84,8 +87,11 @@ func (r *router) close() error {
 }
 
 // lookup resolves page's replica list with at most one routed directory
-// exchange: the cached answer, or a fresh one, cached on success. A
-// directory that answers "nobody" yields errNotRegistered. The fault engine
+// exchange: the cached answer, or a fresh group lookup, whose every
+// placement is cached — so the first touches of one placement group cost
+// one exchange per shard owning some of its pages. A page the answer does
+// not name is not cached: it is asked about again when touched. A directory
+// that answers "nobody" for page yields errNotRegistered. The fault engine
 // calls this once per attempt, so its retry budget is the only one a fault
 // spends.
 func (c *Client) lookup(page uint64) ([]string, error) {
@@ -96,11 +102,11 @@ func (c *Client) lookup(page uint64) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remote: directory lookup for page %d: %w", page, err)
 	}
-	if len(rep.Addrs) == 0 {
+	c.route.install(rep.Entries)
+	if len(rep.Entries) == 0 || rep.Entries[0].Page != page {
 		return nil, errNotRegistered
 	}
-	c.route.remember(page, rep.Addrs)
-	return rep.Addrs, nil
+	return rep.Entries[0].Addrs, nil
 }
 
 // locate is lookup with a retry budget of its own, for the one caller with
@@ -131,7 +137,7 @@ func (c *Client) locate(page uint64) []string {
 // the shards themselves disagree, which the caller treats as a failed
 // attempt). A stale client so converges in one extra round trip without
 // spending its retry budget.
-func (c *Client) lookupRouted(page uint64) (proto.LookupReply, error) {
+func (c *Client) lookupRouted(page uint64) (proto.Placements, error) {
 	addr := c.shardFor(page)
 	rep, err := c.route.conn(addr).lookup(c, page)
 	var ws *WrongShardError
@@ -142,7 +148,7 @@ func (c *Client) lookupRouted(page uint64) (proto.LookupReply, error) {
 	next := c.shardFor(page)
 	if next == addr {
 		// The bounced map still routes here: map and shard disagree.
-		return proto.LookupReply{}, err
+		return proto.Placements{}, err
 	}
 	rep, err = c.route.conn(next).lookup(c, page)
 	if errors.As(err, &ws) {
@@ -268,25 +274,25 @@ func (dc *dirConn) drop() error {
 	return err
 }
 
-// lookup performs one lookup exchange. A TWrongShard answer decodes into
-// *WrongShardError so callers can re-route.
-func (dc *dirConn) lookup(c *Client, page uint64) (proto.LookupReply, error) {
+// lookup performs one group lookup exchange for page. A TWrongShard answer
+// decodes into *WrongShardError so callers can re-route.
+func (dc *dirConn) lookup(c *Client, page uint64) (proto.Placements, error) {
 	dc.rpc.Lock()
 	defer dc.rpc.Unlock()
 	f, err := dc.call(c, func(w *proto.Writer) error {
-		return w.SendLookup(proto.Lookup{Page: page})
-	}, proto.TLookupReply, proto.TWrongShard)
+		return w.SendLookup(proto.Lookup{Page: page, Group: true})
+	}, proto.TPlacements, proto.TWrongShard)
 	if err != nil {
-		return proto.LookupReply{}, err
+		return proto.Placements{}, err
 	}
 	if f.Type == proto.TWrongShard {
 		ws, err := proto.DecodeWrongShard(f.Payload)
 		if err != nil {
-			return proto.LookupReply{}, err
+			return proto.Placements{}, err
 		}
-		return proto.LookupReply{}, &WrongShardError{Page: ws.Page, Map: ws.Map}
+		return proto.Placements{}, &WrongShardError{Page: ws.Page, Map: ws.Map}
 	}
-	return proto.DecodeLookupReply(f.Payload)
+	return proto.DecodePlacements(f.Payload)
 }
 
 // shardMap fetches the shard map this directory serves.

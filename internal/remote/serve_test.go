@@ -139,7 +139,7 @@ func TestServeRefusesWhatNoHandlerTakes(t *testing.T) {
 		}, served{(*proto.Writer).SendGetShardMap, expect(proto.TShardMap)}},
 	}
 	for _, peer := range peers {
-		for tag := proto.TPutPage; tag <= proto.TDrainReply; tag++ {
+		for tag := proto.TPutPage; tag <= proto.TPlacements; tag++ {
 			t.Run(peer.name+"/"+tag.String(), func(t *testing.T) {
 				p := dialPeer(t, peer.addr)
 				s, ok := peer.serve[tag]

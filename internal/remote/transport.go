@@ -173,7 +173,7 @@ func (c *Client) readLoop(addr string, pc *proto.Conn) {
 		case proto.TPutPage, proto.TAck, proto.TLookup, proto.TLookupReply,
 			proto.TRegister, proto.THeartbeat, proto.TGetShardMap,
 			proto.TShardMap, proto.TWrongShard, proto.TGetPageV2,
-			proto.TCancel, proto.TDrain, proto.TDrainReply:
+			proto.TCancel, proto.TDrain, proto.TDrainReply, proto.TPlacements:
 			// A data connection only ever carries subpage batches and
 			// errors. Any other tag means the peer is not speaking the
 			// page-server protocol (or the stream is desynchronized);
