@@ -5,12 +5,13 @@ GO ?= go
 # ci is the full gate: formatting, vet, the gmslint analyzer suite, build,
 # tests (including the gmsdebug-instrumented core), a race-detector pass
 # over every package (the batched-wire concurrency smoke and the hedge-loser
-# cancel among its tests), ten seconds of fuzzing the trace memo's page-run
-# index, the trace-export smoke, the bounded scale-out load
+# cancel among its tests), ten seconds each of fuzzing the trace memo's
+# page-run index, the trace patterns' fills and the wire decoders, the
+# trace-export smoke, the bounded scale-out load
 # smoke, the bounded crash-soak smoke, the learned-prefetcher smoke, the gate
 # benchmark's build-and-run smoke, and the paper's tables at quarter and at
 # full scale. On a 2-vCPU Intel Xeon host the three slowest stages are race
-# (342 s), test (86 s) and tables-full (68 s), of 607 s in all.
+# (359 s), test (93 s) and tables-full (61 s), of 617 s in all.
 ci: fmt vet lint build test race fuzz-smoke trace-smoke loadtest-smoke soak-smoke prefetch-smoke bench-smoke tables-quarter tables-full
 
 # loc prints the line table CHANGES.md entries and ROADMAP re-anchors quote:
@@ -68,11 +69,14 @@ race:
 	$(GO) test -race -short -timeout 15m ./...
 
 # fuzz-smoke fuzzes the trace memo's page-run index (FuzzRunIndex: runs
-# against the Read stream, mixed Read/NextRun, the 2³² page boundary) and
-# the wire decoders, every parser of bytes from another process (FuzzDecode),
-# for ten seconds each beyond their seed corpora.
+# against the Read stream, mixed Read/NextRun, the 2³² page boundary), the
+# trace patterns' bulk fills (FuzzPatternFill: a stream cut into any chunks
+# is the stream filled whole, with the same draws) and the wire decoders,
+# every parser of bytes from another process (FuzzDecode), for ten seconds
+# each beyond their seed corpora.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzRunIndex$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -run xxx -fuzz '^FuzzPatternFill$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/proto/
 
 # tables-quarter renders every paper table from quarter-scale traces and

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -43,6 +44,10 @@ func FuzzDecode(f *testing.F) {
 	})
 	seed(func(w *Writer) error {
 		return w.SendLookupReply(LookupReply{Page: 12, Addrs: []string{"a:1", "b:2"}})
+	})
+	// The longest address the encoder takes: its length byte is 255.
+	seed(func(w *Writer) error {
+		return w.SendLookupReply(LookupReply{Page: 12, Addrs: []string{strings.Repeat("a", 255)}})
 	})
 	seed(func(w *Writer) error {
 		return w.SendRegister(Register{Addr: "c:3", Epoch: 44, Pages: []uint64{1, 2, 3}})

@@ -416,11 +416,15 @@ func decodeAddrs(p []byte, t Type) ([]string, []byte, error) {
 	}
 	rest := p[1:]
 	for i := range addrs {
-		if len(rest) < 1 || len(rest) < 1+int(rest[0]) {
+		if len(rest) < 1 {
 			return nil, nil, short(t)
 		}
-		addrs[i] = string(rest[1 : 1+rest[0]])
-		rest = rest[1+rest[0]:]
+		n := 1 + int(rest[0]) // in int: a 255-byte address overflows a byte sum
+		if len(rest) < n {
+			return nil, nil, short(t)
+		}
+		addrs[i] = string(rest[1:n])
+		rest = rest[n:]
 	}
 	return addrs, rest, nil
 }

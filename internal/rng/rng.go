@@ -8,12 +8,32 @@
 // both with published reference outputs.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic xoshiro256** generator. The zero value is not
 // usable; construct with New.
 type Rand struct {
-	s [4]uint64
+	s state
+}
+
+// state is the generator's 256 bits. It is four scalars, not an array, so a
+// copy held in a local across a loop stays in registers.
+type state struct{ s0, s1, s2, s3 uint64 }
+
+// next returns the state one xoshiro256** step on and this step's output.
+func (s state) next() (state, uint64) {
+	out := bits.RotateLeft64(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = bits.RotateLeft64(s.s3, 45)
+	return s, out
 }
 
 // New returns a generator seeded from seed via splitmix64, as recommended by
@@ -22,9 +42,10 @@ type Rand struct {
 func New(seed uint64) *Rand {
 	var r Rand
 	sm := seed
-	for i := range r.s {
-		sm, r.s[i] = splitmix64(sm)
-	}
+	sm, r.s.s0 = splitmix64(sm)
+	sm, r.s.s1 = splitmix64(sm)
+	sm, r.s.s2 = splitmix64(sm)
+	_, r.s.s3 = splitmix64(sm)
 	return &r
 }
 
@@ -37,19 +58,11 @@ func splitmix64(state uint64) (uint64, uint64) {
 	return state, z ^ (z >> 31)
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var v uint64
+	r.s, v = r.s.next()
+	return v
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -86,12 +99,35 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// Threshold returns the integer form of probability p: for every draw v,
+// float64(v>>11)/2⁵³ < p — Float64() < p — holds exactly when v>>11 <
+// Threshold(p). The division by 2⁵³ is exact, so the float test is k < p·2⁵³
+// over the integer k = v>>11, which is k < ⌈p·2⁵³⌉. A p of 0 or less (or NaN)
+// gives 0, never true; a p of 1 or more gives 2⁵³, always true.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below reports whether the next draw's top 53 bits are below t: Bool with
+// its Threshold computed once by the caller.
+func (r *Rand) Below(t uint64) bool { return r.Uint64()>>11 < t }
+
 // Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
+func (r *Rand) Bool(p float64) bool { return r.Below(Threshold(p)) }
 
 // Geometric returns a sample from a geometric distribution with success
 // probability p (mean 1/p - 1, support {0,1,2,...}). Used for run lengths in
 // trace generation. p must be in (0, 1].
+//
+// It is a Bernoulli loop — one draw per trial, as Bool(p) — and every pinned
+// trace depends on that: a sampler that draws differently changes the
+// streams. The loop keeps the generator state in locals.
 func (r *Rand) Geometric(p float64) int {
 	if p >= 1 {
 		return 0
@@ -99,13 +135,21 @@ func (r *Rand) Geometric(p float64) int {
 	if p <= 0 {
 		panic("rng: Geometric with non-positive p")
 	}
+	t := Threshold(p)
+	s := r.s
 	n := 0
-	for !r.Bool(p) {
+	for {
+		var v uint64
+		s, v = s.next()
+		if v>>11 < t {
+			break
+		}
 		n++
 		if n > 1<<24 { // defensive bound; p is configuration
-			return n
+			break
 		}
 	}
+	r.s = s
 	return n
 }
 

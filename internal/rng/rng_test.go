@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -154,4 +155,62 @@ func BenchmarkUint64(b *testing.B) {
 		sink = r.Uint64()
 	}
 	_ = sink
+}
+
+// TestThresholdMatchesFloat: the integer test v>>11 < Threshold(p) is the
+// float test Float64() < p — at the threshold's edges, on a million seeded
+// draws — and Geometric makes the same draws as the Bernoulli loop over
+// Float64, returning the same values and leaving the same state.
+func TestThresholdMatchesFloat(t *testing.T) {
+	ps := []float64{1.0 / 32, 1.0 / 16, 1.0 / 12, 0.35, 0.7, 0x1p-53, 1 - 0x1p-53,
+		0.5 + 0x1p-53} // p·2⁵³ = 2⁵² + 1, an integer
+	for _, p := range ps {
+		th := Threshold(p)
+		for _, k := range []uint64{th - 1, th, th + 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			if float := float64(k)/(1<<53) < p; float != (k < th) {
+				t.Errorf("p=%v k=%d: float test %v, integer test %v (threshold %d)", p, k, float, k < th, th)
+			}
+		}
+		a, b := New(uint64(th)), New(uint64(th))
+		for i := 0; i < 1_000_000; i++ {
+			if float, integer := a.Float64() < p, b.Below(th); float != integer {
+				t.Fatalf("p=%v draw %d: Float64() < p is %v, Below is %v", p, i, float, integer)
+			}
+		}
+	}
+	for p, want := range map[float64]uint64{0: 0, -1: 0, math.NaN(): 0, 1: 1 << 53, 2: 1 << 53} {
+		if got := Threshold(p); got != want {
+			t.Errorf("Threshold(%v) = %d, want %d", p, got, want)
+		}
+	}
+
+	// bernoulli is Geometric as the loop it replaces.
+	bernoulli := func(r *Rand, p float64) int {
+		n := 0
+		for !(r.Float64() < p) {
+			n++
+			if n > 1<<24 {
+				return n
+			}
+		}
+		return n
+	}
+	for _, p := range ps {
+		calls := 100_000
+		if p < 1e-9 {
+			calls = 2 // each call runs to the 2²⁴ bound
+		}
+		a, b := New(7), New(7)
+		for i := 0; i < calls; i++ {
+			if got, want := a.Geometric(p), bernoulli(b, p); got != want {
+				t.Fatalf("p=%v call %d: Geometric = %d, Bernoulli loop = %d", p, i, got, want)
+			}
+		}
+		if *a != *b {
+			t.Fatalf("p=%v: Geometric left the generator at %+v, the Bernoulli loop at %+v", p, *a, *b)
+		}
+	}
 }

@@ -38,10 +38,8 @@ type replay struct {
 	pos  int
 }
 
-func (r *replay) Next(_ *rng.Rand) trace.Ref {
-	ref := r.refs[r.pos]
-	r.pos++
-	return ref
+func (r *replay) Fill(_ *rng.Rand, dst []trace.Ref) {
+	r.pos += copy(dst, r.refs[r.pos:])
 }
 
 func seqApp(pages, refsPerPage int, stride uint64) *trace.App {

@@ -166,38 +166,41 @@ func (e *cacheEntry) memoized(a *App) bool {
 // synthesize materializes the app's stream into e.offs and e.runs, or into
 // neither when a page does not pack. Safe only inside e.refsOnce.
 func (e *cacheEntry) synthesize(a *App) {
-	offs := make([]uint16, 0, a.totalRefs)
+	offs := make([]uint16, a.totalRefs)
 	runs := make([]pageRun, 0, a.totalRefs/refsPerRunEstimate)
 	page := uint64(math.MaxUint64) // no reference is on this page
-	var n, blocks uint32           // the current run's length and blocks
-	buf := make([]Ref, 8192)
+	start, blocks := 0, uint32(0)  // the current run's first reference and its blocks
+	buf := make([]Ref, 1024)
 	rd := a.generatorReader()
-	for {
-		k := rd.Read(buf)
-		if k == 0 {
-			break
-		}
-		for _, ref := range buf[:k] {
-			if p := ref.Addr / units.PageSize; p != page {
+	for i, k := 0, rd.Read(buf); k > 0; i, k = i+k, rd.Read(buf) {
+		refs, out := buf[:k], offs[i:i+k]
+		for j := 0; j < k; {
+			if p := refs[j].Addr / units.PageSize; p != page {
 				if p >= packedPages {
 					e.recharge(0)
 					return
 				}
-				if n > 0 {
-					runs = append(runs, pageRun{page: uint32(page), n: n, blocks: blocks})
+				if i+j > start {
+					runs = append(runs, pageRun{page: uint32(page), n: uint32(i + j - start), blocks: blocks})
 				}
-				page, n, blocks = p, 0, 0
+				page, start, blocks = p, i+j, 0
 			}
-			v := uint16(ref.Addr%units.PageSize)<<1 | store(ref)
-			n++
-			blocks |= Block(v)
-			offs = append(offs, v)
+			// Pack up to the next page change; this loop makes no call, so
+			// its state stays in registers.
+			base := page * units.PageSize
+			for ; j < k; j++ {
+				off := refs[j].Addr - base
+				if off >= units.PageSize {
+					break
+				}
+				v := uint16(off)<<1 | store(refs[j])
+				blocks |= Block(v)
+				out[j] = v
+			}
 		}
 	}
-	if n > 0 {
-		runs = append(runs, pageRun{page: uint32(page), n: n, blocks: blocks})
-	}
-	e.offs, e.runs = exact(offs), exact(runs)
+	runs = append(runs, pageRun{page: uint32(page), n: uint32(len(offs) - start), blocks: blocks})
+	e.offs, e.runs = offs, exact(runs)
 	e.recharge(2*int64(len(e.offs)) + runBytes*int64(len(e.runs)))
 }
 

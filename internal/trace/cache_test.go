@@ -167,9 +167,8 @@ type fixed struct {
 	pos  int
 }
 
-func (f *fixed) Next(*rng.Rand) Ref {
-	f.pos++
-	return f.refs[f.pos-1]
+func (f *fixed) Fill(_ *rng.Rand, dst []Ref) {
+	f.pos += copy(dst, f.refs[f.pos:])
 }
 
 func fixedApp(refs []Ref) *App {

@@ -27,23 +27,36 @@ type Seq struct {
 	StoreEvery int
 
 	off   uint64
-	count int
+	count int // references since the last store, mod StoreEvery
 }
 
-// Next implements Pattern.
-func (s *Seq) Next(r *rng.Rand) Ref {
+// Fill implements Pattern. It makes no draws.
+func (s *Seq) Fill(_ *rng.Rand, dst []Ref) {
 	stride := s.Stride
 	if stride == 0 {
 		stride = 8
 	}
-	addr := s.Region.Base + s.off
-	s.off += stride
-	if s.off >= s.Region.Bytes() {
-		s.off = 0
+	for i := range dst {
+		dst[i] = Ref{Addr: s.Region.Base + s.off}
+		s.off += stride
+		if s.off >= s.Region.Bytes() {
+			s.off = 0
+		}
 	}
-	s.count++
-	store := s.StoreEvery > 0 && s.count%s.StoreEvery == 0
-	return Ref{Addr: addr, Store: store}
+	markStores(dst, s.StoreEvery, &s.count)
+}
+
+// markStores marks every k-th reference a store, counting on from *count
+// references since the last store, and advances *count past dst (mod k). A
+// k of 0 or less marks none.
+func markStores(dst []Ref, k int, count *int) {
+	if k <= 0 {
+		return
+	}
+	for i := k - 1 - *count; i < len(dst); i += k {
+		dst[i].Store = true
+	}
+	*count = (*count + len(dst)) % k
 }
 
 // WorkingSet models pointer-heavy computation over a region: it picks a
@@ -68,38 +81,48 @@ type WorkingSet struct {
 	started bool
 }
 
-// Next implements Pattern.
-func (w *WorkingSet) Next(r *rng.Rand) Ref {
+// Fill implements Pattern. A run's start draws its page, its offset and its
+// length; every reference draws its store bit, even at StoreFrac 0.
+func (w *WorkingSet) Fill(r *rng.Rand, dst []Ref) {
 	if !w.started {
 		if w.Skew > 0 {
 			w.zipf = rng.NewZipf(w.Region.Pages, w.Skew)
 		}
 		w.started = true
 	}
-	if w.left <= 0 {
-		if w.zipf != nil {
-			w.page = w.zipf.Sample(r)
-		} else {
-			w.page = r.Intn(w.Region.Pages)
-		}
-		w.off = uint64(r.Intn(units.PageSize))
-		mean := w.MeanRun
-		if mean < 1 {
-			mean = 16
-		}
-		w.left = 1 + r.Geometric(1/float64(mean))
-	}
 	stride := w.RunStride
 	if stride == 0 {
 		stride = 8
 	}
-	addr := w.Region.Base + uint64(w.page)*units.PageSize + w.off
-	w.off += stride
-	if w.off >= units.PageSize {
-		w.off = 0 // wrap within the page
+	storeT := rng.Threshold(w.StoreFrac)
+	for len(dst) > 0 {
+		if w.left <= 0 {
+			if w.zipf != nil {
+				w.page = w.zipf.Sample(r)
+			} else {
+				w.page = r.Intn(w.Region.Pages)
+			}
+			w.off = uint64(r.Intn(units.PageSize))
+			mean := w.MeanRun
+			if mean < 1 {
+				mean = 16
+			}
+			w.left = 1 + r.Geometric(1/float64(mean))
+		}
+		run := dst[:min(w.left, len(dst))]
+		base := w.Region.Base + uint64(w.page)*units.PageSize
+		off := w.off
+		for i := range run {
+			run[i] = Ref{Addr: base + off, Store: r.Below(storeT)}
+			off += stride
+			if off >= units.PageSize {
+				off = 0 // wrap within the page
+			}
+		}
+		w.off = off
+		w.left -= len(run)
+		dst = dst[len(run):]
 	}
-	w.left--
-	return Ref{Addr: addr, Store: r.Bool(w.StoreFrac)}
 }
 
 // Sweep models streaming passes over a region with the within-page
@@ -147,9 +170,9 @@ type Sweep struct {
 
 	page     int
 	subsweep int
-	off      uint64
-	done     int
-	count    int
+	off      uint64 // a sparse visit's offset within its window
+	done     int    // references of the current visit so far
+	count    int    // references since the last store, mod StoreEvery
 	crossing bool
 	target   uint64 // window base the dense second half lands in
 	started  bool
@@ -180,15 +203,21 @@ func (s *Sweep) rollVisit(r *rng.Rand, base, visitBytes uint64) {
 	}
 }
 
-// Next implements Pattern.
-func (s *Sweep) Next(r *rng.Rand) Ref {
-	visitRefs := s.VisitRefs
+// visitRefs is the length of a visit in the current subsweep.
+func (s *Sweep) visitRefs() int {
+	n := s.VisitRefs
 	if s.subsweep == 0 && s.FirstVisitRefs > 0 {
-		visitRefs = s.FirstVisitRefs
+		n = s.FirstVisitRefs
 	}
-	if visitRefs <= 0 {
-		visitRefs = 128
+	if n <= 0 {
+		n = 128
 	}
+	return n
+}
+
+// Fill implements Pattern. A visit's first reference rolls the visit (see
+// rollVisit); the rest of the visit makes no draws.
+func (s *Sweep) Fill(r *rng.Rand, dst []Ref) {
 	visitBytes := uint64(s.VisitBytes)
 	if visitBytes == 0 || visitBytes > units.PageSize {
 		visitBytes = 1024
@@ -197,47 +226,71 @@ func (s *Sweep) Next(r *rng.Rand) Ref {
 	if stride == 0 {
 		stride = 8
 	}
-	base := (uint64(s.subsweep) * visitBytes) % units.PageSize
-	if !s.started {
+	if !s.started && len(dst) > 0 {
 		s.started = true
-		s.rollVisit(r, base, visitBytes)
+		s.rollVisit(r, s.windowBase(visitBytes), visitBytes)
 	}
-	if s.done >= visitRefs {
-		s.done = 0
-		s.off = 0
-		s.page++
-		if s.page >= s.Region.Pages {
-			s.page = 0
-			s.subsweep++
+	for len(dst) > 0 {
+		visitRefs := s.visitRefs()
+		if s.done >= visitRefs {
+			s.done = 0
+			s.off = 0
+			s.page++
+			if s.page >= s.Region.Pages {
+				s.page = 0
+				s.subsweep++
+			}
+			s.rollVisit(r, s.windowBase(visitBytes), visitBytes)
+			visitRefs = s.visitRefs()
 		}
-		base = (uint64(s.subsweep) * visitBytes) % units.PageSize
-		s.rollVisit(r, base, visitBytes)
-	}
-	var off uint64
-	if s.crossing {
-		// A dense visit covers two windows with the same number of
-		// references: the faulted window first, then the target. The
-		// step doubles the stride, growing further for short visits so
-		// both windows are always reached.
-		step := stride * 2
-		if minStep := (2*visitBytes + uint64(visitRefs) - 1) / uint64(visitRefs); step < minStep {
-			step = minStep
-		}
-		pos := (uint64(s.done) * step) % (2 * visitBytes)
-		if pos < visitBytes {
-			off = base + pos
+		visit := dst[:min(visitRefs-s.done, len(dst))]
+		page := s.Region.Base + uint64(s.page)*units.PageSize
+		base := s.windowBase(visitBytes)
+		if s.crossing {
+			// A dense visit covers two windows with the same number of
+			// references: the faulted window first, then the target. The
+			// step doubles the stride, growing further for short visits so
+			// both windows are always reached; reference i of the visit is
+			// at i·step mod 2·visitBytes across the pair.
+			span := 2 * visitBytes
+			step := stride * 2
+			if minStep := (span + uint64(visitRefs) - 1) / uint64(visitRefs); step < minStep {
+				step = minStep
+			}
+			pos := uint64(s.done) * step % span
+			step %= span
+			for i := range visit {
+				if pos < visitBytes {
+					visit[i] = Ref{Addr: page + base + pos}
+				} else {
+					visit[i] = Ref{Addr: page + s.target + (pos - visitBytes)}
+				}
+				if pos += step; pos >= span {
+					pos -= span
+				}
+			}
 		} else {
-			off = s.target + (pos - visitBytes)
+			// s.off is the visit's offset within its window, so it steps by
+			// stride mod visitBytes and wraps with one subtraction.
+			step := stride % visitBytes
+			off := s.off
+			for i := range visit {
+				visit[i] = Ref{Addr: page + base + off}
+				if off += step; off >= visitBytes {
+					off -= visitBytes
+				}
+			}
+			s.off = off
 		}
-	} else {
-		off = base + s.off%visitBytes
+		markStores(visit, s.StoreEvery, &s.count)
+		s.done += len(visit)
+		dst = dst[len(visit):]
 	}
-	addr := s.Region.Base + uint64(s.page)*units.PageSize + off
-	s.off += stride
-	s.done++
-	s.count++
-	store := s.StoreEvery > 0 && s.count%s.StoreEvery == 0
-	return Ref{Addr: addr, Store: store}
+}
+
+// windowBase is the in-page offset of the current subsweep's window.
+func (s *Sweep) windowBase(visitBytes uint64) uint64 {
+	return uint64(s.subsweep) * visitBytes % units.PageSize
 }
 
 // Mix interleaves child patterns: each reference is drawn from pattern i
@@ -255,8 +308,10 @@ type Mix struct {
 	cdf  []float64
 }
 
-// Next implements Pattern.
-func (m *Mix) Next(r *rng.Rand) Ref {
+// Fill implements Pattern: it draws a stretch's pattern and length when the
+// stretch starts, and hands the child the stretch (or as much of it as dst
+// holds) in one call.
+func (m *Mix) Fill(r *rng.Rand, dst []Ref) {
 	if m.cdf == nil {
 		total := 0.0
 		for _, w := range m.Weights {
@@ -269,21 +324,25 @@ func (m *Mix) Next(r *rng.Rand) Ref {
 			m.cdf[i] = acc
 		}
 	}
-	if m.left <= 0 {
-		u := r.Float64()
-		m.cur = len(m.cdf) - 1
-		for i, c := range m.cdf {
-			if u <= c {
-				m.cur = i
-				break
+	for len(dst) > 0 {
+		if m.left <= 0 {
+			u := r.Float64()
+			m.cur = len(m.cdf) - 1
+			for i, c := range m.cdf {
+				if u <= c {
+					m.cur = i
+					break
+				}
 			}
+			run := m.RunLen
+			if run < 1 {
+				run = 32
+			}
+			m.left = 1 + r.Geometric(1/float64(run))
 		}
-		run := m.RunLen
-		if run < 1 {
-			run = 32
-		}
-		m.left = 1 + r.Geometric(1/float64(run))
+		n := min(m.left, len(dst))
+		m.Patterns[m.cur].Fill(r, dst[:n])
+		m.left -= n
+		dst = dst[n:]
 	}
-	m.left--
-	return m.Patterns[m.cur].Next(r)
 }

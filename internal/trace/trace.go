@@ -35,8 +35,15 @@ type Reader interface {
 // Pattern produces the addresses of one access pattern. Implementations
 // are advanced by a single goroutine and may keep state.
 type Pattern interface {
-	// Next returns the next reference of the pattern.
-	Next(r *rng.Rand) Ref
+	// Fill writes the pattern's next len(dst) references to dst. Each draw
+	// from r is made when the reference it decides is written, in stream
+	// order, so a stream does not depend on how it is cut into fills:
+	// filling a then b references writes the same references, and leaves r
+	// and the pattern in the same state, as filling a+b (FuzzPatternFill).
+	// An empty dst draws nothing. The paper apps' streams are pinned
+	// (TestAppStreamsPinned), so a faster Fill must keep every draw and its
+	// order (DESIGN.md §3a).
+	Fill(r *rng.Rand, dst []Ref)
 }
 
 // Phase is a contiguous section of an application's execution with one
@@ -115,14 +122,9 @@ func (r *appReader) Read(buf []Ref) int {
 			continue
 		}
 		// Fill from the current phase.
-		room := int64(len(buf) - n)
-		if left := ph.Refs - r.done; left < room {
-			room = left
-		}
-		for i := int64(0); i < room; i++ {
-			buf[n] = ph.Pattern.Next(r.rand)
-			n++
-		}
+		room := min(int64(len(buf)-n), ph.Refs-r.done)
+		ph.Pattern.Fill(r.rand, buf[n:n+int(room)])
+		n += int(room)
 		r.done += room
 	}
 	return n

@@ -109,25 +109,27 @@ func TestPaperScaleParameters(t *testing.T) {
 	}
 }
 
+// fill returns a pattern's next n references, drawn from r.
+func fill(p Pattern, r *rng.Rand, n int) []Ref {
+	out := make([]Ref, n)
+	p.Fill(r, out)
+	return out
+}
+
 func TestSeqPattern(t *testing.T) {
 	s := &Seq{Region: Region{Base: 0x10000, Pages: 2}, Stride: 8}
-	r := rng.New(1)
-	prev := s.Next(r)
-	for i := 0; i < 100; i++ {
-		cur := s.Next(r)
-		if cur.Addr != prev.Addr+8 {
+	refs := fill(s, rng.New(1), 101)
+	for i := 1; i < len(refs); i++ {
+		if cur, prev := refs[i], refs[i-1]; cur.Addr != prev.Addr+8 {
 			t.Fatalf("not sequential at %d: %#x after %#x", i, cur.Addr, prev.Addr)
 		}
-		prev = cur
 	}
 }
 
 func TestSeqWraps(t *testing.T) {
 	reg := Region{Base: 0x1000 * units.PageSize, Pages: 1}
 	s := &Seq{Region: reg, Stride: 1024}
-	r := rng.New(1)
-	for i := 0; i < 50; i++ {
-		ref := s.Next(r)
+	for _, ref := range fill(s, rng.New(1), 50) {
 		if ref.Addr < reg.Base || ref.Addr >= reg.End() {
 			t.Fatalf("address %#x escaped region", ref.Addr)
 		}
@@ -136,10 +138,9 @@ func TestSeqWraps(t *testing.T) {
 
 func TestSeqStores(t *testing.T) {
 	s := &Seq{Region: Region{Base: 0, Pages: 1}, StoreEvery: 2}
-	r := rng.New(1)
 	stores := 0
-	for i := 0; i < 100; i++ {
-		if s.Next(r).Store {
+	for _, ref := range fill(s, rng.New(1), 100) {
+		if ref.Store {
 			stores++
 		}
 	}
@@ -152,9 +153,7 @@ func TestWorkingSetStaysInRegion(t *testing.T) {
 	f := func(seed uint64, pages uint8) bool {
 		reg := Region{Base: 4 * units.PageSize, Pages: int(pages%32) + 1}
 		w := &WorkingSet{Region: reg, Skew: 0.7, MeanRun: 8}
-		r := rng.New(seed)
-		for i := 0; i < 500; i++ {
-			ref := w.Next(r)
+		for _, ref := range fill(w, rng.New(seed), 500) {
 			if ref.Addr < reg.Base || ref.Addr >= reg.End() {
 				return false
 			}
@@ -169,10 +168,9 @@ func TestWorkingSetStaysInRegion(t *testing.T) {
 func TestSweepCoversRegion(t *testing.T) {
 	reg := Region{Base: 0, Pages: 10}
 	s := &Sweep{Region: reg, VisitRefs: 100}
-	r := rng.New(1)
 	touched := make(map[uint64]bool)
-	for i := 0; i < 1000; i++ {
-		touched[s.Next(r).Addr/units.PageSize] = true
+	for _, ref := range fill(s, rng.New(1), 1000) {
+		touched[ref.Addr/units.PageSize] = true
 	}
 	if len(touched) != 10 {
 		t.Fatalf("touched %d pages, want 10", len(touched))
@@ -182,10 +180,9 @@ func TestSweepCoversRegion(t *testing.T) {
 func TestSweepVisitsProduceRuns(t *testing.T) {
 	reg := Region{Base: 0, Pages: 4}
 	s := &Sweep{Region: reg, VisitRefs: 50}
-	r := rng.New(1)
 	var pages []uint64
-	for i := 0; i < 200; i++ {
-		pages = append(pages, s.Next(r).Addr/units.PageSize)
+	for _, ref := range fill(s, rng.New(1), 200) {
+		pages = append(pages, ref.Addr/units.PageSize)
 	}
 	// Page changes exactly every 50 refs.
 	changes := 0
@@ -202,9 +199,7 @@ func TestSweepVisitsProduceRuns(t *testing.T) {
 func TestSweepVisitStaysInNeighbourhood(t *testing.T) {
 	reg := Region{Base: 0, Pages: 4}
 	s := &Sweep{Region: reg, VisitRefs: 500} // more refs than fit in 1 KiB
-	r := rng.New(1)
-	for i := 0; i < 500; i++ {
-		ref := s.Next(r)
+	for _, ref := range fill(s, rng.New(1), 500) {
 		if off := ref.Addr % units.PageSize; off >= 1024 {
 			t.Fatalf("first visit escaped its 1 KiB window: offset %d", off)
 		}
@@ -216,13 +211,13 @@ func TestSweepSubsweepsAdvanceWindow(t *testing.T) {
 	s := &Sweep{Region: reg, VisitRefs: 10}
 	r := rng.New(1)
 	// First subsweep: offsets in [0, 1K). Second: [1K, 2K).
-	for i := 0; i < 20; i++ {
-		if off := s.Next(r).Addr % units.PageSize; off >= 1024 {
+	for _, ref := range fill(s, r, 20) {
+		if off := ref.Addr % units.PageSize; off >= 1024 {
 			t.Fatalf("subsweep 0 at offset %d", off)
 		}
 	}
-	for i := 0; i < 20; i++ {
-		off := s.Next(r).Addr % units.PageSize
+	for _, ref := range fill(s, r, 20) {
+		off := ref.Addr % units.PageSize
 		if off < 1024 || off >= 2048 {
 			t.Fatalf("subsweep 1 at offset %d", off)
 		}
@@ -234,10 +229,9 @@ func TestSweepReturnsToSamePageMuchLater(t *testing.T) {
 	// pages x VisitRefs references.
 	reg := Region{Base: 0, Pages: 8}
 	s := &Sweep{Region: reg, VisitRefs: 16}
-	r := rng.New(1)
 	lastSeen := map[uint64]int{}
-	for i := 0; i < 8*16*3; i++ {
-		page := s.Next(r).Addr / units.PageSize
+	for i, ref := range fill(s, rng.New(1), 8*16*3) {
+		page := ref.Addr / units.PageSize
 		if prev, ok := lastSeen[page]; ok && i-prev > 1 {
 			if gap := i - prev; gap < 8*16-16 {
 				t.Fatalf("revisit gap %d too small", gap)
@@ -251,10 +245,9 @@ func TestMixUsesAllPatterns(t *testing.T) {
 	a := &Seq{Region: Region{Base: 0, Pages: 1}}
 	b := &Seq{Region: Region{Base: 1 << 30, Pages: 1}}
 	m := &Mix{Patterns: []Pattern{a, b}, Weights: []float64{0.5, 0.5}, RunLen: 4}
-	r := rng.New(2)
 	var fromA, fromB int
-	for i := 0; i < 2000; i++ {
-		if m.Next(r).Addr < 1<<29 {
+	for _, ref := range fill(m, rng.New(2), 2000) {
+		if ref.Addr < 1<<29 {
 			fromA++
 		} else {
 			fromB++
@@ -350,16 +343,30 @@ func TestRegionsDoNotOverlap(t *testing.T) {
 	}
 }
 
+// BenchmarkAppReader reads Modula-3's stream at scale 0.05 end to end, from
+// a fresh generator reader each iteration (generate: what building the memo
+// costs) and from the memo (replay), in M refs/s.
 func BenchmarkAppReader(b *testing.B) {
 	app := Modula3(0.05)
 	buf := make([]Ref, 8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := app.NewReader()
-		for r.Read(buf) > 0 {
+	run := func(b *testing.B, newReader func() Reader) {
+		for i := 0; i < b.N; i++ {
+			r := newReader()
+			for r.Read(buf) > 0 {
+			}
 		}
+		b.ReportMetric(float64(app.TotalRefs())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
 	}
-	b.SetBytes(app.TotalRefs())
+	b.Run("generate", func(b *testing.B) { run(b, app.generatorReader) })
+	b.Run("replay", func(b *testing.B) {
+		resetCache()
+		defer resetCache()
+		if _, ok := app.NewReader().(*packedReader); !ok {
+			b.Fatal("stream not memoized")
+		}
+		b.ResetTimer()
+		run(b, app.NewReader)
+	})
 }
 
 func TestQuickSweepStaysInRegion(t *testing.T) {
@@ -370,9 +377,7 @@ func TestQuickSweepStaysInRegion(t *testing.T) {
 			VisitRefs: int(visit%64) + 1,
 			CrossFrac: float64(cross%100) / 100,
 		}
-		r := rng.New(seed)
-		for i := 0; i < 2000; i++ {
-			ref := s.Next(r)
+		for _, ref := range fill(s, rng.New(seed), 2000) {
 			if ref.Addr < reg.Base || ref.Addr >= reg.End() {
 				return false
 			}
@@ -387,9 +392,8 @@ func TestQuickSweepStaysInRegion(t *testing.T) {
 func TestSweepCrossFracZeroNeverCrosses(t *testing.T) {
 	reg := Region{Base: 0, Pages: 2}
 	s := &Sweep{Region: reg, VisitRefs: 64, CrossFrac: 0}
-	r := rng.New(1)
-	for i := 0; i < 64; i++ { // one full visit: subsweep 0, window [0, 1K)
-		if off := s.Next(r).Addr % units.PageSize; off >= 1024 {
+	for _, ref := range fill(s, rng.New(1), 64) { // one full visit: subsweep 0, window [0, 1K)
+		if off := ref.Addr % units.PageSize; off >= 1024 {
 			t.Fatalf("CrossFrac=0 visit escaped its window: offset %d", off)
 		}
 	}
@@ -398,10 +402,9 @@ func TestSweepCrossFracZeroNeverCrosses(t *testing.T) {
 func TestSweepCrossFracOneAlwaysSpansTwoWindows(t *testing.T) {
 	reg := Region{Base: 0, Pages: 4}
 	s := &Sweep{Region: reg, VisitRefs: 64, CrossFrac: 1}
-	r := rng.New(1)
 	sawSecond := false
-	for i := 0; i < 64; i++ {
-		if off := s.Next(r).Addr % units.PageSize; off >= 1024 {
+	for _, ref := range fill(s, rng.New(1), 64) {
+		if off := ref.Addr % units.PageSize; off >= 1024 {
 			sawSecond = true
 		}
 	}
