@@ -6,8 +6,8 @@ GO ?= go
 # tests (including the gmsdebug-instrumented core), a race-detector pass
 # over every package (the batched-wire concurrency smoke and the hedge-loser
 # cancel among its tests), ten seconds each of fuzzing the trace memo's
-# page-run index, the trace patterns' fills and the wire decoders, the
-# trace-export smoke, the bounded scale-out load
+# page-run index, the cluster simulator's split turns, the trace patterns'
+# fills and the wire decoders, the trace-export smoke, the bounded scale-out load
 # smoke, the bounded crash-soak smoke, the learned-prefetcher smoke, the gate
 # benchmark's build-and-run smoke, and the paper's tables at quarter and at
 # full scale. On a 2-vCPU Intel Xeon host the three slowest stages are race
@@ -52,7 +52,7 @@ build:
 	$(GO) build ./...
 
 # The last line runs every benchmark once (BenchmarkExperiment/<id> for each
-# experiment, BenchmarkRecover, the two profile-sim profiles, ...), so a
+# experiment, BenchmarkRecover, the three profile-sim profiles, ...), so a
 # change that breaks one, or the checks it makes, fails here rather than at
 # the next timing run. No benchmark's checks depend on its iteration count.
 test:
@@ -69,15 +69,21 @@ race:
 	$(GO) test -race -short -timeout 15m ./...
 
 # fuzz-smoke fuzzes the trace memo's page-run index (FuzzRunIndex: runs
-# against the Read stream, mixed Read/NextRun, the 2³² page boundary), the
-# trace patterns' bulk fills (FuzzPatternFill: a stream cut into any chunks
-# is the stream filled whole, with the same draws) and the wire decoders,
-# every parser of bytes from another process (FuzzDecode), for ten seconds
-# each beyond their seed corpora.
+# against the Read stream, mixed Read/NextRun, runs through trace.Offset, the
+# 2³² page boundary), RunCluster's turns (FuzzTurnSplit: runs split at any
+# budget replay as the unsplit stream does), the trace patterns' bulk fills
+# (FuzzPatternFill: a stream cut into any chunks is the stream filled whole,
+# with the same draws) and the wire decoders, every parser of bytes from
+# another process (FuzzDecode), for ten seconds each beyond their seed
+# corpora. Go minimizes each input that finds new coverage, by default for up
+# to a minute, and fuzzes nothing while both workers minimize: the first new
+# inputs stopped a ten-second run after about three. -fuzzminimizetime bounds
+# each minimization to a thousand runs of the target.
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz '^FuzzRunIndex$$' -fuzztime 10s ./internal/trace/
-	$(GO) test -run xxx -fuzz '^FuzzPatternFill$$' -fuzztime 10s ./internal/trace/
-	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/proto/
+	$(GO) test -run xxx -fuzz '^FuzzRunIndex$$' -fuzztime 10s -fuzzminimizetime 1000x ./internal/trace/
+	$(GO) test -run xxx -fuzz '^FuzzTurnSplit$$' -fuzztime 10s -fuzzminimizetime 1000x ./internal/sim/
+	$(GO) test -run xxx -fuzz '^FuzzPatternFill$$' -fuzztime 10s -fuzzminimizetime 1000x ./internal/trace/
+	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1000x ./internal/proto/
 
 # tables-quarter renders every paper table from quarter-scale traces and
 # checks the output byte for byte against experiments_quarter.txt: the
@@ -183,8 +189,10 @@ prefetch-smoke:
 # its sleeper and the live Table 2 probes), the write-back path (every read
 # checked against a shadow copy of the writes), the hit path and the cold
 # path (the one workload whose directory shards share a registry, which its
-# traced run reads through Registry.Counter); each exits non-zero on a
-# wrong byte or a failed op.
+# traced run reads through Registry.Counter), and the two simulator
+# workloads, hit-dominated replay (sim-apps) and the fault storm
+# (sim-faultstorm), whose runs must agree pass to pass; each exits non-zero
+# on a wrong byte or a failed op.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	bash bench/run.sh --workload fault-churn --seed 1 --seconds 1 --trace 1 > /dev/null
@@ -192,6 +200,8 @@ bench-smoke:
 	bash bench/run.sh --workload writeback-mix --seed 1 --seconds 1 --trace 1 > /dev/null
 	bash bench/run.sh --workload hit-resident --seed 1 --seconds 1 --trace 1 > /dev/null
 	bash bench/run.sh --workload cold-scan --seed 1 --seconds 1 --trace 1 > /dev/null
+	bash bench/run.sh --workload sim-apps --seed 1 --seconds 1 --trace 1 > /dev/null
+	bash bench/run.sh --workload sim-faultstorm --seed 1 --seconds 1 --trace 1 > /dev/null
 
 # profile-fault profiles the fault path: BenchmarkFaultLoopback (the gate's
 # fault-churn workload, in-package: faults/op, read+write syscalls/fault and
@@ -208,12 +218,14 @@ profile-fault:
 		-cpuprofile $(PROFILE_DIR)/fault.prof -o $(PROFILE_DIR)/remote.test ./internal/remote/
 	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/fault.prof
 
-# profile-sim profiles the simulator's two regimes under the CPU profiler,
+# profile-sim profiles the simulator's three regimes under the CPU profiler,
 # each followed by the profile's top entries: its fault path,
 # BenchmarkSimFaultStorm (the gate's sim-faultstorm shape, in-package:
-# ns/fault and allocs/fault per policy cell), and its hit-dominated replay,
+# ns/fault and allocs/fault per policy cell), its hit-dominated replay,
 # BenchmarkSimApps (the gate's sim-apps matrix, in-package: Mrefs/s and
-# allocs per sim.Run).
+# allocs per sim.Run), and its multi-node runs, BenchmarkRunCluster (the
+# Cluster experiment's matrix at scale 0.1: Mrefs/s and allocs per
+# RunCluster).
 profile-sim:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench '^BenchmarkSimFaultStorm$$' -benchtime 80x -benchmem \
@@ -222,3 +234,6 @@ profile-sim:
 	$(GO) test -run xxx -bench '^BenchmarkSimApps$$' -benchtime 10x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/simapps.prof -o $(PROFILE_DIR)/sim.test ./internal/sim/
 	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/sim.test $(PROFILE_DIR)/simapps.prof
+	$(GO) test -run xxx -bench '^BenchmarkRunCluster$$' -benchtime 10x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/cluster.prof -o $(PROFILE_DIR)/sim.test ./internal/sim/
+	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/sim.test $(PROFILE_DIR)/cluster.prof

@@ -56,11 +56,17 @@ type Prefetcher struct {
 
 	// slab holds the group histories, MaxGroups of them, allocated by the
 	// first Record. The n-th group made takes slab[n % MaxGroups], evicting
-	// the group there: the oldest. index maps a group id to its slot, and
-	// last is the slot found or made last, so a fault's Record and
-	// PlanPage look its group up once.
+	// the group there: the oldest. index finds a group id's slot, and last
+	// is the slot found or made last, so a fault's Record and PlanPage look
+	// its group up once.
+	//
+	// index is open-addressed, as memmodel.PageTable is: a power-of-two
+	// table at least twice the slab's size, Fibonacci hashing, linear
+	// probing and backward-shift deletion. An entry is a slot number plus
+	// one, 0 when empty; the id it is found by is its slot's.
 	slab  []groupHist
-	index map[uint64]int32
+	index []int32
+	shift uint // 64 - log2(len(index))
 	made  int
 	last  int
 
@@ -149,12 +155,39 @@ func (p *Prefetcher) find(id uint64) int {
 	if p.slab[p.last].id == id {
 		return p.last
 	}
-	s, ok := p.index[id]
+	i, ok := p.probe(id)
 	if !ok {
 		return -1
 	}
-	p.last = int(s)
+	p.last = int(p.index[i] - 1)
 	return p.last
+}
+
+// home is the index entry group id's probe starts at (Fibonacci hashing).
+func (p *Prefetcher) home(id uint64) int { return int(id * 0x9e3779b97f4a7c15 >> p.shift) }
+
+// probe returns the index entry of group id, or the empty entry that ends
+// its probe when the group is not tracked.
+func (p *Prefetcher) probe(id uint64) (int, bool) {
+	mask := len(p.index) - 1
+	for i := p.home(id); ; i = (i + 1) & mask {
+		if v := p.index[i]; v == 0 || p.slab[v-1].id == id {
+			return i, v != 0
+		}
+	}
+}
+
+// unindex empties index entry i by backward shift: each later entry of the
+// probe cluster moves into the hole when the hole lies on its probe path.
+func (p *Prefetcher) unindex(i int) {
+	mask := len(p.index) - 1
+	for j := (i + 1) & mask; p.index[j] != 0; j = (j + 1) & mask {
+		if h := p.home(p.slab[p.index[j]-1].id); (j-h)&mask >= (j-i)&mask {
+			p.index[i] = p.index[j]
+			i = j
+		}
+	}
+	p.index[i] = 0
 }
 
 // newGroup makes an empty history for group id in the next slot, evicting
@@ -166,15 +199,21 @@ func (p *Prefetcher) newGroup(id uint64) int {
 			max = 1024
 		}
 		p.slab = make([]groupHist, max)
-		p.index = make(map[uint64]int32, max)
+		bits := 1
+		for 1<<bits < 2*max {
+			bits++
+		}
+		p.index, p.shift = make([]int32, 1<<bits), uint(64-bits)
 	}
 	s := p.made % len(p.slab)
 	if p.made >= len(p.slab) {
-		delete(p.index, p.slab[s].id)
+		i, _ := p.probe(p.slab[s].id)
+		p.unindex(i)
 	}
 	p.made++
 	p.slab[s] = groupHist{id: id}
-	p.index[id] = int32(s)
+	i, _ := p.probe(id)
+	p.index[i] = int32(s + 1)
 	p.last = s
 	return s
 }

@@ -199,6 +199,43 @@ func TestPrefetcherGroupBoundEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestPrefetcherIndexMatchesMap: over random faults in crowded and scattered
+// groups, through every eviction, each group is found in the slot a map from
+// group id to slot, with the slab's oldest-first eviction, says it is in, and
+// an evicted group is not found.
+func TestPrefetcherIndexMatchesMap(t *testing.T) {
+	p := NewPrefetcher()
+	p.MaxGroups, p.GroupShift = 48, 0
+	model := map[uint64]int{}
+	var order []uint64 // groups in the order they were made
+	r := rng.New(3)
+	draw := func() uint64 {
+		if r.Intn(2) == 0 {
+			return uint64(r.Intn(32)) << 36
+		}
+		return uint64(r.Intn(96))
+	}
+	for i := 0; i < 20000; i++ {
+		id := draw()
+		if _, ok := model[id]; !ok {
+			if len(order) >= p.MaxGroups {
+				delete(model, order[len(order)-p.MaxGroups])
+			}
+			model[id] = len(order) % p.MaxGroups
+			order = append(order, id)
+		}
+		p.Record(id, 0)
+		probe := draw()
+		want, ok := model[probe]
+		if !ok {
+			want = -1
+		}
+		if got := p.find(probe); got != want {
+			t.Fatalf("step %d: group %d in slot %d, model %d", i, probe, got, want)
+		}
+	}
+}
+
 // TestPrefetcherPlanPageInvariants drives random fault streams through the
 // stateful planner and checks every emitted plan against the same
 // invariants the stateless policies satisfy.

@@ -73,9 +73,11 @@ func (m *EpochManager) newEpoch() {
 		node  NodeID
 		epoch int64
 	}
-	ages := make([]aged, 0, len(m.cluster.directory))
-	for _, e := range m.cluster.directory {
-		ages = append(ages, aged{e.node, e.epoch})
+	ages := make([]aged, 0, m.cluster.pages)
+	for _, s := range m.cluster.slots {
+		if s.epoch != 0 {
+			ages = append(ages, aged{s.node, s.epoch})
+		}
 	}
 	if len(ages) == 0 {
 		// Empty directory: split weight evenly among the alive nodes (a
@@ -112,9 +114,7 @@ func (m *EpochManager) Weights() []float64 {
 // node.
 func (m *EpochManager) Place(page memmodel.PageID) NodeID {
 	c := m.cluster
-	if _, ok := c.directory[page]; ok {
-		panic("gms: epoch Place of page already in global memory")
-	}
+	i := c.absent(page)
 	if c.aliveCount == 0 {
 		// Every donor is down: drop the store, like Cluster.Store.
 		return 0
@@ -134,10 +134,9 @@ func (m *EpochManager) Place(page memmodel.PageID) NodeID {
 		// The target is full: discard its oldest page (the weighted
 		// choice said this node holds old pages).
 		c.discardOldestOn(node)
+		i, _ = c.find(page) // the discard may have shifted page's probe
 	}
-	c.clock++
-	c.directory[page] = entry{node: node, epoch: c.clock}
-	c.load[node]++
+	c.put(i, page, node)
 	c.Stores++
 	return node
 }
@@ -155,24 +154,4 @@ func (m *EpochManager) pick() NodeID {
 	// Weights may not sum exactly to 1, or all mass may sit on full
 	// nodes; fall back to the least-loaded node.
 	return m.cluster.leastLoaded()
-}
-
-// discardOldestOn drops the oldest page stored on one node.
-func (c *Cluster) discardOldestOn(node NodeID) {
-	var victim memmodel.PageID
-	var victimEpoch int64 = -1
-	for p, e := range c.directory {
-		if e.node != node {
-			continue
-		}
-		if victimEpoch < 0 || e.epoch < victimEpoch {
-			victim, victimEpoch = p, e.epoch
-		}
-	}
-	if victimEpoch < 0 {
-		return
-	}
-	delete(c.directory, victim)
-	c.load[node]--
-	c.Discards++
 }

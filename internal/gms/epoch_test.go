@@ -22,14 +22,10 @@ func TestEpochWeightsTrackOldPages(t *testing.T) {
 	c := NewCluster(Config{Nodes: 2})
 	// Node 0 gets old pages, node 1 recent ones.
 	for p := memmodel.PageID(0); p < 100; p++ {
-		c.clock++
-		c.directory[p] = entry{node: 0, epoch: c.clock}
-		c.load[0]++
+		placeOn(c, p, 0)
 	}
 	for p := memmodel.PageID(100); p < 200; p++ {
-		c.clock++
-		c.directory[p] = entry{node: 1, epoch: c.clock}
-		c.load[1]++
+		placeOn(c, p, 1)
 	}
 	m := NewEpochManager(c, EpochConfig{EvictionsPerEpoch: 100, Seed: 1})
 	w := m.Weights()
@@ -42,9 +38,7 @@ func TestEpochWeightsTrackOldPages(t *testing.T) {
 func TestEpochPlaceFollowsWeights(t *testing.T) {
 	c := NewCluster(Config{Nodes: 2})
 	for p := memmodel.PageID(0); p < 200; p++ {
-		c.clock++
-		c.directory[p] = entry{node: 0, epoch: c.clock}
-		c.load[0]++
+		placeOn(c, p, 0)
 	}
 	// All old pages on node 0: placements this epoch go there.
 	m := NewEpochManager(c, EpochConfig{EvictionsPerEpoch: 64, Seed: 7})
@@ -121,4 +115,12 @@ func TestDiscardOldestOn(t *testing.T) {
 	if c.Discards != before+1 {
 		t.Fatalf("Discards = %d, want %d", c.Discards, before+1)
 	}
+}
+
+// placeOn stores page on node, stamped with the next epoch, bypassing
+// placement.
+func placeOn(c *Cluster, page memmodel.PageID, node NodeID) {
+	c.reserve(1)
+	i, _ := c.find(page)
+	c.put(i, page, node)
 }

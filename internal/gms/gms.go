@@ -13,6 +13,7 @@ package gms
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/gms-sim/gmsubpage/internal/memmodel"
 )
@@ -35,18 +36,22 @@ type Config struct {
 // workstations with ample free memory.
 func DefaultConfig() Config { return Config{Nodes: 8, GlobalPagesPerNode: 0} }
 
-// entry records where a page lives and when it entered global memory.
-type entry struct {
-	node  NodeID
-	epoch int64
-}
-
 // Cluster is the global memory: a directory plus per-node occupancy.
+//
+// The directory is an open-addressed hash table, as memmodel.PageTable's:
+// a slot array whose length is a power of two of at least twice the pages
+// it holds (so a probe always meets an empty slot), Fibonacci hashing,
+// linear probing, and backward-shift deletion, which leaves no tombstones
+// behind. It grows by doubling and never shrinks. A scan of the slots meets
+// the pages in no particular order, so every decision taken from one breaks
+// ties by epoch, which is unique.
 type Cluster struct {
-	cfg       Config
-	directory map[memmodel.PageID]entry
-	load      []int // pages stored per node
-	clock     int64
+	cfg   Config
+	slots []slot // len a power of two >= 2*pages
+	pages int    // occupied slots
+	shift uint   // 64 - log2(len(slots)): the hash's top bits pick the home slot
+	load  []int  // pages stored per node
+	clock int64
 
 	// Node liveness: a failed node's donated pages vanish (refaults go to
 	// disk) and placement skips it until it rejoins. With every node dead
@@ -64,6 +69,17 @@ type Cluster struct {
 	// because a crash is not a replacement decision.
 	DroppedPages int64
 }
+
+// slot is one directory entry: where a page lives and when it entered
+// global memory. The clock stamps from 1, so epoch 0 marks an empty slot.
+type slot struct {
+	page  memmodel.PageID
+	epoch int64
+	node  NodeID
+}
+
+// minSlots is the directory's smallest table.
+const minSlots = 64
 
 // EpochCluster couples a Cluster with epoch-weighted putpage placement:
 // Store goes through the epoch manager, everything else through the
@@ -95,17 +111,85 @@ func (c *Cluster) Reset(cfg Config) {
 	if cfg.Nodes <= 0 {
 		panic("gms: cluster needs at least one node")
 	}
-	dir := c.directory
-	if dir == nil {
-		dir = make(map[memmodel.PageID]entry)
+	slots := c.slots
+	if slots == nil {
+		slots = make([]slot, minSlots)
+	} else if c.pages > 0 {
+		clear(slots)
 	}
-	clear(dir)
 	load := append(c.load[:0], make([]int, cfg.Nodes)...)
 	alive := c.alive[:0]
 	for range cfg.Nodes {
 		alive = append(alive, true)
 	}
-	*c = Cluster{cfg: cfg, directory: dir, load: load, alive: alive, aliveCount: cfg.Nodes}
+	*c = Cluster{cfg: cfg, slots: slots, shift: shiftFor(len(slots)), load: load, alive: alive, aliveCount: cfg.Nodes}
+}
+
+// shiftFor returns the hash shift of a table of n slots, n a power of two.
+func shiftFor(n int) uint {
+	return uint(64 - bits.TrailingZeros(uint(n)))
+}
+
+// home is the slot a page's probe starts at (Fibonacci hashing).
+func (c *Cluster) home(page memmodel.PageID) int {
+	return int(uint64(page) * 0x9e3779b97f4a7c15 >> c.shift)
+}
+
+// find returns the index of page's slot, or of the empty slot that ends its
+// probe when it is not in global memory.
+func (c *Cluster) find(page memmodel.PageID) (int, bool) {
+	mask := len(c.slots) - 1
+	for i := c.home(page); ; i = (i + 1) & mask {
+		if s := &c.slots[i]; s.epoch == 0 || s.page == page {
+			return i, s.epoch != 0
+		}
+	}
+}
+
+// reserve grows the table, if need be, so that n more pages keep it at most
+// half full.
+func (c *Cluster) reserve(n int) {
+	size := len(c.slots)
+	for 2*(c.pages+n) > size {
+		size *= 2
+	}
+	if size == len(c.slots) {
+		return
+	}
+	old := c.slots
+	c.slots, c.shift = make([]slot, size), shiftFor(size)
+	for _, s := range old {
+		if s.epoch != 0 {
+			i, _ := c.find(s.page)
+			c.slots[i] = s
+		}
+	}
+}
+
+// put stores page on node in the empty slot i that ends its probe, stamping
+// it with the next epoch.
+func (c *Cluster) put(i int, page memmodel.PageID, node NodeID) {
+	c.clock++
+	c.slots[i] = slot{page: page, epoch: c.clock, node: node}
+	c.pages++
+	c.load[node]++
+}
+
+// remove empties slot i by backward shift: each later entry of the probe
+// cluster moves into the hole when the hole lies on its probe path — at or
+// after its home slot, cyclically — which keeps every probe unbroken. The
+// node's load drops with it.
+func (c *Cluster) remove(i int) {
+	c.load[c.slots[i].node]--
+	c.pages--
+	mask := len(c.slots) - 1
+	for j := (i + 1) & mask; c.slots[j].epoch != 0; j = (j + 1) & mask {
+		if h := c.home(c.slots[j].page); (j-h)&mask >= (j-i)&mask {
+			c.slots[i] = c.slots[j]
+			i = j
+		}
+	}
+	c.slots[i] = slot{}
 }
 
 // FailNode kills node n: its donated pages vanish from global memory so
@@ -121,16 +205,20 @@ func (c *Cluster) FailNode(n NodeID) int {
 	}
 	c.alive[n] = false
 	c.aliveCount--
-	dropped := 0
-	for p, e := range c.directory {
-		if e.node == n {
-			delete(c.directory, p)
-			dropped++
+	// Collect, then delete: a deletion shifts later entries back, so one
+	// pass that deleted as it went could skip one.
+	var gone []memmodel.PageID
+	for _, s := range c.slots {
+		if s.epoch != 0 && s.node == n {
+			gone = append(gone, s.page)
 		}
 	}
-	c.load[n] = 0
-	c.DroppedPages += int64(dropped)
-	return dropped
+	for _, p := range gone {
+		i, _ := c.find(p)
+		c.remove(i)
+	}
+	c.DroppedPages += int64(len(gone))
+	return len(gone)
 }
 
 // ReviveNode rejoins node n with empty memory. Reviving a live node is a
@@ -162,18 +250,16 @@ func (c *Cluster) Warm(pages []memmodel.PageID) {
 			targets = append(targets, NodeID(i))
 		}
 	}
+	c.reserve(len(pages))
 	for i, p := range pages {
-		n := targets[i%len(targets)]
-		c.clock++
-		c.directory[p] = entry{node: n, epoch: c.clock}
-		c.load[n]++
+		c.put(c.absent(p), p, targets[i%len(targets)])
 	}
 }
 
 // Lookup reports which node stores page without changing any state.
 func (c *Cluster) Lookup(page memmodel.PageID) (NodeID, bool) {
-	e, ok := c.directory[page]
-	return e.node, ok
+	i, ok := c.find(page)
+	return c.slots[i].node, ok
 }
 
 // Fetch performs a getpage: it returns the node storing page and removes
@@ -181,24 +267,23 @@ func (c *Cluster) Lookup(page memmodel.PageID) (NodeID, bool) {
 // second result is false when the page is not in network memory and must be
 // read from disk.
 func (c *Cluster) Fetch(page memmodel.PageID) (NodeID, bool) {
-	e, ok := c.directory[page]
+	i, ok := c.find(page)
 	if !ok {
 		c.Misses++
 		return 0, false
 	}
-	delete(c.directory, page)
-	c.load[e.node]--
+	node := c.slots[i].node
+	c.remove(i)
 	c.Hits++
-	return e.node, true
+	return node, true
 }
 
-// Store performs a putpage: an evicted page enters global memory on the
-// least-loaded node. If every node is at capacity, the globally oldest
-// page is discarded first. It returns the chosen node.
+// Store performs a putpage: an evicted page, which must not be in global
+// memory already, enters it on the least-loaded node. If every node is at
+// capacity, the globally oldest page is discarded first. It returns the
+// chosen node.
 func (c *Cluster) Store(page memmodel.PageID) NodeID {
-	if _, ok := c.directory[page]; ok {
-		panic(fmt.Sprintf("gms: page %d already in global memory", page))
-	}
+	i := c.absent(page)
 	if c.aliveCount == 0 {
 		// Every donor is down: the eviction is lost, exactly as in the
 		// no-idle-nodes baseline (which counts neither a store nor a
@@ -207,18 +292,29 @@ func (c *Cluster) Store(page memmodel.PageID) NodeID {
 	}
 	node := c.leastLoaded()
 	if c.cfg.GlobalPagesPerNode > 0 && c.load[node] >= c.cfg.GlobalPagesPerNode {
-		c.discardOldest()
+		c.discardOldestOn(-1)
 		node = c.leastLoaded()
+		i, _ = c.find(page) // the discard may have shifted page's probe
 	}
-	c.clock++
-	c.directory[page] = entry{node: node, epoch: c.clock}
-	c.load[node]++
+	c.put(i, page, node)
 	c.Stores++
 	return node
 }
 
+// absent returns the empty slot that ends page's probe, with room reserved
+// for it, and panics when page is in global memory: a putpage of a page the
+// directory holds would give it two homes.
+func (c *Cluster) absent(page memmodel.PageID) int {
+	c.reserve(1)
+	i, ok := c.find(page)
+	if ok {
+		panic(fmt.Sprintf("gms: page %d already in global memory", page))
+	}
+	return i
+}
+
 // Size returns the number of pages in global memory.
-func (c *Cluster) Size() int { return len(c.directory) }
+func (c *Cluster) Size() int { return c.pages }
 
 // Load returns the number of pages stored on node.
 func (c *Cluster) Load(node NodeID) int { return c.load[node] }
@@ -226,13 +322,11 @@ func (c *Cluster) Load(node NodeID) int { return c.load[node] }
 // leastLoaded returns the alive node with the fewest stored pages. It must
 // not be called with every node dead.
 func (c *Cluster) leastLoaded() NodeID {
-	best := NodeID(-1)
-	for i := 0; i < len(c.load); i++ {
-		if !c.alive[i] {
-			continue
-		}
-		if best < 0 || c.load[i] < c.load[best] {
-			best = NodeID(i)
+	best, least := NodeID(-1), 0
+	alive := c.alive[:len(c.load)]
+	for i, l := range c.load {
+		if alive[i] && (best < 0 || l < least) {
+			best, least = NodeID(i), l
 		}
 	}
 	if best < 0 {
@@ -241,22 +335,20 @@ func (c *Cluster) leastLoaded() NodeID {
 	return best
 }
 
-// discardOldest implements the simplified global-LRU replacement: the page
-// with the smallest epoch leaves global memory (its next fault goes to
-// disk).
-func (c *Cluster) discardOldest() {
-	var victim memmodel.PageID
-	var victimEpoch int64 = -1
-	for p, e := range c.directory {
-		if victimEpoch < 0 || e.epoch < victimEpoch {
-			victim, victimEpoch = p, e.epoch
+// discardOldestOn drops the oldest page stored on node or, when node is
+// negative, in all of global memory: the simplified global-LRU replacement,
+// in which the page with the smallest epoch leaves global memory (its next
+// fault goes to disk).
+func (c *Cluster) discardOldestOn(node NodeID) {
+	victim := -1
+	for i, s := range c.slots {
+		if s.epoch != 0 && (node < 0 || s.node == node) && (victim < 0 || s.epoch < c.slots[victim].epoch) {
+			victim = i
 		}
 	}
-	if victimEpoch < 0 {
+	if victim < 0 {
 		return
 	}
-	e := c.directory[victim]
-	delete(c.directory, victim)
-	c.load[e.node]--
+	c.remove(victim)
 	c.Discards++
 }

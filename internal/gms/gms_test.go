@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/gms-sim/gmsubpage/internal/memmodel"
+	"github.com/gms-sim/gmsubpage/internal/rng"
 )
 
 func TestWarmThenFetch(t *testing.T) {
@@ -172,6 +173,126 @@ func TestResetMatchesNew(t *testing.T) {
 		used.Reset(cfg)
 		if got := script(used); !slices.Equal(got, want) {
 			t.Fatalf("%+v: reset cluster diverges from a new one:\n got %v\nwant %v", cfg, got, want)
+		}
+	}
+}
+
+// mapDir is the directory as a Go map, with Cluster's placement and
+// replacement written the plain way: the reference model for the
+// open-addressed table.
+type mapDir struct {
+	cap   int
+	dir   map[memmodel.PageID][2]int64 // node, epoch
+	load  []int
+	alive []bool
+	clock int64
+}
+
+func (m *mapDir) leastLoaded() int {
+	best := -1
+	for i, l := range m.load {
+		if m.alive[i] && (best < 0 || l < m.load[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+func (m *mapDir) store(p memmodel.PageID) int {
+	node := m.leastLoaded()
+	if node < 0 {
+		return 0
+	}
+	if m.cap > 0 && m.load[node] >= m.cap {
+		victim, oldest := memmodel.PageID(0), int64(-1)
+		for q, e := range m.dir {
+			if oldest < 0 || e[1] < oldest {
+				victim, oldest = q, e[1]
+			}
+		}
+		m.load[m.dir[victim][0]]--
+		delete(m.dir, victim)
+		node = m.leastLoaded()
+	}
+	m.clock++
+	m.dir[p] = [2]int64{int64(node), m.clock}
+	m.load[node]++
+	return node
+}
+
+// TestDirectoryMatchesMap: over random fetches, stores, failures and rejoins
+// on pages chosen to share probe paths, through the table's growth and
+// backward-shift deletions, the cluster answers every Fetch, Store and
+// Lookup as the map model does, with the same loads.
+func TestDirectoryMatchesMap(t *testing.T) {
+	for _, capacity := range []int{0, 40} {
+		const nodes = 3
+		c := NewCluster(Config{Nodes: nodes, GlobalPagesPerNode: capacity})
+		m := &mapDir{cap: capacity, dir: map[memmodel.PageID][2]int64{}, load: make([]int, nodes), alive: []bool{true, true, true}}
+		r := rng.New(uint64(capacity) + 1)
+		// Pages 0..511 spaced by a power of two far above the table size:
+		// Fibonacci hashing keeps them apart, while the low range crowds.
+		page := func() memmodel.PageID {
+			if r.Intn(2) == 0 {
+				return memmodel.PageID(r.Intn(512))
+			}
+			return memmodel.PageID(r.Intn(64)) << 40
+		}
+		for op := 0; op < 20000; op++ {
+			p := page()
+			switch k := r.Intn(100); {
+			case k < 45:
+				n, ok := c.Fetch(p)
+				e, want := m.dir[p]
+				if ok != want || ok && int64(n) != e[0] {
+					t.Fatalf("op %d: Fetch(%d) = %d, %v; model %d, %v", op, p, n, ok, e[0], want)
+				}
+				if want {
+					m.load[e[0]]--
+					delete(m.dir, p)
+				}
+			case k < 97:
+				if _, in := m.dir[p]; in {
+					continue
+				}
+				if got, want := c.Store(p), m.store(p); int(got) != want {
+					t.Fatalf("op %d: Store(%d) on node %d, model %d", op, p, got, want)
+				}
+			case k < 99:
+				n := r.Intn(nodes)
+				c.FailNode(NodeID(n))
+				if m.alive[n] {
+					m.alive[n] = false
+					for q, e := range m.dir {
+						if e[0] == int64(n) {
+							delete(m.dir, q)
+						}
+					}
+					m.load[n] = 0
+				}
+			default:
+				n := r.Intn(nodes)
+				c.ReviveNode(NodeID(n))
+				m.alive[n] = true
+			}
+			if c.Size() != len(m.dir) {
+				t.Fatalf("op %d: size %d, model %d", op, c.Size(), len(m.dir))
+			}
+			if op%500 == 0 {
+				for q, e := range m.dir {
+					if n, ok := c.Lookup(q); !ok || int64(n) != e[0] {
+						t.Fatalf("op %d: Lookup(%d) = %d, %v; model node %d", op, q, n, ok, e[0])
+					}
+				}
+				for n := range nodes {
+					if c.Load(NodeID(n)) != m.load[n] {
+						t.Fatalf("op %d: node %d load %d, model %d", op, n, c.Load(NodeID(n)), m.load[n])
+					}
+				}
+			}
+		}
+		if len(c.slots) == minSlots || capacity > 0 && c.Discards == 0 || c.DroppedPages == 0 {
+			t.Fatalf("cap %d: the run never grew the table, discarded or dropped: %d slots, %+v", capacity, len(c.slots), c)
 		}
 	}
 }

@@ -119,6 +119,25 @@ func TestPlacementsMalformed(t *testing.T) {
 	}
 }
 
+// TestPlacementsLongReplicaList: an entry naming 254 or 255 replicas decodes
+// to a list of that length, where a byte sum of its length wrapped to 0 or 1
+// and panicked (found by FuzzDecode).
+func TestPlacementsLongReplicaList(t *testing.T) {
+	p := encodePlacements(t, samplePlacements())
+	last := len(p) - 4 // the last entry: offset, replica count, indexes
+	for _, n := range []int{254, 255} {
+		q := append(append([]byte(nil), p[:last+1]...), byte(n))
+		q = append(q, make([]byte, n)...) // every replica is address 0
+		m, err := DecodePlacements(q)
+		if err != nil {
+			t.Fatalf("%d replicas: %v", n, err)
+		}
+		if got := len(m.Entries[len(m.Entries)-1].Addrs); got != n {
+			t.Fatalf("%d replicas decoded as %d", n, got)
+		}
+	}
+}
+
 // TestSendPlacementsBounds: entries the frame cannot hold are dropped from
 // the tail, never the first; a first entry that cannot fit, or an entry
 // outside the group, fails the send.

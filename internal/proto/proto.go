@@ -714,7 +714,7 @@ func DecodePlacements(p []byte) (Placements, error) {
 		if len(rest) < 2 || len(rest) < 2+int(rest[1]) {
 			return Placements{}, short(TPlacements)
 		}
-		off, idx := rest[0], rest[2:2+rest[1]]
+		off, idx := rest[0], rest[2:2+int(rest[1])] // in int: 2+254 overflows a byte sum
 		rest = rest[2+len(idx):]
 		if off >= PlacementGroup || len(idx) == 0 || int(slices.Max(idx)) >= len(tab) {
 			return Placements{}, fmt.Errorf("proto: Placements entry at offset %d names %v of %d addresses", off, idx, len(tab))

@@ -145,15 +145,7 @@ func RunCluster(cfg ClusterConfig) *ClusterResult {
 
 	// Build one runner per node, its addresses offset into a private
 	// slice of the page space.
-	type node struct {
-		r      *runner
-		rd     trace.Reader
-		buf    []trace.Ref
-		filled int
-		pos    int
-		done   bool
-	}
-	nodes := make([]*node, len(cfg.Apps))
+	nodes := make([]*clusterNode, len(cfg.Apps))
 	for i, app := range cfg.Apps {
 		i, app := i, app
 		delta := uint64(i+1) * nodeSpacing
@@ -180,12 +172,7 @@ func RunCluster(cfg ClusterConfig) *ClusterResult {
 			SubpageSize: cfg.SubpageSize,
 			Global:      shared,
 		}
-		nr := newRunner(rcfg)
-		nodes[i] = &node{
-			r:   nr,
-			rd:  src.NewReader(),
-			buf: make([]trace.Ref, cfg.BatchRefs),
-		}
+		nodes[i] = &clusterNode{r: newRunner(rcfg), rd: runsOf(src.NewReader())}
 	}
 
 	// Warm the shared cache with every node's pages unless cold (or
@@ -225,7 +212,7 @@ func RunCluster(cfg ClusterConfig) *ClusterResult {
 
 	// Interleave: always advance the node with the smallest clock.
 	for {
-		var next *node
+		var next *clusterNode
 		for _, n := range nodes {
 			if n.done {
 				continue
@@ -249,19 +236,9 @@ func RunCluster(cfg ClusterConfig) *ClusterResult {
 				base.FailNode(gms.NodeID(act.node))
 			}
 		}
-		// Run one batch of references on the chosen node.
-		if next.pos >= next.filled {
-			next.filled = next.rd.Read(next.buf)
-			next.pos = 0
-			if next.filled == 0 {
-				next.done = true
-				continue
-			}
-		}
-		for next.pos < next.filled {
-			next.r.step(next.buf[next.pos])
-			next.pos++
-		}
+		// Run one batch of references on the chosen node; a node found at
+		// the end of its trace leaves the interleave.
+		next.done = !next.turn(cfg.BatchRefs)
 	}
 
 	res := &ClusterResult{}
@@ -284,6 +261,81 @@ func RunCluster(cfg ClusterConfig) *ClusterResult {
 	return res
 }
 
+// clusterNode is one active node of a RunCluster: its runner, its stream as
+// page runs, and its turn: the references left in it and what is left of
+// the run a turn's end split.
+type clusterNode struct {
+	r    *runner
+	rd   runReader
+	done bool
+
+	left   int
+	page   uint64
+	offs   []uint16
+	blocks uint32 // the whole run's
+}
+
+// turn replays the node's next budget references and reports whether there
+// were any.
+func (n *clusterNode) turn(budget int) bool {
+	n.left = budget
+	n.r.replayRuns(n)
+	return n.left < budget
+}
+
+// NextRun hands replayRuns the node's runs until its turn's budget is spent.
+// A run the budget ends inside is split: its tail opens the node's next
+// turn, with the whole run's blocks, which replayRuns allows.
+func (n *clusterNode) NextRun() (page uint64, offs []uint16, blocks uint32) {
+	if n.left == 0 {
+		return 0, nil, 0
+	}
+	if len(n.offs) == 0 {
+		if n.page, n.offs, n.blocks = n.rd.NextRun(); len(n.offs) == 0 {
+			return 0, nil, 0
+		}
+	}
+	k := min(n.left, len(n.offs))
+	offs, n.offs = n.offs[:k], n.offs[k:]
+	n.left -= k
+	return n.page, offs, n.blocks
+}
+
+// runsOf returns rd's page runs: its own when it has a page-run index, else
+// each maximal same-page stretch of what it reads (trace.Pack).
+func runsOf(rd trace.Reader) runReader {
+	if rr, ok := rd.(runReader); ok {
+		return rr
+	}
+	return &refRuns{rd: rd, buf: make([]trace.Ref, 8192)}
+}
+
+// refRuns cuts a reader without a page-run index into page runs. A run the
+// end of a Read splits comes as two.
+type refRuns struct {
+	rd       trace.Reader
+	buf      []trace.Ref
+	pos, end int
+	offs     []uint16 // the last run's, reused by the next
+}
+
+func (a *refRuns) NextRun() (page uint64, offs []uint16, blocks uint32) {
+	if a.pos == a.end {
+		if a.pos, a.end = 0, a.rd.Read(a.buf); a.end == 0 {
+			return 0, nil, 0
+		}
+	}
+	page = a.buf[a.pos].Addr / units.PageSize
+	offs = a.offs[:0]
+	for ; a.pos < a.end && a.buf[a.pos].Addr/units.PageSize == page; a.pos++ {
+		v := trace.Pack(a.buf[a.pos])
+		offs = append(offs, v)
+		blocks |= trace.Block(v)
+	}
+	a.offs = offs
+	return page, offs, blocks
+}
+
 // noGlobal is the all-disk baseline's stand-in for network memory: with no
 // idle nodes there is nothing to fetch from or store to, so every refault
 // falls through to disk and every eviction is simply lost.
@@ -292,5 +344,3 @@ type noGlobal struct{ misses int64 }
 func (g *noGlobal) Fetch(memmodel.PageID) (gms.NodeID, bool) { g.misses++; return 0, false }
 
 func (g *noGlobal) Store(memmodel.PageID) gms.NodeID { return 0 }
-
-func (g *noGlobal) Lookup(memmodel.PageID) (gms.NodeID, bool) { return 0, false }

@@ -42,11 +42,13 @@ const (
 )
 
 // GlobalCache is the global-memory interface the simulator pages against;
-// *gms.Cluster and *gms.EpochCluster implement it.
+// *gms.Cluster and *gms.EpochCluster implement it. Store is only ever given
+// a page the cache does not hold: a page enters local memory by a Fetch,
+// which removes it from the cache, or from disk because the cache does not
+// have it, and it is stored when it leaves.
 type GlobalCache interface {
 	Fetch(memmodel.PageID) (gms.NodeID, bool)
 	Store(memmodel.PageID) gms.NodeID
-	Lookup(memmodel.PageID) (gms.NodeID, bool)
 }
 
 // TraceSource supplies a reference stream that is not a built-in App.
@@ -95,7 +97,8 @@ type Config struct {
 
 	// Global overrides the run's global memory with a shared instance
 	// (multi-node simulations). When set, the caller owns warming and
-	// capacity; ColdStart is ignored.
+	// capacity; ColdStart is ignored. Runs sharing one must reference
+	// disjoint pages.
 	Global GlobalCache
 
 	// PALEmulation charges Table 1 software costs for accesses to
@@ -457,6 +460,8 @@ func (r *runner) run() {
 // from its last frame and the LRU order stands — and that path only counts
 // the reference's execution event. Any other run is walked (walk). A TLB
 // model looks at every address, so with one on every reference is stepped.
+// A run may come in pieces, each with the whole run's blocks (RunCluster's
+// turns split runs): the pieces replay as the run does.
 func (r *runner) replayRuns(rd runReader) {
 	for page, offs, blocks := rd.NextRun(); len(offs) > 0; page, offs, blocks = rd.NextRun() {
 		switch f := r.pt.Lookup(memmodel.PageID(page)); {
@@ -479,7 +484,9 @@ func (r *runner) replayRuns(rd runReader) {
 // allows — are charged whole; step takes only the rest, the faulting
 // reference among them. blocks are the run's, so a run whose blocks are all
 // ready is charged whole from the index even while its page's transfer is in
-// flight.
+// flight. blocks may hold more than offs touch (a piece of a split run): a
+// block among them that is not ready then only sends offs to the check one
+// reference at a time, which is exact.
 func (r *runner) walk(f *memmodel.Frame, page uint64, offs []uint16, blocks uint32) {
 	if f == nil {
 		f = r.step(trace.Unpack(page, offs[0]))
@@ -762,9 +769,7 @@ func (r *runner) insert(page memmodel.PageID, valid memmodel.Bitmap) *memmodel.F
 		if r.cfg.Backing == GlobalMemory {
 			// putpage: the evicted page enters the global cache
 			// (asynchronously; not on the fault's critical path).
-			if _, inGlobal := r.cluster.Lookup(evicted.Page); !inGlobal {
-				r.cluster.Store(evicted.Page)
-			}
+			r.cluster.Store(evicted.Page)
 		}
 	}
 	return f

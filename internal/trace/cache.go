@@ -222,6 +222,10 @@ func exact[T any](s []T) []T {
 	return out
 }
 
+// Pack encodes a reference as NextRun runs hold it: its offset within its
+// page, shifted left one, or 1 for a store.
+func Pack(ref Ref) uint16 { return uint16(ref.Addr%units.PageSize)<<1 | store(ref) }
+
 // Unpack decodes one reference of a NextRun run on the given page.
 func Unpack(page uint64, v uint16) Ref {
 	return Ref{Addr: page*units.PageSize + uint64(v>>1), Store: v&1 != 0}

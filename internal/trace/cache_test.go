@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -202,12 +203,14 @@ func streamFromBytes(data []byte, wide bool) []Ref {
 }
 
 // FuzzRunIndex: over any stream, the page runs concatenate to exactly the
-// Read stream, every reference a run decodes is on the run's index page,
-// neighbouring runs are on different pages, each run's block mask is the OR
-// of its references' 256 B blocks, and a reader that mixes Read and NextRun
-// stays consistent — a run cut short by a Read still ends where the page
-// changes, and its mask covers only what is left of it. A stream with a page
-// of 2³² or more is not memoized and still replays exactly.
+// Read stream, every reference a run decodes is on the run's index page and
+// packs back to its value, neighbouring runs are on different pages, each
+// run's block mask is the OR of its references' 256 B blocks, and a reader
+// that mixes Read and NextRun stays consistent — a run cut short by a Read
+// still ends where the page changes, and its mask covers only what is left
+// of it. Offset by whole pages, the runs are the same runs on shifted pages;
+// offset by less, the reader has no runs. A stream with a page of 2³² or
+// more is not memoized and still replays exactly.
 func FuzzRunIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 160, 0, 1, 0, 9, 9, 200, 5, 5, 251, 255, 255, 0, 0, 0}, []byte{0, 3, 0, 9}, false)
 	f.Add([]byte{0, 1, 2, 255, 3, 4, 0, 0, 0}, []byte{1}, true)
@@ -243,8 +246,8 @@ func FuzzRunIndex(f *testing.F) {
 			var touched uint32
 			for _, v := range run {
 				r := Unpack(page, v)
-				if r.Addr/units.PageSize != page {
-					t.Fatalf("reference %d decodes off its run's page %d", len(got), page)
+				if r.Addr/units.PageSize != page || Pack(r) != v {
+					t.Fatalf("reference %d decodes off its run's page %d or packs to another value", len(got), page)
 				}
 				touched |= 1 << (r.Addr % units.PageSize / units.MinSubpage)
 				got = append(got, r)
@@ -268,6 +271,25 @@ func FuzzRunIndex(f *testing.F) {
 		}
 		if _, run, _ := rd.NextRun(); len(run) != 0 || rd.Read(make([]Ref, 1)) != 0 {
 			t.Fatal("reader not at end after its last run")
+		}
+
+		// Runs through Offset: the same runs, each on its page shifted.
+		const shift = 3 << 32 // pages, past every page a packed run holds
+		if _, ok := Offset(app.NewReader(), shift*units.PageSize+1).(runReader); ok {
+			t.Fatal("an offset of part of a page kept the page-run index")
+		}
+		off := Offset(app.NewReader(), shift*units.PageSize).(runReader)
+		rd = app.NewReader().(*packedReader)
+		for {
+			page, run, blocks := off.NextRun()
+			wpage, wrun, wblocks := rd.NextRun()
+			if !slices.Equal(run, wrun) || len(run) > 0 && (page != wpage+shift || blocks != wblocks) {
+				t.Fatalf("offset run on page %d (%d refs, %032b), unshifted on page %d (%d refs, %032b)",
+					page, len(run), blocks, wpage, len(wrun), wblocks)
+			}
+			if len(run) == 0 {
+				break
+			}
 		}
 
 		// Read and NextRun mixed, as ops dictates.

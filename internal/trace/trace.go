@@ -18,7 +18,10 @@
 // reference stream on every run and platform.
 package trace
 
-import "github.com/gms-sim/gmsubpage/internal/rng"
+import (
+	"github.com/gms-sim/gmsubpage/internal/rng"
+	"github.com/gms-sim/gmsubpage/internal/units"
+)
 
 // Ref is one memory reference.
 type Ref struct {
@@ -132,12 +135,24 @@ func (r *appReader) Read(buf []Ref) int {
 
 // Offset returns a reader that shifts every address by delta. Multi-node
 // simulations use it to give each node's workload a disjoint slice of the
-// global page space.
+// global page space. When r replays page runs (a memoized app's reader) and
+// delta is a whole number of pages, the returned reader does too: its
+// NextRun is r's with the page shifted.
 func Offset(r Reader, delta uint64) Reader {
 	if delta == 0 {
 		return r
 	}
-	return &offsetReader{r: r, delta: delta}
+	o := offsetReader{r: r, delta: delta}
+	if rr, ok := r.(runReader); ok && delta%units.PageSize == 0 {
+		return &offsetRuns{offsetReader: o, runs: rr, pages: delta / units.PageSize}
+	}
+	return &o
+}
+
+// runReader is what a reader with a page-run index (packedReader) has
+// besides Read.
+type runReader interface {
+	NextRun() (page uint64, offs []uint16, blocks uint32)
 }
 
 type offsetReader struct {
@@ -151,6 +166,19 @@ func (o *offsetReader) Read(buf []Ref) int {
 		buf[i].Addr += o.delta
 	}
 	return n
+}
+
+// offsetRuns is an offsetReader over a reader with a page-run index.
+type offsetRuns struct {
+	offsetReader
+	runs  runReader
+	pages uint64 // delta in pages
+}
+
+// NextRun returns the underlying reader's next run, pages pages on.
+func (o *offsetRuns) NextRun() (page uint64, offs []uint16, blocks uint32) {
+	page, offs, blocks = o.runs.NextRun()
+	return page + o.pages, offs, blocks
 }
 
 // SliceReader replays a fixed slice of references; used by tests and by the
