@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -153,6 +154,85 @@ func FuzzDecode(f *testing.F) {
 				}
 			}
 			_ = DecodeError(fr.Payload)
+
+			// A payload a decoder accepts, re-sent through its Send* and
+			// read back, decodes to the same value.
+			reencode(t, fr.Payload, DecodePutPage, (*Writer).SendPutPage)
+			reencode(t, fr.Payload, DecodeLookup, (*Writer).SendLookup)
+			reencode(t, fr.Payload, DecodeLookupReply, (*Writer).SendLookupReply)
+			reencode(t, fr.Payload, DecodePlacements, (*Writer).SendPlacements)
+			reencode(t, fr.Payload, DecodeRegister, (*Writer).SendRegister)
+			reencode(t, fr.Payload, DecodeHeartbeat, (*Writer).SendHeartbeat)
+			reencode(t, fr.Payload, DecodeShardMap, (*Writer).SendShardMap)
+			reencode(t, fr.Payload, DecodeWrongShard, (*Writer).SendWrongShard)
+			reencode(t, fr.Payload, DecodeGetPageV2, (*Writer).SendGetPageV2)
+			reencode(t, fr.Payload, DecodeCancel, (*Writer).SendCancel)
+			reencode(t, fr.Payload, DecodeDrain, (*Writer).SendDrain)
+			reencode(t, fr.Payload, DecodeDrainReply, (*Writer).SendDrainReply)
+			reencode(t, fr.Payload, func(p []byte) (ErrorMsg, error) { return DecodeError(p), nil },
+				func(w *Writer, m ErrorMsg) error { return w.SendError(m.Text) })
+			// A batch re-encodes byte for byte.
+			if b, err := DecodeSubpageBatch(fr.Payload); err == nil {
+				runs := make([]SubpageRun, b.Runs())
+				for i := range runs {
+					off, data := b.Run(i)
+					runs[i] = SubpageRun{Off: uint32(off), Data: data}
+				}
+				var buf bytes.Buffer
+				if err := NewWriter(&buf).SendSubpageBatch(b.ReqID, b.Page, b.Flags, runs); err != nil {
+					t.Fatalf("decoded batch does not re-encode: %v", err)
+				}
+				if !bytes.Equal(buf.Bytes()[headerSize:], fr.Payload) {
+					t.Fatalf("batch re-encodes as %x, was %x", buf.Bytes()[headerSize:], fr.Payload)
+				}
+			}
 		}
 	})
+}
+
+// reencode checks that a payload decode accepts, sent again through send
+// and read back, decodes to the same value.
+func reencode[M any](t *testing.T, p []byte, decode func([]byte) (M, error), send func(*Writer, M) error) {
+	t.Helper()
+	m, err := decode(p)
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := send(NewWriter(&buf), m); err != nil {
+		t.Fatalf("decoded %T %+v does not re-encode: %v", m, m, err)
+	}
+	fr, err := NewReader(&buf).Next()
+	if err != nil {
+		t.Fatalf("re-encoded %T does not read back: %v", m, err)
+	}
+	again, err := decode(fr.Payload)
+	if err != nil || !sameValue(reflect.ValueOf(m), reflect.ValueOf(again)) {
+		t.Fatalf("%T %+v re-decodes as %+v, %v", m, m, again, err)
+	}
+}
+
+// sameValue is reflect.DeepEqual for decoded messages, with nil and empty
+// slices counted equal.
+func sameValue(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !sameValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Interface() == b.Interface()
 }
