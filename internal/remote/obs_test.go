@@ -181,6 +181,11 @@ func TestClientMetricsMirrorStats(t *testing.T) {
 		defer srv.mu.Unlock()
 		return srv.Puts == 1
 	}, "the dirty page's write-back to land")
+	// The server counts a reply's bytes once its write returns, which can
+	// be after the client has the page.
+	waitFor(t, 2*time.Second, func() bool {
+		return atomic.LoadInt64(&srv.BytesOut) == 6*units.PageSize
+	}, "the server to count the sixth reply")
 	st := c.Stats()
 	if st.Faults != 6 || st.Evictions != 3 || st.PutPages != 1 || st.PutBytes != units.PageSize {
 		t.Fatalf("not the fixed run: %+v", st)
